@@ -26,7 +26,8 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      eigenvalues, expm, induced_norm, make_rng, norm_bounds,
                      random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
-from .toeplitz import (BlockToeplitz, apply, feedback_inverse_norm_bound,
+from .toeplitz import (BlockToeplitz, NormChain, apply,
+                       feedback_inverse_norm_bound, feedback_norm_chain,
                        feedback_toeplitz_inverse, materialize, norm_bound)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
                         SpectralAbscissa, TransportTriple, apply_semigroup,
@@ -64,7 +65,8 @@ __all__ = [
     "random_matrix", "random_vector",
     # toeplitz
     "BlockToeplitz", "apply", "materialize", "norm_bound",
-    "feedback_toeplitz_inverse", "feedback_inverse_norm_bound",
+    "feedback_toeplitz_inverse", "NormChain", "feedback_norm_chain",
+    "feedback_inverse_norm_bound",
     # semigroup
     "MatrixTriple", "TransportTriple", "GridFunction", "SpectralAbscissa",
     "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",

@@ -4,7 +4,9 @@
 the configured system and writes a deterministic JSON report (and optional
 CSV trajectories).  Exit codes: 0 — all contracts met; 1 — a numerical
 contract failed (the failing suite/invariant is named on stderr); 2 —
-invalid configuration.
+invalid configuration.  A suite that fails numerically (``NumkitError``,
+``ArithmeticError`` or ``ValueError``) is reported as ``{"ok": false,
+"error": ...}``; any other exception is a bug and propagates.
 
 Determinism contract: identical config + seed produce byte-identical
 reports, independent of ``--jobs``.  This rests on three rules — per-suite
@@ -595,7 +597,7 @@ def run(config_path, out_dir=None, seed=None, verify: bool = False,
     def _run_one(name: str) -> dict:
         try:
             return _SUITES[name](spec, rngs[name], csv_dir)
-        except Exception as exc:
+        except (numkit.NumkitError, ArithmeticError, ValueError) as exc:
             return {"ok": False,
                     "error": f"{type(exc).__name__}: {exc}"}
 

@@ -340,37 +340,33 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
                               n_max: int = 6) -> GrowthCheckReport:
     """Contraction surrogate versus ``e^{mu t0}`` plus the block norm chain.
 
-    Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` once in euclidean frames
-    and compares it against ``e^{mu t0}`` for every candidate shift; then for
+    Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` in euclidean frames and
+    compares it against ``e^{mu t0}`` for every candidate shift; then for
     each block count ``n`` reports the exact norm of the inverse feedback
     block matrix next to its closed-form bound (the bound must dominate).
-    Precondition: the feedback margin at ``t0`` is positive.
+    ``s`` and every block entry come from one
+    :func:`~sgperturb.toeplitz.feedback_norm_chain` build: each n-block
+    inverse is a leading section of the ``n_max``-block one, so the entries
+    equal the per-n :func:`~sgperturb.toeplitz.feedback_inverse_norm_bound`
+    values.  Precondition: the feedback margin at ``t0`` is positive.
     """
     fb = feedback_admissible(triple, grid, 2.0)
     if not fb.ok:
         raise ValueError(
             f"feedback margin {fb.margin:.3e} at t0 = {grid.t0} is below "
             f"{FEEDBACK_MARGIN}; the growth surrogate needs 1 in rho(F)")
-    F, B, C, T = _euclidean_frames(triple, grid)
-    q = F.shape[0]
-    G = numkit.solve(np.eye(q, dtype=np.complex128) - F,
-                     np.eye(q, dtype=np.complex128))
-    closed = T + B @ G @ C
-    s = numkit.induced_norm(closed, 2)
+    chain = toeplitz.feedback_norm_chain(*_euclidean_frames(triple, grid),
+                                         n_max)
+    s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),
          bool(s < np.exp(mu * grid.t0)))
         for mu in mu_candidates)
-    block_entries = []
-    dominated = True
-    for n in range(1, n_max + 1):
-        lhs, rhs = toeplitz.feedback_inverse_norm_bound(F, B, C, T, n)
-        ok = lhs <= rhs * (1.0 + 1e-12)
-        dominated = dominated and ok
-        block_entries.append((n, lhs, rhs))
-    return GrowthCheckReport(t0=float(grid.t0), surrogate_norm=float(s),
+    dominated = all(lhs <= rhs * (1.0 + 1e-12)
+                    for _, lhs, rhs in chain.entries)
+    return GrowthCheckReport(t0=float(grid.t0), surrogate_norm=s,
                              mu_entries=mu_entries,
-                             block_entries=tuple(block_entries),
+                             block_entries=chain.entries,
                              all_dominated=bool(dominated))
 
 
@@ -507,8 +503,10 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
 
     Requires ``alpha <= p <= beta`` with either ``alpha < beta`` (the
     shrink-the-horizon route is then available) or ``alpha = beta = p`` (the
-    feedback margin at ``t0`` must then be positive).  Surrogate failures
-    downgrade the verdict to ``inconclusive``; they never raise.
+    feedback margin at ``t0`` must then be positive).  Numerical and domain
+    failures of a surrogate (:class:`~sgperturb.numkit.NumkitError`,
+    :class:`ArithmeticError`, :class:`ValueError`) downgrade the verdict to
+    ``inconclusive``; any other exception is a bug and propagates.
     """
     if not (alpha <= p <= beta):
         raise ValueError(f"need alpha <= p <= beta, got ({alpha}, {p}, {beta})")
@@ -572,7 +570,7 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         return GenerationCertificate(
             verdict, conditions, entries,
             float(getattr(triple, "mu_shift", 0.0)), tuple(notes))
-    except Exception as exc:  # never crash: downgrade honestly
+    except (numkit.NumkitError, ArithmeticError, ValueError) as exc:
         notes.append(f"surrogate failure: {type(exc).__name__}: {exc}")
         return GenerationCertificate(
             "inconclusive", conditions, tuple(),

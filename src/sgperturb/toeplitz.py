@@ -10,6 +10,12 @@ and sub-diagonals ``G C (T + B G C)^{k-1} B G``, together with the norm chain
 
     ||(I - F_n)^{-1}||  <=  ||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}.
 
+:func:`feedback_norm_chain` evaluates the chain for every ``n = 1 .. n_max``
+from one build: the n-block inverse is the leading ``n q x n q`` section of
+the ``n_max``-block inverse, so each lhs is the norm of a section of one
+matrix, and the n-independent norms and the ``I - F`` margin are computed
+once.
+
 These identities are purely algebraic — no semigroup structure is required —
 which is why the tests can demand them to 1e-10.
 """
@@ -17,6 +23,7 @@ which is why the tests can demand them to 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +36,8 @@ __all__ = [
     "norm_bound",
     "materialize",
     "feedback_toeplitz_inverse",
+    "NormChain",
+    "feedback_norm_chain",
     "feedback_inverse_norm_bound",
 ]
 
@@ -123,6 +132,17 @@ def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
     return F, B, C, T, G
 
 
+def _inverse_blocks(B, C, T, G, n: int):
+    """Closed-loop block ``T + B G C`` and the first ``n`` inverse blocks."""
+    closed = T + B @ G @ C
+    closed_power = np.eye(T.shape[0], dtype=np.complex128)
+    blocks = [G]
+    for _ in range(1, n):
+        blocks.append(G @ C @ closed_power @ B @ G)
+        closed_power = closed_power @ closed
+    return closed, blocks
+
+
 def feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n: int):
     """Forward and inverse feedback block matrices over ``n`` blocks.
 
@@ -136,36 +156,59 @@ def feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n: int):
     if n < 1:
         raise ShapeError(f"need n >= 1 blocks, got {n}")
     F, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
-    q = F.shape[0]
-    eye_q = np.eye(q, dtype=np.complex128)
-
-    fwd_blocks = [eye_q - F]
-    closed = T + B @ G @ C
+    fwd_blocks = [np.eye(F.shape[0], dtype=np.complex128) - F]
     power = np.eye(T.shape[0], dtype=np.complex128)  # T^{k-1} walker
-    closed_power = np.eye(T.shape[0], dtype=np.complex128)
-    inv_blocks = [G]
     for _ in range(1, n):
         fwd_blocks.append(-(C @ power @ B))
-        inv_blocks.append(G @ C @ closed_power @ B @ G)
         power = power @ T
-        closed_power = closed_power @ closed
-    forward = materialize(BlockToeplitz(fwd_blocks))
-    inverse = materialize(BlockToeplitz(inv_blocks))
-    return forward, inverse
+    _, inv_blocks = _inverse_blocks(B, C, T, G, n)
+    return (materialize(BlockToeplitz(fwd_blocks)),
+            materialize(BlockToeplitz(inv_blocks)))
+
+
+class NormChain(NamedTuple):
+    """The feedback-inverse norm chain for every block count up to n_max.
+
+    ``closed_norm`` is ``||T + B G C||_2``; ``entries`` holds one
+    ``(n, lhs, rhs)`` per block count ``n = 1 .. n_max``.
+    """
+    closed_norm: float
+    entries: tuple
+
+
+def feedback_norm_chain(Ft0, Bt0, Ct0, Tt0, n_max: int) -> NormChain:
+    """(lhs, rhs) of the feedback-inverse norm chain for ``n = 1 .. n_max``.
+
+    lhs: exact 2-norm of the inverse of ``I - F_n``.
+    rhs: ``||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}``.
+    The contract is ``lhs <= rhs``.
+
+    The inverse is materialized once, over ``n_max`` blocks; the n-block
+    inverse is its leading ``n q x n q`` section (the operator is block
+    lower-triangular), so every lhs comes from that one build, and the
+    n-independent norms and the ``I - F`` margin are computed once.
+    """
+    if n_max < 1:
+        raise ShapeError(f"need n >= 1 blocks, got {n_max}")
+    _, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
+    closed, blocks = _inverse_blocks(B, C, T, G, n_max)
+    inverse = materialize(BlockToeplitz(blocks))
+    s = induced_norm(closed, 2)
+    head = induced_norm(G, 2)
+    gain = induced_norm(G @ C, 2) * induced_norm(B @ G, 2)
+    q = G.shape[0]
+    entries = []
+    for n in range(1, n_max + 1):
+        lhs = induced_norm(inverse[:n * q, :n * q], 2)
+        geom = sum(s ** (l - 1) for l in range(1, n))
+        entries.append((n, float(lhs), float(head + gain * geom)))
+    return NormChain(float(s), tuple(entries))
 
 
 def feedback_inverse_norm_bound(Ft0, Bt0, Ct0, Tt0, n: int):
     """(lhs, rhs) for the feedback-inverse norm chain over ``n`` blocks.
 
-    lhs: exact 2-norm of the materialized inverse of ``I - F_n``.
-    rhs: ``||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}``.
-    The contract is ``lhs <= rhs``.
+    The last entry of :func:`feedback_norm_chain` with ``n_max = n``.
     """
-    F, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
-    _, inverse = feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n)
-    lhs = induced_norm(inverse, 2)
-    closed = T + B @ G @ C
-    s = induced_norm(closed, 2)
-    geom = sum(s ** (l - 1) for l in range(1, n))
-    rhs = induced_norm(G, 2) + induced_norm(G @ C, 2) * induced_norm(B @ G, 2) * geom
-    return float(lhs), float(rhs)
+    _, lhs, rhs = feedback_norm_chain(Ft0, Bt0, Ct0, Tt0, n).entries[-1]
+    return lhs, rhs

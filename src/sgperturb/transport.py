@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _DEGENERATE_MARGIN = 1e-8
+_RE_LIMIT = 500.0          # |Re lambda| beyond which e^{lam (r - 1)} is refused
+_CELL_BLOCK = 1 << 16      # entries of one start-by-cell exponential block
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,8 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
         b(t_j) = sum_{k<N} c_k x_k(t_j) / (1 - c_N),
 
     which solves ``x(1, t_j) = Phi x(., t_j)`` including a possible atom at
-    ``s = 1``; the relation is asserted to 1e-12 at every constructed level.
+    ``s = 1``; the relation is checked to 1e-12 (relative) at every
+    constructed level, and :class:`ArithmeticError` is raised when it fails.
     """
     if x0.N != N:
         raise numkit.ShapeError(f"x0 lives on N = {x0.N}, expected {N}")
@@ -221,7 +224,11 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
         nxt[:N] = cur[1:]
         b = (c[:N] @ nxt[:N]) / denom
         nxt[N] = b
-        assert abs(nxt[N] - (c @ nxt)) <= 1e-12 * max(1.0, np.abs(nxt).max())
+        gap = abs(b - c @ nxt)
+        if not gap <= 1e-12 * max(1.0, np.abs(nxt).max()):
+            raise ArithmeticError(
+                f"boundary relation x(1) = Phi x broken by {gap:.3e} at "
+                f"time level {j}")
         states[j] = nxt
         cur = nxt
     times = np.arange(levels + 1, dtype=float) / N
@@ -245,33 +252,52 @@ def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:
     return A
 
 
-def _exp_ratio(z: complex) -> complex:
-    """Stable ``(e^z - 1) / z`` (Taylor fallback near the origin)."""
-    if abs(z) < 1e-5:
-        return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-    return (np.exp(z) - 1.0) / z
+def _exp_ratio(z: np.ndarray) -> np.ndarray:
+    """Elementwise stable ``(e^z - 1) / z`` (Taylor fallback near the origin)."""
+    small = np.abs(z) < 1e-5
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
+                    (np.exp(safe) - 1.0) / safe)
+
+
+def _transfer_values(mu: BorelMeasure, lam: np.ndarray) -> np.ndarray:
+    """``H`` at every entry of the complex array ``lam`` (no range check).
+
+    Atoms contribute ``w e^{lam (r - 1)}``; the density cells are summed per
+    entry along the cell axis, so each value does not depend on which other
+    points share the array.  The cell exponentials are formed in blocks of
+    at most :data:`_CELL_BLOCK` entries.
+    """
+    H = np.zeros(lam.shape, dtype=np.complex128)
+    for loc, w in mu.atoms:
+        H += w * np.exp(lam * (loc - 1.0))
+    if mu.density:
+        n = len(mu.density)
+        h = 1.0 / n
+        weights = np.asarray(mu.density, dtype=np.complex128) * h
+        left = np.arange(n) * h - 1.0
+        flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        rows = max(1, _CELL_BLOCK // n)
+        for i in range(0, flat.size, rows):
+            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+        H += cells.reshape(lam.shape) * _exp_ratio(lam * h)
+    return H
 
 
 def transfer_scalar(mu: BorelMeasure, lam: complex) -> complex:
     """Transfer function ``H(lam) = int_0^1 e^{lam (r - 1)} dmu(r)``.
 
     Atoms contribute ``w e^{lam (r - 1)}`` exactly; density cells use the
-    exact primitive of the exponential (no quadrature error).
+    exact primitive of the exponential (no quadrature error).  The value is
+    the one :func:`characteristic_roots` computes at ``lam``.
     """
     lam = complex(lam)
-    if abs(lam.real) > 500.0:
+    if abs(lam.real) > _RE_LIMIT:
         raise numkit.NumericalRangeError(
             f"|Re lambda| = {abs(lam.real):g} out of range for e^(lam (r-1))")
-    H = 0.0 + 0.0j
-    for loc, w in mu.atoms:
-        H += w * np.exp(lam * (loc - 1.0))
-    if mu.density:
-        n = len(mu.density)
-        h = 1.0 / n
-        for cell, d in enumerate(mu.density):
-            a = cell * h - 1.0
-            H += d * h * np.exp(lam * a) * _exp_ratio(lam * h)
-    return complex(H)
+    return complex(_transfer_values(mu, np.array([lam]))[0])
 
 
 def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
@@ -279,10 +305,17 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     """Roots of ``H(lam) = 1`` inside a rectangular box, by seeded Newton.
 
     ``search_box`` is ``(re_min, re_max, im_min, im_max)``.  Newton runs from
-    a grid of starting points with a finite-difference derivative; converged
-    points are kept iff ``|1 - H(lam)| <= tol``, deduplicated to 1e-6, and
-    clipped to the box.  An empty result is a valid answer (e.g. a constant
-    transfer function that never equals 1).
+    a grid of up to 40 x 80 starting points with a central finite-difference
+    derivative, all starts at once as one batch.  A start is dropped when
+    its iterate (or a difference point) leaves the evaluable strip
+    ``|Re lam| <= 500``, when the derivative vanishes or the step is not
+    finite, when ``|lam| > 1e6``, or when it has not reached
+    ``|H - 1| <= min(tol, 1e-12)`` after ``max_iter`` steps.  Converged
+    points are kept iff ``|1 - H(lam)| <= tol``, clipped to the box (pad
+    1e-9) and deduplicated to 1e-6 in start order; the result is sorted by
+    imaginary, then real part.  An empty result is a valid answer (e.g. a
+    constant transfer function that never equals 1).  Roots that no start
+    converges to go unreported.
     """
     re_min, re_max, im_min, im_max = (float(v) for v in search_box)
     if not (re_min < re_max and im_min < im_max):
@@ -291,43 +324,46 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
         raise ValueError("tol must be positive")
     n_re = min(40, max(3, int(np.ceil((re_max - re_min) / 1.0)) + 1))
     n_im = min(80, max(3, int(np.ceil((im_max - im_min) / 2.0)) + 1))
+    lam = np.add.outer(np.linspace(re_min, re_max, n_re),
+                       1j * np.linspace(im_min, im_max, n_im)).ravel()
+    converged = np.zeros(lam.size, dtype=bool)
+    live = np.arange(lam.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            z = lam[live]
+            keep = np.abs(z.real) <= _RE_LIMIT
+            live, z = live[keep], z[keep]
+            g = _transfer_values(mu, z) - 1.0
+            done = np.abs(g) <= min(tol, 1e-12)
+            converged[live[done]] = True
+            d = 1e-6 * (1.0 + np.abs(z))
+            keep = (~done & (np.abs(z.real + d) <= _RE_LIMIT)
+                    & (np.abs(z.real - d) <= _RE_LIMIT))
+            live, z, g, d = live[keep], z[keep], g[keep], d[keep]
+            dg = (_transfer_values(mu, z + d)
+                  - _transfer_values(mu, z - d)) / (2.0 * d)
+            step = g / dg
+            z = z - step
+            keep = ((np.abs(dg) >= 1e-300) & np.isfinite(step.real)
+                    & np.isfinite(step.imag) & (np.abs(z) <= 1e6))
+            live = live[keep]
+            lam[live] = z[keep]
+            if not live.size:
+                break
+    found = lam[converged]
+    pad = 1e-9
+    found = found[(np.abs(_transfer_values(mu, found) - 1.0) <= tol)
+                  & (re_min - pad <= found.real) & (found.real <= re_max + pad)
+                  & (im_min - pad <= found.imag)
+                  & (found.imag <= im_max + pad)]
+    # dedup in start order: each kept root removes the points within 1e-6
+    # of it, so the first point left is the first one far from every root
     roots = []
-    for re0 in np.linspace(re_min, re_max, n_re):
-        for im0 in np.linspace(im_min, im_max, n_im):
-            lam = complex(re0, im0)
-            ok = False
-            try:
-                for _ in range(max_iter):
-                    g = transfer_scalar(mu, lam) - 1.0
-                    if abs(g) <= min(tol, 1e-12):
-                        ok = True
-                        break
-                    d = 1e-6 * (1.0 + abs(lam))
-                    dg = (transfer_scalar(mu, lam + d)
-                          - transfer_scalar(mu, lam - d)) / (2.0 * d)
-                    if abs(dg) < 1e-300:
-                        break
-                    step = g / dg
-                    if not np.isfinite(step.real) \
-                            or not np.isfinite(step.imag):
-                        break
-                    lam = lam - step
-                    if abs(lam) > 1e6:
-                        break
-            except numkit.NumericalRangeError:
-                continue  # the iteration escaped the evaluable strip
-            if not ok:
-                continue
-            if abs(transfer_scalar(mu, lam) - 1.0) > tol:
-                continue
-            pad = 1e-9
-            if not (re_min - pad <= lam.real <= re_max + pad
-                    and im_min - pad <= lam.imag <= im_max + pad):
-                continue
-            if all(abs(lam - r) > 1e-6 for r in roots):
-                roots.append(lam)
-    roots.sort(key=lambda z: (z.imag, z.real))
-    return np.asarray(roots, dtype=np.complex128)
+    while found.size:
+        roots.append(found[0])
+        found = found[np.abs(found - found[0]) > 1e-6]
+    roots = np.asarray(roots, dtype=np.complex128)
+    return roots[np.lexsort((roots.real, roots.imag))]
 
 
 def greiner_compatibility(lam: complex, N: int, alpha: complex = 1.0) -> float:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sgperturb import numkit
-from sgperturb.semigroup import MatrixTriple
+from sgperturb.semigroup import GridFunction, MatrixTriple, TransportTriple
+from sgperturb.transport import BorelMeasure, phi_coefficients
 
 
 def taylor_expm(A, t=1.0, terms=60):
@@ -64,6 +65,21 @@ def stable_triple(seed, n=4, m=2, scale=0.7):
     B = scale * numkit.random_matrix(rng, n, m)
     C = scale * numkit.random_matrix(rng, m, n)
     return MatrixTriple(A, B, C)
+
+
+def transport_triple(N=64, p=2.0, atoms=(), density=(), mu_shift=0.0):
+    """Transport triple whose boundary measure has these atoms and density."""
+    return TransportTriple(N=N, p=p, mu=BorelMeasure(atoms, density),
+                           mu_shift=mu_shift)
+
+
+def compatible_state(mu, N, p=2.0):
+    """Smooth profile adjusted at the endpoint so that x(1) = Phi x."""
+    s = np.arange(N + 1) / N
+    v = (np.sin(np.pi * s) * (1.0 - s)).astype(complex)
+    c = phi_coefficients(mu, N)
+    v[N] = (c[:N] @ v[:N]) / (1.0 - c[N])
+    return GridFunction(v, p=p)
 
 
 @pytest.fixture

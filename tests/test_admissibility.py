@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import stable_triple
+from conftest import stable_triple, transport_triple
 from sgperturb import numkit
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
@@ -20,15 +20,11 @@ from sgperturb.admissibility import (
     rescaled_map_identities,
     smooth_trial_signals,
 )
-from sgperturb.semigroup import GridFunction, MatrixTriple, TransportTriple
+from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import BorelMeasure, phi_coefficients
 
 SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                       np.array([[1.0]]))
-
-
-def transport_triple(N=64, p=2.0, atoms=(), density=()):
-    return TransportTriple(N=N, p=p, mu=BorelMeasure(atoms, density))
 
 
 def constant_signal(grid, value=1.0, m=1):

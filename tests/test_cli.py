@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sgperturb import cli, numkit
 from sgperturb.cli import main, report_schema_version, run, validate_report
 
 
@@ -111,6 +112,38 @@ def test_two_atom_profile_generated(tmp_path):
     pde = report["suites"]["transport_pde"]
     assert pde["ok"] is True
     assert pde["sup_difference_refined"] <= 0.75 * pde["sup_difference"] + 1e-12
+
+
+def test_two_atom_profile_halves_above_roundoff(tmp_path):
+    # at stride 2 (steps = 16) the PDE/feedback gap is quadrature error, so
+    # the halving is measured without the 1e-12 floor
+    cfg = transport_config([[0.5, 0.3], [0.875, 0.2]], "generated",
+                           suites=("certificate", "transport_pde"), seed=11)
+    cfg["grid"]["steps"] = 16
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+    pde = read_report(tmp_path / "out")["suites"]["transport_pde"]
+    assert pde["ok"] is True
+    assert pde["sup_difference"] >= 1e-3
+    assert pde["sup_difference_refined"] <= 0.75 * pde["sup_difference"]
+
+
+def test_numkit_failure_becomes_suite_error(tmp_path, monkeypatch):
+    def fail(spec, rng, csv_dir):
+        raise numkit.ConvergenceError("no convergence")
+    monkeypatch.setitem(cli._SUITES, "growth", fail)
+    cfg = write_config(tmp_path, matrix_config())
+    assert run(cfg, out_dir=tmp_path / "out") == 1
+    growth = read_report(tmp_path / "out")["suites"]["growth"]
+    assert growth == {"ok": False,
+                      "error": "ConvergenceError: no convergence"}
+
+
+def test_suite_bug_propagates(tmp_path, monkeypatch):
+    def fail(spec, rng, csv_dir):
+        raise TypeError("a bug, not a numerical failure")
+    monkeypatch.setitem(cli._SUITES, "growth", fail)
+    with pytest.raises(TypeError):
+        run(write_config(tmp_path, matrix_config()), out_dir=tmp_path / "out")
 
 
 def test_expect_mismatch_exits_1(tmp_path, capsys):

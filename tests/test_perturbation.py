@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import stable_triple, taylor_expm
-from sgperturb import numkit
+from conftest import (compatible_state, stable_triple, taylor_expm,
+                      transport_triple)
+from sgperturb import numkit, perturbation
 from sgperturb.admissibility import TimeGrid
 from sgperturb.perturbation import (
     FeedbackSingularError,
@@ -18,11 +19,11 @@ from sgperturb.perturbation import (
 from sgperturb.semigroup import (
     GridFunction,
     MatrixTriple,
-    TransportTriple,
     apply_semigroup,
     rescale,
     volterra_resolvent_values,
 )
+from sgperturb.toeplitz import feedback_inverse_norm_bound
 from sgperturb.transport import (
     BorelMeasure,
     apply_phi,
@@ -37,26 +38,11 @@ SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
 LITTLE_MASS_ATOMS = ((0.5, 0.3), (0.875, 0.2))
 
 
-def transport_triple(N=64, p=2.0, atoms=LITTLE_MASS_ATOMS, density=(),
-                     mu_shift=0.0):
-    return TransportTriple(N=N, p=p, mu=BorelMeasure(atoms, density),
-                           mu_shift=mu_shift)
-
-
 def zero_observation(seed=2, n=4, m=2):
     rng = numkit.make_rng(seed)
     A = -np.eye(n) + 0.3 * numkit.random_matrix(rng, n, n)
     B = numkit.random_matrix(rng, n, m)
     return MatrixTriple(A, B, np.zeros((m, n)))
-
-
-def compatible_state(triple):
-    N = triple.N
-    s = np.arange(N + 1) / N
-    v = (np.sin(np.pi * s) * (1.0 - s)).astype(complex)
-    c = phi_coefficients(triple.mu, N)
-    v[N] = (c[:N] @ v[:N]) / (1.0 - c[N])
-    return GridFunction(v, p=triple.p)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +179,7 @@ def test_resolvent_feedback_singularity_raises():
 
 def test_resolvent_transport_residual_small():
     # (lam - A^Phi) Q f = f checked through the upwind discretization
-    triple = transport_triple(N=256)
+    triple = transport_triple(N=256, atoms=LITTLE_MASS_ATOMS)
     lam = 1.0 + 1.0j
     rngv = numkit.make_rng(45)
     f = numkit.random_vector(rngv, 257)
@@ -258,9 +244,9 @@ def test_ws_transport_equals_pde_solution_at_full_stride():
     # boundary recursion as the method of steps, so the norm-carrying
     # samples agree to rounding (node N holds the zero representative on
     # one side and the boundary value on the other; it carries no weight)
-    triple = transport_triple(N=32)
+    triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     grid = TimeGrid(1.0, 32)
-    x = compatible_state(triple)
+    x = compatible_state(triple.mu, triple.N, triple.p)
     ws = weiss_staffans_semigroup(triple, grid, 1.0, x)
     pde = solve_pde(triple.mu, x, 1.0, 32).states[-1]
     assert np.abs(ws.values[:32] - pde[:32]).max() <= 1e-14
@@ -269,8 +255,8 @@ def test_ws_transport_equals_pde_solution_at_full_stride():
 def test_ws_transport_coarse_sampling_converges():
     # coarser feedback sampling (fewer steps at fixed N) leaves a
     # first-order gap to the exact trajectory; doubling steps halves it
-    triple = transport_triple(N=64)
-    x = compatible_state(triple)
+    triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
+    x = compatible_state(triple.mu, triple.N, triple.p)
     exact = solve_pde(triple.mu, x, 1.0, 64).states[-1]
     gaps = []
     for steps in (16, 32):
@@ -315,16 +301,16 @@ def test_vop_transport_halves_under_refinement():
     # the transport residual is checked with a density in criterion 03.
     residuals = []
     for N in (32, 64):
-        triple = transport_triple(N=N)
+        triple = transport_triple(N=N, atoms=LITTLE_MASS_ATOMS)
         grid = TimeGrid(1.0, N // 2)
-        res = variation_of_parameters_residual(triple, grid, 1.0,
-                                               compatible_state(triple))
+        x = compatible_state(triple.mu, triple.N, triple.p)
+        res = variation_of_parameters_residual(triple, grid, 1.0, x)
         residuals.append(res)
     assert max(residuals) <= 1e-12
 
 
 def test_vop_rejects_state_outside_closed_loop_domain():
-    triple = transport_triple(N=32)
+    triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     bad = GridFunction(np.ones(33))  # x(1) = 1 != Phi x
     with pytest.raises(ValueError):
         variation_of_parameters_residual(triple, TimeGrid(1.0, 32), 1.0,
@@ -369,8 +355,29 @@ def test_growth_transport_needs_feedback_margin():
         long_horizon_growth_check(triple, TimeGrid(1.0, 16), (0.0,))
 
 
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_growth_entries_equal_per_block_bound(world):
+    # one norm-chain build gives exactly the per-n values
+    if world == "matrix":
+        triple, grid = stable_triple(52, n=3, m=2), TimeGrid(0.5, 16)
+    else:
+        triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
+        grid = TimeGrid(1.0, 32)
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0), n_max=5)
+    F, B, C, T = perturbation._euclidean_frames(triple, grid)
+    eye = np.eye(F.shape[0], dtype=np.complex128)
+    G = numkit.solve(eye - F, eye)
+    s = numkit.induced_norm(T + B @ G @ C, 2)
+    assert rep.surrogate_norm == s
+    assert rep.mu_entries == tuple(
+        (mu, float(np.exp(mu * grid.t0)), bool(s < np.exp(mu * grid.t0)))
+        for mu in (0.5, 1.0, 2.0))
+    assert rep.block_entries == tuple(
+        (n, *feedback_inverse_norm_bound(F, B, C, T, n)) for n in range(1, 6))
+
+
 def test_growth_transport_two_atoms():
-    triple = transport_triple(N=32)
+    triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     rep = long_horizon_growth_check(triple, TimeGrid(1.0, 32),
                                     (0.5, 1.0, 2.0), n_max=4)
     assert rep.all_dominated
@@ -394,7 +401,7 @@ def test_certificate_zero_observation_generated():
 
 
 def test_certificate_transport_two_atoms_generated():
-    triple = transport_triple(N=64)
+    triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
     cert = generation_certificate(triple, TimeGrid(1.0, 64), 2.0, 1.0,
                                   2.0, numkit.make_rng(13))
     assert cert.verdict == "generated"
@@ -422,7 +429,7 @@ def test_certificate_half_atom_generated():
 
 
 def test_certificate_rescaling_coherence():
-    triple = transport_triple(N=64)
+    triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
     grid = TimeGrid(1.0, 64)
     plain = generation_certificate(triple, grid, 2.0, 2.0, 2.0,
                                    numkit.make_rng(16))
@@ -443,6 +450,26 @@ def test_certificate_validates_exponents():
         # alpha = beta != p has neither route
         generation_certificate(SCALAR, TimeGrid(1.0, 8), 2.0, 1.5, 1.5,
                                numkit.make_rng(18))
+
+
+def test_certificate_numkit_failure_is_inconclusive(monkeypatch):
+    def fail(*args, **kwargs):
+        raise numkit.ConvergenceError("no convergence")
+    monkeypatch.setattr(perturbation, "estimate_constants", fail)
+    cert = generation_certificate(SCALAR, TimeGrid(1.0, 8), 2.0, 1.0, 3.0,
+                                  numkit.make_rng(21))
+    assert cert.verdict == "inconclusive"
+    assert any("ConvergenceError: no convergence" in note
+               for note in cert.notes)
+
+
+def test_certificate_bug_propagates(monkeypatch):
+    def fail(*args, **kwargs):
+        raise TypeError("a bug, not a numerical failure")
+    monkeypatch.setattr(perturbation, "estimate_constants", fail)
+    with pytest.raises(TypeError):
+        generation_certificate(SCALAR, TimeGrid(1.0, 8), 2.0, 1.0, 3.0,
+                               numkit.make_rng(22))
 
 
 def test_certificate_carries_surrogate_disclaimer():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import stable_triple
+from conftest import stable_triple, transport_triple
 from sgperturb import numkit
 from sgperturb.semigroup import (
     GridFunction,
@@ -17,11 +17,6 @@ from sgperturb.semigroup import (
     volterra_resolvent_values,
 )
 from sgperturb.transport import BorelMeasure
-
-
-def transport_triple(N=64, p=2.0, atoms=(), density=(), mu_shift=0.0):
-    return TransportTriple(N=N, p=p, mu=BorelMeasure(atoms, density),
-                           mu_shift=mu_shift)
 
 
 def smooth_gridfun(N, p=2.0):

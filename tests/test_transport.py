@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sgperturb import numkit
+from conftest import compatible_state
+import sgperturb
+from sgperturb import numkit, transport
 from sgperturb.semigroup import GridFunction
 from sgperturb.transport import (
     BorelMeasure,
@@ -23,15 +30,6 @@ TWO_ATOMS = BorelMeasure(atoms=((0.5, 0.3), (0.9, 0.2)))
 def smooth_state(N):
     s = np.arange(N + 1) / N
     return GridFunction(np.sin(np.pi * s) * (1.0 - s))
-
-
-def compatible_state(mu, N):
-    """Smooth profile adjusted at the endpoint so that x(1) = Phi x."""
-    v = smooth_state(N).values.copy()
-    c = phi_coefficients(mu, N)
-    denom = 1.0 - c[N]
-    v[N] = (c[:N] @ v[:N]) / denom
-    return GridFunction(v)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +173,45 @@ def test_solve_pde_unit_atom_at_one_degenerate():
                   0.5, 16)
 
 
+_BROKEN_BOUNDARY = """
+import sys
+from sgperturb import transport
+from sgperturb.semigroup import GridFunction
+from sgperturb.transport import BorelMeasure, phi_coefficients, solve_pde
+
+right = transport._boundary_coefficients
+transport._boundary_coefficients = lambda mu, N: (right(mu, N)[0],
+                                                  2.0 * right(mu, N)[1])
+mu, N = BorelMeasure(atoms=((0.5, 0.3), (0.875, 0.2))), 16
+v = [1.0] * (N + 1)
+c = phi_coefficients(mu, N)
+v[N] = complex(sum(c[:N]) / (1.0 - c[N]))
+try:
+    solve_pde(mu, GridFunction(v), 1.0, N)
+except ArithmeticError:
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_solve_pde_broken_boundary_raises(monkeypatch):
+    # a wrong solvability factor breaks x(1) = Phi x at the first level;
+    # the check raises, also under python -O (it is not an assert)
+    mu, N = TWO_ATOMS, 40
+    right = transport._boundary_coefficients
+    monkeypatch.setattr(
+        transport, "_boundary_coefficients",
+        lambda m, n: (right(m, n)[0], 2.0 * right(m, n)[1]))
+    with pytest.raises(ArithmeticError, match="boundary relation"):
+        solve_pde(mu, compatible_state(mu, N), 1.0, N)
+    src = str(Path(sgperturb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BOUNDARY],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_solve_pde_refinement_halves_error():
     # self-convergence of the boundary feedback under N doubling
     mu = TWO_ATOMS
@@ -266,6 +303,89 @@ def test_characteristic_roots_constant_transfer_empty():
     mu = BorelMeasure(atoms=((1.0, 0.5),))
     roots = characteristic_roots(mu, (-5.0, 5.0, -5.0, 5.0))
     assert roots.size == 0
+
+
+def scalar_transfer(mu, lam):
+    """H(lam) summed atom by atom and cell by cell in Python complex."""
+    H = sum((w * np.exp(lam * (loc - 1.0)) for loc, w in mu.atoms), 0j)
+    n = len(mu.density)
+    for cell, d in enumerate(mu.density):
+        z = lam / n
+        ratio = (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+                 if abs(z) < 1e-5 else (np.exp(z) - 1.0) / z)
+        H += d / n * np.exp(lam * (cell / n - 1.0)) * ratio
+    return complex(H)
+
+
+def scalar_newton_roots(mu, box, tol=1e-10, max_iter=60):
+    """The root search start by start: reference for the batched one."""
+    re_min, re_max, im_min, im_max = box
+    n_re = min(40, max(3, int(np.ceil(re_max - re_min)) + 1))
+    n_im = min(80, max(3, int(np.ceil((im_max - im_min) / 2.0)) + 1))
+    roots = []
+    for re0 in np.linspace(re_min, re_max, n_re):
+        for im0 in np.linspace(im_min, im_max, n_im):
+            lam, ok = complex(re0, im0), False
+            for _ in range(max_iter):
+                if abs(lam.real) > 500.0:
+                    break
+                g = scalar_transfer(mu, lam) - 1.0
+                if abs(g) <= min(tol, 1e-12):
+                    ok = True
+                    break
+                d = 1e-6 * (1.0 + abs(lam))
+                if abs(lam.real) + d > 500.0:
+                    break
+                dg = (scalar_transfer(mu, lam + d)
+                      - scalar_transfer(mu, lam - d)) / (2.0 * d)
+                if abs(dg) < 1e-300:
+                    break
+                step = g / dg
+                if not np.isfinite(step):
+                    break
+                lam = lam - step
+                if abs(lam) > 1e6:
+                    break
+            if not ok or abs(scalar_transfer(mu, lam) - 1.0) > tol:
+                continue
+            pad = 1e-9
+            if not (re_min - pad <= lam.real <= re_max + pad
+                    and im_min - pad <= lam.imag <= im_max + pad):
+                continue
+            if all(abs(lam - r) > 1e-6 for r in roots):
+                roots.append(lam)
+    roots.sort(key=lambda z: (z.imag, z.real))
+    return np.asarray(roots, dtype=np.complex128)
+
+
+DENSITY_64 = tuple(np.random.default_rng(5).uniform(-0.2, 0.2, 64))
+
+
+@pytest.mark.parametrize("mu, box", [
+    (TWO_ATOMS, (-5.0, 3.0, -20.0, 20.0)),
+    (BorelMeasure(atoms=((0.5, 0.3),), density=DENSITY_64),
+     (-5.0, 3.0, -20.0, 20.0)),
+    (BorelMeasure(), (-2.0, 2.0, -5.0, 5.0)),
+    (BorelMeasure(atoms=((1.0, 0.5),)), (-5.0, 5.0, -5.0, 5.0)),
+    # the starts with |Re| > 500 are dropped before their first step
+    (BorelMeasure(atoms=((0.2, 3.0), (0.6, -1.5))),
+     (-600.0, 600.0, -30.0, 30.0)),
+    # the only root, -550, lies outside the strip: every iterate heading
+    # for it is dropped when it leaves, so none is reported
+    (BorelMeasure(atoms=((0.0, np.exp(-550.0)),)),
+     (-600.0, 600.0, -3.0, 3.0)),
+], ids=["atoms", "atoms+density64", "empty", "constant", "strip",
+        "beyond-strip"])
+def test_characteristic_roots_match_scalar_newton(mu, box):
+    roots = characteristic_roots(mu, box)
+    oracle = scalar_newton_roots(mu, box)
+    assert roots.size == oracle.size
+    if roots.size:
+        assert np.abs(roots - oracle).max() <= 1e-12
+    for lam in roots:
+        assert abs(transfer_scalar(mu, lam) - 1.0) <= 1e-10
+        assert abs(transfer_scalar(mu, lam) - scalar_transfer(mu, lam)) \
+            <= 1e-13
 
 
 def test_characteristic_roots_validation():
