@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 
 from . import numkit
 from .numkit import ShapeError, as_vector
 from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
-                        as_grid_function, rescale, shift_open)
+                        as_grid_function, rescale)
 from .transport import phi_coefficients
 
 __all__ = [
@@ -212,13 +213,13 @@ def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     N = triple.N
     j0 = q * grid.steps
     out = np.zeros(N + 1, dtype=np.complex128)
+    # node i reads sample (i + j0 - N) // q while that index is >= 0
+    first = max(0, N - j0)
+    k = (np.arange(first, N) + j0 - N) // q
+    out[first:N] = vals[k, 0]
     mu = triple.mu_shift
-    for i in range(N):
-        idx = i + j0 - N
-        if 0 <= idx < j0:
-            k = idx // q
-            factor = np.exp(-mu * (grid.t0 - k * grid.h)) if mu else 1.0
-            out[i] = factor * vals[k, 0]
+    if mu:
+        out[first:N] *= np.exp(-mu * (grid.t0 - k * grid.h))
     return GridFunction(out, p=triple.p)
 
 
@@ -250,16 +251,16 @@ def observability_map(triple, grid: TimeGrid, x, *,
             f"state rejected (outside D(A)): boundary sample x(1) = "
             f"{gf.values[-1]:.3e} must vanish")
     q = _transport_stride(triple, grid)
-    coef = phi_coefficients(triple.mu, triple.N)
+    N = triple.N
+    coef = phi_coefficients(triple.mu, N)
+    # shift_open(x, k q) is the window at k q of x[:N] padded with zeros
+    padded = np.zeros(N + 1 + (grid.steps - 1) * q, dtype=np.complex128)
+    padded[:N] = gf.values[:N]
+    out = sliding_window_view(padded, N + 1)[::q] @ coef
     mu = triple.mu_shift
-    out = np.empty((grid.steps, 1), dtype=np.complex128)
-    for k in range(grid.steps):
-        shifted = shift_open(gf.values, k * q)
-        y = coef @ shifted
-        if mu:
-            y *= np.exp(-mu * k * grid.h)
-        out[k, 0] = y
-    return SampledSignal(grid, out, p=triple.p)
+    if mu:
+        out *= np.exp(-mu * np.arange(grid.steps) * grid.h)
+    return SampledSignal(grid, out[:, None], p=triple.p)
 
 
 def io_matrix(triple, grid: TimeGrid) -> np.ndarray:

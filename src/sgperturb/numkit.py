@@ -5,7 +5,8 @@ with dtype ``complex128``) produced by the validating coercers
 :func:`as_matrix` / :func:`as_vector`.  The module provides
 
 * a scaling-and-squaring Pade matrix exponential (:func:`expm`),
-* linear solves with explicit singularity reporting (:func:`solve`),
+* linear solves with explicit singularity reporting (:func:`solve`, and
+  forward substitution :func:`solve_lower_triangular`),
 * exact induced operator norms for p in {1, 2, inf} and certified
   (lower, upper) brackets for every other exponent
   (:func:`induced_norm`, :func:`norm_bounds`),
@@ -31,6 +32,7 @@ __all__ = [
     "as_vector",
     "expm",
     "solve",
+    "solve_lower_triangular",
     "vector_norm",
     "induced_norm",
     "norm_bounds",
@@ -221,6 +223,26 @@ def _pade_solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 # solves and norms
 # ---------------------------------------------------------------------------
 
+def _stacked_rhs(A: np.ndarray, b):
+    """``b`` as a column stack matching ``A``, plus whether it was a vector."""
+    b_arr = np.asarray(b, dtype=np.complex128)
+    vector_rhs = b_arr.ndim == 1
+    B = b_arr.reshape(-1, 1) if vector_rhs else as_matrix(b_arr)
+    if B.shape[0] != A.shape[0]:
+        raise ShapeError(f"rhs has {B.shape[0]} rows, matrix is {A.shape}")
+    return B, vector_rhs
+
+
+def _require_pivots(pivots: np.ndarray) -> None:
+    """Raise unless every pivot exceeds ~n*eps of the largest one."""
+    diag = np.abs(pivots)
+    dmax = diag.max()
+    if dmax == 0.0 or diag.min() <= dmax * diag.size * np.finfo(float).eps:
+        raise SingularMatrixError(
+            "matrix is singular to working precision "
+            f"(pivot ratio {0.0 if dmax == 0.0 else diag.min() / dmax:.3e})")
+
+
 def solve(A, b) -> np.ndarray:
     """Solve ``A x = b`` by partial-pivoting LU.
 
@@ -229,21 +251,34 @@ def solve(A, b) -> np.ndarray:
     :class:`SingularMatrixError`; shape mismatches raise :class:`ShapeError`.
     """
     A = _require_square(as_matrix(A), "solve")
-    b_arr = np.asarray(b, dtype=np.complex128)
-    vector_rhs = b_arr.ndim == 1
-    B = b_arr.reshape(-1, 1) if vector_rhs else as_matrix(b_arr)
-    if B.shape[0] != A.shape[0]:
-        raise ShapeError(f"rhs has {B.shape[0]} rows, matrix is {A.shape}")
+    B, vector_rhs = _stacked_rhs(A, b)
     if A.shape[0] == 0:
         return B.reshape(-1) if vector_rhs else B
     lu, piv = scipy.linalg.lu_factor(A, check_finite=True)
-    diag = np.abs(np.diag(lu))
-    dmax = diag.max() if diag.size else 0.0
-    if dmax == 0.0 or diag.min() <= dmax * A.shape[0] * np.finfo(float).eps:
-        raise SingularMatrixError(
-            "matrix is singular to working precision "
-            f"(pivot ratio {0.0 if dmax == 0.0 else diag.min() / dmax:.3e})")
+    _require_pivots(np.diag(lu))
     X = scipy.linalg.lu_solve((lu, piv), B, check_finite=False)
+    return X.reshape(-1) if vector_rhs else X
+
+
+def solve_lower_triangular(L, b) -> np.ndarray:
+    """Solve ``L x = b`` by forward substitution, ``L`` lower triangular.
+
+    Same contract as :func:`solve`: a diagonal entry within ~n*eps of zero
+    (relative to the largest one; the diagonal holds the pivots) is reported
+    as :class:`SingularMatrixError`, shape mismatches raise
+    :class:`ShapeError`, and so does a nonzero entry above the diagonal.
+    """
+    L = _require_square(as_matrix(L), "solve_lower_triangular")
+    B, vector_rhs = _stacked_rhs(L, b)
+    n = L.shape[0]
+    if n == 0:
+        return B.reshape(-1) if vector_rhs else B
+    for r in range(0, n, 256):  # row bands bound the scratch copy
+        if np.any(np.triu(L[r:r + 256], r + 1)):
+            raise ShapeError(
+                "solve_lower_triangular needs a lower-triangular matrix")
+    _require_pivots(np.diag(L))
+    X = scipy.linalg.solve_triangular(L, B, lower=True, check_finite=False)
     return X.reshape(-1) if vector_rhs else X
 
 

@@ -194,10 +194,14 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
             f"t = {t} must equal the grid horizon t0 = {grid.t0}")
     work = rescale(triple, mu_shift) if mu_shift else triple
     obs = observability_map(work, grid, x, require_domain=False)
-    F = io_matrix(work, grid)
-    eye = np.eye(F.shape[0], dtype=np.complex128)
+    # I - F in place: F is lower triangular in both worlds (strictly block
+    # lower in the matrix world; diagonal w(1), the atom at s = 1, in the
+    # transport world), so forward substitution solves the feedback loop
+    IF = io_matrix(work, grid)
+    np.negative(IF, out=IF)
+    IF.flat[::IF.shape[0] + 1] += 1.0
     try:
-        y = numkit.solve(eye - F, obs.values.reshape(-1))
+        y = numkit.solve_lower_triangular(IF, obs.values.reshape(-1))
     except numkit.SingularMatrixError as exc:
         raise numkit.SingularMatrixError(
             f"discrete feedback operator is singular at horizon {t}: {exc}"
@@ -261,13 +265,10 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
     q = round(grid.h * triple.N)
     traj = solve_pde(triple.mu, gf, grid.t0, triple.N)
     mu = triple.mu_shift
-    samples = np.empty((grid.steps, 1), dtype=np.complex128)
-    for k in range(grid.steps):
-        ck = coef @ traj.states[k * q]
-        if mu:
-            ck *= np.exp(-mu * k * grid.h)
-        samples[k, 0] = ck
-    csig = SampledSignal(grid, samples, p=triple.p)
+    samples = traj.states[::q][:grid.steps] @ coef
+    if mu:
+        samples *= np.exp(-mu * np.arange(grid.steps) * grid.h)
+    csig = SampledSignal(grid, samples[:, None], p=triple.p)
     rhs_vals = (apply_semigroup(triple, t, gf).values
                 + controllability_map(triple, grid, csig).values)
     diff = GridFunction(lhs.values - rhs_vals, p=triple.p)

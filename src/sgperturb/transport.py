@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
 from .semigroup import GridFunction, volterra_resolvent_values
@@ -116,7 +117,11 @@ class LittleMassReport(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """Time levels and the state at each level (rows of ``states``)."""
+    """Time levels and the state at each level (rows of ``states``).
+
+    ``states`` may be a read-only window view of one sequence (as
+    :func:`solve_pde` returns it), so rows share memory; copy before writing.
+    """
     times: np.ndarray
     states: np.ndarray
 
@@ -200,14 +205,25 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
 
     Time step equals the space step ``1/N`` (characteristics aligned, so the
     advection is exact and the only approximation is the boundary quadrature
-    of ``Phi``).  Each level shifts the state left by one node and closes the
-    loop with the boundary value
+    of ``Phi``).  The whole trajectory is one sequence ``z`` of length
+    ``N + 1 + levels``: ``z[:N+1]`` is ``x0``, ``z[N+j]`` is the boundary
+    value at level ``j``,
 
-        b(t_j) = sum_{k<N} c_k x_k(t_j) / (1 - c_N),
+        b_j = sum_{k<N} c_k z[j+k] / (1 - c_N),
 
     which solves ``x(1, t_j) = Phi x(., t_j)`` including a possible atom at
-    ``s = 1``; the relation is checked to 1e-12 (relative) at every
-    constructed level, and :class:`ArithmeticError` is raised when it fails.
+    ``s = 1``, and level ``j`` is the window ``z[j : j+N+1]``.  With
+    ``k_max`` the last node below ``s = 1`` that carries weight, ``b_j``
+    reads ``z`` only up to ``j + k_max``, so the next ``N - k_max`` boundary
+    values depend only on earlier ones and are computed as one block by one
+    matrix-vector product over the level windows (a measure without mass
+    below ``s = 1`` is one block for the whole horizon, a density gives
+    blocks of one level).  The relation is checked to 1e-12 (relative to
+    ``max(1, max |state|)``) at every constructed level, and
+    :class:`ArithmeticError` names the first level where it fails.
+
+    ``states`` is a read-only window view of ``z``, not one array per level;
+    copy it before writing.
     """
     if x0.N != N:
         raise numkit.ShapeError(f"x0 lives on N = {x0.N}, expected {N}")
@@ -216,23 +232,32 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     if abs(steps - levels) > 1e-9 or horizon < 0:
         raise ValueError(f"horizon {horizon} is not a multiple of 1/{N}")
     c, denom = _boundary_coefficients(mu, N)
-    states = np.zeros((levels + 1, N + 1), dtype=np.complex128)
-    states[0] = x0.values
-    cur = x0.values.copy()
-    for j in range(1, levels + 1):
-        nxt = np.empty_like(cur)
-        nxt[:N] = cur[1:]
-        b = (c[:N] @ nxt[:N]) / denom
-        nxt[N] = b
-        gap = abs(b - c @ nxt)
-        if not gap <= 1e-12 * max(1.0, np.abs(nxt).max()):
+    z = np.zeros(N + 1 + levels, dtype=np.complex128)
+    z[:N + 1] = x0.values
+    mag = np.abs(z)          # |z|, extended per block, for the relative scale
+    windows = sliding_window_view(z, N + 1)
+    mag_windows = sliding_window_view(mag, N + 1)
+    support = np.flatnonzero(c[:N])
+    k_max = int(support[-1]) if support.size else -1
+    block = N - k_max if support.size else max(levels, 1)
+    head = c[:k_max + 1]
+    for j in range(1, levels + 1, block):
+        end = min(j + block, levels + 1)
+        partial = windows[j:end, :k_max + 1] @ head
+        z[N + j:N + end] = partial / denom
+        mag[N + j:N + end] = np.abs(z[N + j:N + end])
+        # c . state with the boundary read back from the stored windows;
+        # c vanishes on (k_max, N), so the partial sum carries the rest
+        b = windows[j:end, N]
+        gap = np.abs(b - (partial + c[N] * b))
+        scale = np.maximum(1.0, mag_windows[j:end].max(axis=1))
+        bad = np.flatnonzero(~(gap <= 1e-12 * scale))
+        if bad.size:
             raise ArithmeticError(
-                f"boundary relation x(1) = Phi x broken by {gap:.3e} at "
-                f"time level {j}")
-        states[j] = nxt
-        cur = nxt
+                f"boundary relation x(1) = Phi x broken by "
+                f"{gap[bad[0]]:.3e} at time level {j + bad[0]}")
     times = np.arange(levels + 1, dtype=float) / N
-    return Trajectory(times, states)
+    return Trajectory(times, windows)
 
 
 def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from sgperturb.numkit import (
     random_matrix,
     random_vector,
     solve,
+    solve_lower_triangular,
     spectral_radius_distance,
     vector_norm,
 )
@@ -107,6 +108,34 @@ def test_solve_singular_raises():
 def test_solve_shape_mismatch():
     with pytest.raises(ShapeError):
         solve(np.eye(3), np.array([1.0, 2.0]))
+
+
+def test_solve_lower_triangular_matches_lu():
+    rng = make_rng(5)
+    L = np.tril(random_matrix(rng, 7, 7)) + 2.0 * np.eye(7)
+    b = random_vector(rng, 7)
+    B = random_matrix(rng, 7, 3)
+    x = solve_lower_triangular(L, b)
+    assert x.shape == (7,)
+    assert np.linalg.norm(x - solve(L, b)) <= 1e-13 * np.linalg.norm(x)
+    assert np.abs(L @ solve_lower_triangular(L, B) - B).max() <= 1e-12
+
+
+def test_solve_lower_triangular_small_pivot_raises():
+    L = np.array([[1.0, 0.0], [3.0, 1e-17]])
+    with pytest.raises(SingularMatrixError, match="pivot ratio"):
+        solve_lower_triangular(L, np.array([1.0, 1.0]))
+
+
+def test_solve_lower_triangular_rejects_upper_entries_and_shapes():
+    L = np.eye(300, dtype=complex)
+    L[257, 258] = 1e-3    # first superdiagonal, in the second row band
+    with pytest.raises(ShapeError, match="lower-triangular"):
+        solve_lower_triangular(L, np.ones(300))
+    with pytest.raises(ShapeError):
+        solve_lower_triangular(np.eye(3), np.ones(2))
+    with pytest.raises(ShapeError):
+        solve_lower_triangular(np.ones((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

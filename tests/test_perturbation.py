@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import (compatible_state, stable_triple, taylor_expm,
                       transport_triple)
 from sgperturb import numkit, perturbation
-from sgperturb.admissibility import TimeGrid
+from sgperturb.admissibility import TimeGrid, io_matrix
 from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
@@ -250,6 +250,31 @@ def test_ws_transport_equals_pde_solution_at_full_stride():
     ws = weiss_staffans_semigroup(triple, grid, 1.0, x)
     pde = solve_pde(triple.mu, x, 1.0, 32).states[-1]
     assert np.abs(ws.values[:32] - pde[:32]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_ws_feedback_forward_substitution_matches_lu(world):
+    # I - F is lower triangular in both worlds; the transport diagonal
+    # 1 - w(1) = 0.6 comes from the atom at s = 1
+    grid = TimeGrid(0.5, 32)
+    if world == "matrix":
+        triple = stable_triple(17, n=4, m=2, scale=3.0)
+    else:
+        triple = transport_triple(N=64, atoms=((0.5, 0.3), (1.0, 0.4)),
+                                  density=(0.2,) * 64)
+    IF = np.eye(grid.steps * triple.control_dim) - io_matrix(triple, grid)
+    assert np.abs(IF - np.eye(IF.shape[0])).max() > 0.1
+    rhs = numkit.random_vector(numkit.make_rng(18), IF.shape[0])
+    y = numkit.solve_lower_triangular(IF, rhs)
+    ref = numkit.solve(IF, rhs)
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ws_transport_unit_atom_at_one_is_singular():
+    triple = transport_triple(N=16, atoms=((1.0, 1.0),))
+    x = GridFunction(np.ones(17, dtype=complex))
+    with pytest.raises(numkit.SingularMatrixError, match="pivot ratio"):
+        weiss_staffans_semigroup(triple, TimeGrid(0.5, 8), 0.5, x)
 
 
 def test_ws_transport_coarse_sampling_converges():

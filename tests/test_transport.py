@@ -1,10 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+try:
+    from numpy.lib.array_utils import byte_bounds
+except ImportError:  # numpy < 2
+    from numpy import byte_bounds
 from numpy.testing import assert_allclose
 
 from conftest import compatible_state
@@ -223,6 +228,80 @@ def test_solve_pde_refinement_halves_error():
     e1 = np.abs(sups[1] - sups[0]).max()
     e2 = np.abs(sups[2] - sups[1]).max()
     assert e2 <= 0.75 * e1
+
+
+def _solve_pde_oracle(mu, x0, horizon, N):
+    """Per-level method of steps: one shift and one boundary read per level,
+    every level copied into its own row."""
+    levels = int(round(horizon * N))
+    c, denom = transport._boundary_coefficients(mu, N)
+    states = np.zeros((levels + 1, N + 1), dtype=np.complex128)
+    states[0] = x0.values
+    for j in range(1, levels + 1):
+        nxt = np.empty(N + 1, dtype=np.complex128)
+        nxt[:N] = states[j - 1, 1:]
+        nxt[N] = (c[:N] @ nxt[:N]) / denom
+        gap = abs(nxt[N] - c @ nxt)
+        if not gap <= 1e-12 * max(1.0, np.abs(nxt).max()):
+            raise ArithmeticError(
+                f"boundary relation x(1) = Phi x broken by {gap:.3e} at "
+                f"time level {j}")
+        states[j] = nxt
+    return states
+
+
+@pytest.mark.parametrize("mu, N, horizon", [
+    (TWO_ATOMS, 80, 239 / 80),                              # blocks of 8
+    (BorelMeasure(atoms=((0.25, 0.4), (1.0, 0.5))), 64, 2.0),  # atom at 1
+    (BorelMeasure(atoms=((0.0, 0.7),)), 64, 2.5),          # one block per N
+    (BorelMeasure(density=tuple(np.sin(np.arange(64)))), 64, 1.5),  # L = 1
+    (BorelMeasure(), 64, 2.0),                              # one block
+], ids=["atoms", "atom-at-one", "atom-at-zero", "density", "zero"])
+def test_solve_pde_matches_per_level_oracle(mu, N, horizon):
+    x0 = compatible_state(mu, N)
+    ref = _solve_pde_oracle(mu, x0, horizon, N)
+    traj = solve_pde(mu, x0, horizon, N)
+    assert traj.states.shape == ref.shape
+    assert np.abs(ref).max() > 0.1
+    err = np.abs(traj.states - ref).max()
+    assert err <= 1e-14 * max(1.0, np.abs(ref).max())
+    assert_allclose(traj.times, np.arange(ref.shape[0]) / N, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("support", [(24, 28), (30, 35)])
+def test_solve_pde_broken_boundary_names_oracle_level(monkeypatch, support):
+    # x0 vanishes except on nodes the atom at 0.5 reads only from a later
+    # level on, so the doubled solvability factor first shows there: at the
+    # end of the first block, and inside the third block
+    N = 40
+    v = np.zeros(N + 1, dtype=complex)
+    v[support[0]:support[1]] = 1.0
+    x0 = GridFunction(v)
+    right = transport._boundary_coefficients
+    monkeypatch.setattr(
+        transport, "_boundary_coefficients",
+        lambda m, n: (right(m, n)[0], 2.0 * right(m, n)[1]))
+    with pytest.raises(ArithmeticError) as oracle:
+        _solve_pde_oracle(TWO_ATOMS, x0, 1.0, N)
+    level = re.search(r"time level (\d+)", str(oracle.value)).group(1)
+    assert int(level) == support[0] - N // 2
+    with pytest.raises(ArithmeticError, match=f"at time level {level}$"):
+        solve_pde(TWO_ATOMS, x0, 1.0, N)
+
+
+def test_solve_pde_states_are_one_read_only_sequence():
+    # N = 4096 to t = 8 would be 2.1 GB as one row per level; the window
+    # view spans only the N + 1 + levels values of the one sequence
+    N, horizon = 4096, 8.0
+    mu = BorelMeasure(atoms=((0.5, 0.3), (0.875, 0.2)))
+    traj = solve_pde(mu, compatible_state(mu, N), horizon, N)
+    levels = int(horizon * N)
+    assert traj.states.shape == (levels + 1, N + 1)
+    assert not traj.states.flags.writeable
+    lo, hi = byte_bounds(traj.states)
+    assert hi - lo == (N + 1 + levels) * 16
+    with pytest.raises(ValueError):
+        traj.states[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
