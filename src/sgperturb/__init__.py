@@ -40,7 +40,8 @@ from .transport import (BorelMeasure, LittleMassReport, Trajectory,
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             FeedbackReport, RegularityReport,
                             RescalingResiduals, SampledSignal, TimeGrid,
-                            controllability_map, estimate_constants,
+                            controllability_map, controllability_matrix,
+                            estimate_constants,
                             feedback_admissible, io_map, io_matrix,
                             observability_map, regularity_check,
                             rescaled_map_identities, smooth_trial_signals)
@@ -80,7 +81,8 @@ __all__ = [
     # admissibility
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
     "RescalingResiduals", "RegularityReport", "FEEDBACK_MARGIN",
-    "controllability_map", "observability_map", "io_map", "io_matrix",
+    "controllability_map", "controllability_matrix", "observability_map",
+    "io_map", "io_matrix",
     "estimate_constants", "feedback_admissible", "rescaled_map_identities",
     "regularity_check", "smooth_trial_signals",
     # perturbation

@@ -33,7 +33,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 
 from . import numkit
 from .numkit import ShapeError, as_vector
@@ -49,6 +48,7 @@ __all__ = [
     "RescalingResiduals",
     "RegularityReport",
     "controllability_map",
+    "controllability_matrix",
     "observability_map",
     "io_map",
     "io_matrix",
@@ -223,6 +223,24 @@ def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     return GridFunction(out, p=triple.p)
 
 
+def controllability_matrix(triple: MatrixTriple,
+                           grid: TimeGrid) -> np.ndarray:
+    """Stacked euclidean matrix of the matrix-world controllability map.
+
+    Column block k is ``h e^{(t0 - t_k) A} B`` from one backward walk in
+    ``e^{hA}``, so applying it to the stacked samples of ``u`` gives
+    :func:`controllability_map` of ``u`` up to roundoff.
+    """
+    d, m = triple.state_dim, triple.control_dim
+    E = numkit.expm(triple.A, grid.h)
+    Bc = np.empty((d, grid.steps * m), dtype=np.complex128)
+    P = triple.B
+    for k in range(grid.steps - 1, -1, -1):
+        P = E @ P
+        Bc[:, k * m:(k + 1) * m] = grid.h * P
+    return Bc
+
+
 def observability_map(triple, grid: TimeGrid, x, *,
                       require_domain: bool = True) -> SampledSignal:
     """Samples ``C T(t_k) x`` of the observed free orbit.
@@ -282,16 +300,17 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
 
     if isinstance(triple, MatrixTriple):
         steps = grid.steps
-        F = np.zeros((steps * m, steps * m), dtype=np.complex128)
+        # blocks[d] = h C E^d B for lag d >= 1; blocks[0] stays zero and
+        # fills every block on or above the diagonal
+        blocks = np.zeros((steps, m, m), dtype=np.complex128)
         E = numkit.expm(triple.A, grid.h)
         P = triple.B  # E^d @ B walker
         for d in range(1, steps):
             P = E @ P
-            block = grid.h * (triple.C @ P)
-            for j in range(d, steps):
-                k = j - d
-                F[j * m:(j + 1) * m, k * m:(k + 1) * m] = block
-        return F
+            blocks[d] = grid.h * (triple.C @ P)
+        lag = np.arange(steps)[:, None] - np.arange(steps)[None, :]
+        F = blocks[np.maximum(lag, 0)]          # (row j, col k, m, m)
+        return F.transpose(0, 2, 1, 3).reshape(steps * m, steps * m)
 
     q = _transport_stride(triple, grid)
     N = triple.N
@@ -323,16 +342,49 @@ def io_map(triple, grid: TimeGrid, u: SampledSignal) -> SampledSignal:
     Single code path for both worlds so that applying :func:`io_matrix` to
     the stacked samples agrees with this function bit-for-bit.
     """
-    m = triple.control_dim
-    vals = _signal_on(grid, u, m)
-    F = io_matrix(triple, grid)
-    out = (F @ vals.reshape(-1)).reshape(grid.steps, m)
-    return SampledSignal(grid, out, p=u.p)
+    _signal_on(grid, u, triple.control_dim)
+    return _apply_io(io_matrix(triple, grid), u)
+
+
+def _apply_io(F: np.ndarray, u: SampledSignal) -> SampledSignal:
+    """``F`` from :func:`io_matrix` applied to the stacked samples of ``u``."""
+    out = (F @ u.values.reshape(-1)).reshape(u.values.shape)
+    return SampledSignal(u.grid, out, p=u.p)
 
 
 # ---------------------------------------------------------------------------
 # constants, feedback, rescaling, regularity
 # ---------------------------------------------------------------------------
+
+#: knots of the trial-signal spline, equispaced on [0, t0]
+_KNOTS = 6
+
+
+def _spline_basis(grid: TimeGrid) -> np.ndarray:
+    """Sampled cardinal splines: ``(steps, _KNOTS)``, column j through e_j.
+
+    Moment form in the cell variable ``τ = t / H - i`` on cell i (knot
+    spacing H): the scaled second derivatives ``m_i = H² s''(x_i)`` solve
+    ``T m = 6 D v`` with rows (1, 4, 1) and (1, -2, 1) at the interior knots
+    (C² continuity), (2, 1) and (-1, 1) at t = 0 (``s'(0) = 0``) and
+    ``m = 0`` at t0 (natural end).  On cell i the spline is
+    ``(1-τ) v_i + τ v_{i+1} + ((1-τ)³ - (1-τ)) m_i / 6 + (τ³ - τ) m_{i+1} / 6``.
+    The identity as ``v`` gives every column at once.
+    """
+    n = _KNOTS
+    eye = np.eye(n)
+    T = 4.0 * eye + np.eye(n, k=1) + np.eye(n, k=-1)
+    D = np.eye(n, k=1) - 2.0 * eye + np.eye(n, k=-1)
+    T[0, :2], D[0, :2] = (2.0, 1.0), (-1.0, 1.0)
+    T[-1], D[-1] = eye[-1], 0.0
+    m = np.linalg.solve(T, 6.0 * D)
+    tau = grid.times * ((n - 1) / grid.t0)
+    cell = np.minimum(tau.astype(int), n - 2)
+    tau = (tau - cell)[:, None]
+    return ((1.0 - tau) * eye[cell] + tau * eye[cell + 1]
+            + ((1.0 - tau) ** 3 - (1.0 - tau)) / 6.0 * m[cell]
+            + (tau ** 3 - tau) / 6.0 * m[cell + 1])
+
 
 def smooth_trial_signals(grid: TimeGrid, m: int, trials: int,
                          rng: np.random.Generator, p: float = 2.0):
@@ -342,18 +394,20 @@ def smooth_trial_signals(grid: TimeGrid, m: int, trials: int,
     clamped cubic spline (zero value and slope at t = 0, natural at t0) and
     sampled at the left endpoints — the discrete stand-in for smooth dense
     subspaces of vanishing initial data.
+
+    The spline is linear in its knot values, so each component is
+    ``S @ vals`` with one ``(steps, 6)`` basis ``S`` per call: column i is
+    the spline through the i-th unit knot vector, sampled at
+    ``grid.times`` (see :func:`_spline_basis`).
     """
-    knots = np.linspace(0.0, grid.t0, 6)
-    tk = grid.times
+    S = _spline_basis(grid)
     out = []
     for _ in range(trials):
         samples = np.empty((grid.steps, m), dtype=np.complex128)
         for comp in range(m):
-            vals = numkit.random_vector(rng, knots.size)
+            vals = numkit.random_vector(rng, _KNOTS)
             vals[0] = 0.0
-            sp_re = CubicSpline(knots, vals.real, bc_type=((1, 0.0), (2, 0.0)))
-            sp_im = CubicSpline(knots, vals.imag, bc_type=((1, 0.0), (2, 0.0)))
-            samples[:, comp] = sp_re(tk) + 1j * sp_im(tk)
+            samples[:, comp] = S @ vals
         out.append(SampledSignal(grid, samples, p=p))
     return out
 
@@ -386,12 +440,22 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
     in the observation domain), ``M_io`` as the ``alpha -> beta`` ratio of
     the input-output map.  Feedback admissibility and margin ride along.
     """
+    return _constants_and_feedback(triple, grid, p, alpha, beta, trials,
+                                   rng)[0]
+
+
+def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
+                            beta: float, trials: int,
+                            rng: np.random.Generator):
+    """:func:`estimate_constants` and :func:`feedback_admissible` at ``p``
+    from one :func:`io_matrix` build."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (alpha <= p <= beta):
         raise ValueError(f"need alpha <= p <= beta, got {alpha}, {p}, {beta}")
     m = triple.control_dim
     signals = smooth_trial_signals(grid, m, trials, rng, p=p)
+    F = io_matrix(triple, grid)
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -403,8 +467,7 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
         used += 1
         Bu = controllability_map(triple, grid, u)
         M_control = max(M_control, _state_norm(triple, Bu) / nu_p)
-        Fu = io_map(triple, grid, u)
-        M_io = max(M_io, Fu.norm(beta) / nu_a)
+        M_io = max(M_io, _apply_io(F, u).norm(beta) / nu_a)
     if used == 0:
         raise ValueError("all trial signals had zero norm; nothing estimated")
     M_observe = 0.0
@@ -412,11 +475,12 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
         x = _random_domain_state(triple, rng)
         y = observability_map(triple, grid, x)
         M_observe = max(M_observe, y.norm(p))
-    fb = feedback_admissible(triple, grid, p)
-    return AdmissibilityReport(
+    fb = _feedback_report(F, p)
+    report = AdmissibilityReport(
         M_control=float(M_control), M_observe=float(M_observe),
         M_io=float(M_io), p=float(p), alpha=float(alpha), beta=float(beta),
         feedback_ok=fb.ok, margin=fb.margin, samples=used)
+    return report, fb
 
 
 def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
@@ -427,7 +491,10 @@ def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     otherwise) and whether that norm certifies admissibility by ``||F|| < 1``
     alone — the sufficient condition that survives to the continuum.
     """
-    F = io_matrix(triple, grid)
+    return _feedback_report(io_matrix(triple, grid), p)
+
+
+def _feedback_report(F: np.ndarray, p: float) -> FeedbackReport:
     margin = numkit.spectral_radius_distance(F, 1.0)
     try:
         nrm = numkit.induced_norm(F, p)
@@ -463,6 +530,8 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     decay = np.exp(-mu_shift * tk)
     m = triple.control_dim
     signals = smooth_trial_signals(grid, m, trials, rng)
+    F_shifted = io_matrix(shifted, grid)
+    F = io_matrix(triple, grid)
 
     res_control = 0.0
     res_io = 0.0
@@ -475,8 +544,8 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         lhs_B_vals = lhs_B.values if isinstance(lhs_B, GridFunction) else lhs_B
         res_control = max(res_control,
                           float(np.abs(lhs_B_vals - rhs_B_vals).max()))
-        lhs_F = io_map(shifted, grid, u)
-        rhs_F = _modulated(io_map(triple, grid, _modulated(u, grow)), decay)
+        lhs_F = _apply_io(F_shifted, u)
+        rhs_F = _modulated(_apply_io(F, _modulated(u, grow)), decay)
         res_io = max(res_io,
                      float(np.abs(lhs_F.values - rhs_F.values).max()))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numkit
 from .semigroup import MatrixTriple
-from .admissibility import (TimeGrid, SampledSignal, controllability_map,
+from .admissibility import (TimeGrid, SampledSignal, controllability_matrix,
                             io_map, observability_map, smooth_trial_signals)
 from .perturbation import generation_certificate, weiss_staffans_semigroup
 
@@ -86,18 +86,6 @@ def _require_matrix_world(triple, suite: str) -> None:
         raise ValueError(f"{suite} runs in the matrix world only")
 
 
-def _control_matrix(triple: MatrixTriple, grid: TimeGrid) -> np.ndarray:
-    """Stacked euclidean matrix of the controllability map (h included)."""
-    d, m = triple.state_dim, triple.control_dim
-    E = numkit.expm(triple.A, grid.h)
-    Bc = np.empty((d, grid.steps * m), dtype=np.complex128)
-    P = triple.B
-    for k in range(grid.steps - 1, -1, -1):
-        P = E @ P
-        Bc[:, k * m:(k + 1) * m] = grid.h * P
-    return Bc
-
-
 def _stacked_p_to_euclid_norm(M: np.ndarray, p: float) -> float:
     """Upper bound of ``||M||_{l^p -> l^2}`` (exact for p in {1, 2})."""
     if p == 2.0:
@@ -112,9 +100,9 @@ def _stacked_p_to_euclid_norm(M: np.ndarray, p: float) -> float:
     return two * M.shape[1] ** (0.5 - 1.0 / p)  # Hoelder on finite dim
 
 
-def _control_norm(triple: MatrixTriple, grid: TimeGrid, p: float) -> float:
-    """Norm (upper bound; exact for p = 2) of the discrete L^p -> X map."""
-    Bc = _control_matrix(triple, grid)
+def _control_norm(Bc: np.ndarray, grid: TimeGrid, p: float) -> float:
+    """Norm (upper bound; exact for p = 2) of the discrete L^p -> X map
+    whose stacked matrix is ``Bc``."""
     return grid.h ** (-1.0 / p) * _stacked_p_to_euclid_norm(Bc, p)
 
 
@@ -156,8 +144,8 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         raise ValueError("the control-side suite needs C = Id")
     checks: dict = {}
     steps = grid.steps
-    Bc = _control_matrix(triple, grid)
-    M_B = _control_norm(triple, grid, p)
+    Bc = controllability_matrix(triple, grid)
+    M_B = _control_norm(Bc, grid, p)
 
     # (a) running convolution = controllability o right translation;
     #     modulus of continuity bounded by M_B * translation modulus

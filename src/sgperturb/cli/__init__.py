@@ -30,15 +30,15 @@ from typing import Optional
 
 import numpy as np
 
-from . import numkit, toeplitz
-from .semigroup import GridFunction, MatrixTriple, TransportTriple
-from .transport import BorelMeasure, characteristic_roots, solve_pde, \
+from .. import numkit, toeplitz
+from ..semigroup import GridFunction, MatrixTriple, TransportTriple
+from ..transport import BorelMeasure, characteristic_roots, solve_pde, \
     transfer_scalar, upwind_generator, phi_coefficients
-from .admissibility import (TimeGrid, estimate_constants,
-                            rescaled_map_identities)
-from .perturbation import (generation_certificate, long_horizon_growth_check,
-                           weiss_staffans_semigroup)
-from . import classical
+from ..admissibility import (TimeGrid, estimate_constants,
+                             rescaled_map_identities)
+from ..perturbation import (generation_certificate, long_horizon_growth_check,
+                            weiss_staffans_semigroup)
+from .. import classical
 
 __all__ = ["main", "run", "report_schema_version", "validate_report",
            "REPORT_SCHEMA"]
@@ -689,7 +689,3 @@ def main(argv=None) -> int:
         return run(args.config, out_dir=args.out, seed=args.seed,
                    verify=args.verify, write_csv=args.csv, jobs=args.jobs)
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

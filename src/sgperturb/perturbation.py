@@ -48,8 +48,9 @@ from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
                         apply_semigroup, as_grid_function, rescale,
                         spectral_abscissa, volterra_resolvent_values)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
-                            estimate_constants, feedback_admissible,
-                            io_matrix, observability_map, FEEDBACK_MARGIN)
+                            controllability_matrix, feedback_admissible,
+                            io_matrix, observability_map, FEEDBACK_MARGIN,
+                            _constants_and_feedback)
 from .transport import (apply_phi, dirichlet_operator, greiner_compatibility,
                         phi_coefficients, solve_pde, transfer_scalar,
                         upwind_generator)
@@ -282,10 +283,12 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 def _euclidean_frames(triple, grid: TimeGrid):
     """(F, B, C, T) of the discrete maps as plain euclidean matrices.
 
-    Built by applying the map code paths to basis signals/states, then
-    reweighted so that euclidean 2-norms coincide with the discrete
-    signal/state norms (signal frame: sqrt(h); transport state frame:
-    sqrt(1/N) on nodes 0..N-1, node N dropped — it carries no norm).
+    Matrix world: :func:`~sgperturb.admissibility.controllability_matrix`
+    plus the observability map of the basis states; transport world: the
+    map code paths applied to basis signals/states.  Then reweighted so
+    that euclidean 2-norms coincide with the discrete signal/state norms
+    (signal frame: sqrt(h); transport state frame: sqrt(1/N) on nodes
+    0..N-1, node N dropped — it carries no norm).
     """
     steps = grid.steps
     m = triple.control_dim
@@ -294,13 +297,7 @@ def _euclidean_frames(triple, grid: TimeGrid):
 
     if isinstance(triple, MatrixTriple):
         d = triple.state_dim
-        Bc = np.empty((d, steps * m), dtype=np.complex128)
-        for k in range(steps):
-            for i in range(m):
-                basis = np.zeros((steps, m), dtype=np.complex128)
-                basis[k, i] = 1.0
-                Bc[:, k * m + i] = controllability_map(
-                    triple, grid, SampledSignal(grid, basis))
+        Bc = controllability_matrix(triple, grid)
         Cc = np.empty((steps * m, d), dtype=np.complex128)
         for i in range(d):
             e = np.zeros(d, dtype=np.complex128)
@@ -520,13 +517,12 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         compat_ok, provenance = _compatibility(triple)
         conditions["compatibility"] = {"ok": compat_ok,
                                        "provenance": provenance}
-        report = estimate_constants(triple, grid, p, alpha, beta,
-                                    trials=12, rng=rng)
+        report, fb = _constants_and_feedback(triple, grid, p, alpha, beta,
+                                             trials=12, rng=rng)
         conditions["M_control"] = report.M_control
         conditions["M_observe"] = report.M_observe
         conditions["M_io"] = {"value": report.M_io,
                               "exponents": (float(alpha), float(beta))}
-        fb = feedback_admissible(triple, grid, p)
         feedback_entry = {"margin": fb.margin, "ok": fb.ok,
                           "io_norm": fb.io_norm,
                           "io_norm_certifies": fb.io_norm_certifies}

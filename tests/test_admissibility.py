@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
 from conftest import stable_triple, transport_triple
-from sgperturb import numkit
+from sgperturb import admissibility, numkit
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
     SampledSignal,
     TimeGrid,
     controllability_map,
+    controllability_matrix,
     estimate_constants,
     feedback_admissible,
     io_map,
@@ -190,6 +192,47 @@ def test_io_matrix_matches_io_map_exactly():
     assert np.array_equal(stacked, direct.values)
 
 
+def loop_io_matrix(triple, grid):
+    """Block-by-block assembly of the matrix-world io_matrix (oracle)."""
+    m, steps = triple.control_dim, grid.steps
+    F = np.zeros((steps * m, steps * m), dtype=np.complex128)
+    E = numkit.expm(triple.A, grid.h)
+    P = triple.B
+    for d in range(1, steps):
+        P = E @ P
+        block = grid.h * (triple.C @ P)
+        for j in range(d, steps):
+            k = j - d
+            F[j * m:(j + 1) * m, k * m:(k + 1) * m] = block
+    return F
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 32])
+def test_io_matrix_equals_loop_assembly(steps):
+    # the lag-indexed fill places the same blocks: equal bit for bit
+    triple = stable_triple(23, n=3, m=2)
+    grid = TimeGrid(0.7, steps)
+    F = io_matrix(triple, grid)
+    assert F.shape == (2 * steps, 2 * steps)
+    assert np.array_equal(F, loop_io_matrix(triple, grid))
+
+
+def test_controllability_matrix_matches_map():
+    # column k*m + i is the map applied to the unit signal e_i at t_k
+    triple = stable_triple(25, n=3, m=2)
+    grid = TimeGrid(0.9, 10)
+    Bc = controllability_matrix(triple, grid)
+    assert Bc.shape == (3, 20)
+    for k in range(grid.steps):
+        for i in range(2):
+            basis = np.zeros((grid.steps, 2))
+            basis[k, i] = 1.0
+            col = controllability_map(triple, grid,
+                                      SampledSignal(grid, basis))
+            assert np.abs(Bc[:, 2 * k + i] - col).max() \
+                <= 1e-14 * np.abs(col).max()
+
+
 def test_io_matrix_strictly_lower_triangular_matrix_world():
     triple = stable_triple(21, n=3, m=2)
     F = io_matrix(triple, TimeGrid(1.0, 6))
@@ -243,6 +286,37 @@ def test_estimate_constants_transport_bounds():
     assert rep.M_observe <= tv + 1e-9
     assert rep.M_io <= tail + 1e-9
     assert rep.feedback_ok
+
+
+def counted_io_matrix(monkeypatch):
+    calls = []
+    build = admissibility.io_matrix
+
+    def counted(triple, grid):
+        calls.append(grid)
+        return build(triple, grid)
+    monkeypatch.setattr(admissibility, "io_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_one_io_matrix_per_estimate(world, monkeypatch):
+    if world == "matrix":
+        triple, grid = stable_triple(26, n=3, m=2), TimeGrid(0.8, 16)
+    else:
+        triple, grid = transport_triple(N=32, atoms=((0.5, 0.3),)), \
+            TimeGrid(0.5, 16)
+    expected = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=6,
+                                  rng=numkit.make_rng(30))
+    calls = counted_io_matrix(monkeypatch)
+    report = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=6,
+                                rng=numkit.make_rng(30))
+    assert report == expected
+    assert len(calls) == 1
+    calls.clear()
+    rescaled_map_identities(triple, grid, 1.0, trials=4,
+                            rng=numkit.make_rng(31))
+    assert len(calls) == 2  # the shifted and the plain triple
 
 
 def test_estimate_constants_validates_exponents():
@@ -337,6 +411,61 @@ def test_jensen_monotonicity_of_control_constant():
     mass = grid.h * grid.steps * triple.control_dim
     bound = mass ** (1.0 / p1 - 1.0 / p2) * rep1.M_control
     assert rep2.M_control <= bound * (1.0 + 1e-12)
+
+
+def cubic_spline_trial_signals(grid, m, trials, rng, p=2.0):
+    """The per-component CubicSpline construction (oracle for the basis)."""
+    knots = np.linspace(0.0, grid.t0, 6)
+    bc = ((1, 0.0), (2, 0.0))
+    out = []
+    for _ in range(trials):
+        samples = np.empty((grid.steps, m), dtype=np.complex128)
+        for comp in range(m):
+            vals = numkit.random_vector(rng, knots.size)
+            vals[0] = 0.0
+            samples[:, comp] = (CubicSpline(knots, vals.real, bc_type=bc)(
+                grid.times) + 1j * CubicSpline(knots, vals.imag,
+                                               bc_type=bc)(grid.times))
+        out.append(SampledSignal(grid, samples, p=p))
+    return out
+
+
+SPLINE_GRIDS = [(0.5, 1), (2.0, 7), (0.5, 16), (1.0, 64), (0.3, 1024)]
+
+
+@pytest.mark.parametrize("t0, steps", SPLINE_GRIDS)
+def test_spline_basis_matches_cubic_spline(t0, steps):
+    grid = TimeGrid(t0, steps)
+    S = admissibility._spline_basis(grid)
+    knots = np.linspace(0.0, t0, 6)
+    for i, e in enumerate(np.eye(6)):
+        ref = CubicSpline(knots, e, bc_type=((1, 0.0), (2, 0.0)))(grid.times)
+        assert np.abs(S[:, i] - ref).max() <= 1e-14
+
+
+def test_smooth_trial_signals_match_cubic_spline():
+    # same random stream, same signals up to roundoff
+    for grid in (TimeGrid(2.0, 7), TimeGrid(1.0, 64)):
+        got = smooth_trial_signals(grid, 2, 4, numkit.make_rng(8), p=3.0)
+        ref = cubic_spline_trial_signals(grid, 2, 4, numkit.make_rng(8),
+                                         p=3.0)
+        for u, v in zip(got, ref):
+            assert u.p == v.p == 3.0
+            assert np.abs(u.values - v.values).max() <= 1e-14
+
+
+def test_spline_basis_is_clamped():
+    # s(0) = e_0 (so s(0) = 0 whenever v_0 = 0) and s'(0) = 0 for every
+    # column: the first difference quotient is O(h) and halves with h
+    quotients = []
+    for steps in (512, 1024):
+        grid = TimeGrid(1.0, steps)
+        S = admissibility._spline_basis(grid)
+        assert np.abs(S[0] - np.eye(6)[0]).max() <= 1e-15
+        quotients.append(np.abs(S[1] - S[0]) / grid.h)
+    assert np.all(quotients[0] >= 1e-5)  # far above roundoff / h
+    ratio = quotients[0] / quotients[1]
+    assert np.all((1.9 <= ratio) & (ratio <= 2.1))
 
 
 def test_smooth_trial_signals_are_clamped_at_zero():

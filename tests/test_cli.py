@@ -1,9 +1,14 @@
 """End-to-end tests for the configuration-driven experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgperturb
 from sgperturb import cli, numkit
 from sgperturb.cli import main, report_schema_version, run, validate_report
 
@@ -53,6 +58,31 @@ def test_schema_version_function():
 def test_schema_version_subcommand(capsys):
     assert main(["schema-version"]) == 0
     assert capsys.readouterr().out.strip() == "1.0.0"
+
+
+def run_python(*args):
+    src = str(Path(sgperturb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_module_entry_point_runs_once_without_warning():
+    # python -m sgperturb.cli must not re-execute an imported CLI module
+    # (runpy warns on stderr when it does)
+    proc = run_python("-m", "sgperturb.cli", "schema-version")
+    assert proc.returncode == 0
+    assert proc.stdout.decode().strip() == "1.0.0"
+    assert proc.stderr == b""
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    proc = run_python("-c", "import sys, sgperturb.cli; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m.startswith('scipy.interpolate')))")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 def test_matrix_demo_passes(tmp_path):

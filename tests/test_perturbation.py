@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from conftest import (compatible_state, stable_triple, taylor_expm,
                       transport_triple)
 from sgperturb import numkit, perturbation
-from sgperturb.admissibility import TimeGrid, io_matrix
+from sgperturb.admissibility import (TimeGrid, estimate_constants,
+                                     feedback_admissible, io_matrix)
 from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
@@ -480,7 +481,7 @@ def test_certificate_validates_exponents():
 def test_certificate_numkit_failure_is_inconclusive(monkeypatch):
     def fail(*args, **kwargs):
         raise numkit.ConvergenceError("no convergence")
-    monkeypatch.setattr(perturbation, "estimate_constants", fail)
+    monkeypatch.setattr(perturbation, "_constants_and_feedback", fail)
     cert = generation_certificate(SCALAR, TimeGrid(1.0, 8), 2.0, 1.0, 3.0,
                                   numkit.make_rng(21))
     assert cert.verdict == "inconclusive"
@@ -491,10 +492,36 @@ def test_certificate_numkit_failure_is_inconclusive(monkeypatch):
 def test_certificate_bug_propagates(monkeypatch):
     def fail(*args, **kwargs):
         raise TypeError("a bug, not a numerical failure")
-    monkeypatch.setattr(perturbation, "estimate_constants", fail)
+    monkeypatch.setattr(perturbation, "_constants_and_feedback", fail)
     with pytest.raises(TypeError):
         generation_certificate(SCALAR, TimeGrid(1.0, 8), 2.0, 1.0, 3.0,
                                numkit.make_rng(22))
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_certificate_shares_one_feedback_report(world, monkeypatch):
+    # the constants stage hands its feedback report to the certificate:
+    # the same numbers as the public functions, without a second build
+    if world == "matrix":
+        triple, grid = stable_triple(27, n=3, m=2), TimeGrid(0.8, 16)
+    else:
+        # the atom at s = 1 puts the margin at 0.8, away from 1
+        triple = transport_triple(N=32, atoms=((0.5, 0.3), (1.0, 0.2)))
+        grid = TimeGrid(1.0, 32)
+    report = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=12,
+                                rng=numkit.make_rng(28))
+    fb = feedback_admissible(triple, grid, 2.0)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("feedback_admissible called by the certificate")
+    monkeypatch.setattr(perturbation, "feedback_admissible", fail)
+    cert = generation_certificate(triple, grid, 2.0, 1.0, 3.0,
+                                  numkit.make_rng(28))
+    c = cert.conditions
+    assert (c["M_control"], c["M_observe"], c["M_io"]["value"]) == (
+        report.M_control, report.M_observe, report.M_io)
+    assert {key: c["feedback"][key] for key in fb._fields} == fb._asdict()
+    assert report.margin == fb.margin
 
 
 def test_certificate_carries_surrogate_disclaimer():
