@@ -43,7 +43,8 @@ from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             controllability_map, controllability_matrix,
                             estimate_constants,
                             feedback_admissible, io_map, io_matrix,
-                            observability_map, regularity_check,
+                            observability_map, observability_matrix,
+                            regularity_check,
                             rescaled_map_identities, smooth_trial_signals)
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
                            GrowthCheckReport, PerturbedGenerator,
@@ -82,7 +83,7 @@ __all__ = [
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
     "RescalingResiduals", "RegularityReport", "FEEDBACK_MARGIN",
     "controllability_map", "controllability_matrix", "observability_map",
-    "io_map", "io_matrix",
+    "observability_matrix", "io_map", "io_matrix",
     "estimate_constants", "feedback_admissible", "rescaled_map_identities",
     "regularity_check", "smooth_trial_signals",
     # perturbation

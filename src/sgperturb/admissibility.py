@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import numkit
+from . import numkit, toeplitz
 from .numkit import ShapeError, as_vector
 from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
                         as_grid_function, rescale)
@@ -50,6 +50,7 @@ __all__ = [
     "controllability_map",
     "controllability_matrix",
     "observability_map",
+    "observability_matrix",
     "io_map",
     "io_matrix",
     "estimate_constants",
@@ -195,18 +196,15 @@ def _transport_stride(triple: TransportTriple, grid: TimeGrid) -> int:
 def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     """State reached from 0 at time ``t0`` under the input ``u``.
 
-    matrix world: ``h sum_k e^{(t0 - t_k) A} B u_k`` (Horner in e^{hA});
+    matrix world: ``h sum_k e^{(t0 - t_k) A} B u_k``, i.e.
+    :func:`controllability_matrix` applied to the stacked samples;
     transport world: the translated signal placed on the surviving window
     ``[1 - t0, 1)`` exactly, with the spectral-shift factor folded in at the
     snapped sample times.
     """
     if isinstance(triple, MatrixTriple):
         vals = _signal_on(grid, u, triple.control_dim)
-        E = numkit.expm(triple.A, grid.h)
-        acc = np.zeros(triple.state_dim, dtype=np.complex128)
-        for k in range(grid.steps):
-            acc = E @ (acc + triple.B @ vals[k])
-        return grid.h * acc
+        return controllability_matrix(triple, grid) @ vals.reshape(-1)
 
     vals = _signal_on(grid, u, 1)
     q = _transport_stride(triple, grid)
@@ -223,22 +221,31 @@ def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     return GridFunction(out, p=triple.p)
 
 
+def _control_walk(triple: MatrixTriple, grid: TimeGrid) -> np.ndarray:
+    """``E^k B`` for k = 1 .. steps, ``E = e^{hA}``: shape ``(steps, d, m)``.
+
+    The one walk behind :func:`controllability_matrix` and the lag blocks
+    of :func:`io_matrix`.
+    """
+    E = numkit.expm(triple.A, grid.h)
+    walk = np.empty((grid.steps,) + triple.B.shape, dtype=np.complex128)
+    P = triple.B
+    for k in range(grid.steps):
+        P = E @ P
+        walk[k] = P
+    return walk
+
+
 def controllability_matrix(triple: MatrixTriple,
                            grid: TimeGrid) -> np.ndarray:
     """Stacked euclidean matrix of the matrix-world controllability map.
 
-    Column block k is ``h e^{(t0 - t_k) A} B`` from one backward walk in
-    ``e^{hA}``, so applying it to the stacked samples of ``u`` gives
-    :func:`controllability_map` of ``u`` up to roundoff.
+    Column block k is ``h e^{(t0 - t_k) A} B = h E^{steps-k} B``, read off
+    one walk in ``E = e^{hA}``; :func:`controllability_map` is this matrix
+    applied to the stacked samples of ``u``.
     """
-    d, m = triple.state_dim, triple.control_dim
-    E = numkit.expm(triple.A, grid.h)
-    Bc = np.empty((d, grid.steps * m), dtype=np.complex128)
-    P = triple.B
-    for k in range(grid.steps - 1, -1, -1):
-        P = E @ P
-        Bc[:, k * m:(k + 1) * m] = grid.h * P
-    return Bc
+    walk = grid.h * _control_walk(triple, grid)[::-1]
+    return walk.transpose(1, 0, 2).reshape(triple.state_dim, -1)
 
 
 def observability_map(triple, grid: TimeGrid, x, *,
@@ -254,13 +261,8 @@ def observability_map(triple, grid: TimeGrid, x, *,
         x = as_vector(x)
         if x.shape[0] != triple.state_dim:
             raise ShapeError("state dimension mismatch")
-        E = numkit.expm(triple.A, grid.h)
-        out = np.empty((grid.steps, triple.C.shape[0]), dtype=np.complex128)
-        v = x
-        for k in range(grid.steps):
-            out[k] = triple.C @ v
-            v = E @ v
-        return SampledSignal(grid, out, p=2.0)
+        out = observability_matrix(triple, grid) @ x
+        return SampledSignal(grid, out.reshape(grid.steps, -1), p=2.0)
 
     gf = as_grid_function(triple, x)
     scale = max(1.0, float(np.abs(gf.values).max()))
@@ -281,6 +283,23 @@ def observability_map(triple, grid: TimeGrid, x, *,
     return SampledSignal(grid, out[:, None], p=triple.p)
 
 
+def observability_matrix(triple: MatrixTriple,
+                         grid: TimeGrid) -> np.ndarray:
+    """Stacked euclidean matrix of the matrix-world observability map.
+
+    Row block k is ``C e^{t_k A} = C E^k`` from one forward walk in
+    ``E = e^{hA}``; :func:`observability_map` is this matrix applied to the
+    state, its rows read as ``(steps, m)`` samples.
+    """
+    E = numkit.expm(triple.A, grid.h)
+    rows = np.empty((grid.steps,) + triple.C.shape, dtype=np.complex128)
+    P = triple.C
+    for k in range(grid.steps):
+        rows[k] = P
+        P = P @ E
+    return rows.reshape(-1, triple.state_dim)
+
+
 def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     """Dense sample matrix of the input-output map on the grid.
 
@@ -299,18 +318,10 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
             f"io_matrix would have {n_cols} > {IO_SIZE_CAP} columns")
 
     if isinstance(triple, MatrixTriple):
-        steps = grid.steps
-        # blocks[d] = h C E^d B for lag d >= 1; blocks[0] stays zero and
-        # fills every block on or above the diagonal
-        blocks = np.zeros((steps, m, m), dtype=np.complex128)
-        E = numkit.expm(triple.A, grid.h)
-        P = triple.B  # E^d @ B walker
-        for d in range(1, steps):
-            P = E @ P
-            blocks[d] = grid.h * (triple.C @ P)
-        lag = np.arange(steps)[:, None] - np.arange(steps)[None, :]
-        F = blocks[np.maximum(lag, 0)]          # (row j, col k, m, m)
-        return F.transpose(0, 2, 1, 3).reshape(steps * m, steps * m)
+        # block d = h C E^d B at lag d >= 1, block 0 zero
+        blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
+        blocks[1:] = grid.h * (triple.C @ _control_walk(triple, grid)[:-1])
+        return toeplitz.materialize(toeplitz.BlockToeplitz(tuple(blocks)))
 
     q = _transport_stride(triple, grid)
     N = triple.N
@@ -486,22 +497,40 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
 def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     """Distance of 1 from the spectrum of the discretized input-output map.
 
-    ``ok`` iff the margin is >= 1e-8.  The report also carries the induced
-    p-norm of the map (exact for p in {1, 2, inf}, interpolation upper bound
-    otherwise) and whether that norm certifies admissibility by ``||F|| < 1``
-    alone — the sufficient condition that survives to the continuum.
+    ``ok`` iff the margin is >= 1e-8.  F is causal, hence lower triangular
+    in both worlds (strictly block lower in the matrix world; diagonal
+    ``w(1)``, the weight of an atom at ``s = 1``, in the transport world),
+    so its spectrum is its diagonal and the margin is ``min |1 - F_kk|``
+    read off exactly, with no eigensolve.  The report also carries the
+    induced p-norm of the map (exact for p in {1, 2, inf}, interpolation
+    upper bound otherwise) and whether that norm certifies admissibility by
+    ``||F|| < 1`` alone — the sufficient condition that survives to the
+    continuum.
     """
     return _feedback_report(io_matrix(triple, grid), p)
 
 
-def _feedback_report(F: np.ndarray, p: float) -> FeedbackReport:
-    margin = numkit.spectral_radius_distance(F, 1.0)
+def _feedback_margin(F: np.ndarray) -> float:
+    """``min |1 - diag F|``, the distance of 1 from the spectrum of the
+    lower-triangular ``F`` (:class:`ShapeError` above the diagonal)."""
+    numkit._require_lower_triangular(F, "the feedback margin")
+    return float(np.min(np.abs(np.diag(F) - 1.0)))
+
+
+def _io_norm(F: np.ndarray, p: float) -> float:
+    """Induced p-norm of ``F``: exact for p in {1, 2, inf}, else the upper
+    end of :func:`~sgperturb.numkit.norm_bounds`."""
     try:
-        nrm = numkit.induced_norm(F, p)
+        return float(numkit.induced_norm(F, p))
     except numkit.UnsupportedExponentError:
-        nrm = numkit.norm_bounds(F, p)[1]
-    return FeedbackReport(bool(margin >= FEEDBACK_MARGIN), float(margin),
-                          float(nrm), bool(nrm < 1.0))
+        return float(numkit.norm_bounds(F, p)[1])
+
+
+def _feedback_report(F: np.ndarray, p: float) -> FeedbackReport:
+    margin = _feedback_margin(F)
+    nrm = _io_norm(F, p)
+    return FeedbackReport(bool(margin >= FEEDBACK_MARGIN), margin, nrm,
+                          bool(nrm < 1.0))
 
 
 def _modulated(u: SampledSignal, factors: np.ndarray) -> SampledSignal:

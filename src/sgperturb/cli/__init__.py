@@ -161,7 +161,7 @@ def _parse_config(cfg: dict) -> RunSpec:
         C = _cmatrix_from(sys_obj["C"], "config.matrix.C")
         try:
             triple = MatrixTriple(A, B, C)
-        except Exception as exc:
+        except (numkit.NumkitError, ValueError) as exc:
             raise ConfigError(f"config.matrix: {exc}") from exc
     else:
         if "transport" not in cfg or "matrix" in cfg:
@@ -190,7 +190,7 @@ def _parse_config(cfg: dict) -> RunSpec:
         try:
             mu = BorelMeasure(atoms=tuple(atoms), density=density)
             triple = TransportTriple(N, p_state, mu)
-        except Exception as exc:
+        except (numkit.NumkitError, ValueError) as exc:
             raise ConfigError(f"config.transport: {exc}") from exc
 
     _require_keys(cfg["grid"], ["t0", "steps"], [], "config.grid")
@@ -198,7 +198,7 @@ def _parse_config(cfg: dict) -> RunSpec:
     steps = _integer(cfg["grid"]["steps"], "config.grid.steps")
     try:
         grid = TimeGrid(t0, steps)
-    except Exception as exc:
+    except (numkit.NumkitError, ValueError) as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
     if world == "transport":
         q = grid.h * triple.N
@@ -242,10 +242,19 @@ def _parse_config(cfg: dict) -> RunSpec:
         raise ConfigError("config.seed: must be in [0, 2^64)")
 
     tolerances = dict(_DEFAULT_TOLERANCES)
-    if "tolerances" in cfg:
-        _require_keys(cfg["tolerances"], [],
-                      list(_DEFAULT_TOLERANCES), "config.tolerances")
-        tolerances.update(cfg["tolerances"])
+    given = cfg.get("tolerances", {})
+    _require_keys(given, [], list(_DEFAULT_TOLERANCES), "config.tolerances")
+    for key in ("algebraic", "spectral"):
+        if key in given:
+            where = f"config.tolerances.{key}"
+            value = _number(given[key], where)
+            if not 0.0 < value < float("inf"):
+                raise ConfigError(f"{where}: must be positive and finite, "
+                                  f"got {value!r}")
+            tolerances[key] = value
+    if "quadrature_order" in given:
+        tolerances["quadrature_order"] = _integer(
+            given["quadrature_order"], "config.tolerances.quadrature_order")
     if tolerances["quadrature_order"] != 1:
         raise ConfigError("config.tolerances.quadrature_order: only "
                           "left-endpoint order 1 is implemented")

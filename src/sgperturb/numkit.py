@@ -108,72 +108,52 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
+def _require_lower_triangular(L: np.ndarray, who: str) -> None:
+    """Raise :class:`ShapeError` on a nonzero entry above the diagonal."""
+    for r in range(0, L.shape[0], 256):  # row bands bound the scratch copy
+        if np.any(np.triu(L[r:r + 256], r + 1)):
+            raise ShapeError(f"{who} needs a lower-triangular matrix")
+
+
 # ---------------------------------------------------------------------------
-# matrix exponential: scaling and squaring with diagonal Pade approximants
+# matrix exponential: scaling and squaring with the order-13 Pade approximant
 # ---------------------------------------------------------------------------
-# Order-m diagonal Pade numerator coefficients b_0..b_m (denominator uses the
-# alternating signs) and the 1-norm thresholds theta_m below which the order-m
-# approximant meets double-precision accuracy.
+# Order-13 diagonal Pade numerator coefficients b_0..b_13 (the denominator
+# uses alternating signs) and the 1-norm threshold theta_13 up to which the
+# approximant meets double-precision accuracy (Higham 2005).  Kept on numpy:
+# scipy.linalg.expm runs on the OpenBLAS that scipy bundles, a second thread
+# pool that contends with numpy's when BLAS runs threaded.
 
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-
+_PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_PADE_THETA = 5.371920351148152e0
 _MAX_SQUARINGS = 60  # 2**60 ~ 1.2e18; beyond this the result is garbage anyway
 
 
-def _pade_uv(M: np.ndarray, order: int):
-    """Split numerator of the order-m Pade approximant into (U, V) with
-    p_m(M) = V + U and q_m(M) = V - U (odd/even powers)."""
-    b = _PADE_B[order]
-    n = M.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+def _pade_uv(M: np.ndarray):
+    """Split the numerator of the order-13 Pade approximant into (U, V)
+    with p(M) = V + U and q(M) = V - U (odd/even powers)."""
+    b = _PADE_B
+    eye = np.eye(M.shape[0], dtype=np.complex128)
     M2 = M @ M
-    if order == 13:
-        M4 = M2 @ M2
-        M6 = M4 @ M2
-        U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-                 + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-        V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-             + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
-        return U, V
-    # orders 3, 5, 7, 9: plain Horner in M2
-    powers = [eye, M2]
-    while 2 * len(powers) <= order + 1:
-        powers.append(powers[-1] @ M2)
-    U = np.zeros_like(M)
-    V = np.zeros_like(M)
-    for k, Pk in enumerate(powers):
-        if 2 * k + 1 <= order:
-            U += b[2 * k + 1] * Pk
-        if 2 * k <= order:
-            V += b[2 * k] * Pk
-    return M @ U, V
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    return U, V
 
 
 def expm(A, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``e^{tA}`` by scaling and squaring.
 
-    The Pade order is chosen from the 1-norm of ``tA`` (orders 3/5/7/9/13);
-    larger inputs are halved ``s`` times until the order-13 threshold holds
-    and the result is squared back.  Relative error is ~1e-13 for moderate
-    norms and <= 1e-12 up to ``||tA|| ~ 50``.
+    ``tA`` is halved ``s`` times until its 1-norm is at most theta_13, the
+    order-13 Pade approximant is evaluated, and the result is squared back.
+    Relative error is ~1e-13 for moderate norms and <= 1e-12 up to
+    ``||tA|| ~ 50``.
 
     Raises
     ------
@@ -192,31 +172,23 @@ def expm(A, t: float = 1.0) -> np.ndarray:
         nrm = np.linalg.norm(M, 1)
     if not np.isfinite(nrm):
         raise NumericalRangeError("||tA|| overflowed double precision")
-    for order in (3, 5, 7, 9):
-        if nrm <= _PADE_THETA[order]:
-            U, V = _pade_uv(M, order)
-            return _pade_solve(U, V)
     s = 0
-    if nrm > _PADE_THETA[13]:
-        s = int(np.ceil(np.log2(nrm / _PADE_THETA[13])))
+    if nrm > _PADE_THETA:
+        s = int(np.ceil(np.log2(nrm / _PADE_THETA)))
         if s > _MAX_SQUARINGS:
             raise NumericalRangeError(
                 f"||tA|| = {nrm:.3e} needs {s} > {_MAX_SQUARINGS} squarings")
         M = M / (2.0 ** s)
-    U, V = _pade_uv(M, 13)
-    E = _pade_solve(U, V)
+    U, V = _pade_uv(M)
+    try:
+        E = np.linalg.solve(V - U, V + U)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
+        raise SingularMatrixError(f"Pade denominator singular: {exc}") from exc
     for _ in range(s):
         E = E @ E
     if not np.all(np.isfinite(E.real) & np.isfinite(E.imag)):
         raise NumericalRangeError("matrix exponential overflowed")
     return E
-
-
-def _pade_solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(V - U, V + U)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise SingularMatrixError(f"Pade denominator singular: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +245,7 @@ def solve_lower_triangular(L, b) -> np.ndarray:
     n = L.shape[0]
     if n == 0:
         return B.reshape(-1) if vector_rhs else B
-    for r in range(0, n, 256):  # row bands bound the scratch copy
-        if np.any(np.triu(L[r:r + 256], r + 1)):
-            raise ShapeError(
-                "solve_lower_triangular needs a lower-triangular matrix")
+    _require_lower_triangular(L, "solve_lower_triangular")
     _require_pivots(np.diag(L))
     X = scipy.linalg.solve_triangular(L, B, lower=True, check_finite=False)
     return X.reshape(-1) if vector_rhs else X

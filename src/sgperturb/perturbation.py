@@ -48,9 +48,10 @@ from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
                         apply_semigroup, as_grid_function, rescale,
                         spectral_abscissa, volterra_resolvent_values)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
-                            controllability_matrix, feedback_admissible,
-                            io_matrix, observability_map, FEEDBACK_MARGIN,
-                            _constants_and_feedback)
+                            controllability_matrix, io_matrix,
+                            observability_map, observability_matrix,
+                            FEEDBACK_MARGIN, _constants_and_feedback,
+                            _feedback_margin, _io_norm)
 from .transport import (apply_phi, dirichlet_operator, greiner_compatibility,
                         phi_coefficients, solve_pde, transfer_scalar,
                         upwind_generator)
@@ -242,15 +243,9 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 
     if isinstance(triple, MatrixTriple):
         x = as_vector(x)
-        Apert = triple.A + triple.B @ triple.C
-        E = numkit.expm(Apert, grid.h)
-        samples = np.empty((grid.steps, triple.C.shape[0]),
-                           dtype=np.complex128)
-        v = x
-        for k in range(grid.steps):
-            samples[k] = triple.C @ v
-            v = E @ v
-        csig = SampledSignal(grid, samples)
+        closed = MatrixTriple(triple.A + triple.B @ triple.C, triple.B,
+                              triple.C)
+        csig = observability_map(closed, grid, x)
         rhs = apply_semigroup(triple, t, x) \
             + controllability_map(triple, grid, csig)
         nx = float(np.linalg.norm(x))
@@ -283,54 +278,49 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 def _euclidean_frames(triple, grid: TimeGrid):
     """(F, B, C, T) of the discrete maps as plain euclidean matrices.
 
-    Matrix world: :func:`~sgperturb.admissibility.controllability_matrix`
-    plus the observability map of the basis states; transport world: the
-    map code paths applied to basis signals/states.  Then reweighted so
-    that euclidean 2-norms coincide with the discrete signal/state norms
-    (signal frame: sqrt(h); transport state frame: sqrt(1/N) on nodes
-    0..N-1, node N dropped — it carries no norm).
+    Matrix world: :func:`~sgperturb.admissibility.controllability_matrix`,
+    :func:`~sgperturb.admissibility.observability_matrix` and
+    ``e^{t0 A}``.  Transport world (stride ``q = h N`` nodes per step,
+    shift ``mu``), by index arithmetic on the nodes ``i = 0 .. N-1``:
+
+    * B: node i holds sample ``k = (i + q steps - N) // q`` when that is
+      ``>= 0``, with factor ``e^{-mu (t0 - t_k)}``;
+    * C: row k reads node i through the Phi coefficient ``c[i - k q]`` when
+      ``i >= k q``, with factor ``e^{-mu t_k}``;
+    * T: the open shift by ``q steps`` nodes, ``e^{-mu t0}`` on the
+      diagonal ``k = q steps``.
+
+    Then reweighted so that euclidean 2-norms coincide with the discrete
+    signal/state norms (signal frame: sqrt(h); transport state frame:
+    sqrt(1/N) on nodes 0..N-1, node N dropped — it carries no norm).
     """
-    steps = grid.steps
-    m = triple.control_dim
     sqrt_h = np.sqrt(grid.h)
     F = io_matrix(triple, grid)
 
     if isinstance(triple, MatrixTriple):
-        d = triple.state_dim
         Bc = controllability_matrix(triple, grid)
-        Cc = np.empty((steps * m, d), dtype=np.complex128)
-        for i in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[i] = 1.0
-            Cc[:, i] = observability_map(triple, grid, e).values.reshape(-1)
+        Cc = observability_matrix(triple, grid)
         T = numkit.expm(triple.A, grid.t0)
         return F, Bc / sqrt_h, sqrt_h * Cc, T
 
     N = triple.N
+    steps = grid.steps
     q = round(grid.h * N)
+    mu = triple.mu_shift
     sqrt_N = np.sqrt(float(N))
-    Bc = np.empty((N, steps), dtype=np.complex128)
-    for k in range(steps):
-        basis = np.zeros((steps, 1), dtype=np.complex128)
-        basis[k, 0] = 1.0
-        gf = controllability_map(triple, grid,
-                                 SampledSignal(grid, basis, p=triple.p))
-        Bc[:, k] = gf.values[:N]
-    Cc = np.empty((steps, N), dtype=np.complex128)
-    for i in range(N):
-        e = np.zeros(N + 1, dtype=np.complex128)
-        e[i] = 1.0
-        y = observability_map(triple, grid, GridFunction(e, p=triple.p),
-                              require_domain=False)
-        Cc[:, i] = y.values.reshape(-1)
-    # open shift by t0 = q*steps nodes on the normed nodes 0..N-1
-    j_t0 = q * steps
-    T = np.zeros((N, N), dtype=np.complex128)
-    for i in range(N):
-        if i + j_t0 < N:
-            T[i, i + j_t0] = 1.0
-    if triple.mu_shift:
-        T = T * np.exp(-triple.mu_shift * grid.t0)
+    nodes = np.arange(N)
+    k = np.arange(steps)
+    tk = k * grid.h
+    sample = (nodes + q * steps - N) // q
+    Bc = (sample[:, None] == k).astype(np.complex128)
+    lag = nodes - q * k[:, None]
+    coef = phi_coefficients(triple.mu, N)
+    Cc = np.where(lag >= 0, coef[np.maximum(lag, 0)], 0.0)
+    T = np.eye(N, k=q * steps, dtype=np.complex128)
+    if mu:
+        Bc *= np.exp(-mu * (grid.t0 - tk))
+        Cc *= np.exp(-mu * tk)[:, None]
+        T = T * np.exp(-mu * grid.t0)
     return F, (Bc / sqrt_N) / sqrt_h, sqrt_h * Cc * sqrt_N, T
 
 
@@ -346,15 +336,16 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     :func:`~sgperturb.toeplitz.feedback_norm_chain` build: each n-block
     inverse is a leading section of the ``n_max``-block one, so the entries
     equal the per-n :func:`~sgperturb.toeplitz.feedback_inverse_norm_bound`
-    values.  Precondition: the feedback margin at ``t0`` is positive.
+    values.  Precondition: the feedback margin at ``t0``, read off the
+    diagonal of the frames' F, is positive.
     """
-    fb = feedback_admissible(triple, grid, 2.0)
-    if not fb.ok:
+    frames = _euclidean_frames(triple, grid)
+    margin = _feedback_margin(frames[0])
+    if margin < FEEDBACK_MARGIN:
         raise ValueError(
-            f"feedback margin {fb.margin:.3e} at t0 = {grid.t0} is below "
+            f"feedback margin {margin:.3e} at t0 = {grid.t0} is below "
             f"{FEEDBACK_MARGIN}; the growth surrogate needs 1 in rho(F)")
-    chain = toeplitz.feedback_norm_chain(*_euclidean_frames(triple, grid),
-                                         n_max)
+    chain = toeplitz.feedback_norm_chain(*frames, n_max)
     s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),
@@ -381,17 +372,13 @@ def _compatibility(triple):
                       f"at probe lambda = 1 (threshold {10.0 / triple.N:.3e})")
 
 
-def _feedback_norm(triple, grid: TimeGrid, p: float) -> float:
-    F = io_matrix(triple, grid)
-    try:
-        return numkit.induced_norm(F, p)
-    except numkit.UnsupportedExponentError:
-        return numkit.norm_bounds(F, p)[1]
-
-
 def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
-                   beta: float):
-    """Shrink-the-horizon search for ``||F_t|| < 1`` with the fitted rate."""
+                   beta: float, io_norm: float):
+    """Shrink-the-horizon search for ``||F_t|| < 1`` with the fitted rate.
+
+    ``io_norm`` is the norm of F at ``grid`` (the feedback report's), so
+    F is built only at the shorter horizons.
+    """
     horizons = []
     norms = []
     t = grid.t0
@@ -400,7 +387,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     for _ in range(21):
         try:
             g = TimeGrid(t, steps)
-            nrm = _feedback_norm(triple, g, p)
+            nrm = io_norm if g == grid else _io_norm(io_matrix(triple, g), p)
         except ValueError:
             break  # horizon fell below the space grid
         horizons.append(t)
@@ -528,7 +515,8 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
                           "io_norm_certifies": fb.io_norm_certifies}
         bypass_ok = False
         if alpha < beta:
-            bypass, _ = _bypass_search(triple, grid, p, alpha, beta)
+            bypass, _ = _bypass_search(triple, grid, p, alpha, beta,
+                                       fb.io_norm)
             feedback_entry["bypass"] = bypass
             bypass_ok = bypass["found"]
         conditions["feedback"] = feedback_entry

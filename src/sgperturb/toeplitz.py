@@ -90,12 +90,12 @@ def apply(T: BlockToeplitz, x) -> np.ndarray:
 
 
 def materialize(T: BlockToeplitz) -> np.ndarray:
-    """Dense ``n*d x n*d`` matrix of the operator."""
+    """Dense ``n*d x n*d`` matrix of the operator, one write per lag."""
     n, d = T.n, T.block_dim
     M = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i + 1):
-            M[i * d:(i + 1) * d, j * d:(j + 1) * d] = T.blocks[i - j]
+    grid = M.reshape(n, d, n, d)         # (row block, row, col block, col)
+    for lag, block in enumerate(T.blocks):
+        grid[np.arange(lag, n), :, np.arange(n - lag), :] = block
     return M
 
 

@@ -18,10 +18,12 @@ from sgperturb.admissibility import (
     io_map,
     io_matrix,
     observability_map,
+    observability_matrix,
     regularity_check,
     rescaled_map_identities,
     smooth_trial_signals,
 )
+from sgperturb.numkit import ShapeError
 from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import BorelMeasure, phi_coefficients
 
@@ -231,6 +233,103 @@ def test_controllability_matrix_matches_map():
                                       SampledSignal(grid, basis))
             assert np.abs(Bc[:, 2 * k + i] - col).max() \
                 <= 1e-14 * np.abs(col).max()
+
+
+def horner_control(triple, grid, u):
+    """The matrix-world controllability map as a Horner loop (oracle)."""
+    E = numkit.expm(triple.A, grid.h)
+    acc = np.zeros(triple.state_dim, dtype=np.complex128)
+    for k in range(grid.steps):
+        acc = E @ (acc + triple.B @ u.values[k])
+    return grid.h * acc
+
+
+def walked_observe(triple, grid, x):
+    """The matrix-world observability samples as a state walk (oracle)."""
+    E = numkit.expm(triple.A, grid.h)
+    out = np.empty((grid.steps, triple.C.shape[0]), dtype=np.complex128)
+    v = x
+    for k in range(grid.steps):
+        out[k] = triple.C @ v
+        v = E @ v
+    return out
+
+
+@pytest.mark.parametrize("n, m, steps", [(1, 1, 8), (3, 1, 17), (3, 2, 32),
+                                         (5, 3, 64)])
+def test_matrix_maps_match_their_loops(n, m, steps):
+    triple = stable_triple(60 + n, n=n, m=m)
+    grid = TimeGrid(0.9, steps)
+    rng = numkit.make_rng(61)
+    for _ in range(3):
+        u = SampledSignal(grid, numkit.random_matrix(rng, steps, m))
+        want = horner_control(triple, grid, u)
+        got = controllability_map(triple, grid, u)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        x = numkit.random_vector(rng, n)
+        want = walked_observe(triple, grid, x)
+        got = observability_map(triple, grid, x)
+        assert got.values.shape == (steps, m)
+        assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_observability_matrix_rows_are_C_exp():
+    triple = stable_triple(62, n=3, m=2)
+    grid = TimeGrid(0.6, 6)
+    O = observability_matrix(triple, grid)
+    assert O.shape == (12, 3)
+    for k in range(6):
+        want = triple.C @ numkit.expm(triple.A, k * grid.h)
+        assert np.abs(O[2 * k:2 * k + 2] - want).max() <= 1e-14
+
+
+ATOM_ONE = ((0.5, 0.3), (1.0, 0.4 - 0.3j))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (SCALAR, TimeGrid(1.0, 8)),
+    (stable_triple(63, n=3, m=1), TimeGrid(0.8, 16)),
+    (stable_triple(64, n=3, m=2), TimeGrid(0.8, 16)),
+    (stable_triple(65, n=2, m=2), TimeGrid(2.0, 5)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2))),
+     TimeGrid(0.5, 32)),
+    (transport_triple(N=16), TimeGrid(1.0, 16)),
+    (transport_triple(N=16, atoms=((0.0, 0.7),)), TimeGrid(1.0, 16)),
+    (transport_triple(N=16, atoms=((1.0, 0.5),)), TimeGrid(1.0, 16)),
+    (transport_triple(N=16, atoms=((1.0, 1.0),)), TimeGrid(1.0, 16)),
+    (transport_triple(N=32, atoms=ATOM_ONE), TimeGrid(0.5, 16)),
+    (transport_triple(N=32, atoms=ATOM_ONE, mu_shift=1.3),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=32, density=(0.2 + 0.1j,) * 32, mu_shift=0.9),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=32, atoms=((1.0, 0.25j),),
+                      density=(0.1 - 0.05j,) * 32, mu_shift=2.0),
+     TimeGrid(0.5, 8)),
+    (transport_triple(N=32, atoms=((0.25, 0.4), (1.0, 0.2))),
+     TimeGrid(1.0, 16)),
+    (transport_triple(N=64, atoms=((0.0, 0.25), (1.0, 0.6 + 0.3j)),
+                      density=(0.1 + 0.05j,) * 64, mu_shift=1.5),
+     TimeGrid(0.5, 16)),
+], ids=["scalar", "m1", "m2", "m2-long", "two-atoms", "zero-measure",
+        "atom-at-0", "half-atom-at-1", "unit-atom-at-1", "complex-atom-at-1",
+        "complex-atom-at-1-shift", "complex-density-shift",
+        "density-atom-at-1-shift-short", "atom-at-1-stride-2",
+        "atoms-density-shift-stride-2"])
+def test_feedback_margin_equals_eigensolve(triple, grid):
+    # F is lower triangular, so its diagonal is its spectrum: the diagonal
+    # read equals the dense eigensolve bit for bit
+    oracle = numkit.spectral_radius_distance(io_matrix(triple, grid), 1.0)
+    assert feedback_admissible(triple, grid, 2.0).margin == oracle
+
+
+def test_feedback_margin_rejects_entry_above_diagonal():
+    F = np.tril(np.full((6, 6), 0.25 + 0j))
+    assert admissibility._feedback_margin(F) == 0.75
+    F[1, 4] = 1e-3
+    with pytest.raises(ShapeError, match="lower-triangular"):
+        admissibility._feedback_margin(F)
+    with pytest.raises(ShapeError, match="lower-triangular"):
+        admissibility._feedback_report(F, 2.0)
 
 
 def test_io_matrix_strictly_lower_triangular_matrix_world():

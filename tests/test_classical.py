@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import taylor_expm
-from sgperturb import numkit
+from sgperturb import admissibility, classical, numkit
 from sgperturb.admissibility import TimeGrid
 from sgperturb.classical import (
     dissipative_matrix,
@@ -202,3 +202,27 @@ def test_suites_carry_boundedness_header():
     report = ds_suite(triple, TimeGrid(0.5, 8), 2.0, rng)
     assert "bounded" in report.header
     assert "not unboundedness itself" in report.header
+
+
+@pytest.mark.parametrize("builder", ["io_matrix", "observability_matrix"])
+def test_mv_suite_builds_each_operator_once_per_level(builder, monkeypatch):
+    # the indicator, step-function and constant checks share the level's
+    # F and observability matrix
+    triple, _ = observation_triple(47, n=3)
+    grid = TimeGrid(0.5, 32)
+    expected = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
+    builds = []
+    build = getattr(classical, builder)
+
+    def counted(tr, g):
+        builds.append(tr)
+        return build(tr, g)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("io_map rebuilds F")
+    monkeypatch.setattr(classical, builder, counted)
+    monkeypatch.setattr(admissibility, "io_map", fail)
+    report = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
+    assert report == expected
+    assert len(builds) == 2  # the suite and its bounded-factor level
+    assert builds[0] is triple

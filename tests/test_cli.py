@@ -251,6 +251,49 @@ def test_mv_suite_needs_p_above_one_exits_2(tmp_path):
     assert run(write_config(tmp_path, cfg)) == 2
 
 
+def test_infinite_matrix_entry_exits_2(tmp_path, capsys):
+    cfg = matrix_config()
+    cfg["matrix"]["A"][0][0] = float("inf")  # json writes Infinity
+    assert run(write_config(tmp_path, cfg)) == 2
+    assert "config.matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constructor",
+                         ["MatrixTriple", "TransportTriple", "TimeGrid"])
+def test_config_constructor_bug_propagates(tmp_path, monkeypatch,
+                                           constructor):
+    # only NumkitError and ValueError mean a bad config; a TypeError is a bug
+    def fail(*args, **kwargs):
+        raise TypeError("a bug, not a bad config")
+    monkeypatch.setattr(cli, constructor, fail)
+    cfg = (transport_config([[0.5, 0.3]], None)
+           if constructor == "TransportTriple" else matrix_config())
+    with pytest.raises(TypeError):
+        run(write_config(tmp_path, cfg), out_dir=tmp_path / "out")
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"algebraic": "tight"}, {"algebraic": -1.0}, {"spectral": 0.0},
+    {"spectral": float("nan")}, {"quadrature_order": True},
+    {"quadrature_order": 1.0}])
+def test_bad_tolerances_exit_2(tmp_path, capsys, tolerances):
+    cfg = matrix_config()
+    cfg["suites"] = ["toeplitz"]
+    del cfg["expect"]
+    cfg["tolerances"] = tolerances
+    assert run(write_config(tmp_path, cfg)) == 2
+    assert "config.tolerances" in capsys.readouterr().err
+
+
+def test_valid_tolerances_run(tmp_path):
+    cfg = matrix_config()
+    cfg["suites"] = ["toeplitz"]
+    del cfg["expect"]
+    cfg["tolerances"] = {"algebraic": 1e-9, "spectral": 1,
+                         "quadrature_order": 1}
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+
+
 def test_reports_byte_identical_across_runs_and_jobs(tmp_path):
     cfg = write_config(tmp_path, matrix_config())
     for sub, jobs in (("a", 1), ("b", 1), ("c", 4)):

@@ -4,9 +4,11 @@ from numpy.testing import assert_allclose
 
 from conftest import (compatible_state, stable_triple, taylor_expm,
                       transport_triple)
-from sgperturb import numkit, perturbation
-from sgperturb.admissibility import (TimeGrid, estimate_constants,
-                                     feedback_admissible, io_matrix)
+from sgperturb import admissibility, numkit, perturbation
+from sgperturb.admissibility import (SampledSignal, TimeGrid,
+                                     controllability_map, estimate_constants,
+                                     feedback_admissible, io_matrix,
+                                     observability_map)
 from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
@@ -410,6 +412,141 @@ def test_growth_transport_two_atoms():
     assert any(ok for _, _, ok in rep.mu_entries)
 
 
+def probed_transport_frames(triple, grid):
+    """The transport (B, C, T) frames built by probing the maps (oracle):
+    one controllability_map per basis signal, one observability_map per
+    node, and T filled entry by entry."""
+    steps, N = grid.steps, triple.N
+    q = round(grid.h * N)
+    sqrt_h, sqrt_N = np.sqrt(grid.h), np.sqrt(float(N))
+    Bc = np.empty((N, steps), dtype=np.complex128)
+    for k in range(steps):
+        basis = np.zeros((steps, 1), dtype=np.complex128)
+        basis[k, 0] = 1.0
+        gf = controllability_map(triple, grid,
+                                 SampledSignal(grid, basis, p=triple.p))
+        Bc[:, k] = gf.values[:N]
+    Cc = np.empty((steps, N), dtype=np.complex128)
+    for i in range(N):
+        e = np.zeros(N + 1, dtype=np.complex128)
+        e[i] = 1.0
+        y = observability_map(triple, grid, GridFunction(e, p=triple.p),
+                              require_domain=False)
+        Cc[:, i] = y.values.reshape(-1)
+    T = np.zeros((N, N), dtype=np.complex128)
+    for i in range(N):
+        if i + q * steps < N:
+            T[i, i + q * steps] = 1.0
+    if triple.mu_shift:
+        T = T * np.exp(-triple.mu_shift * grid.t0)
+    return (Bc / sqrt_N) / sqrt_h, sqrt_h * Cc * sqrt_N, T
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 32)),
+    (transport_triple(N=64, atoms=((0.0, 0.25), (0.5, 0.1 + 0.2j)),
+                      density=(0.1 + 0.05j,) * 64, mu_shift=1.5),
+     TimeGrid(0.5, 16)),
+    (transport_triple(N=32, atoms=((0.25, 0.4), (1.0, 0.2)), mu_shift=0.7),
+     TimeGrid(1.0, 16)),
+    (transport_triple(N=16, density=(0.3,) * 16), TimeGrid(0.25, 4)),
+    (transport_triple(N=16, atoms=((0.5, 0.5),)), TimeGrid(2.0, 16)),
+], ids=["two-atoms", "atom-at-0-density-shift-stride-2",
+        "atom-at-1-shift-stride-2", "density-short", "beyond-one"])
+def test_transport_frames_equal_probed_maps(triple, grid):
+    # the index-arithmetic frames are the probed ones, bit for bit
+    F, B, C, T = perturbation._euclidean_frames(triple, grid)
+    assert np.array_equal(F, io_matrix(triple, grid))
+    for got, want in zip((B, C, T), probed_transport_frames(triple, grid)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Count calls of ``name`` made through each of ``modules``."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_growth_check_builds_one_io_matrix(world, monkeypatch):
+    # the margin comes off the frames' F: no second build, no eigensolve
+    if world == "matrix":
+        triple, grid = stable_triple(53, n=3, m=2), TimeGrid(0.5, 16)
+    else:
+        triple, grid = (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS),
+                        TimeGrid(0.5, 32))
+    expected = long_horizon_growth_check(triple, grid, (0.5, 1.0))
+    builds = count_calls(monkeypatch, "io_matrix", admissibility,
+                         perturbation)
+    eigs = count_calls(monkeypatch, "eigenvalues", numkit)
+    maps = (count_calls(monkeypatch, "controllability_map", admissibility,
+                        perturbation)
+            + count_calls(monkeypatch, "observability_map", admissibility,
+                          perturbation))
+    assert long_horizon_growth_check(triple, grid, (0.5, 1.0)) == expected
+    assert len(builds) == 1
+    assert eigs == []
+    assert maps == []
+
+
+def test_certificate_builds_one_io_matrix(monkeypatch):
+    # README triple: ||F|| < 1 at t0, so the bypass search reuses the
+    # feedback report's norm and builds nothing
+    triple = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                          np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+    grid = TimeGrid(0.5, 32)
+    builds = count_calls(monkeypatch, "io_matrix", admissibility,
+                         perturbation)
+    cert = generation_certificate(triple, grid, 2.0, 1.0, 3.0,
+                                  numkit.make_rng(42))
+    assert cert.verdict == "generated"
+    fb = cert.conditions["feedback"]
+    assert fb["bypass"]["io_norms"] == (fb["io_norm"],)
+    assert len(builds) == 1
+
+
+def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
+    # ||F|| >= 1 at t0: the first entry is the given norm, the next ones
+    # come from one build per halved horizon
+    triple = transport_triple(N=32, atoms=((0.25, 1.5),))
+    grid = TimeGrid(1.0, 32)
+    fb = feedback_admissible(triple, grid, 2.0)
+    assert fb.io_norm >= 1.0
+    builds = count_calls(monkeypatch, "io_matrix", perturbation)
+    entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
+                                               fb.io_norm)
+    assert entry["io_norms"][0] == fb.io_norm
+    assert [g.t0 for _, g in builds] == list(entry["horizons"][1:])
+    assert entry["found"] and found.t0 == entry["t1"] < grid.t0
+    assert entry["io_norms"][-1] < 1.0
+
+
+def test_vop_closed_loop_samples_match_walk():
+    # the matrix-world VoP samples are observability_map of (A + BC, B, C);
+    # the old per-step walk in e^{h(A + BC)} agrees to roundoff
+    triple = stable_triple(54, n=3, m=2)
+    grid = TimeGrid(0.8, 24)
+    x = numkit.random_vector(numkit.make_rng(55), 3)
+    closed = MatrixTriple(triple.A + triple.B @ triple.C, triple.B,
+                          triple.C)
+    samples = observability_map(closed, grid, x).values
+    E = numkit.expm(closed.A, grid.h)
+    walk = np.empty_like(samples)
+    v = x
+    for k in range(grid.steps):
+        walk[k] = triple.C @ v
+        v = E @ v
+    assert np.abs(samples - walk).max() <= 1e-14 * np.abs(walk).max()
+
+
 # ---------------------------------------------------------------------------
 # generation certificate
 # ---------------------------------------------------------------------------
@@ -514,7 +651,7 @@ def test_certificate_shares_one_feedback_report(world, monkeypatch):
 
     def fail(*args, **kwargs):
         raise AssertionError("feedback_admissible called by the certificate")
-    monkeypatch.setattr(perturbation, "feedback_admissible", fail)
+    monkeypatch.setattr(admissibility, "feedback_admissible", fail)
     cert = generation_certificate(triple, grid, 2.0, 1.0, 3.0,
                                   numkit.make_rng(28))
     c = cert.conditions
