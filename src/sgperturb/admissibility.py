@@ -202,10 +202,21 @@ def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     ``[1 - t0, 1)`` exactly, with the spectral-shift factor folded in at the
     snapped sample times.
     """
-    if isinstance(triple, MatrixTriple):
-        vals = _signal_on(grid, u, triple.control_dim)
-        return controllability_matrix(triple, grid) @ vals.reshape(-1)
+    return _controllability_operator(triple, grid)(u)
 
+
+def _controllability_operator(triple, grid: TimeGrid):
+    """``u -> controllability_map(triple, grid, u)`` for many signals: the
+    matrix world builds :func:`controllability_matrix` once."""
+    if isinstance(triple, MatrixTriple):
+        W = controllability_matrix(triple, grid)
+        m = triple.control_dim
+        return lambda u: W @ _signal_on(grid, u, m).reshape(-1)
+    return lambda u: _transport_control(triple, grid, u)
+
+
+def _transport_control(triple: TransportTriple, grid: TimeGrid,
+                       u: SampledSignal) -> GridFunction:
     vals = _signal_on(grid, u, 1)
     q = _transport_stride(triple, grid)
     N = triple.N
@@ -257,13 +268,28 @@ def observability_map(triple, grid: TimeGrid, x, *,
     ``require_domain=False`` for constructions that supply perturbed-domain
     states on purpose.
     """
-    if isinstance(triple, MatrixTriple):
-        x = as_vector(x)
-        if x.shape[0] != triple.state_dim:
-            raise ShapeError("state dimension mismatch")
-        out = observability_matrix(triple, grid) @ x
-        return SampledSignal(grid, out.reshape(grid.steps, -1), p=2.0)
+    return _observability_operator(triple, grid, require_domain)(x)
 
+
+def _observability_operator(triple, grid: TimeGrid,
+                            require_domain: bool = True):
+    """``x -> observability_map(triple, grid, x)`` for many states: the
+    matrix world builds :func:`observability_matrix` once."""
+    if isinstance(triple, MatrixTriple):
+        O = observability_matrix(triple, grid)
+
+        def observe(x) -> SampledSignal:
+            x = as_vector(x)
+            if x.shape[0] != triple.state_dim:
+                raise ShapeError("state dimension mismatch")
+            return SampledSignal(grid, (O @ x).reshape(grid.steps, -1),
+                                 p=2.0)
+        return observe
+    return lambda x: _transport_observe(triple, grid, x, require_domain)
+
+
+def _transport_observe(triple: TransportTriple, grid: TimeGrid, x,
+                       require_domain: bool) -> SampledSignal:
     gf = as_grid_function(triple, x)
     scale = max(1.0, float(np.abs(gf.values).max()))
     if require_domain and abs(gf.values[-1]) > 1e-9 * scale:
@@ -467,6 +493,7 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
     m = triple.control_dim
     signals = smooth_trial_signals(grid, m, trials, rng, p=p)
     F = io_matrix(triple, grid)
+    control = _controllability_operator(triple, grid)
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -476,15 +503,16 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
         if nu_p <= 1e-14 or nu_a <= 1e-14:
             continue
         used += 1
-        Bu = controllability_map(triple, grid, u)
+        Bu = control(u)
         M_control = max(M_control, _state_norm(triple, Bu) / nu_p)
         M_io = max(M_io, _apply_io(F, u).norm(beta) / nu_a)
     if used == 0:
         raise ValueError("all trial signals had zero norm; nothing estimated")
+    observe = _observability_operator(triple, grid)
     M_observe = 0.0
     for _ in range(trials):
         x = _random_domain_state(triple, rng)
-        y = observability_map(triple, grid, x)
+        y = observe(x)
         M_observe = max(M_observe, y.norm(p))
     fb = _feedback_report(F, p)
     report = AdmissibilityReport(

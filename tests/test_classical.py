@@ -226,3 +226,35 @@ def test_mv_suite_builds_each_operator_once_per_level(builder, monkeypatch):
     assert report == expected
     assert len(builds) == 2  # the suite and its bounded-factor level
     assert builds[0] is triple
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_orbit_sum_matches_one_exponential_per_sample(seed):
+    # the indicator and step-function inner integrals walk e^{hA} once
+    # instead of taking e^{khA} per sample
+    triple, rng = observation_triple(seed)
+    h = 0.5 / 32
+    E = numkit.expm(triple.A, h)
+    for count in (1, 2, 7, 32):
+        x = numkit.random_vector(rng, 4)
+        per_sample = sum(numkit.expm(triple.A, k * h) @ x
+                         for k in range(count))
+        walked = classical._orbit_sum(E, x, count)
+        assert (np.linalg.norm(walked - per_sample)
+                <= 1e-13 * np.linalg.norm(per_sample))
+
+
+def test_mv_suite_level_takes_one_exponential_for_its_sums(monkeypatch):
+    # one e^{hA} serves every indicator and step-function inner sum; one
+    # exponential per summed sample made 84 of this level's 120 calls
+    triple, _ = observation_triple(47, n=3)
+    calls = []
+    expm = numkit.expm
+
+    def counted(A, t=1.0):
+        calls.append(t)
+        return expm(A, t)
+    monkeypatch.setattr(numkit, "expm", counted)
+    classical.mv_suite(triple, TimeGrid(0.5, 32), 2.0, numkit.make_rng(48),
+                       _nested=False)
+    assert len(calls) <= 15

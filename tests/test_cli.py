@@ -77,12 +77,25 @@ def test_module_entry_point_runs_once_without_warning():
     assert proc.stderr == b""
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    proc = run_python("-c", "import sys, sgperturb.cli; "
-                            "print(sorted(m for m in sys.modules "
-                            "if m.startswith('scipy.interpolate')))")
+def test_cli_leaves_out_scipy(tmp_path):
+    # the kernel runs on numpy's LAPACK: neither the import nor a full
+    # --verify run of the README matrix config loads a scipy module
+    cfg = write_config(tmp_path, matrix_config())
+    args = ["run", str(cfg), "--verify", "--out", str(tmp_path / "out")]
+    proc = run_python("-c", f"""
+import json, sys
+import sgperturb.cli as cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = scipy_modules()
+code = cli.main({args!r})
+print(json.dumps([after_import, code, scipy_modules()]))
+""")
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
+    after_import, code, after_run = json.loads(
+        proc.stdout.decode().splitlines()[-1])
+    assert code == 0
+    assert after_import == [] and after_run == []
 
 
 def test_matrix_demo_passes(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -98,11 +99,93 @@ def test_solve_matrix_rhs_roundtrip():
     assert np.abs(A @ X - B).max() <= 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         solve(A, np.array([1.0, 1.0]))
+
+
+# scipy's LAPACK LU is a test-only oracle: block-boundary sizes of the
+# forward substitution and of the recursive LU, and one large system
+NB = numkit._NB
+ORACLE_SIZES = [1, 2, NB - 1, NB, NB + 1, 2 * NB + 3, 513]
+
+
+def pivoting_system(n, seed):
+    """Well-conditioned, but only a row permutation puts the large entries
+    on the diagonal, so the LU must find it by pivoting."""
+    rng = make_rng(seed)
+    A = random_matrix(rng, n, n) / np.sqrt(n) + 2.0 * np.eye(n)
+    return A[rng.permutation(n)], rng
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_solve_matches_lapack_lu(n):
+    A, rng = pivoting_system(n, n)
+    lu_piv = scipy.linalg.lu_factor(A)
+    b = random_vector(rng, n)
+    B = random_matrix(rng, n, 5)
+    x = solve(A, b)
+    assert x.shape == (n,)
+    assert relative_error(x, scipy.linalg.lu_solve(lu_piv, b)) <= 1e-12
+    assert relative_error(solve(A, B),
+                          scipy.linalg.lu_solve(lu_piv, B)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_lu_pivots_match_lapack(n):
+    # same pivot rule (largest |Re| + |Im|), so on a generic matrix the
+    # pivots, the diagonal of U, agree with LAPACK's getrf
+    A = random_matrix(make_rng(100 + n), n, n)
+    lu = A.copy()
+    numkit._lu_factor(lu)
+    ref = np.abs(np.diag(scipy.linalg.lu_factor(A)[0]))
+    assert np.max(np.abs(np.abs(np.diag(lu)) - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 2 * NB + 3])
+def test_solve_singular_zero_column_raises(n):
+    A = random_matrix(make_rng(7), n, n)
+    A[:, n // 2] = 0.0
+    with pytest.raises(SingularMatrixError, match="pivot ratio"):
+        solve(A, np.ones(n))
+
+
+@pytest.mark.parametrize("n", [3, 2 * NB + 3])
+def test_solve_singular_after_row_swap_raises(n):
+    # A[0, 0] = 0 forces a row swap first; the last column is the sum of the
+    # first two, so the rank deficiency shows only in a later pivot
+    A = random_matrix(make_rng(8), n, n)
+    A[0, 0] = 0.0
+    A[:, -1] = A[:, 0] + A[:, 1]
+    with pytest.raises(SingularMatrixError, match="pivot ratio"):
+        solve(A, np.ones(n))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_solve_lower_triangular_matches_lapack(n):
+    rng = make_rng(200 + n)
+    L = np.tril(random_matrix(rng, n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
+    b = random_vector(rng, n)
+    B = random_matrix(rng, n, 5)
+    for rhs in (b, B):
+        ref = scipy.linalg.solve_triangular(L, rhs, lower=True)
+        assert relative_error(solve_lower_triangular(L, rhs), ref) <= 1e-12
+
+
+def test_solves_leave_their_inputs_alone():
+    A, rng = pivoting_system(2 * NB + 3, 9)
+    L = np.tril(A)
+    B = random_matrix(rng, A.shape[0], 2)
+    A0, L0, B0 = A.copy(), L.copy(), B.copy()
+    solve(A, B)
+    solve_lower_triangular(L, B)
+    assert np.array_equal(A, A0) and np.array_equal(L, L0)
+    assert np.array_equal(B, B0)
 
 
 def test_solve_shape_mismatch():

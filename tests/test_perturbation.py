@@ -665,3 +665,15 @@ def test_certificate_carries_surrogate_disclaimer():
     cert = generation_certificate(zero_observation(19), TimeGrid(0.5, 8),
                                   2.0, 2.0, 2.0, numkit.make_rng(20))
     assert any("surrogate" in note for note in cert.notes)
+
+
+def test_certificate_takes_three_matrix_exponentials(monkeypatch):
+    # one e^{hA} each for F, the control matrix and the observability
+    # matrix, however many trial signals and states the estimate draws
+    triple = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                          np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+    calls = count_calls(monkeypatch, "expm", numkit)
+    cert = generation_certificate(triple, TimeGrid(0.5, 32), 2.0, 1.0, 3.0,
+                                  numkit.make_rng(42))
+    assert cert.verdict == "generated"
+    assert len(calls) <= 3
