@@ -1,15 +1,19 @@
 """Dense complex linear-algebra kernel shared by every other module.
 
-All operators in this package are finite complex matrices (``numpy.ndarray``
+Operators in this package are finite complex matrices (``numpy.ndarray``
 with dtype ``complex128``) produced by the validating coercers
-:func:`as_matrix` / :func:`as_vector`.  The module provides
+:func:`as_matrix` / :func:`as_vector`, or float64 ones where the data is
+real.  Three kernels take real input as float64, without a complex copy: the
+norms, the singular values and the triangular solve; the first two also
+narrow complex data whose imaginary part is zero.  The module provides
 
 * a scaling-and-squaring Pade matrix exponential (:func:`expm`),
 * linear solves with explicit singularity reporting (:func:`solve`, a
   recursive partial-pivoting LU, and blocked forward substitution
   :func:`solve_lower_triangular`),
-* exact induced operator norms for p in {1, 2, inf} and certified
-  (lower, upper) brackets for every other exponent
+* exact induced operator norms for p in {1, 2, inf} (the 2-norm from a
+  symmetric eigensolve of the Gram matrix, in real arithmetic when the data
+  is real) and certified (lower, upper) brackets for every other exponent
   (:func:`induced_norm`, :func:`norm_bounds`),
 * dense eigenvalues (:func:`eigenvalues`),
 * seeded random instances (:func:`make_rng`, :func:`random_matrix`).
@@ -86,11 +90,32 @@ def as_matrix(a) -> np.ndarray:
     NumericalRangeError
         if any entry is NaN or infinite.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    return _finite_matrix(np.asarray(a, dtype=np.complex128))
+
+
+def _finite_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+    if m.size and not np.isfinite(m).all():  # complex: both parts finite
         raise NumericalRangeError("matrix entries must be finite")
+    return m
+
+
+def _unwidened(a) -> np.ndarray:
+    """:func:`as_matrix` that leaves real input as float64 instead of
+    widening it to a complex copy."""
+    m = np.asarray(a)
+    if np.iscomplexobj(m):
+        return as_matrix(m)
+    return _finite_matrix(m.astype(np.float64, copy=False))
+
+
+def _narrowed(a) -> np.ndarray:
+    """:func:`_unwidened`, and a complex input whose imaginary part is all
+    zero is narrowed to its real part, so LAPACK runs in real arithmetic."""
+    m = _unwidened(a)
+    if np.iscomplexobj(m) and not m.imag.any():
+        return np.ascontiguousarray(m.real)
     return m
 
 
@@ -101,7 +126,7 @@ def as_vector(a) -> np.ndarray:
         v = v.reshape(-1)
     if v.ndim != 1:
         raise ShapeError(f"expected a vector, got shape {v.shape}")
-    if v.size and not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+    if v.size and not np.isfinite(v).all():
         raise NumericalRangeError("vector entries must be finite")
     return v
 
@@ -113,9 +138,16 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
 
 
 def _require_lower_triangular(L: np.ndarray, who: str) -> None:
-    """Raise :class:`ShapeError` on a nonzero entry above the diagonal."""
-    for r in range(0, L.shape[0], 256):  # row bands bound the scratch copy
-        if np.any(np.triu(L[r:r + 256], r + 1)):
+    """Raise :class:`ShapeError` on a nonzero entry above the diagonal.
+
+    Reads each band of :data:`_NB` rows on views: the rectangle right of its
+    diagonal block, and the strict upper triangle of that block by mask.
+    """
+    n = L.shape[0]
+    above = np.triu(np.ones((_NB, _NB), dtype=bool), 1)
+    for r in range(0, n, _NB):
+        j = min(r + _NB, n)
+        if L[r:j, j:].any() or L[r:j, r:j][above[:j - r, :j - r]].any():
             raise ShapeError(f"{who} needs a lower-triangular matrix")
 
 
@@ -190,7 +222,7 @@ def expm(A, t: float = 1.0) -> np.ndarray:
         raise SingularMatrixError(f"Pade denominator singular: {exc}") from exc
     for _ in range(s):
         E = E @ E
-    if not np.all(np.isfinite(E.real) & np.isfinite(E.imag)):
+    if not np.isfinite(E).all():
         raise NumericalRangeError("matrix exponential overflowed")
     return E
 
@@ -327,8 +359,9 @@ def solve_lower_triangular(L, b) -> np.ndarray:
     (relative to the largest one; the diagonal holds the pivots) is reported
     as :class:`SingularMatrixError`, shape mismatches raise
     :class:`ShapeError`, and so does a nonzero entry above the diagonal.
+    A real ``L`` stays real: it is not copied to complex for a complex ``b``.
     """
-    L = _require_square(as_matrix(L), "solve_lower_triangular")
+    L = _require_square(_unwidened(L), "solve_lower_triangular")
     B, vector_rhs = _stacked_rhs(L, b)
     n = L.shape[0]
     if n == 0:
@@ -356,8 +389,16 @@ def induced_norm(A, p, weights=None) -> float:
     into the quadrature-weighted one via the diagonal similarity
     ``D A D^{-1}`` with ``D = diag(w^{1/p})``; for p = inf weights cancel.
     For any other exponent use :func:`norm_bounds`.
+
+    p = 2 is the largest singular value, taken as the square root of the
+    largest eigenvalue of the Hermitian Gram matrix on the smaller side
+    (``A^H A`` or ``A A^H``) by a symmetric eigensolve.  That eigenvalue is
+    backward stable to about ``n eps ||A||^2``, so ``sigma_max`` carries a
+    relative error of about ``n eps`` (n the smaller dimension), whatever
+    the conditioning of ``A``.  Real data (also complex data with a zero
+    imaginary part) runs in real arithmetic.
     """
-    A = as_matrix(A)
+    A = _narrowed(A)
     if weights is not None and not np.isinf(p):
         w_out, w_in = _norm_weights(A, weights)
         D_out = w_out ** (1.0 / p)
@@ -366,12 +407,28 @@ def induced_norm(A, p, weights=None) -> float:
     if p == 1:
         return float(np.abs(A).sum(axis=0).max()) if A.size else 0.0
     if p == 2:
-        return float(np.linalg.norm(A, 2)) if A.size else 0.0
+        return _largest_singular_value(A) if A.size else 0.0
     if np.isinf(p):
         return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
     raise UnsupportedExponentError(
         f"exact induced norm only for p in {{1, 2, inf}}, got p = {p}; "
         "use norm_bounds for a certified bracket")
+
+
+def _largest_singular_value(A: np.ndarray) -> float:
+    Ah = A.conj().T                      # a view when A is real
+    gram = Ah @ A if A.shape[0] >= A.shape[1] else A @ Ah
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def _smallest_singular_value(A) -> float:
+    """Smallest singular value of ``A`` by a dense SVD (real data in real
+    arithmetic).  A Gram eigensolve would lose it below ``sqrt(eps) ||A||``,
+    so margin checks near 1e-8 need the SVD."""
+    A = _narrowed(A)
+    if not A.size:
+        return float("inf")
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 def _norm_weights(A: np.ndarray, weights):

@@ -157,11 +157,11 @@ def perturbed_resolvent(triple, lam: complex):
         RA = numkit.solve(lam * np.eye(n, dtype=np.complex128) - A,
                           np.eye(n, dtype=np.complex128))
         W = np.eye(m, dtype=np.complex128) - C @ RA @ B
-        sv = np.linalg.svd(W, compute_uv=False)
-        if sv.min() < FEEDBACK_MARGIN:
+        smallest = numkit._smallest_singular_value(W)
+        if smallest < FEEDBACK_MARGIN:
             raise FeedbackSingularError(
                 f"feedback singular at lambda = {lam} "
-                f"(smallest singular value {sv.min():.3e})")
+                f"(smallest singular value {smallest:.3e})")
         return RA + RA @ B @ numkit.solve(W, C @ RA)
 
     lam_eff = lam + triple.mu_shift
@@ -460,7 +460,7 @@ def _one_residual(triple, lam: complex, rng: np.random.Generator):
             x = numkit.random_vector(rng, n)
             res = np.linalg.norm(shifted @ (Q @ x) - x) / np.linalg.norm(x)
             worst = max(worst, float(res))
-        threshold = 1e-8 * max(1.0, float(np.linalg.norm(Q, 2)))
+        threshold = 1e-8 * max(1.0, numkit.induced_norm(Q, 2))
         return lam, worst, threshold
 
     N = triple.N

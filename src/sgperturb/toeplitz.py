@@ -90,12 +90,17 @@ def apply(T: BlockToeplitz, x) -> np.ndarray:
 
 
 def materialize(T: BlockToeplitz) -> np.ndarray:
-    """Dense ``n*d x n*d`` matrix of the operator, one write per lag."""
+    """Dense ``n*d x n*d`` matrix of the operator, one write per lag.
+
+    float64 when every block has a zero imaginary part, else complex128.
+    """
     n, d = T.n, T.block_dim
-    M = np.zeros((n * d, n * d), dtype=np.complex128)
+    real = not any(block.imag.any() for block in T.blocks)
+    M = np.zeros((n * d, n * d), dtype=np.float64 if real else np.complex128)
     grid = M.reshape(n, d, n, d)         # (row block, row, col block, col)
     for lag, block in enumerate(T.blocks):
-        grid[np.arange(lag, n), :, np.arange(n - lag), :] = block
+        grid[np.arange(lag, n), :, np.arange(n - lag), :] = (
+            block.real if real else block)
     return M
 
 
@@ -123,11 +128,11 @@ def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
         raise ShapeError(
             f"need B: {d}x{q} and C: {q}x{d}, got {B.shape}, {C.shape}")
     eye_q = np.eye(q, dtype=np.complex128)
-    sv = np.linalg.svd(eye_q - F, compute_uv=False)
-    if sv.size and sv.min() < _FEEDBACK_MARGIN:
+    smallest = numkit._smallest_singular_value(eye_q - F)
+    if smallest < _FEEDBACK_MARGIN:
         raise SingularMatrixError(
             f"I - F is singular to margin {_FEEDBACK_MARGIN:g} "
-            f"(smallest singular value {sv.min():.3e})")
+            f"(smallest singular value {smallest:.3e})")
     G = numkit.solve(eye_q - F, eye_q)
     return F, B, C, T, G
 

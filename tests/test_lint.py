@@ -5,7 +5,9 @@ or a bare ``except:``) would turn a bug into a reported numerical failure.
 Runtime contracts must not be ``assert`` statements, because ``python -O``
 strips them.  No module imports scipy, not even lazily inside a function:
 the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
-second thread pool and its import time to every run.
+second thread pool and its import time to every run.  Singular values have
+one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
+``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.
 """
 
 import ast
@@ -105,3 +107,58 @@ def test_scipy_rule_catches_each_form(snippet):
 def test_scipy_rule_passes_other_imports():
     assert scipy_imports("import numpy as np\nfrom . import scipyish\n"
                          "import scipyish\n") == []
+
+
+def _is_two(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def singular_value_calls(source: str, name: str = "<source>"):
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        owner = owner.attr if isinstance(owner, ast.Attribute) else getattr(
+            owner, "id", None)
+        if owner != "linalg":
+            continue
+        where = f"{name}:{node.lineno}"
+        if node.func.attr == "svd":
+            found.append(f"{where}: linalg.svd")
+        elif node.func.attr == "norm" and (
+                (len(node.args) > 1 and _is_two(node.args[1]))
+                or any(k.arg == "ord" and _is_two(k.value)
+                       for k in node.keywords)):
+            found.append(f"{where}: linalg.norm of order 2")
+    return found
+
+
+OUTSIDE_NUMKIT = [p for p in MODULES if p.name != "numkit.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_NUMKIT,
+                         ids=[str(p.relative_to(SRC)) for p in OUTSIDE_NUMKIT])
+def test_singular_values_only_in_numkit(path):
+    assert singular_value_calls(path.read_text(),
+                                str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "s = np.linalg.svd(A, compute_uv=False)\n",
+    "s = numpy.linalg.svd(A)\n",
+    "s = linalg.svd(A)\n",
+    "n = np.linalg.norm(A, 2)\n",
+    "n = np.linalg.norm(A, 2.0)\n",
+    "n = np.linalg.norm(A, ord=2)\n",
+])
+def test_singular_value_rule_catches_each_form(snippet):
+    assert len(singular_value_calls(snippet)) == 1
+
+
+def test_singular_value_rule_passes_other_norms():
+    assert singular_value_calls(
+        "a = np.linalg.norm(x)\nb = np.linalg.norm(A, 1)\n"
+        "c = np.linalg.norm(A, ord=np.inf)\nd = numkit.induced_norm(A, 2)\n"
+        "e = np.linalg.eigvalsh(G)\n") == []

@@ -177,6 +177,19 @@ def test_solve_lower_triangular_matches_lapack(n):
         assert relative_error(solve_lower_triangular(L, rhs), ref) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [7, 2 * NB + 3])
+def test_solve_lower_triangular_real_matrix_complex_rhs(n):
+    # a real L is solved in place of its complex cast, without the copy
+    rng = make_rng(300 + n)
+    L = np.tril(rng.standard_normal((n, n))) / np.sqrt(n) + 2.0 * np.eye(n)
+    B = random_matrix(rng, n, 3)
+    ref = scipy.linalg.solve_triangular(L, B, lower=True)
+    X = solve_lower_triangular(L, B)
+    assert X.dtype == np.complex128
+    assert relative_error(X, ref) <= 1e-12
+    assert relative_error(X, solve_lower_triangular(L + 0j, B)) <= 1e-14
+
+
 def test_solves_leave_their_inputs_alone():
     A, rng = pivoting_system(2 * NB + 3, 9)
     L = np.tril(A)
@@ -208,6 +221,30 @@ def test_solve_lower_triangular_small_pivot_raises():
     L = np.array([[1.0, 0.0], [3.0, 1e-17]])
     with pytest.raises(SingularMatrixError, match="pivot ratio"):
         solve_lower_triangular(L, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("row, col", [
+    (0, 1),      # triangle of the first diagonal block
+    (10, 64),    # first column right of the first band's diagonal block
+    (63, 299),   # far corner of the first band's rectangle
+    (200, 255),  # last column of a full band's diagonal block
+    (298, 299),  # triangle of the last, partial band
+])
+def test_lower_triangular_check_sees_each_entry_above(row, col):
+    L = np.tril(numkit.random_matrix(make_rng(35), 300, 300)) + 300 * np.eye(300)
+    solve_lower_triangular(L, np.ones(300))
+    L[row, col] = 1e-300
+    with pytest.raises(ShapeError, match="lower-triangular"):
+        solve_lower_triangular(L, np.ones(300))
+
+
+def test_as_matrix_rejects_nonfinite_in_either_part():
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf),
+                complex(-np.inf, 1.0)):
+        with pytest.raises(NumericalRangeError):
+            numkit.as_matrix(np.array([[1.0, bad]]))
+        with pytest.raises(NumericalRangeError):
+            numkit.as_vector(np.array([1.0, bad]))
 
 
 def test_solve_lower_triangular_rejects_upper_entries_and_shapes():
@@ -248,6 +285,67 @@ def test_induced_2norm_squared_is_top_eigenvalue_of_gram(seed):
     A = random_matrix(rng, 5, 5)
     top = np.max(eigenvalues(A.conj().T @ A).real)
     assert induced_norm(A, 2) ** 2 == pytest.approx(top, rel=1e-8)
+
+
+def _conditioned(rng, m, n, cond):
+    """m x n matrix with singular values spread geometrically from 1 down
+    to 1/cond."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = min(m, n)
+    return (U[:, :k] * np.geomspace(1.0, 1.0 / cond, k)) @ V[:k]
+
+
+TWO_NORM_CASES = {
+    "real": lambda rng: rng.standard_normal((60, 60)),
+    "complex": lambda rng: random_matrix(rng, 60, 60),
+    "complex-zero-imag": lambda rng: rng.standard_normal((60, 60)) + 0j,
+    "tall": lambda rng: rng.standard_normal((90, 30)),
+    "wide": lambda rng: random_matrix(rng, 30, 90),
+    "row": lambda rng: random_matrix(rng, 1, 50),
+    "column": lambda rng: rng.standard_normal((50, 1)),
+    "rank-1": lambda rng: np.outer(random_vector(rng, 40),
+                                   random_vector(rng, 25)),
+    "cond-1e12": lambda rng: _conditioned(rng, 50, 40, 1e12),
+    "zero": lambda rng: np.zeros((7, 5)),
+}
+
+
+@pytest.mark.parametrize("case", TWO_NORM_CASES)
+def test_induced_2norm_matches_numpy_svd(case):
+    A = TWO_NORM_CASES[case](make_rng(31))
+    oracle = np.linalg.svd(A, compute_uv=False)[0]
+    assert abs(induced_norm(A, 2) - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("case", ["real", "tall", "cond-1e12"])
+def test_induced_2norm_real_equals_its_complex_cast(case):
+    A = TWO_NORM_CASES[case](make_rng(32))
+    real = induced_norm(A, 2)
+    assert abs(induced_norm(A.astype(np.complex128), 2) - real) <= 1e-14 * real
+
+
+def test_induced_norm_keeps_weights_on_real_data():
+    rng = make_rng(33)
+    A = rng.standard_normal((6, 6))
+    w = rng.uniform(0.5, 2.0, 6)
+    D = np.sqrt(w)
+    oracle = np.linalg.svd(D[:, None] * A / D[None, :], compute_uv=False)[0]
+    assert abs(induced_norm(A + 0j, 2, weights=w) - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "tall", "rank-1"])
+def test_smallest_singular_value_is_the_svd_one(case):
+    A = TWO_NORM_CASES[case](make_rng(34))
+    oracle = np.linalg.svd(A, compute_uv=False)[-1]
+    assert numkit._smallest_singular_value(A) == oracle
+
+
+def test_smallest_singular_value_resolves_a_tiny_margin():
+    # a Gram eigensolve cannot see 1e-9 next to 1; the SVD does
+    A = np.diag([1.0, 1e-9])
+    assert numkit._smallest_singular_value(A + 0j) == pytest.approx(1e-9,
+                                                                    rel=1e-6)
 
 
 def test_induced_norm_rejects_general_p():

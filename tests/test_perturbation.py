@@ -26,7 +26,8 @@ from sgperturb.semigroup import (
     rescale,
     volterra_resolvent_values,
 )
-from sgperturb.toeplitz import feedback_inverse_norm_bound
+from sgperturb.toeplitz import (feedback_inverse_norm_bound,
+                                feedback_toeplitz_inverse)
 from sgperturb.transport import (
     BorelMeasure,
     apply_phi,
@@ -404,6 +405,33 @@ def test_growth_entries_equal_per_block_bound(world):
         (n, *feedback_inverse_norm_bound(F, B, C, T, n)) for n in range(1, 6))
 
 
+README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_growth_chain_matches_dense_svd_at_workload_size(world):
+    # 128 signal columns per block and n_max = 6: a 768 x 768 inverse, the
+    # size of the benchmarked growth check; each lhs against an SVD of its
+    # section
+    if world == "matrix":
+        triple = README_TRIPLE
+    else:
+        triple = transport_triple(N=256, atoms=LITTLE_MASS_ATOMS)
+    grid = TimeGrid(0.5, 128)
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0, 4.0),
+                                    n_max=6)
+    assert rep.all_dominated
+    frames = perturbation._euclidean_frames(triple, grid)
+    q = frames[0].shape[0]
+    assert q == 128
+    _, inverse = feedback_toeplitz_inverse(*frames, 6)
+    assert [n for n, _, _ in rep.block_entries] == list(range(1, 7))
+    for n, lhs, _ in rep.block_entries:
+        oracle = np.linalg.svd(inverse[:n * q, :n * q], compute_uv=False)[0]
+        assert abs(lhs - oracle) <= 1e-12 * oracle
+
+
 def test_growth_transport_two_atoms():
     triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     rep = long_horizon_growth_check(triple, TimeGrid(1.0, 32),
@@ -500,8 +528,7 @@ def test_growth_check_builds_one_io_matrix(world, monkeypatch):
 def test_certificate_builds_one_io_matrix(monkeypatch):
     # README triple: ||F|| < 1 at t0, so the bypass search reuses the
     # feedback report's norm and builds nothing
-    triple = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
-                          np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+    triple = README_TRIPLE
     grid = TimeGrid(0.5, 32)
     builds = count_calls(monkeypatch, "io_matrix", admissibility,
                          perturbation)

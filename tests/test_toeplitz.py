@@ -56,6 +56,32 @@ def test_materialize_matches_independent_assembly():
     assert np.array_equal(materialize(T), dense_lower_toeplitz(T.blocks, 6))
 
 
+def real_toeplitz(seed, n, d):
+    rng = numkit.make_rng(seed)
+    return BlockToeplitz([rng.standard_normal((d, d)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (real_toeplitz, np.float64),   # stored as complex128 with zero imag
+    (random_toeplitz, np.complex128),
+])
+def test_materialize_dtype_and_apply_match_dense(build, dtype):
+    T = build(31, 5, 3)
+    M = materialize(T)
+    assert M.dtype == dtype
+    dense = dense_lower_toeplitz(T.blocks, 5)
+    assert np.array_equal(M, dense)
+    x = numkit.random_vector(numkit.make_rng(32), 15)
+    ref = dense @ x
+    assert np.abs(apply(T, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_materialize_keeps_one_complex_block():
+    blocks = list(real_toeplitz(33, 4, 2).blocks)
+    blocks[3] = blocks[3] + 1e-20j
+    assert materialize(BlockToeplitz(blocks)).dtype == np.complex128
+
+
 def test_block_shape_validation():
     with pytest.raises(ShapeError):
         BlockToeplitz([np.eye(2), np.eye(3)])
