@@ -30,13 +30,14 @@ from .toeplitz import (BlockToeplitz, NormChain, apply,
                        feedback_inverse_norm_bound, feedback_norm_chain,
                        feedback_toeplitz_inverse, materialize, norm_bound)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
-                        SpectralAbscissa, TransportTriple, apply_semigroup,
-                        as_grid_function, rescale, resolvent, shift_open,
-                        spectral_abscissa, volterra_resolvent_values)
+                        SpectralAbscissa, apply_semigroup, as_grid_function,
+                        rescale, resolvent, shift_open, spectral_abscissa,
+                        volterra_resolvent_values)
 from .transport import (BorelMeasure, LittleMassReport, Trajectory,
-                        apply_phi, characteristic_roots, dirichlet_operator,
-                        greiner_compatibility, little_mass, phi_coefficients,
-                        solve_pde, transfer_scalar, upwind_generator)
+                        TransportTriple, apply_phi, characteristic_roots,
+                        dirichlet_operator, greiner_compatibility,
+                        little_mass, phi_coefficients, solve_pde,
+                        transfer_scalar, upwind_generator)
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             FeedbackReport, RegularityReport,
                             RescalingResiduals, SampledSignal, TimeGrid,
@@ -70,15 +71,15 @@ __all__ = [
     "feedback_toeplitz_inverse", "NormChain", "feedback_norm_chain",
     "feedback_inverse_norm_bound",
     # semigroup
-    "MatrixTriple", "TransportTriple", "GridFunction", "SpectralAbscissa",
+    "MatrixTriple", "GridFunction", "SpectralAbscissa",
     "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",
     "volterra_resolvent_values", "resolvent", "as_grid_function", "rescale",
     "spectral_abscissa",
     # transport
-    "BorelMeasure", "LittleMassReport", "Trajectory", "phi_coefficients",
-    "apply_phi", "dirichlet_operator", "little_mass", "solve_pde",
-    "upwind_generator", "transfer_scalar", "characteristic_roots",
-    "greiner_compatibility",
+    "TransportTriple", "BorelMeasure", "LittleMassReport", "Trajectory",
+    "phi_coefficients", "apply_phi", "dirichlet_operator", "little_mass",
+    "solve_pde", "upwind_generator", "transfer_scalar",
+    "characteristic_roots", "greiner_compatibility",
     # admissibility
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
     "RescalingResiduals", "RegularityReport", "FEEDBACK_MARGIN",

@@ -3,22 +3,19 @@
 For a horizon ``t0`` split into ``steps`` uniform intervals of length ``h``
 the three maps of admissibility theory are discretized as
 
-* controllability  ``B_t0 u = int_0^t0 T(t0 - s) B u(s) ds``
-  (matrix world: left-endpoint quadrature; transport world: the exact
-  translate-and-extend closed form — no quadrature at all),
+* controllability  ``B_t0 u = int_0^t0 T(t0 - s) B u(s) ds``,
 * observability    ``(C_t0 x)(t_k) = C T(t_k) x`` (pointwise samples),
-* input-output     ``(F_t0 u)(t_j) = C int_0^{t_j} T(t_j - s) B u(s) ds``
-  (matrix world: left-endpoint, which makes the sample matrix *strictly*
-  block lower triangular — discretization can never fabricate a feedback
-  singularity; transport world: the exact measure-window formula, block
-  lower triangular with a diagonal contribution only from an atom at 1).
+* input-output     ``(F_t0 u)(t_j) = C int_0^{t_j} T(t_j - s) B u(s) ds``,
+
+each by its world's closed form, a method of the triple class.  F is
+causal, hence lower triangular in both worlds.
 
 Signals are sampled at left endpoints ``t_k = k h`` and normed with weight
 ``h``; since the weights are uniform they cancel in induced operator norms,
 so ``io_matrix`` can be fed to :func:`sgperturb.numkit.induced_norm` directly.
 
-A non-negative spectral shift ``mu`` on the triple enters the transport maps
-through the exact discrete conjugation
+A non-negative spectral shift ``mu`` on the triple enters the maps through
+the exact discrete conjugation
 
     B^mu = e^{-mu t0} B M,   C^mu_k = e^{-mu t_k} C_k,   F^mu = M^{-1} F M,
 
@@ -32,13 +29,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import numkit, toeplitz
+from . import numkit
 from .numkit import ShapeError, as_vector
-from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
-                        as_grid_function, rescale)
-from .transport import phi_coefficients
+from .semigroup import rescale
+from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
     "TimeGrid",
@@ -59,9 +54,6 @@ __all__ = [
     "regularity_check",
     "smooth_trial_signals",
 ]
-
-#: spectrum distance below which 1 counts as belonging to sigma(F_t0)
-FEEDBACK_MARGIN = 1e-8
 
 #: io_matrix refuses to materialize anything wider than this
 IO_SIZE_CAP = 4096
@@ -179,16 +171,6 @@ def _signal_on(grid: TimeGrid, u: SampledSignal, m: int) -> np.ndarray:
     return u.values
 
 
-def _transport_stride(triple: TransportTriple, grid: TimeGrid) -> int:
-    """Nodes per time step: h must be a positive multiple of 1/N."""
-    q = grid.h * triple.N
-    qi = int(round(q))
-    if qi < 1 or abs(q - qi) > 1e-9:
-        raise ValueError(
-            f"time step h = {grid.h} is not a multiple of 1/{triple.N}")
-    return qi
-
-
 # ---------------------------------------------------------------------------
 # the three maps
 # ---------------------------------------------------------------------------
@@ -202,61 +184,18 @@ def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
     ``[1 - t0, 1)`` exactly, with the spectral-shift factor folded in at the
     snapped sample times.
     """
-    return _controllability_operator(triple, grid)(u)
+    return triple.control(grid)(_signal_on(grid, u, triple.control_dim))
 
 
-def _controllability_operator(triple, grid: TimeGrid):
-    """``u -> controllability_map(triple, grid, u)`` for many signals: the
-    matrix world builds :func:`controllability_matrix` once."""
-    if isinstance(triple, MatrixTriple):
-        W = controllability_matrix(triple, grid)
-        m = triple.control_dim
-        return lambda u: W @ _signal_on(grid, u, m).reshape(-1)
-    return lambda u: _transport_control(triple, grid, u)
+def controllability_matrix(triple, grid: TimeGrid) -> np.ndarray:
+    """Stacked euclidean matrix of the controllability map.
 
-
-def _transport_control(triple: TransportTriple, grid: TimeGrid,
-                       u: SampledSignal) -> GridFunction:
-    vals = _signal_on(grid, u, 1)
-    q = _transport_stride(triple, grid)
-    N = triple.N
-    j0 = q * grid.steps
-    out = np.zeros(N + 1, dtype=np.complex128)
-    # node i reads sample (i + j0 - N) // q while that index is >= 0
-    first = max(0, N - j0)
-    k = (np.arange(first, N) + j0 - N) // q
-    out[first:N] = vals[k, 0]
-    mu = triple.mu_shift
-    if mu:
-        out[first:N] *= np.exp(-mu * (grid.t0 - k * grid.h))
-    return GridFunction(out, p=triple.p)
-
-
-def _control_walk(triple: MatrixTriple, grid: TimeGrid) -> np.ndarray:
-    """``E^k B`` for k = 1 .. steps, ``E = e^{hA}``: shape ``(steps, d, m)``.
-
-    The one walk behind :func:`controllability_matrix` and the lag blocks
-    of :func:`io_matrix`.
+    Applied to the stacked samples of ``u`` it gives
+    :func:`controllability_map` (transport world: on nodes ``0 .. N-1``).
+    Matrix world: column block k is ``h e^{(t0 - t_k) A} B``, read off one
+    walk in ``E = e^{hA}``.
     """
-    E = numkit.expm(triple.A, grid.h)
-    walk = np.empty((grid.steps,) + triple.B.shape, dtype=np.complex128)
-    P = triple.B
-    for k in range(grid.steps):
-        P = E @ P
-        walk[k] = P
-    return walk
-
-
-def controllability_matrix(triple: MatrixTriple,
-                           grid: TimeGrid) -> np.ndarray:
-    """Stacked euclidean matrix of the matrix-world controllability map.
-
-    Column block k is ``h e^{(t0 - t_k) A} B = h E^{steps-k} B``, read off
-    one walk in ``E = e^{hA}``; :func:`controllability_map` is this matrix
-    applied to the stacked samples of ``u``.
-    """
-    walk = grid.h * _control_walk(triple, grid)[::-1]
-    return walk.transpose(1, 0, 2).reshape(triple.state_dim, -1)
+    return triple.controllability_matrix(grid)
 
 
 def observability_map(triple, grid: TimeGrid, x, *,
@@ -268,62 +207,19 @@ def observability_map(triple, grid: TimeGrid, x, *,
     ``require_domain=False`` for constructions that supply perturbed-domain
     states on purpose.
     """
-    return _observability_operator(triple, grid, require_domain)(x)
+    return SampledSignal(grid, triple.observe(grid, require_domain)(x),
+                         p=triple.p)
 
 
-def _observability_operator(triple, grid: TimeGrid,
-                            require_domain: bool = True):
-    """``x -> observability_map(triple, grid, x)`` for many states: the
-    matrix world builds :func:`observability_matrix` once."""
-    if isinstance(triple, MatrixTriple):
-        O = observability_matrix(triple, grid)
+def observability_matrix(triple, grid: TimeGrid) -> np.ndarray:
+    """Stacked euclidean matrix of the observability map.
 
-        def observe(x) -> SampledSignal:
-            x = as_vector(x)
-            if x.shape[0] != triple.state_dim:
-                raise ShapeError("state dimension mismatch")
-            return SampledSignal(grid, (O @ x).reshape(grid.steps, -1),
-                                 p=2.0)
-        return observe
-    return lambda x: _transport_observe(triple, grid, x, require_domain)
-
-
-def _transport_observe(triple: TransportTriple, grid: TimeGrid, x,
-                       require_domain: bool) -> SampledSignal:
-    gf = as_grid_function(triple, x)
-    scale = max(1.0, float(np.abs(gf.values).max()))
-    if require_domain and abs(gf.values[-1]) > 1e-9 * scale:
-        raise ValueError(
-            f"state rejected (outside D(A)): boundary sample x(1) = "
-            f"{gf.values[-1]:.3e} must vanish")
-    q = _transport_stride(triple, grid)
-    N = triple.N
-    coef = phi_coefficients(triple.mu, N)
-    # shift_open(x, k q) is the window at k q of x[:N] padded with zeros
-    padded = np.zeros(N + 1 + (grid.steps - 1) * q, dtype=np.complex128)
-    padded[:N] = gf.values[:N]
-    out = sliding_window_view(padded, N + 1)[::q] @ coef
-    mu = triple.mu_shift
-    if mu:
-        out *= np.exp(-mu * np.arange(grid.steps) * grid.h)
-    return SampledSignal(grid, out[:, None], p=triple.p)
-
-
-def observability_matrix(triple: MatrixTriple,
-                         grid: TimeGrid) -> np.ndarray:
-    """Stacked euclidean matrix of the matrix-world observability map.
-
-    Row block k is ``C e^{t_k A} = C E^k`` from one forward walk in
-    ``E = e^{hA}``; :func:`observability_map` is this matrix applied to the
-    state, its rows read as ``(steps, m)`` samples.
+    Applied to the state (transport world: its nodes ``0 .. N-1``) it gives
+    the samples of :func:`observability_map`, rows read as ``(steps, m)``.
+    Matrix world: row block k is ``C e^{t_k A} = C E^k`` from one forward
+    walk in ``E = e^{hA}``.
     """
-    E = numkit.expm(triple.A, grid.h)
-    rows = np.empty((grid.steps,) + triple.C.shape, dtype=np.complex128)
-    P = triple.C
-    for k in range(grid.steps):
-        rows[k] = P
-        P = P @ E
-    return rows.reshape(-1, triple.state_dim)
+    return triple.observability_matrix(grid)
 
 
 def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
@@ -337,40 +233,11 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     the diagonal; an atom at ``s = 1`` lands *on* it; density cells read the
     signal at their midpoint through pure integer index arithmetic.
     """
-    m = triple.control_dim
-    n_cols = grid.steps * m
+    n_cols = grid.steps * triple.control_dim
     if n_cols > IO_SIZE_CAP:
         raise ValueError(
             f"io_matrix would have {n_cols} > {IO_SIZE_CAP} columns")
-
-    if isinstance(triple, MatrixTriple):
-        # block d = h C E^d B at lag d >= 1, block 0 zero
-        blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
-        blocks[1:] = grid.h * (triple.C @ _control_walk(triple, grid)[:-1])
-        return toeplitz.materialize(toeplitz.BlockToeplitz(tuple(blocks)))
-
-    q = _transport_stride(triple, grid)
-    N = triple.N
-    steps = grid.steps
-    j0 = q * steps
-    F = np.zeros((steps, steps), dtype=np.complex128)
-    for loc, w in triple.mu.atoms:
-        a = int(round(loc * N))
-        for j in range(steps):
-            idx = a + j * q - N
-            if 0 <= idx < j0:
-                F[j, idx // q] += w
-    if triple.mu.density:
-        for cell, d in enumerate(triple.mu.density):
-            for j in range(steps):
-                t2 = 2 * cell + 1 + 2 * (j * q - N)
-                if 0 <= t2 < 2 * j0:
-                    F[j, t2 // (2 * q)] += d / N
-    mu = triple.mu_shift
-    if mu:
-        tk = grid.times
-        F = np.exp(-mu * tk)[:, None] * F * np.exp(mu * tk)[None, :]
-    return F
+    return triple.io_matrix(grid)
 
 
 def io_map(triple, grid: TimeGrid, u: SampledSignal) -> SampledSignal:
@@ -449,23 +316,6 @@ def smooth_trial_signals(grid: TimeGrid, m: int, trials: int,
     return out
 
 
-def _state_norm(triple, x) -> float:
-    if isinstance(triple, MatrixTriple):
-        return float(np.linalg.norm(as_vector(x)))
-    return x.norm() if isinstance(x, GridFunction) else float(np.linalg.norm(x))
-
-
-def _random_domain_state(triple, rng: np.random.Generator):
-    if isinstance(triple, MatrixTriple):
-        x = numkit.random_vector(rng, triple.state_dim)
-        return x / np.linalg.norm(x)
-    v = numkit.random_vector(rng, triple.N + 1)
-    v[-1] = 0.0
-    gf = GridFunction(v, p=triple.p)
-    nrm = gf.norm()
-    return GridFunction(v / nrm, p=triple.p)
-
-
 def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
                        beta: float, trials: int,
                        rng: np.random.Generator) -> AdmissibilityReport:
@@ -493,7 +343,7 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
     m = triple.control_dim
     signals = smooth_trial_signals(grid, m, trials, rng, p=p)
     F = io_matrix(triple, grid)
-    control = _controllability_operator(triple, grid)
+    control = triple.control(grid)
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -503,16 +353,14 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
         if nu_p <= 1e-14 or nu_a <= 1e-14:
             continue
         used += 1
-        Bu = control(u)
-        M_control = max(M_control, _state_norm(triple, Bu) / nu_p)
+        M_control = max(M_control, triple.state_norm(control(u.values)) / nu_p)
         M_io = max(M_io, _apply_io(F, u).norm(beta) / nu_a)
     if used == 0:
         raise ValueError("all trial signals had zero norm; nothing estimated")
-    observe = _observability_operator(triple, grid)
+    observe = triple.observe(grid)
     M_observe = 0.0
     for _ in range(trials):
-        x = _random_domain_state(triple, rng)
-        y = observe(x)
+        y = SampledSignal(grid, observe(triple.random_domain_state(rng)))
         M_observe = max(M_observe, y.norm(p))
     fb = _feedback_report(F, p)
     report = AdmissibilityReport(
@@ -595,12 +443,8 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     for u in signals:
         lhs_B = controllability_map(shifted, grid, u)
         rhs_B = controllability_map(triple, grid, _modulated(u, grow))
-        rhs_B_vals = (np.exp(-mu_shift * grid.t0)
-                      * (rhs_B.values if isinstance(rhs_B, GridFunction)
-                         else rhs_B))
-        lhs_B_vals = lhs_B.values if isinstance(lhs_B, GridFunction) else lhs_B
-        res_control = max(res_control,
-                          float(np.abs(lhs_B_vals - rhs_B_vals).max()))
+        gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
+        res_control = max(res_control, float(gap.max()))
         lhs_F = _apply_io(F_shifted, u)
         rhs_F = _modulated(_apply_io(F, _modulated(u, grow)), decay)
         res_io = max(res_io,
@@ -608,7 +452,7 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
 
     res_observe = 0.0
     for _ in range(trials):
-        x = _random_domain_state(triple, rng)
+        x = triple.random_domain_state(rng)
         lhs_C = observability_map(shifted, grid, x)
         rhs_C = _modulated(observability_map(triple, grid, x), decay)
         res_observe = max(res_observe,
@@ -642,13 +486,7 @@ def regularity_check(triple, v, t_sequence, alpha: float, beta: float,
 
     quantities = []
     for t in ts:
-        if isinstance(triple, MatrixTriple):
-            grid = TimeGrid(t, base_steps)
-        else:
-            steps = int(round(t * triple.N))
-            if steps < 1 or abs(steps - t * triple.N) > 1e-9:
-                raise ValueError(f"horizon {t} is off the 1/{triple.N} grid")
-            grid = TimeGrid(t, steps)
+        grid = TimeGrid(t, triple.grid_steps(t, base_steps))
         u = SampledSignal(grid, np.tile(v, (grid.steps, 1)))
         y = io_map(triple, grid, u)
         avg = (grid.h / t) * y.values.sum(axis=0)

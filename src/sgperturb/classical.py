@@ -118,10 +118,9 @@ def _translate(values: np.ndarray, shift: int) -> np.ndarray:
 def _first_order_entry(triple: MatrixTriple, grid: TimeGrid,
                        rng: np.random.Generator) -> dict:
     """Feedback semigroup versus the closed-loop exponential, two grids."""
-    Apert = triple.A + triple.B @ triple.C
     x = numkit.random_vector(rng, triple.state_dim)
     x = x / np.linalg.norm(x)
-    oracle = numkit.expm(Apert, grid.t0) @ x
+    oracle = numkit.expm(triple.closed_loop(), grid.t0) @ x
     errs = []
     for g in (grid, TimeGrid(grid.t0, 2 * grid.steps)):
         s = weiss_staffans_semigroup(triple, g, grid.t0, x)

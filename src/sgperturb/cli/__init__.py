@@ -31,9 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .. import numkit, toeplitz
-from ..semigroup import GridFunction, MatrixTriple, TransportTriple
-from ..transport import BorelMeasure, characteristic_roots, solve_pde, \
-    transfer_scalar, upwind_generator, phi_coefficients
+from ..semigroup import GridFunction, MatrixTriple
+from ..transport import (BorelMeasure, TransportTriple, characteristic_roots,
+                         solve_pde, transfer_scalar, upwind_generator,
+                         _boundary_coefficients, _grid_nodes)
 from ..admissibility import (TimeGrid, estimate_constants,
                              rescaled_map_identities)
 from ..perturbation import (generation_certificate, long_horizon_growth_check,
@@ -201,11 +202,10 @@ def _parse_config(cfg: dict) -> RunSpec:
     except (numkit.NumkitError, ValueError) as exc:
         raise ConfigError(f"config.grid: {exc}") from exc
     if world == "transport":
-        q = grid.h * triple.N
-        if round(q) < 1 or abs(q - round(q)) > 1e-9:
-            raise ConfigError(
-                f"config.grid: time step {grid.h} is not a positive "
-                f"multiple of 1/N = 1/{triple.N}")
+        try:
+            _grid_nodes(grid.h, triple.N, least=1)
+        except ValueError as exc:
+            raise ConfigError(f"config.grid: time step {exc}") from exc
 
     _require_keys(cfg["exponents"], ["p", "alpha", "beta"], [],
                   "config.exponents")
@@ -445,10 +445,7 @@ def _compatible_state(mu: BorelMeasure, coeffs, N: int,
                       p: float) -> GridFunction:
     """Smooth profile adjusted at s = 1 to satisfy x(1) = Phi x discretely."""
     v = _smooth_state_values(coeffs, N)
-    coef = phi_coefficients(mu, N)
-    denom = 1.0 - coef[N]
-    if abs(denom) < 1e-8:
-        raise ArithmeticError("boundary functional has unit weight at s = 1")
+    coef, denom = _boundary_coefficients(mu, N)
     v[N] = (coef[:N] @ v[:N]) / denom
     return GridFunction(v, p=p)
 
@@ -481,8 +478,9 @@ def _suite_transport_pde(spec: RunSpec, rng, csv_dir):
 def _suite_spectral(spec: RunSpec, rng, csv_dir):
     tol = spec.tolerances["spectral"]
     mu = spec.triple.mu
-    coef = phi_coefficients(mu, spec.triple.N)
-    if abs(1.0 - coef[spec.triple.N]) < 1e-8:
+    try:
+        _boundary_coefficients(mu, spec.triple.N)
+    except ArithmeticError:
         return {"ok": True, "roots": None, "transfer_residuals": None,
                 "upwind_distances": None,
                 "note": ("boundary functional has unit weight at s = 1; "
@@ -545,7 +543,7 @@ def _write_matrix_orbit_csv(path: Path, spec: RunSpec, rng) -> None:
     t = spec.triple
     x = numkit.random_vector(rng, t.state_dim)
     x = x / np.linalg.norm(x)
-    E = numkit.expm(t.A + t.B @ t.C, spec.grid.h)
+    E = numkit.expm(t.closed_loop(), spec.grid.h)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "s", "re_x", "im_x"])

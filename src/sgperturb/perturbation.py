@@ -1,16 +1,12 @@
 """Perturbed generators, resolvents, semigroups, and generation certificates.
 
 Given a system triple, the closed-loop state operator is the restriction of
-``A + B C`` back to the state space (matrix world: literally ``A + B C``;
-transport world: the upwind matrix with the nonlocal boundary condition
-eliminated).  The module realizes
+``A + B C`` back to the state space (the triple's ``closed_loop`` matrix).
+The module realizes
 
 * the perturbed resolvent through the feedback formula
 
-      Q(lam) = R(lam, A) + R(lam, A) B (I - C R(lam, A) B)^{-1} C R(lam, A),
-
-  which in the transport world becomes the boundary-lift expression with the
-  scalar transfer function ``H`` in place of ``C R B``;
+      Q(lam) = R(lam, A) + R(lam, A) B (I - C R(lam, A) B)^{-1} C R(lam, A);
 
 * the perturbed semigroup through the discrete feedback construction
 
@@ -21,8 +17,7 @@ eliminated).  The module realizes
   level — a tested invariant);
 
 * the variation-of-parameters residual against an *independent* reference
-  propagator (matrix exponential of the closed-loop matrix, or the
-  method-of-steps PDE solution);
+  propagator (the triple's ``vop_outputs``);
 
 * the long-horizon growth check: the contraction surrogate
   ``||T(t0) + B (I - F)^{-1} C|| < e^{mu t0}`` plus the block-Toeplitz bound
@@ -43,18 +38,12 @@ from typing import Optional
 import numpy as np
 
 from . import numkit, toeplitz
-from .numkit import as_vector
-from .semigroup import (GridFunction, MatrixTriple, TransportTriple,
-                        apply_semigroup, as_grid_function, rescale,
-                        spectral_abscissa, volterra_resolvent_values)
+from .semigroup import (FeedbackSingularError, apply_semigroup, rescale,
+                        spectral_abscissa)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
-                            controllability_matrix, io_matrix,
-                            observability_map, observability_matrix,
-                            FEEDBACK_MARGIN, _constants_and_feedback,
-                            _feedback_margin, _io_norm)
-from .transport import (apply_phi, dirichlet_operator, greiner_compatibility,
-                        phi_coefficients, solve_pde, transfer_scalar,
-                        upwind_generator)
+                            io_matrix, observability_map, FEEDBACK_MARGIN,
+                            _constants_and_feedback, _feedback_margin,
+                            _io_norm)
 
 __all__ = [
     "FeedbackSingularError",
@@ -69,10 +58,6 @@ __all__ = [
     "long_horizon_growth_check",
     "generation_certificate",
 ]
-
-
-class FeedbackSingularError(ArithmeticError):
-    """``I - C R(lam) B`` is singular (within margin) at the requested lambda."""
 
 
 @dataclass(frozen=True)
@@ -110,30 +95,15 @@ class GenerationCertificate:
 
 def perturbed_generator(triple) -> PerturbedGenerator:
     """Dense realization of the closed-loop state operator."""
-    if isinstance(triple, MatrixTriple):
-        return PerturbedGenerator("matrix", triple.A + triple.B @ triple.C)
     try:
-        mat = upwind_generator(triple.mu, triple.N)
+        return PerturbedGenerator(triple.world, triple.closed_loop())
     except ArithmeticError:
-        return PerturbedGenerator("transport", None, degenerate=True)
-    if triple.mu_shift:
-        mat = mat - triple.mu_shift * np.eye(triple.N, dtype=np.complex128)
-    return PerturbedGenerator("transport", mat)
+        return PerturbedGenerator(triple.world, None, degenerate=True)
 
 
 def transfer_function(triple, lam: complex) -> np.ndarray:
     """``C R(lam, A) B`` as an m x m matrix (transport world: ``[[H(lam)]]``)."""
-    lam = complex(lam)
-    if isinstance(triple, MatrixTriple):
-        A, B, C = triple.A, triple.B, triple.C
-        dist = numkit.spectral_radius_distance(A, lam)
-        if dist < 1e-8:
-            raise numkit.SingularMatrixError(
-                f"lambda = {lam} is within {dist:.2e} of the spectrum of A")
-        n = A.shape[0]
-        return C @ numkit.solve(lam * np.eye(n, dtype=np.complex128) - A, B)
-    H = transfer_scalar(triple.mu, lam + triple.mu_shift)
-    return np.array([[H]], dtype=np.complex128)
+    return triple.transfer(complex(lam))
 
 
 def perturbed_resolvent(triple, lam: complex):
@@ -145,41 +115,7 @@ def perturbed_resolvent(triple, lam: complex):
     transfer-function value within 1e-8 of 1 raises
     :class:`FeedbackSingularError` ("feedback singular at lambda").
     """
-    lam = complex(lam)
-    if isinstance(triple, MatrixTriple):
-        A, B, C = triple.A, triple.B, triple.C
-        n = A.shape[0]
-        m = B.shape[1]
-        dist = numkit.spectral_radius_distance(A, lam)
-        if dist < 1e-8:
-            raise numkit.SingularMatrixError(
-                f"lambda = {lam} is within {dist:.2e} of the spectrum of A")
-        RA = numkit.solve(lam * np.eye(n, dtype=np.complex128) - A,
-                          np.eye(n, dtype=np.complex128))
-        W = np.eye(m, dtype=np.complex128) - C @ RA @ B
-        smallest = numkit._smallest_singular_value(W)
-        if smallest < FEEDBACK_MARGIN:
-            raise FeedbackSingularError(
-                f"feedback singular at lambda = {lam} "
-                f"(smallest singular value {smallest:.3e})")
-        return RA + RA @ B @ numkit.solve(W, C @ RA)
-
-    lam_eff = lam + triple.mu_shift
-    H = transfer_scalar(triple.mu, lam_eff)
-    if abs(1.0 - H) < FEEDBACK_MARGIN:
-        raise FeedbackSingularError(
-            f"feedback singular at lambda = {lam} (transfer {H:.6g})")
-    lift = dirichlet_operator(lam_eff, 1.0, triple.N, p=triple.p).values
-    gain = 1.0 / (1.0 - H)
-    mu_measure = triple.mu
-
-    def _apply(f):
-        gf = as_grid_function(triple, f)
-        Rf = volterra_resolvent_values(lam_eff, gf.values)
-        boundary = gain * apply_phi(mu_measure, Rf)
-        return GridFunction(Rf + boundary * lift, p=triple.p)
-
-    return _apply
+    return triple.perturbed_resolvent(complex(lam))
 
 
 def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
@@ -212,9 +148,7 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
     ctrl = controllability_map(work, grid, ysig)
     free = apply_semigroup(work, t, x)
     comp = float(np.exp(mu_shift * t)) if mu_shift else 1.0
-    if isinstance(triple, MatrixTriple):
-        return comp * (free + ctrl)
-    return GridFunction(comp * (free.values + ctrl.values), p=triple.p)
+    return comp * (free + ctrl)
 
 
 def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
@@ -240,35 +174,10 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
     if abs(t - grid.t0) > 1e-12:
         raise ValueError("t must equal the grid horizon")
     lhs = weiss_staffans_semigroup(triple, grid, t, x)
-
-    if isinstance(triple, MatrixTriple):
-        x = as_vector(x)
-        closed = MatrixTriple(triple.A + triple.B @ triple.C, triple.B,
-                              triple.C)
-        csig = observability_map(closed, grid, x)
-        rhs = apply_semigroup(triple, t, x) \
-            + controllability_map(triple, grid, csig)
-        nx = float(np.linalg.norm(x))
-        return float(np.linalg.norm(lhs - rhs) / nx)
-
-    gf = as_grid_function(triple, x)
-    coef = phi_coefficients(triple.mu, triple.N)
-    scale = max(1.0, float(np.abs(gf.values).max()))
-    if abs(gf.values[-1] - coef @ gf.values) > 1e-9 * scale:
-        raise ValueError(
-            "state is outside the discrete closed-loop domain: "
-            "x(1) != Phi x")
-    q = round(grid.h * triple.N)
-    traj = solve_pde(triple.mu, gf, grid.t0, triple.N)
-    mu = triple.mu_shift
-    samples = traj.states[::q][:grid.steps] @ coef
-    if mu:
-        samples *= np.exp(-mu * np.arange(grid.steps) * grid.h)
-    csig = SampledSignal(grid, samples[:, None], p=triple.p)
-    rhs_vals = (apply_semigroup(triple, t, gf).values
-                + controllability_map(triple, grid, csig).values)
-    diff = GridFunction(lhs.values - rhs_vals, p=triple.p)
-    return float(diff.norm() / gf.norm())
+    csig = SampledSignal(grid, triple.vop_outputs(grid, x), p=triple.p)
+    rhs = apply_semigroup(triple, t, x) \
+        + controllability_map(triple, grid, csig)
+    return triple.state_norm(lhs - rhs) / triple.state_norm(x)
 
 
 # ---------------------------------------------------------------------------
@@ -276,52 +185,9 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 # ---------------------------------------------------------------------------
 
 def _euclidean_frames(triple, grid: TimeGrid):
-    """(F, B, C, T) of the discrete maps as plain euclidean matrices.
-
-    Matrix world: :func:`~sgperturb.admissibility.controllability_matrix`,
-    :func:`~sgperturb.admissibility.observability_matrix` and
-    ``e^{t0 A}``.  Transport world (stride ``q = h N`` nodes per step,
-    shift ``mu``), by index arithmetic on the nodes ``i = 0 .. N-1``:
-
-    * B: node i holds sample ``k = (i + q steps - N) // q`` when that is
-      ``>= 0``, with factor ``e^{-mu (t0 - t_k)}``;
-    * C: row k reads node i through the Phi coefficient ``c[i - k q]`` when
-      ``i >= k q``, with factor ``e^{-mu t_k}``;
-    * T: the open shift by ``q steps`` nodes, ``e^{-mu t0}`` on the
-      diagonal ``k = q steps``.
-
-    Then reweighted so that euclidean 2-norms coincide with the discrete
-    signal/state norms (signal frame: sqrt(h); transport state frame:
-    sqrt(1/N) on nodes 0..N-1, node N dropped — it carries no norm).
-    """
-    sqrt_h = np.sqrt(grid.h)
-    F = io_matrix(triple, grid)
-
-    if isinstance(triple, MatrixTriple):
-        Bc = controllability_matrix(triple, grid)
-        Cc = observability_matrix(triple, grid)
-        T = numkit.expm(triple.A, grid.t0)
-        return F, Bc / sqrt_h, sqrt_h * Cc, T
-
-    N = triple.N
-    steps = grid.steps
-    q = round(grid.h * N)
-    mu = triple.mu_shift
-    sqrt_N = np.sqrt(float(N))
-    nodes = np.arange(N)
-    k = np.arange(steps)
-    tk = k * grid.h
-    sample = (nodes + q * steps - N) // q
-    Bc = (sample[:, None] == k).astype(np.complex128)
-    lag = nodes - q * k[:, None]
-    coef = phi_coefficients(triple.mu, N)
-    Cc = np.where(lag >= 0, coef[np.maximum(lag, 0)], 0.0)
-    T = np.eye(N, k=q * steps, dtype=np.complex128)
-    if mu:
-        Bc *= np.exp(-mu * (grid.t0 - tk))
-        Cc *= np.exp(-mu * tk)[:, None]
-        T = T * np.exp(-mu * grid.t0)
-    return F, (Bc / sqrt_N) / sqrt_h, sqrt_h * Cc * sqrt_N, T
+    """(F, B, C, T) of the discrete maps as plain euclidean matrices whose
+    2-norms are the discrete signal/state norms."""
+    return (io_matrix(triple, grid),) + triple.euclidean_frames(grid)
 
 
 def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
@@ -362,15 +228,6 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
 # ---------------------------------------------------------------------------
 # generation certificates
 # ---------------------------------------------------------------------------
-
-def _compatibility(triple):
-    if isinstance(triple, MatrixTriple):
-        return True, "finite-dimensional state space: compatibility automatic"
-    res = greiner_compatibility(1.0, triple.N)
-    ok = res <= 10.0 / triple.N
-    return bool(ok), (f"boundary-lift range identity residual {res:.3e} "
-                      f"at probe lambda = 1 (threshold {10.0 / triple.N:.3e})")
-
 
 def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
                    beta: float, io_norm: float):
@@ -439,7 +296,9 @@ def _residual_lambda_line(triple, abscissa: float, margin: float,
         entries = []
         try:
             for im in imag:
-                entries.append(_one_residual(triple, complex(re0, im), rng))
+                lam = complex(re0, im)
+                entries.append(triple.resolvent_residual(
+                    lam, perturbed_resolvent(triple, lam), rng))
         except (FeedbackSingularError, numkit.SingularMatrixError,
                 numkit.NumericalRangeError):
             offset *= 2.0
@@ -447,38 +306,6 @@ def _residual_lambda_line(triple, abscissa: float, margin: float,
         ok = all(res <= thr for _, res, thr in entries)
         return tuple(entries), ok, transfers
     return tuple(), False, transfers
-
-
-def _one_residual(triple, lam: complex, rng: np.random.Generator):
-    if isinstance(triple, MatrixTriple):
-        Q = perturbed_resolvent(triple, lam)
-        Apert = triple.A + triple.B @ triple.C
-        n = Apert.shape[0]
-        shifted = lam * np.eye(n, dtype=np.complex128) - Apert
-        worst = 0.0
-        for _ in range(3):
-            x = numkit.random_vector(rng, n)
-            res = np.linalg.norm(shifted @ (Q @ x) - x) / np.linalg.norm(x)
-            worst = max(worst, float(res))
-        threshold = 1e-8 * max(1.0, numkit.induced_norm(Q, 2))
-        return lam, worst, threshold
-
-    N = triple.N
-    coef = phi_coefficients(triple.mu, N)
-    Q = perturbed_resolvent(triple, lam)
-    lam_eff = lam + triple.mu_shift
-    worst = 0.0
-    for _ in range(3):
-        f = numkit.random_vector(rng, N + 1)
-        f[-1] = 0.0
-        g = Q(GridFunction(f, p=triple.p)).values
-        interior = lam_eff * g[:N] - N * (g[1:] - g[:N]) - f[:N]
-        boundary = abs(g[N] - coef @ g)
-        res = max(float(np.abs(interior).max()), float(boundary))
-        res /= max(1.0, float(np.abs(f).max()))
-        worst = max(worst, res)
-    threshold = 50.0 * (1.0 + abs(lam)) ** 2 / N
-    return lam, worst, threshold
 
 
 def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
@@ -501,7 +328,7 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
              "no continuum claim is made"]
     conditions: dict = {}
     try:
-        compat_ok, provenance = _compatibility(triple)
+        compat_ok, provenance = triple.compatibility()
         conditions["compatibility"] = {"ok": compat_ok,
                                        "provenance": provenance}
         report, fb = _constants_and_feedback(triple, grid, p, alpha, beta,
@@ -534,12 +361,12 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
                              "the feedback loop is singular at every lambda")
                 return GenerationCertificate(
                     "not_generated", conditions, entries,
-                    float(getattr(triple, "mu_shift", 0.0)), tuple(notes))
+                    float(triple.mu_shift), tuple(notes))
             notes.append("no feedback route: margin below threshold and no "
                          "short horizon with ||F|| < 1 found")
             return GenerationCertificate(
                 "inconclusive", conditions, entries,
-                float(getattr(triple, "mu_shift", 0.0)), tuple(notes))
+                float(triple.mu_shift), tuple(notes))
 
         if not entries:
             notes.append("resolvent sampling failed at every attempted line")
@@ -554,9 +381,9 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
             verdict = "inconclusive"
         return GenerationCertificate(
             verdict, conditions, entries,
-            float(getattr(triple, "mu_shift", 0.0)), tuple(notes))
+            float(triple.mu_shift), tuple(notes))
     except (numkit.NumkitError, ArithmeticError, ValueError) as exc:
         notes.append(f"surrogate failure: {type(exc).__name__}: {exc}")
         return GenerationCertificate(
             "inconclusive", conditions, tuple(),
-            float(getattr(triple, "mu_shift", 0.0)), tuple(notes))
+            float(triple.mu_shift), tuple(notes))

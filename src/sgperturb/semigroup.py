@@ -1,21 +1,16 @@
 """System triples and their semigroups in two closed worlds.
 
 The package never materializes an extrapolation space.  Instead every
-computation runs in one of two concrete instantiations:
+computation runs in one of two concrete instantiations — the matrix world
+(:class:`MatrixTriple`) and the transport world
+(:class:`~sgperturb.transport.TransportTriple`) — and each class holds all of
+its world's facts behind the same methods.  The module functions validate
+what both worlds share and make one method call, so the algorithms built on
+them never test which world they are in.
 
-* **matrix world** — a triple ``(A, B, C)`` of finite complex matrices on
-  ``X = C^n`` with ``U = C^m``; the semigroup is ``e^{tA}`` and all
-  extrapolated objects coincide with the ordinary ones.
-* **transport world** — ``X`` the grid surrogate of ``L^p[0, 1]`` with nodes
-  ``s_k = k/N``; the state operator is the generator of the nilpotent left
-  shift (`(T(t)f)(s) = f(s+t)`` for ``s+t <= 1``, else 0), the control
-  channel is the boundary inflow at ``s = 1`` and the observation is a
-  measure functional on ``[0, 1]``.  Wherever the abstract theory applies an
-  extrapolated semigroup, this world substitutes the explicit shift /
-  boundary closed forms.
-
-Discretization conventions (load-bearing; the admissibility identities are
-exact *because* of them):
+Transport states are :class:`GridFunction` samples.  Discretization
+conventions (load-bearing; the admissibility identities are exact *because*
+of them):
 
 * grid values live on all ``N + 1`` nodes, but the p-norm uses the
   left-endpoint rule over nodes ``0 .. N-1`` with weight ``1/N`` — node ``N``
@@ -25,28 +20,21 @@ exact *because* of them):
   ``N`` (``(shift_j f)[i] = f[i+j]`` iff ``i + j < N``, node ``N`` maps to 0);
 * times and measure atoms must sit on the grid; off-grid inputs are rejected
   rather than interpolated.
-
-A non-negative ``mu_shift`` on a triple represents the rescaled state
-operator ``A - mu``; transport-world closed forms evaluate their analytic
-data at ``lambda + mu`` and the semigroup gains the factor ``e^{-mu t}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import numkit
+from . import numkit, toeplitz
 from .numkit import ShapeError, as_matrix, as_vector
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime duck-typed)
-    from .transport import BorelMeasure
+from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
     "MatrixTriple",
-    "TransportTriple",
     "GridFunction",
     "SpectralAbscissa",
     "shift_open",
@@ -66,9 +54,22 @@ NILPOTENT_SENTINEL = -1e300
 _EXP_RANGE = 500.0
 
 
+class FeedbackSingularError(ArithmeticError):
+    """``I - C R(lam) B`` is singular (within margin) at the requested lambda."""
+
+
+class SpectralAbscissa(NamedTuple):
+    value: float
+    nilpotent: bool
+
+
 @dataclass(frozen=True)
 class MatrixTriple:
-    """Finite-dimensional system ``(A, B, C)`` on ``X = C^n``, ``U = C^m``."""
+    """Finite-dimensional system ``(A, B, C)`` on ``X = C^n``, ``U = C^m``.
+
+    The semigroup is ``e^{tA}`` and every extrapolated object coincides with
+    the ordinary one; signals on a time grid use left-endpoint quadrature.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -104,50 +105,143 @@ class MatrixTriple:
     def control_dim(self) -> int:
         return self.B.shape[1]
 
-
-@dataclass(frozen=True)
-class TransportTriple:
-    """Grid transport system on ``[0, 1]`` with boundary inflow and a
-    measure-functional observation.
-
-    Parameters
-    ----------
-    N : grid size (``N >= 4``); nodes ``s_k = k / N``.
-    p : norm exponent in ``[1, inf)`` for the state space.
-    mu : the observation functional, a measure on ``[0, 1]`` whose atoms
-        must sit on grid nodes (validated here).
-    mu_shift : non-negative spectral shift of the state operator.
-    """
-
-    N: int
-    p: float
-    mu: "BorelMeasure"
-    mu_shift: float = 0.0
-
-    def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"need N >= 4, got {self.N}")
-        if not (1.0 <= self.p < np.inf):
-            raise ValueError(f"need p in [1, inf), got {self.p}")
-        if self.mu_shift < 0:
-            raise ValueError("mu_shift must be >= 0")
-        for loc, _ in self.mu.atoms:
-            node = loc * self.N
-            if abs(node - round(node)) > 1e-12:
-                raise ValueError(
-                    f"measure atom at {loc} is off the N = {self.N} grid")
-        if len(self.mu.density) not in (0, self.N):
-            raise ValueError(
-                f"density needs one value per grid cell ({self.N}), "
-                f"got {len(self.mu.density)}")
+    @property
+    def p(self) -> float:
+        """Norm exponent of states and observed signals: euclidean."""
+        return 2.0
 
     @property
-    def world(self) -> str:
-        return "transport"
+    def mu_shift(self) -> float:
+        """Always 0: :meth:`rescale` folds a shift into ``A``."""
+        return 0.0
 
-    @property
-    def control_dim(self) -> int:
-        return 1
+    def step(self, t: float, x):
+        return numkit.expm(self.A, t) @ as_vector(x)
+
+    def _shifted(self, lam: complex) -> np.ndarray:
+        """``lam I - A``, refused within 1e-8 of the spectrum of ``A``."""
+        dist = numkit.spectral_radius_distance(self.A, lam)
+        if dist < 1e-8:
+            raise numkit.SingularMatrixError(
+                f"lambda = {lam} is within {dist:.2e} of the spectrum of A")
+        return lam * np.eye(self.state_dim, dtype=np.complex128) - self.A
+
+    def resolvent(self, lam: complex):
+        shifted = self._shifted(lam)
+        return lambda x: numkit.solve(shifted, as_vector(x))
+
+    def rescale(self, mu_shift: float) -> "MatrixTriple":
+        return MatrixTriple(
+            self.A - mu_shift * np.eye(self.state_dim, dtype=np.complex128),
+            self.B, self.C)
+
+    def spectral_abscissa(self) -> SpectralAbscissa:
+        lam = numkit.eigenvalues(self.A)
+        return SpectralAbscissa(float(np.max(lam.real)), False)
+
+    def closed_loop(self) -> np.ndarray:
+        return self.A + self.B @ self.C
+
+    def transfer(self, lam: complex) -> np.ndarray:
+        return self.C @ numkit.solve(self._shifted(lam), self.B)
+
+    def perturbed_resolvent(self, lam: complex) -> np.ndarray:
+        B, C = self.B, self.C
+        RA = numkit.solve(self._shifted(lam),
+                          np.eye(self.state_dim, dtype=np.complex128))
+        W = np.eye(self.control_dim, dtype=np.complex128) - C @ RA @ B
+        smallest = numkit._smallest_singular_value(W)
+        if smallest < FEEDBACK_MARGIN:
+            raise FeedbackSingularError(
+                f"feedback singular at lambda = {lam} "
+                f"(smallest singular value {smallest:.3e})")
+        return RA + RA @ B @ numkit.solve(W, C @ RA)
+
+    def _walk(self, grid) -> np.ndarray:
+        """``E^k B`` for k = 1 .. steps, ``E = e^{hA}``: shape
+        ``(steps, n, m)``; the one walk behind the control matrix and the
+        lag blocks of F."""
+        E = numkit.expm(self.A, grid.h)
+        walk = np.empty((grid.steps,) + self.B.shape, dtype=np.complex128)
+        P = self.B
+        for k in range(grid.steps):
+            P = E @ P
+            walk[k] = P
+        return walk
+
+    def controllability_matrix(self, grid) -> np.ndarray:
+        walk = grid.h * self._walk(grid)[::-1]
+        return walk.transpose(1, 0, 2).reshape(self.state_dim, -1)
+
+    def observability_matrix(self, grid) -> np.ndarray:
+        E = numkit.expm(self.A, grid.h)
+        rows = np.empty((grid.steps,) + self.C.shape, dtype=np.complex128)
+        P = self.C
+        for k in range(grid.steps):
+            rows[k] = P
+            P = P @ E
+        return rows.reshape(-1, self.state_dim)
+
+    def io_matrix(self, grid) -> np.ndarray:
+        m = self.control_dim
+        blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
+        blocks[1:] = grid.h * (self.C @ self._walk(grid)[:-1])
+        return toeplitz.materialize(toeplitz.BlockToeplitz(tuple(blocks)))
+
+    def control(self, grid):
+        W = self.controllability_matrix(grid)
+        return lambda samples: W @ samples.reshape(-1)
+
+    def observe(self, grid, require_domain: bool = True):
+        O = self.observability_matrix(grid)
+
+        def observe(x) -> np.ndarray:
+            x = as_vector(x)
+            if x.shape[0] != self.state_dim:
+                raise ShapeError("state dimension mismatch")
+            return (O @ x).reshape(grid.steps, -1)
+        return observe
+
+    def state_norm(self, x) -> float:
+        return float(np.linalg.norm(as_vector(x)))
+
+    def random_domain_state(self, rng: np.random.Generator) -> np.ndarray:
+        x = numkit.random_vector(rng, self.state_dim)
+        return x / np.linalg.norm(x)
+
+    def grid_steps(self, t: float, base_steps: int) -> int:
+        return base_steps
+
+    def euclidean_frames(self, grid):
+        """(B, C, T): the stacked maps weighted by ``sqrt(h)`` so that
+        euclidean norms are the signal norms, and ``T = e^{t0 A}``."""
+        sqrt_h = np.sqrt(grid.h)
+        return (self.controllability_matrix(grid) / sqrt_h,
+                sqrt_h * self.observability_matrix(grid),
+                numkit.expm(self.A, grid.t0))
+
+    def vop_outputs(self, grid, x) -> np.ndarray:
+        """Outputs of the independent reference, the exponential of the
+        closed-loop matrix: the samples ``C e^{t_k (A + BC)} x``."""
+        closed = MatrixTriple(self.closed_loop(), self.B, self.C)
+        return closed.observe(grid)(x)
+
+    def compatibility(self):
+        return True, "finite-dimensional state space: compatibility automatic"
+
+    def resolvent_residual(self, lam: complex, Q: np.ndarray,
+                           rng: np.random.Generator):
+        """Worst ``||(lam - A - BC) Q x - x|| / ||x||`` over three random
+        ``x``, against ``1e-8 max(1, ||Q||_2)``."""
+        n = self.state_dim
+        shifted = lam * np.eye(n, dtype=np.complex128) - self.closed_loop()
+        worst = 0.0
+        for _ in range(3):
+            x = numkit.random_vector(rng, n)
+            res = np.linalg.norm(shifted @ (Q @ x) - x) / np.linalg.norm(x)
+            worst = max(worst, float(res))
+        threshold = 1e-8 * max(1.0, numkit.induced_norm(Q, 2))
+        return lam, worst, threshold
 
 
 @dataclass(frozen=True)
@@ -156,6 +250,8 @@ class GridFunction:
 
     The p-norm is the left-endpoint quadrature over nodes ``0 .. N-1`` with
     weight ``1/N``; node ``N`` carries no weight (see module docstring).
+    Sums, differences, scalar multiples and the pointwise modulus act on the
+    samples, as they do on the vector states of the matrix world.
     """
 
     values: np.ndarray
@@ -177,10 +273,17 @@ class GridFunction:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+    def __add__(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.values + other.values, p=self.p)
 
-class SpectralAbscissa(NamedTuple):
-    value: float
-    nilpotent: bool
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.values - other.values, p=self.p)
+
+    def __rmul__(self, scale: float) -> "GridFunction":
+        return GridFunction(scale * self.values, p=self.p)
+
+    def __abs__(self) -> np.ndarray:
+        return np.abs(self.values)
 
 
 def shift_open(values: np.ndarray, j: int) -> np.ndarray:
@@ -201,15 +304,6 @@ def shift_open(values: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def _on_grid_steps(t: float, N: int) -> int:
-    steps = t * N
-    j = int(round(steps))
-    if abs(steps - j) > 1e-9 or t < 0:
-        raise ValueError(
-            f"time {t} is not a non-negative multiple of 1/{N} (exact-shift grid)")
-    return j
-
-
 def apply_semigroup(triple, t: float, x):
     """Unperturbed semigroup action ``T(t) x``.
 
@@ -218,18 +312,10 @@ def apply_semigroup(triple, t: float, x):
     """
     if t < 0:
         raise ValueError("semigroup is defined for t >= 0 only")
-    if isinstance(triple, MatrixTriple):
-        x = as_vector(x)
-        return numkit.expm(triple.A, t) @ x
-    gf = as_grid_function(triple, x)
-    j = _on_grid_steps(t, triple.N)
-    out = shift_open(gf.values, j)
-    if triple.mu_shift:
-        out = out * np.exp(-triple.mu_shift * t)
-    return GridFunction(out, p=triple.p)
+    return triple.step(t, x)
 
 
-def as_grid_function(triple: TransportTriple, x) -> GridFunction:
+def as_grid_function(triple, x) -> GridFunction:
     if isinstance(x, GridFunction):
         if x.N != triple.N:
             raise ShapeError(f"grid function has N = {x.N}, triple N = {triple.N}")
@@ -273,28 +359,7 @@ def resolvent(triple, lam: complex):
     spectrum-distance guard of 1e-8; transport world: the explicit Volterra
     integral above, evaluated at ``lam + mu_shift``.
     """
-    if isinstance(triple, MatrixTriple):
-        A = triple.A
-        dist = numkit.spectral_radius_distance(A, lam)
-        if dist < 1e-8:
-            raise numkit.SingularMatrixError(
-                f"lambda = {lam} is within {dist:.2e} of the spectrum")
-        n = A.shape[0]
-        shifted = lam * np.eye(n, dtype=np.complex128) - A
-
-        def _apply_matrix(x):
-            return numkit.solve(shifted, as_vector(x))
-
-        return _apply_matrix
-
-    lam_eff = lam + triple.mu_shift
-
-    def _apply_transport(x):
-        gf = as_grid_function(triple, x)
-        return GridFunction(volterra_resolvent_values(lam_eff, gf.values),
-                            p=triple.p)
-
-    return _apply_transport
+    return triple.resolvent(lam)
 
 
 def rescale(triple, mu_shift: float):
@@ -303,12 +368,7 @@ def rescale(triple, mu_shift: float):
         raise ValueError("mu_shift must be >= 0")
     if mu_shift == 0:
         return triple
-    if isinstance(triple, MatrixTriple):
-        n = triple.state_dim
-        return MatrixTriple(
-            triple.A - mu_shift * np.eye(n, dtype=np.complex128),
-            triple.B, triple.C)
-    return replace(triple, mu_shift=triple.mu_shift + mu_shift)
+    return triple.rescale(mu_shift)
 
 
 def spectral_abscissa(triple) -> SpectralAbscissa:
@@ -319,7 +379,4 @@ def spectral_abscissa(triple) -> SpectralAbscissa:
     ``NILPOTENT_SENTINEL`` with ``nilpotent=True`` rather than a number that
     pretends to be data.
     """
-    if isinstance(triple, MatrixTriple):
-        lam = numkit.eigenvalues(triple.A)
-        return SpectralAbscissa(float(np.max(lam.real)), False)
-    return SpectralAbscissa(NILPOTENT_SENTINEL, True)
+    return triple.spectral_abscissa()

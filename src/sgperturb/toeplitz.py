@@ -41,7 +41,9 @@ __all__ = [
     "feedback_inverse_norm_bound",
 ]
 
-_FEEDBACK_MARGIN = 1e-8
+#: distance below which 1 counts as belonging to the spectrum of a feedback
+#: operator (``I - F`` singular, a transfer value at 1, unit boundary mass)
+FEEDBACK_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,9 @@ def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
             f"need B: {d}x{q} and C: {q}x{d}, got {B.shape}, {C.shape}")
     eye_q = np.eye(q, dtype=np.complex128)
     smallest = numkit._smallest_singular_value(eye_q - F)
-    if smallest < _FEEDBACK_MARGIN:
+    if smallest < FEEDBACK_MARGIN:
         raise SingularMatrixError(
-            f"I - F is singular to margin {_FEEDBACK_MARGIN:g} "
+            f"I - F is singular to margin {FEEDBACK_MARGIN:g} "
             f"(smallest singular value {smallest:.3e})")
     G = numkit.solve(eye_q - F, eye_q)
     return F, B, C, T, G

@@ -6,6 +6,8 @@ boundary condition ``x(1, t) = Phi x(., t)`` where ``Phi`` is integration
 against a complex measure ``mu`` (atoms on grid nodes plus a
 piecewise-constant density).  The module provides
 
+* the system triple :class:`TransportTriple`, this world's side of every
+  generic algorithm,
 * the functional itself (:func:`apply_phi`, :func:`phi_coefficients`),
 * boundary Dirichlet lifts ``D_lam`` (:func:`dirichlet_operator`),
 * the tail-variation test ``|mu|[1-delta, 1] < 1`` (:func:`little_mass`),
@@ -24,16 +26,20 @@ left-endpoint norms, atoms snapped to nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
-from .semigroup import GridFunction, volterra_resolvent_values
+from .semigroup import (NILPOTENT_SENTINEL, FeedbackSingularError,
+                        GridFunction, SpectralAbscissa, as_grid_function,
+                        shift_open, volterra_resolvent_values)
+from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
+    "TransportTriple",
     "BorelMeasure",
     "LittleMassReport",
     "Trajectory",
@@ -48,7 +54,6 @@ __all__ = [
     "greiner_compatibility",
 ]
 
-_DEGENERATE_MARGIN = 1e-8
 _RE_LIMIT = 500.0          # |Re lambda| beyond which e^{lam (r - 1)} is refused
 _CELL_BLOCK = 1 << 16      # entries of one start-by-cell exponential block
 
@@ -107,6 +112,21 @@ class BorelMeasure:
             if loc >= 1.0 - 1e-15:
                 return w
         return 0.0 + 0.0j
+
+
+def _grid_nodes(t: float, N: int, least: int = 0) -> int:
+    """``t N`` as a whole number of nodes, at least ``least``.
+
+    The one on-grid check of the transport world: a time, horizon or time
+    step must be a multiple of the space step ``1/N`` (to 1e-9 nodes);
+    :class:`ValueError` otherwise.
+    """
+    nodes = t * N
+    j = int(round(nodes))
+    if t < 0 or j < least or abs(nodes - j) > 1e-9:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{t} is not a {kind} multiple of 1/{N}")
+    return j
 
 
 class LittleMassReport(NamedTuple):
@@ -191,7 +211,7 @@ def _boundary_coefficients(mu: BorelMeasure, N: int):
     """Phi coefficients plus the solvability factor ``1 / (1 - c_N)``."""
     c = phi_coefficients(mu, N)
     denom = 1.0 - c[N]
-    if abs(denom) < _DEGENERATE_MARGIN:
+    if abs(denom) < FEEDBACK_MARGIN:
         raise ArithmeticError(
             "boundary functional has unit mass at s = 1 "
             f"(1 - c_N = {denom:.2e}); the closed-loop operator is not a "
@@ -227,10 +247,7 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     """
     if x0.N != N:
         raise numkit.ShapeError(f"x0 lives on N = {x0.N}, expected {N}")
-    steps = horizon * N
-    levels = int(round(steps))
-    if abs(steps - levels) > 1e-9 or horizon < 0:
-        raise ValueError(f"horizon {horizon} is not a multiple of 1/{N}")
+    levels = _grid_nodes(horizon, N)
     c, denom = _boundary_coefficients(mu, N)
     z = np.zeros(N + 1 + levels, dtype=np.complex128)
     z[:N + 1] = x0.values
@@ -403,3 +420,259 @@ def greiner_compatibility(lam: complex, N: int, alpha: complex = 1.0) -> float:
     lhs = d0.values - lam * volterra_resolvent_values(lam, d0.values)
     rhs = dirichlet_operator(lam, alpha, N).values
     return float(np.abs(lhs - rhs).max())
+
+
+@dataclass(frozen=True)
+class TransportTriple:
+    """Grid transport system on ``[0, 1]`` with boundary inflow and a
+    measure-functional observation.
+
+    States are :class:`~sgperturb.semigroup.GridFunction` samples; the
+    state operator generates the nilpotent open left shift
+    (``(T(t) f)(s) = f(s+t)`` for ``s+t <= 1``, else 0), the control
+    channel is the boundary inflow at ``s = 1`` and the observation is
+    ``Phi``.  Wherever the abstract theory applies an extrapolated
+    semigroup, the methods substitute these closed forms.  A time grid
+    advances ``q = h N`` nodes per step, a positive whole number.  A
+    non-negative ``mu_shift`` represents the rescaled state operator
+    ``A - mu``: analytic data are evaluated at ``lambda + mu`` and the
+    semigroup and the maps gain the factors ``e^{-mu t}``.
+
+    Parameters
+    ----------
+    N : grid size (``N >= 4``); nodes ``s_k = k / N``.
+    p : norm exponent in ``[1, inf)`` for the state space.
+    mu : the observation functional, a measure on ``[0, 1]`` whose atoms
+        must sit on grid nodes (validated here).
+    mu_shift : non-negative spectral shift of the state operator.
+    """
+
+    N: int
+    p: float
+    mu: BorelMeasure
+    mu_shift: float = 0.0
+
+    def __post_init__(self):
+        if self.N < 4:
+            raise ValueError(f"need N >= 4, got {self.N}")
+        if not (1.0 <= self.p < np.inf):
+            raise ValueError(f"need p in [1, inf), got {self.p}")
+        if self.mu_shift < 0:
+            raise ValueError("mu_shift must be >= 0")
+        phi_coefficients(self.mu, self.N)  # atoms on nodes, N density cells
+
+    @property
+    def world(self) -> str:
+        return "transport"
+
+    @property
+    def control_dim(self) -> int:
+        return 1
+
+    def step(self, t: float, x) -> GridFunction:
+        gf = as_grid_function(self, x)
+        out = shift_open(gf.values, _grid_nodes(t, self.N))
+        if self.mu_shift:
+            out = out * np.exp(-self.mu_shift * t)
+        return GridFunction(out, p=self.p)
+
+    def resolvent(self, lam: complex):
+        lam_eff = lam + self.mu_shift
+
+        def _apply(x):
+            gf = as_grid_function(self, x)
+            return GridFunction(volterra_resolvent_values(lam_eff, gf.values),
+                                p=self.p)
+        return _apply
+
+    def rescale(self, mu_shift: float) -> "TransportTriple":
+        return replace(self, mu_shift=self.mu_shift + mu_shift)
+
+    def spectral_abscissa(self) -> SpectralAbscissa:
+        return SpectralAbscissa(NILPOTENT_SENTINEL, True)
+
+    def closed_loop(self) -> np.ndarray:
+        """The boundary-folded upwind matrix, minus ``mu_shift``;
+        :class:`ArithmeticError` for unit mass at ``s = 1``."""
+        mat = upwind_generator(self.mu, self.N)
+        if self.mu_shift:
+            mat = mat - self.mu_shift * np.eye(self.N, dtype=np.complex128)
+        return mat
+
+    def transfer(self, lam: complex) -> np.ndarray:
+        H = transfer_scalar(self.mu, lam + self.mu_shift)
+        return np.array([[H]], dtype=np.complex128)
+
+    def perturbed_resolvent(self, lam: complex):
+        lam_eff = lam + self.mu_shift
+        H = transfer_scalar(self.mu, lam_eff)
+        if abs(1.0 - H) < FEEDBACK_MARGIN:
+            raise FeedbackSingularError(
+                f"feedback singular at lambda = {lam} (transfer {H:.6g})")
+        lift = dirichlet_operator(lam_eff, 1.0, self.N, p=self.p).values
+        gain = 1.0 / (1.0 - H)
+
+        def _apply(f):
+            gf = as_grid_function(self, f)
+            Rf = volterra_resolvent_values(lam_eff, gf.values)
+            boundary = gain * apply_phi(self.mu, Rf)
+            return GridFunction(Rf + boundary * lift, p=self.p)
+        return _apply
+
+    def controllability_matrix(self, grid) -> np.ndarray:
+        """``N x steps``: node i holds sample ``k = (i + q steps - N) // q``
+        when that is ``>= 0``, with factor ``e^{-mu (t0 - t_k)}``."""
+        q = _grid_nodes(grid.h, self.N, least=1)
+        k = np.arange(grid.steps)
+        sample = (np.arange(self.N) + q * grid.steps - self.N) // q
+        Bc = (sample[:, None] == k).astype(np.complex128)
+        if self.mu_shift:
+            Bc *= np.exp(-self.mu_shift * (grid.t0 - k * grid.h))
+        return Bc
+
+    def observability_matrix(self, grid) -> np.ndarray:
+        """``steps x N``: row k reads node i through ``c[i - k q]`` when
+        ``i >= k q``, with factor ``e^{-mu t_k}``."""
+        q = _grid_nodes(grid.h, self.N, least=1)
+        k = np.arange(grid.steps)
+        lag = np.arange(self.N) - q * k[:, None]
+        coef = phi_coefficients(self.mu, self.N)
+        Cc = np.where(lag >= 0, coef[np.maximum(lag, 0)], 0.0)
+        if self.mu_shift:
+            Cc *= np.exp(-self.mu_shift * (k * grid.h))[:, None]
+        return Cc
+
+    def io_matrix(self, grid) -> np.ndarray:
+        """Lower triangular Toeplitz: an atom at node ``a`` adds its weight
+        at lag ``ceil((N - a) / q)``, density cell ``c`` adds ``d_c / N`` at
+        lag ``ceil((N - c) / q)``; each lag sums atoms, then cells, in
+        order."""
+        q = _grid_nodes(grid.h, self.N, least=1)
+        N, steps = self.N, grid.steps
+        col = np.zeros(steps, dtype=np.complex128)
+        for loc, w in self.mu.atoms:
+            lag = -((int(round(loc * N)) - N) // q)
+            if lag < steps:
+                col[lag] += w
+        if self.mu.density:
+            cell_lag = -((np.arange(N) - N) // q)
+            keep = cell_lag < steps
+            cells = np.array([d / N for d in self.mu.density])
+            np.add.at(col, cell_lag[keep], cells[keep])
+        F = np.zeros((steps, steps), dtype=np.complex128)
+        for lag in np.flatnonzero(col):
+            np.fill_diagonal(F[lag:], col[lag])
+        mu = self.mu_shift
+        if mu:
+            tk = grid.times
+            F = np.exp(-mu * tk)[:, None] * F * np.exp(mu * tk)[None, :]
+        return F
+
+    def control(self, grid):
+        q = _grid_nodes(grid.h, self.N, least=1)
+        N = self.N
+        j0 = q * grid.steps
+        first = max(0, N - j0)
+        # node i reads sample (i + j0 - N) // q while that index is >= 0
+        k = (np.arange(first, N) + j0 - N) // q
+
+        def control(samples) -> GridFunction:
+            out = np.zeros(N + 1, dtype=np.complex128)
+            out[first:N] = samples[k, 0]
+            if self.mu_shift:
+                out[first:N] *= np.exp(-self.mu_shift * (grid.t0 - k * grid.h))
+            return GridFunction(out, p=self.p)
+        return control
+
+    def observe(self, grid, require_domain: bool = True):
+        """With ``require_domain`` the state must have ``x(1) = 0``."""
+        q = _grid_nodes(grid.h, self.N, least=1)
+        N = self.N
+        coef = phi_coefficients(self.mu, N)
+
+        def observe(x) -> np.ndarray:
+            gf = as_grid_function(self, x)
+            scale = max(1.0, float(np.abs(gf.values).max()))
+            if require_domain and abs(gf.values[-1]) > 1e-9 * scale:
+                raise ValueError(
+                    f"state rejected (outside D(A)): boundary sample x(1) = "
+                    f"{gf.values[-1]:.3e} must vanish")
+            # shift_open(x, k q) is the window at k q of x[:N] padded with 0
+            padded = np.zeros(N + 1 + (grid.steps - 1) * q,
+                              dtype=np.complex128)
+            padded[:N] = gf.values[:N]
+            out = sliding_window_view(padded, N + 1)[::q] @ coef
+            if self.mu_shift:
+                out *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
+            return out[:, None]
+        return observe
+
+    def state_norm(self, x) -> float:
+        return as_grid_function(self, x).norm()
+
+    def random_domain_state(self, rng: np.random.Generator) -> GridFunction:
+        v = numkit.random_vector(rng, self.N + 1)
+        v[-1] = 0.0
+        return GridFunction(v / self.state_norm(v), p=self.p)
+
+    def grid_steps(self, t: float, base_steps: int) -> int:
+        return _grid_nodes(t, self.N, least=1)
+
+    def euclidean_frames(self, grid):
+        """(B, C, T) reweighted so that euclidean 2-norms are the signal and
+        state norms (signal frame ``sqrt(h)``; state frame ``sqrt(1/N)`` on
+        nodes ``0 .. N-1``, node N dropped — it carries no norm).  T is the
+        open shift by ``q steps`` nodes, ``e^{-mu t0}`` on its diagonal."""
+        sqrt_h = np.sqrt(grid.h)
+        sqrt_N = np.sqrt(float(self.N))
+        q = _grid_nodes(grid.h, self.N, least=1)
+        T = np.eye(self.N, k=q * grid.steps, dtype=np.complex128)
+        if self.mu_shift:
+            T = T * np.exp(-self.mu_shift * grid.t0)
+        return ((self.controllability_matrix(grid) / sqrt_N) / sqrt_h,
+                sqrt_h * self.observability_matrix(grid) * sqrt_N, T)
+
+    def vop_outputs(self, grid, x) -> np.ndarray:
+        """Outputs of the independent reference, the method-of-steps PDE
+        solution: ``Phi`` of its states at the grid times.  ``x`` must
+        satisfy the closed-loop boundary constraint ``x(1) = Phi x``."""
+        gf = as_grid_function(self, x)
+        coef = phi_coefficients(self.mu, self.N)
+        scale = max(1.0, float(np.abs(gf.values).max()))
+        if abs(gf.values[-1] - coef @ gf.values) > 1e-9 * scale:
+            raise ValueError(
+                "state is outside the discrete closed-loop domain: "
+                "x(1) != Phi x")
+        q = _grid_nodes(grid.h, self.N, least=1)
+        traj = solve_pde(self.mu, gf, grid.t0, self.N)
+        samples = traj.states[::q][:grid.steps] @ coef
+        if self.mu_shift:
+            samples *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
+        return samples[:, None]
+
+    def compatibility(self):
+        res = greiner_compatibility(1.0, self.N)
+        ok = res <= 10.0 / self.N
+        return bool(ok), (f"boundary-lift range identity residual {res:.3e} "
+                          f"at probe lambda = 1 (threshold "
+                          f"{10.0 / self.N:.3e})")
+
+    def resolvent_residual(self, lam: complex, Q, rng: np.random.Generator):
+        """Worst forward-difference residual of ``(lam + mu - d/ds) g = f``
+        and of ``g(1) = Phi g`` for ``g = Q f`` over three random ``f`` with
+        ``f(1) = 0``, against ``50 (1 + |lam|)^2 / N``."""
+        N = self.N
+        coef = phi_coefficients(self.mu, N)
+        lam_eff = lam + self.mu_shift
+        worst = 0.0
+        for _ in range(3):
+            f = numkit.random_vector(rng, N + 1)
+            f[-1] = 0.0
+            g = Q(GridFunction(f, p=self.p)).values
+            interior = lam_eff * g[:N] - N * (g[1:] - g[:N]) - f[:N]
+            boundary = abs(g[N] - coef @ g)
+            res = max(float(np.abs(interior).max()), float(boundary))
+            res /= max(1.0, float(np.abs(f).max()))
+            worst = max(worst, res)
+        threshold = 50.0 * (1.0 + abs(lam)) ** 2 / N
+        return lam, worst, threshold

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from sgperturb import numkit
-from sgperturb.semigroup import GridFunction, MatrixTriple, TransportTriple
-from sgperturb.transport import BorelMeasure, phi_coefficients
+from sgperturb.semigroup import GridFunction, MatrixTriple
+from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
 
 
 def taylor_expm(A, t=1.0, terms=60):

@@ -30,7 +30,7 @@ from sgperturb.perturbation import (
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
-from sgperturb.semigroup import GridFunction, MatrixTriple, TransportTriple
+from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.toeplitz import (
     BlockToeplitz,
     feedback_inverse_norm_bound,
@@ -40,6 +40,7 @@ from sgperturb.toeplitz import (
 )
 from sgperturb.transport import (
     BorelMeasure,
+    TransportTriple,
     characteristic_roots,
     phi_coefficients,
     solve_pde,

@@ -219,6 +219,63 @@ def test_io_matrix_equals_loop_assembly(steps):
     assert np.array_equal(F, loop_io_matrix(triple, grid))
 
 
+def loop_transport_io_matrix(triple, grid):
+    """Per-atom and per-cell loops over the time steps, each read added
+    where it lands (oracle of the transport-world io_matrix)."""
+    N, steps = triple.N, grid.steps
+    q = int(round(grid.h * N))
+    j0 = q * steps
+    F = np.zeros((steps, steps), dtype=np.complex128)
+    for loc, w in triple.mu.atoms:
+        a = int(round(loc * N))
+        for j in range(steps):
+            idx = a + j * q - N
+            if 0 <= idx < j0:
+                F[j, idx // q] += w
+    for cell, d in enumerate(triple.mu.density):
+        for j in range(steps):
+            t2 = 2 * cell + 1 + 2 * (j * q - N)
+            if 0 <= t2 < 2 * j0:
+                F[j, t2 // (2 * q)] += d / N
+    mu = triple.mu_shift
+    if mu:
+        tk = grid.times
+        F = np.exp(-mu * tk)[:, None] * F * np.exp(mu * tk)[None, :]
+    return F
+
+
+_RAGGED = tuple(np.sin(np.arange(96)) + 0.3j * np.cos(3.0 * np.arange(96)))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (transport_triple(N=32, density=(0.2 + 0.1j,) * 32, mu_shift=0.9),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=32, atoms=((1.0, 0.25j),),
+                      density=(0.1 - 0.05j,) * 32, mu_shift=2.0),
+     TimeGrid(0.5, 8)),
+    (transport_triple(N=32, atoms=((0.25, 0.4), (1.0, 0.2))),
+     TimeGrid(1.0, 16)),
+    (transport_triple(N=64, atoms=((0.0, 0.25), (1.0, 0.6 + 0.3j)),
+                      density=(0.1 + 0.05j,) * 64, mu_shift=1.5),
+     TimeGrid(0.5, 16)),
+    (transport_triple(N=96, atoms=((0.5, 0.3), (49 / 96, -0.7j),
+                                   (1.0, 0.1)),
+                      density=_RAGGED, mu_shift=0.4),
+     TimeGrid(0.75, 24)),
+    (transport_triple(N=96, atoms=((0.0, 1.5), (1 / 96, 0.5)),
+                      density=_RAGGED), TimeGrid(2.0, 48)),
+], ids=["complex-density-shift", "density-atom-at-1-shift-short",
+        "atom-at-1-stride-2", "atoms-density-shift-stride-2",
+        "ragged-density-stride-3", "horizon-past-one"])
+def test_transport_io_matrix_equals_loop_assembly(triple, grid):
+    # the lag-indexed build adds the same reads in the same order: equal
+    # bit for bit, also where several atoms or cells share an entry
+    F = io_matrix(triple, grid)
+    assert F.dtype == np.complex128
+    assert np.count_nonzero(F) >= grid.steps
+    assert np.array_equal(F, loop_transport_io_matrix(triple, grid))
+
+
 def test_controllability_matrix_matches_map():
     # column k*m + i is the map applied to the unit signal e_i at t_k
     triple = stable_triple(25, n=3, m=2)

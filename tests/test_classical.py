@@ -11,8 +11,8 @@ from sgperturb.classical import (
     mv_suite,
     random_bounded_factor,
 )
-from sgperturb.semigroup import MatrixTriple, TransportTriple
-from sgperturb.transport import BorelMeasure
+from sgperturb.semigroup import MatrixTriple
+from sgperturb.transport import BorelMeasure, TransportTriple
 
 
 def control_triple(seed, n=4):

@@ -7,7 +7,10 @@ strips them.  No module imports scipy, not even lazily inside a function:
 the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
 second thread pool and its import time to every run.  Singular values have
 one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
-``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.
+``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  Each
+world's facts live on its triple class: no module tests whether a triple is a
+``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
+aside), and both classes expose the same public methods.
 """
 
 import ast
@@ -162,3 +165,100 @@ def test_singular_value_rule_passes_other_norms():
         "a = np.linalg.norm(x)\nb = np.linalg.norm(A, 1)\n"
         "c = np.linalg.norm(A, ord=np.inf)\nd = numkit.induced_norm(A, 2)\n"
         "e = np.linalg.eigvalsh(G)\n") == []
+
+
+WORLD_CLASSES = {"MatrixTriple", "TransportTriple"}
+#: (module, function) allowed to test world membership: the input guard of
+#: the matrix-only classical suites
+WORLD_GUARDS = {("classical.py", "_require_matrix_world")}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _is_world_test(node) -> bool:
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2):
+        return bool(WORLD_CLASSES & set(_names(node.args[1])))
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 \
+            and isinstance(node.ops[0], (ast.Is, ast.Eq)):
+        sides = (node.left, node.comparators[0])
+        typed = any(isinstance(side, ast.Call)
+                    and getattr(side.func, "id", None) == "type"
+                    for side in sides)
+        return typed and bool(WORLD_CLASSES & set(
+            name for side in sides for name in _names(side)))
+    return False
+
+
+def world_tests(source: str, name: str = "<source>"):
+    module = Path(name).name
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if _is_world_test(child) \
+                    and (module, function) not in WORLD_GUARDS:
+                found.append(f"{name}:{child.lineno}: world test")
+            visit(child, inner)
+    visit(ast.parse(source, name), None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_world_test_outside_the_triples(path):
+    assert world_tests(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "if isinstance(triple, MatrixTriple):\n    pass\n",
+    "ok = not isinstance(t, semigroup.TransportTriple)\n",
+    "ok = isinstance(x, (GridFunction, MatrixTriple))\n",
+    "ok = isinstance(t, MatrixTriple | TransportTriple)\n",
+    "ok = issubclass(type(t), TransportTriple)\n",
+    "ok = type(t) is MatrixTriple\n",
+    "def f(t):\n    return [t for t in ts if isinstance(t, MatrixTriple)]\n",
+    "def _require_matrix_world(t):\n    return isinstance(t, MatrixTriple)\n",
+])
+def test_world_rule_catches_each_form(snippet):
+    assert len(world_tests(snippet, "perturbation.py")) == 1
+
+
+def test_world_rule_passes_the_guard_and_other_types():
+    guard = ("def _require_matrix_world(triple, suite):\n"
+             "    if not isinstance(triple, MatrixTriple):\n"
+             "        raise ValueError(suite)\n")
+    assert world_tests(guard, "classical.py") == []
+    assert world_tests("ok = isinstance(x, GridFunction)\n"
+                       "ok = type(x) is dict\nok = triple.world\n") == []
+
+
+def _public_methods(module: str, cls: str) -> dict:
+    """Public method name -> parameter names, read off the class body."""
+    tree = ast.parse((SRC / module).read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls).body
+    return {node.name: [a.arg for a in node.args.args
+                        + node.args.kwonlyargs]
+            for node in body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and not any(getattr(d, "id", None) == "property"
+                        for d in node.decorator_list)}
+
+
+def test_world_classes_expose_the_same_methods():
+    matrix = _public_methods("semigroup.py", "MatrixTriple")
+    transport = _public_methods("transport.py", "TransportTriple")
+    assert len(matrix) >= 15
+    assert matrix == transport

@@ -7,7 +7,6 @@ from sgperturb import numkit
 from sgperturb.semigroup import (
     GridFunction,
     MatrixTriple,
-    TransportTriple,
     apply_semigroup,
     as_grid_function,
     resolvent,
@@ -16,7 +15,7 @@ from sgperturb.semigroup import (
     spectral_abscissa,
     volterra_resolvent_values,
 )
-from sgperturb.transport import BorelMeasure
+from sgperturb.transport import BorelMeasure, TransportTriple
 
 
 def smooth_gridfun(N, p=2.0):

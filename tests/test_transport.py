@@ -12,10 +12,11 @@ except ImportError:  # numpy < 2
     from numpy import byte_bounds
 from numpy.testing import assert_allclose
 
-from conftest import compatible_state
+from conftest import compatible_state, transport_triple
 import sgperturb
-from sgperturb import numkit, transport
-from sgperturb.semigroup import GridFunction
+from sgperturb import admissibility, numkit, perturbation, transport
+from sgperturb.admissibility import SampledSignal, TimeGrid
+from sgperturb.semigroup import GridFunction, apply_semigroup
 from sgperturb.transport import (
     BorelMeasure,
     apply_phi,
@@ -494,3 +495,62 @@ def test_greiner_complex_lambda_same_contract():
     r1 = greiner_compatibility(lam, 256)
     r2 = greiner_compatibility(lam, 512)
     assert r2 <= 0.65 * r1
+
+
+# ---------------------------------------------------------------------------
+# the one on-grid check
+# ---------------------------------------------------------------------------
+
+OFF_GRID_TRIPLE = transport_triple(N=16, atoms=((0.5, 0.3), (0.875, 0.2)))
+OFF_GRID_DOMAIN = GridFunction(np.r_[np.ones(16), 0.0])   # x(1) = 0
+OFF_GRID_CLOSED = compatible_state(OFF_GRID_TRIPLE.mu, 16)  # x(1) = Phi x
+
+
+def _ones(g):
+    return SampledSignal(g, np.ones(g.steps))
+
+
+# each public entry point that takes a transport time or time step, called
+# with h (or t) off the 1/N grid
+OFF_GRID_CALLS = {
+    "apply_semigroup":
+        lambda g: apply_semigroup(OFF_GRID_TRIPLE, g.h, OFF_GRID_DOMAIN),
+    "solve_pde":
+        lambda g: solve_pde(OFF_GRID_TRIPLE.mu, OFF_GRID_CLOSED, g.h, 16),
+    "controllability_map": lambda g: admissibility.controllability_map(
+        OFF_GRID_TRIPLE, g, _ones(g)),
+    "observability_map": lambda g: admissibility.observability_map(
+        OFF_GRID_TRIPLE, g, OFF_GRID_DOMAIN),
+    "controllability_matrix": lambda g: admissibility.controllability_matrix(
+        OFF_GRID_TRIPLE, g),
+    "observability_matrix": lambda g: admissibility.observability_matrix(
+        OFF_GRID_TRIPLE, g),
+    "io_matrix": lambda g: admissibility.io_matrix(OFF_GRID_TRIPLE, g),
+    "estimate_constants": lambda g: admissibility.estimate_constants(
+        OFF_GRID_TRIPLE, g, 2.0, 1.0, 3.0, trials=2, rng=numkit.make_rng(1)),
+    "rescaled_map_identities": lambda g: admissibility.rescaled_map_identities(
+        OFF_GRID_TRIPLE, g, 1.0),
+    "regularity_check": lambda g: admissibility.regularity_check(
+        OFF_GRID_TRIPLE, [1.0], (1.0, 0.5, g.h), 1.0, 3.0),
+    "weiss_staffans_semigroup":
+        lambda g: perturbation.weiss_staffans_semigroup(
+            OFF_GRID_TRIPLE, g, g.t0, OFF_GRID_CLOSED),
+    "variation_of_parameters_residual":
+        lambda g: perturbation.variation_of_parameters_residual(
+            OFF_GRID_TRIPLE, g, g.t0, OFF_GRID_CLOSED),
+    "long_horizon_growth_check":
+        lambda g: perturbation.long_horizon_growth_check(
+            OFF_GRID_TRIPLE, g, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("grid_args", [(0.5, 6), (0.25, 8)],
+                         ids=["hN=4/3", "hN=1/2"])
+@pytest.mark.parametrize("entry", sorted(OFF_GRID_CALLS))
+def test_off_grid_time_raises_from_every_entry_point(entry, grid_args):
+    # h N = 4/3 is not whole and h N = 1/2 is below one node: every entry
+    # point stops at the one check, with its message
+    with pytest.raises(ValueError,
+                       match=r"is not a (positive|non-negative) multiple "
+                             r"of 1/16$"):
+        OFF_GRID_CALLS[entry](TimeGrid(*grid_args))
