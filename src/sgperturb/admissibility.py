@@ -67,8 +67,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError(f"horizon must be positive, got {self.t0}")
+        if not 0 < self.t0 < np.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.t0}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 

@@ -255,8 +255,8 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
     exponent pair, and stability under a bounded factor on the observation
     side."""
     _require_matrix_world(triple, "the observation-side suite")
-    if not p > 1.0:
-        raise ValueError("the observation-side suite needs p > 1")
+    if not 1.0 < p < np.inf:
+        raise ValueError("the observation-side suite needs 1 < p < inf")
     n = triple.state_dim
     if not np.array_equal(triple.B, np.eye(n, dtype=np.complex128)):
         raise ValueError("the observation-side suite needs B = Id")

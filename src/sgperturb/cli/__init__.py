@@ -234,8 +234,8 @@ def _parse_config(cfg: dict) -> RunSpec:
         if name in _TRANSPORT_ONLY and world != "transport":
             raise ConfigError(
                 f"config.suites: {name} needs the transport world")
-    if "classical_mv" in suites and not p > 1.0:
-        raise ConfigError("config.suites: classical_mv needs p > 1")
+    if "classical_mv" in suites and not 1.0 < p < float("inf"):
+        raise ConfigError("config.suites: classical_mv needs 1 < p < inf")
 
     seed = _integer(cfg["seed"], "config.seed")
     if not (0 <= seed < 2 ** 64):

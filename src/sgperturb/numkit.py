@@ -8,9 +8,10 @@ norms, the singular values and the triangular solve; the first two also
 narrow complex data whose imaginary part is zero.  The module provides
 
 * a scaling-and-squaring Pade matrix exponential (:func:`expm`),
-* linear solves with explicit singularity reporting (:func:`solve`, a
-  recursive partial-pivoting LU, and blocked forward substitution
-  :func:`solve_lower_triangular`),
+* linear solves with explicit singularity reporting (:func:`solve`,
+  LAPACK's LU behind a QR-diagonal singularity test, and blocked forward
+  substitution :func:`solve_lower_triangular`, as numpy has no triangular
+  solve),
 * exact induced operator norms for p in {1, 2, inf} (the 2-norm from a
   symmetric eigensolve of the Gram matrix, in real arithmetic when the data
   is real) and certified (lower, upper) brackets for every other exponent
@@ -157,8 +158,8 @@ def _require_lower_triangular(L: np.ndarray, who: str) -> None:
 # Order-13 diagonal Pade numerator coefficients b_0..b_13 (the denominator
 # uses alternating signs) and the 1-norm threshold theta_13 up to which the
 # approximant meets double-precision accuracy (Higham 2005).  Written out on
-# numpy, like the LU below, because the whole kernel keeps to numpy's one
-# BLAS thread pool (see the module docstring).
+# numpy because the whole kernel keeps to numpy's one BLAS thread pool (see
+# the module docstring).
 
 _PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
@@ -251,35 +252,27 @@ def _require_pivots(pivots: np.ndarray) -> None:
             f"(pivot ratio {0.0 if dmax == 0.0 else diag.min() / dmax:.3e})")
 
 
-# Rows per block of the forward substitution, and the widest panel the LU
-# factors column by column.  Both are fixed: measured on 1024 and 2048
-# complex systems, they keep the column loop short and the products large.
+# Rows per block of the forward substitution: measured on 1024 and 2048
+# complex systems, it keeps the block loop short and the products large.
 _NB = 64
-_LU_LEAF = 8
 
 
-def _forward_substitute(L: np.ndarray, X: np.ndarray,
-                        unit: bool = False) -> np.ndarray:
-    """Overwrite ``X`` with ``L^{-1} X`` and return it.
+def _forward_substitute(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Overwrite ``X`` with ``L^{-1} X`` and return it, reading only the
+    lower triangle of ``L``.
 
-    Reads only the lower triangle of ``L``, and with ``unit`` only the part
-    strictly below the diagonal (the diagonal taken as ones), so the packed
-    factors of :func:`_lu_factor` can be passed as they are.  Blocks of
-    :data:`_NB` rows: the part of a block left of the diagonal takes one
-    product, and the diagonal block is inverted by ``np.linalg.solve`` and
-    applied by one product, so many right-hand sides run at matrix-product
-    speed.
+    Blocks of :data:`_NB` rows: the part of a block left of the diagonal
+    takes one product, and the diagonal block is inverted by
+    ``np.linalg.solve`` and applied by one product, so many right-hand sides
+    run at matrix-product speed.
     """
     n = L.shape[0]
     for i in range(0, n, _NB):
         j = min(i + _NB, n)
         if i:
             X[i:j] -= L[i:j, :i] @ X[:i]
-        D = np.tril(L[i:j, i:j], -1 if unit else 0)
-        if unit:
-            np.fill_diagonal(D, 1.0)
         try:
-            D_inv = np.linalg.solve(D, np.eye(j - i))
+            D_inv = np.linalg.solve(np.tril(L[i:j, i:j]), np.eye(j - i))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"triangular block {i}:{j} is singular: {exc}") from exc
@@ -287,68 +280,27 @@ def _forward_substitute(L: np.ndarray, X: np.ndarray,
     return X
 
 
-def _swap_rows(a: np.ndarray, rows: np.ndarray) -> None:
-    """``a[:] = a[rows]`` in place, moving only the rows that change."""
-    moved = np.flatnonzero(rows != np.arange(rows.size))
-    a[moved] = a[rows[moved]]
-
-
-def _lu_factor(a: np.ndarray) -> np.ndarray:
-    """Partial-pivoting LU of the panel ``a`` (m x w, m >= w), in place.
-
-    Returns ``rows`` with ``a_before[rows] = L U``; ``a`` then holds L
-    strictly below its diagonal (unit diagonal implied) and U on and above.
-    Pivots maximise ``|Re| + |Im|``, as LAPACK's getrf does.  Recursive on
-    the columns (Toledo 1997): factor the left half, swap its pivot rows into
-    the right half, solve for the top of the right half by forward
-    substitution, update the rest by one product, factor it and swap its
-    pivot rows back into the left half.  A panel of at most
-    :data:`_LU_LEAF` columns is factored column by column.
-    """
-    m, w = a.shape
-    if w <= _LU_LEAF:
-        T = a.T.copy()                  # column j of a is row j of T
-        rows = np.arange(m)
-        for j in range(w):
-            col = T[j, j:]
-            p = j + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
-            if p != j:
-                T[:, [j, p]] = T[:, [p, j]]
-                rows[j], rows[p] = rows[p], rows[j]
-            if T[j, j] != 0:            # a zero pivot fails _require_pivots
-                T[j, j + 1:] /= T[j, j]
-                T[j + 1:, j + 1:] -= T[j + 1:, j, None] * T[j, j + 1:]
-        a[...] = T.T
-        return rows
-    h = w // 2
-    rows = _lu_factor(a[:, :h])
-    _swap_rows(a[:, h:], rows)
-    _forward_substitute(a[:h, :h], a[:h, h:], unit=True)
-    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
-    lower = _lu_factor(a[h:, h:])
-    _swap_rows(a[h:, :h], lower)
-    rows[h:] = rows[h:][lower]
-    return rows
-
-
 def solve(A, b) -> np.ndarray:
-    """Solve ``A x = b`` by partial-pivoting LU.
+    """Solve ``A x = b`` by LAPACK's partial-pivoting LU (``gesv``).
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  A pivot
-    within ~n*eps of zero (relative to the largest pivot) is reported as
-    :class:`SingularMatrixError`; shape mismatches raise :class:`ShapeError`.
-    The back substitution ``U x = y`` is the forward substitution of the
-    reversed system ``(J U J)(J x) = J y``, J the order reversal.
+    ``b`` may be a vector or a matrix of stacked right-hand sides; shape
+    mismatches raise :class:`ShapeError`.  Singularity is tested first on
+    the diagonal of R in ``A = QR``: a diagonal entry within ``n eps`` of
+    the largest one (the "pivot ratio") raises :class:`SingularMatrixError`.
+    R is triangular and has the singular values of ``A``, so
+    ``sigma_min <= min |R_kk|`` and ``max |R_kk| <= sigma_max``; the error
+    therefore fires only when ``kappa_2(A) >= 1 / (n eps)``, and never on a
+    matrix that is merely ill-conditioned below that.
     """
     A = _require_square(as_matrix(A), "solve")
     B, vector_rhs = _stacked_rhs(A, b)
     if A.shape[0] == 0:
         return B.reshape(-1) if vector_rhs else B
-    lu = A.copy()
-    rows = _lu_factor(lu)
-    _require_pivots(np.diag(lu))
-    Y = _forward_substitute(lu, B[rows], unit=True)
-    X = _forward_substitute(lu[::-1, ::-1], Y[::-1].copy())[::-1]
+    _require_pivots(np.diag(np.linalg.qr(A, mode="r")))
+    try:
+        X = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LU pivot is exactly zero: {exc}") from exc
     return X.reshape(-1) if vector_rhs else X
 
 

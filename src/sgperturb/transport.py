@@ -107,12 +107,6 @@ class BorelMeasure:
                 mass += abs(d) * overlap
         return float(mass)
 
-    def weight_at_one(self) -> complex:
-        for loc, w in self.atoms:
-            if loc >= 1.0 - 1e-15:
-                return w
-        return 0.0 + 0.0j
-
 
 def _grid_nodes(t: float, N: int, least: int = 0) -> int:
     """``t N`` as a whole number of nodes, at least ``least``.
@@ -186,7 +180,7 @@ def dirichlet_operator(lam: complex, alpha: complex, N: int,
     function ``alpha``.
     """
     lam = complex(lam)
-    if abs(lam.real) > 500.0:
+    if abs(lam.real) > _RE_LIMIT:
         raise numkit.NumericalRangeError(
             f"|Re lambda| = {abs(lam.real):g} overflows e^(lam (s-1))")
     s = np.arange(N + 1, dtype=float) / N
@@ -511,11 +505,12 @@ class TransportTriple:
                 f"feedback singular at lambda = {lam} (transfer {H:.6g})")
         lift = dirichlet_operator(lam_eff, 1.0, self.N, p=self.p).values
         gain = 1.0 / (1.0 - H)
+        coef = phi_coefficients(self.mu, self.N)
 
         def _apply(f):
             gf = as_grid_function(self, f)
             Rf = volterra_resolvent_values(lam_eff, gf.values)
-            boundary = gain * apply_phi(self.mu, Rf)
+            boundary = gain * complex(coef @ Rf)
             return GridFunction(Rf + boundary * lift, p=self.p)
         return _apply
 

@@ -43,8 +43,9 @@ def test_time_grid_basics():
     grid = TimeGrid(1.0, 4)
     assert grid.h == pytest.approx(0.25)
     assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75])
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 4)
+    for t0 in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            TimeGrid(t0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
 

@@ -185,8 +185,9 @@ def test_mv_bounded_factor_variant_passes():
 
 def test_mv_rejects_p_at_most_one():
     triple, rng = observation_triple(17)
-    with pytest.raises(ValueError):
-        mv_suite(triple, TimeGrid(1.0, 16), 1.0, rng)
+    for p in (1.0, np.inf):
+        with pytest.raises(ValueError):
+            mv_suite(triple, TimeGrid(1.0, 16), p, rng)
 
 
 def test_mv_requires_identity_control():

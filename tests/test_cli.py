@@ -256,12 +256,22 @@ def test_transport_grid_incompatible_exits_2(tmp_path, capsys):
     assert "multiple" in capsys.readouterr().err
 
 
-def test_mv_suite_needs_p_above_one_exits_2(tmp_path):
-    cfg = matrix_config()
-    cfg["suites"] = ["classical_mv"]
-    cfg["exponents"] = {"p": 1.0, "alpha": 1.0, "beta": 1.0}
-    del cfg["expect"]
-    assert run(write_config(tmp_path, cfg)) == 2
+def test_mv_suite_needs_p_above_one_exits_2(tmp_path, capsys):
+    # the inequality holds only for finite p > 1; json reads Infinity
+    for p, beta in ((1.0, 1.0), (float("inf"), float("inf"))):
+        cfg = matrix_config()
+        cfg["suites"] = ["classical_mv"]
+        cfg["exponents"] = {"p": p, "alpha": 1.0, "beta": beta}
+        del cfg["expect"]
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "classical_mv" in capsys.readouterr().err
+
+
+def test_infinite_horizon_exits_2(tmp_path, capsys):
+    for cfg in (matrix_config(), transport_config([[0.5, 0.3]], None)):
+        cfg["grid"]["t0"] = float("inf")  # json writes Infinity
+        assert run(write_config(tmp_path, cfg)) == 2
+        assert "config.grid" in capsys.readouterr().err
 
 
 def test_infinite_matrix_entry_exits_2(tmp_path, capsys):

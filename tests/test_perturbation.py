@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (compatible_state, stable_triple, taylor_expm,
                       transport_triple)
-from sgperturb import admissibility, numkit, perturbation
+from sgperturb import admissibility, numkit, perturbation, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
                                      feedback_admissible, io_matrix,
@@ -31,6 +31,7 @@ from sgperturb.toeplitz import (feedback_inverse_norm_bound,
 from sgperturb.transport import (
     BorelMeasure,
     apply_phi,
+    dirichlet_operator,
     phi_coefficients,
     solve_pde,
     transfer_scalar,
@@ -195,6 +196,23 @@ def test_resolvent_transport_residual_small():
     boundary = abs(g[N] - coef @ g)
     res = max(np.abs(interior).max(), boundary) / np.abs(f).max()
     assert res <= 50.0 * (1.0 + abs(lam)) ** 2 / N
+
+
+def test_resolvent_transport_builds_phi_once(monkeypatch):
+    # Q reads Phi from one coefficient vector, with the same bits as
+    # apply_phi, however often it is applied
+    triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
+    lam = 2.0 + 3.0j
+    fs = [np.ones(65), np.arange(65.0), np.cos(np.arange(65.0))]
+    builds = count_calls(monkeypatch, "phi_coefficients", transport)
+    Q = perturbed_resolvent(triple, lam)
+    outs = [Q(f).values for f in fs]
+    assert len(builds) == 1
+    gain = 1.0 / (1.0 - transfer_scalar(triple.mu, lam))
+    lift = dirichlet_operator(lam, 1.0, 64).values
+    for f, out in zip(fs, outs):
+        Rf = volterra_resolvent_values(lam, f)
+        assert np.array_equal(out, Rf + gain * apply_phi(triple.mu, Rf) * lift)
 
 
 # ---------------------------------------------------------------------------
