@@ -26,9 +26,9 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      eigenvalues, expm, induced_norm, make_rng, norm_bounds,
                      random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
-from .toeplitz import (BlockToeplitz, NormChain, apply,
-                       feedback_inverse_norm_bound, feedback_norm_chain,
-                       feedback_toeplitz_inverse, materialize, norm_bound)
+from .toeplitz import (BlockToeplitz, NormChain, feedback_inverse_norm_bound,
+                       feedback_norm_chain, feedback_toeplitz_inverse,
+                       materialize, norm_bound)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
                         SpectralAbscissa, apply_semigroup, as_grid_function,
                         rescale, resolvent, shift_open, spectral_abscissa,
@@ -67,7 +67,7 @@ __all__ = [
     "norm_bounds", "eigenvalues", "spectral_radius_distance", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
-    "BlockToeplitz", "apply", "materialize", "norm_bound",
+    "BlockToeplitz", "materialize", "norm_bound",
     "feedback_toeplitz_inverse", "NormChain", "feedback_norm_chain",
     "feedback_inverse_norm_bound",
     # semigroup

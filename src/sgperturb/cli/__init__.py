@@ -46,8 +46,12 @@ __all__ = ["main", "run", "report_schema_version", "validate_report",
 
 _SCHEMA_VERSION = "1.0.0"
 
-_DEFAULT_TOLERANCES = {"algebraic": 1e-10, "spectral": 1e-8,
-                       "quadrature_order": 1}
+#: the toeplitz suite's algebraic and the spectral suite's transfer tolerance
+_ALGEBRAIC_TOL = 1e-10
+_SPECTRAL_TOL = 1e-8
+
+_REQUIRED_KEYS = ("world", "grid", "exponents", "suites", "seed")
+_OPTIONAL_KEYS = ("matrix", "transport", "expect")
 
 _MATRIX_ONLY = {"classical_ds", "classical_mv"}
 _TRANSPORT_ONLY = {"transport_pde", "spectral"}
@@ -135,18 +139,11 @@ class RunSpec:
     beta: float
     suites: tuple
     seed: int
-    tolerances: dict
     expect: Optional[str]
 
 
-_SUITE_NAMES = ("admissibility", "certificate", "classical_ds",
-                "classical_mv", "growth", "rescaling", "spectral",
-                "toeplitz", "transport_pde")
-
-
 def _parse_config(cfg: dict) -> RunSpec:
-    _require_keys(cfg, ["world", "grid", "exponents", "suites", "seed"],
-                  ["matrix", "transport", "tolerances", "expect"], "config")
+    _require_keys(cfg, _REQUIRED_KEYS, _OPTIONAL_KEYS, "config")
     world = cfg["world"]
     if world not in ("matrix", "transport"):
         raise ConfigError(f"config.world: must be 'matrix' or 'transport', "
@@ -212,6 +209,8 @@ def _parse_config(cfg: dict) -> RunSpec:
     p = _number(cfg["exponents"]["p"], "config.exponents.p")
     alpha = _number(cfg["exponents"]["alpha"], "config.exponents.alpha")
     beta = _number(cfg["exponents"]["beta"], "config.exponents.beta")
+    if not alpha >= 1.0:
+        raise ConfigError(f"config.exponents: need alpha >= 1, got {alpha}")
     if not (alpha <= p <= beta):
         raise ConfigError(
             f"config.exponents: need alpha <= p <= beta, got "
@@ -226,9 +225,9 @@ def _parse_config(cfg: dict) -> RunSpec:
     if len(set(suites)) != len(suites):
         raise ConfigError("config.suites: duplicate suite names")
     for name in suites:
-        if name not in _SUITE_NAMES:
+        if name not in _SUITES:
             raise ConfigError(f"config.suites: unknown suite {name!r}; "
-                              f"known: {list(_SUITE_NAMES)}")
+                              f"known: {sorted(_SUITES)}")
         if name in _MATRIX_ONLY and world != "matrix":
             raise ConfigError(f"config.suites: {name} needs the matrix world")
         if name in _TRANSPORT_ONLY and world != "transport":
@@ -241,24 +240,6 @@ def _parse_config(cfg: dict) -> RunSpec:
     if not (0 <= seed < 2 ** 64):
         raise ConfigError("config.seed: must be in [0, 2^64)")
 
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    given = cfg.get("tolerances", {})
-    _require_keys(given, [], list(_DEFAULT_TOLERANCES), "config.tolerances")
-    for key in ("algebraic", "spectral"):
-        if key in given:
-            where = f"config.tolerances.{key}"
-            value = _number(given[key], where)
-            if not 0.0 < value < float("inf"):
-                raise ConfigError(f"{where}: must be positive and finite, "
-                                  f"got {value!r}")
-            tolerances[key] = value
-    if "quadrature_order" in given:
-        tolerances["quadrature_order"] = _integer(
-            given["quadrature_order"], "config.tolerances.quadrature_order")
-    if tolerances["quadrature_order"] != 1:
-        raise ConfigError("config.tolerances.quadrature_order: only "
-                          "left-endpoint order 1 is implemented")
-
     expect = cfg.get("expect")
     if expect not in (None, "generated", "not_generated"):
         raise ConfigError("config.expect: must be 'generated', "
@@ -268,7 +249,7 @@ def _parse_config(cfg: dict) -> RunSpec:
 
     return RunSpec(world=world, triple=triple, grid=grid, p=p, alpha=alpha,
                    beta=beta, suites=tuple(sorted(suites)), seed=seed,
-                   tolerances=tolerances, expect=expect)
+                   expect=expect)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +375,6 @@ def _suite_growth(spec: RunSpec, rng, csv_dir):
 
 
 def _suite_toeplitz(spec: RunSpec, rng, csv_dir):
-    tol = spec.tolerances["algebraic"]
     d, q, n = 3, 2, 5
     F = numkit.random_matrix(rng, q, q)
     F = F * (0.4 / max(numkit.induced_norm(F, 2), 1e-30))
@@ -410,7 +390,7 @@ def _suite_toeplitz(spec: RunSpec, rng, csv_dir):
     product_residual = float(np.abs(forward @ inverse - eye).max())
     lhs, rhs = toeplitz.feedback_inverse_norm_bound(F, B, C, T, n)
     ok = (exact <= bound * (1.0 + 1e-12)
-          and product_residual <= tol
+          and product_residual <= _ALGEBRAIC_TOL
           and lhs <= rhs * (1.0 + 1e-12))
     return {"ok": bool(ok), "norm_exact": exact, "norm_bound": bound,
             "inverse_product_residual": product_residual,
@@ -476,7 +456,6 @@ def _suite_transport_pde(spec: RunSpec, rng, csv_dir):
 
 
 def _suite_spectral(spec: RunSpec, rng, csv_dir):
-    tol = spec.tolerances["spectral"]
     mu = spec.triple.mu
     try:
         _boundary_coefficients(mu, spec.triple.N)
@@ -490,7 +469,7 @@ def _suite_spectral(spec: RunSpec, rng, csv_dir):
     residuals = [abs(transfer_scalar(mu, lam) - 1.0) for lam in roots]
     entry = {"roots": _jsonable(list(roots)),
              "transfer_residuals": residuals}
-    ok = all(r <= tol for r in residuals)
+    ok = all(r <= _SPECTRAL_TOL for r in residuals)
     N = spec.triple.N
     if N <= 800:
         A = upwind_generator(mu, N)

@@ -2,7 +2,7 @@
 
 An ``n``-block operator matrix ``(T_{i-j})_{i,j=1..n}`` (zero above the
 diagonal) is stored by its first block column ``T_0 .. T_{n-1}``.  The module
-provides application (block convolution), the triangle-inequality norm bound
+provides the dense materialization, the triangle-inequality norm bound
 ``||T|| <= sum_j ||T_j||``, and the explicit inverse of the feedback block
 matrix ``I - F_n`` whose sub-diagonal blocks are ``C T^{k-1} B``: the inverse
 is again block lower-triangular Toeplitz with diagonal ``G = (I - F)^{-1}``
@@ -32,7 +32,6 @@ from .numkit import as_matrix, induced_norm, ShapeError, SingularMatrixError
 
 __all__ = [
     "BlockToeplitz",
-    "apply",
     "norm_bound",
     "materialize",
     "feedback_toeplitz_inverse",
@@ -74,21 +73,6 @@ class BlockToeplitz:
     @property
     def block_dim(self) -> int:
         return self.blocks[0].shape[0]
-
-
-def apply(T: BlockToeplitz, x) -> np.ndarray:
-    """Apply the operator to a stacked vector of ``n`` blocks of length ``d``.
-
-    Multiplies the materialized dense matrix, so the result agrees with the
-    dense operator bit-for-bit (at the desk scale this library targets, the
-    block-convolution shortcut would save nothing and cost that guarantee).
-    """
-    x = numkit.as_vector(x)
-    n, d = T.n, T.block_dim
-    if x.shape[0] != n * d:
-        raise ShapeError(f"stacked vector of length {n * d} expected, "
-                         f"got {x.shape[0]}")
-    return materialize(T) @ x
 
 
 def materialize(T: BlockToeplitz) -> np.ndarray:

@@ -101,10 +101,13 @@ class BorelMeasure:
         if self.density:
             n = len(self.density)
             h = 1.0 / n
-            for c, d in enumerate(self.density):
-                a, b = c * h, (c + 1) * h
-                overlap = max(0.0, min(b, 1.0) - max(a, lo))
-                mass += abs(d) * overlap
+            ends = np.arange(n + 1) * h
+            overlap = np.maximum(
+                0.0, np.minimum(ends[1:], 1.0) - np.maximum(ends[:-1], lo))
+            d = np.asarray(self.density)
+            # hypot is Python's complex abs; numpy's complex abs rounds apart
+            terms = np.hypot(d.real, d.imag) * overlap
+            mass = np.add.accumulate(np.r_[mass, terms])[-1]  # in order
         return float(mass)
 
 
@@ -158,10 +161,20 @@ def phi_coefficients(mu: BorelMeasure, N: int) -> np.ndarray:
         if len(mu.density) != N:
             raise ValueError(
                 f"density has {len(mu.density)} cells, grid has {N}")
-        for cell, d in enumerate(mu.density):
-            c[cell] += d / (2.0 * N)
-            c[cell + 1] += d / (2.0 * N)
+        half = _cell_masses(mu.density, 2.0 * N)
+        c[1:] += half     # node k takes cell k - 1 first,
+        c[:-1] += half    # then cell k
     return c
+
+
+def _cell_masses(density, scale) -> np.ndarray:
+    """``d / scale`` per cell, divided componentwise as Python divides.
+
+    numpy divides a complex array by a real scalar through its reciprocal,
+    which rounds differently; the float64 view keeps the true quotient.
+    """
+    return (np.asarray(density, dtype=np.complex128).view(np.float64)
+            / scale).view(np.complex128)
 
 
 def apply_phi(mu: BorelMeasure, f) -> complex:
@@ -279,11 +292,7 @@ def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:
     is formed, which folds the nonlocal boundary condition into the matrix.
     """
     c, denom = _boundary_coefficients(mu, N)
-    A = np.zeros((N, N), dtype=np.complex128)
-    for k in range(N - 1):
-        A[k, k] = -N
-        A[k, k + 1] = N
-    A[N - 1, N - 1] = -N
+    A = N * (np.eye(N, k=1, dtype=np.complex128) - np.eye(N))
     A[N - 1, :] += N * c[:N] / denom
     return A
 
@@ -552,7 +561,7 @@ class TransportTriple:
         if self.mu.density:
             cell_lag = -((np.arange(N) - N) // q)
             keep = cell_lag < steps
-            cells = np.array([d / N for d in self.mu.density])
+            cells = _cell_masses(self.mu.density, N)
             np.add.at(col, cell_lag[keep], cells[keep])
         F = np.zeros((steps, steps), dtype=np.complex128)
         for lag in np.flatnonzero(col):

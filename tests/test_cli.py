@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,15 @@ def test_exponent_ordering_exits_2(tmp_path, capsys):
     assert "alpha <= p <= beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", [float("-inf"), 0.5])
+def test_alpha_below_one_exits_2(tmp_path, capsys, alpha):
+    # alpha <= p <= beta holds; the exponents are not admissible
+    cfg = matrix_config()
+    cfg["exponents"]["alpha"] = alpha      # json writes -Infinity
+    assert run(write_config(tmp_path, cfg)) == 2
+    assert "config.exponents: need alpha >= 1" in capsys.readouterr().err
+
+
 def test_transport_grid_incompatible_exits_2(tmp_path, capsys):
     cfg = transport_config([[0.5, 0.3]], None)
     del cfg["expect"]
@@ -298,23 +308,48 @@ def test_config_constructor_bug_propagates(tmp_path, monkeypatch,
 @pytest.mark.parametrize("tolerances", [
     {"algebraic": "tight"}, {"algebraic": -1.0}, {"spectral": 0.0},
     {"spectral": float("nan")}, {"quadrature_order": True},
-    {"quadrature_order": 1.0}])
+    {"quadrature_order": 1.0},
+    {"algebraic": 1e-9, "spectral": 1, "quadrature_order": 1},
+    {"quadrature_order": 1}, {}])
 def test_bad_tolerances_exit_2(tmp_path, capsys, tolerances):
+    # the tolerances are fixed: a config carrying the object at all, with
+    # any of its former keys, is refused as an unknown field
     cfg = matrix_config()
     cfg["suites"] = ["toeplitz"]
     del cfg["expect"]
     cfg["tolerances"] = tolerances
     assert run(write_config(tmp_path, cfg)) == 2
-    assert "config.tolerances" in capsys.readouterr().err
+    assert "unknown field(s) ['tolerances']" in capsys.readouterr().err
 
 
-def test_valid_tolerances_run(tmp_path):
-    cfg = matrix_config()
-    cfg["suites"] = ["toeplitz"]
-    del cfg["expect"]
-    cfg["tolerances"] = {"algebraic": 1e-9, "spectral": 1,
-                         "quadrature_order": 1}
-    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+def readme_config_section():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    start = text.index("## Command-line runner")
+    return text[start:text.index("\n## ", start)]
+
+
+def readme_names(section, label):
+    """The backticked names of the README sentence opening with ``label``."""
+    sentence = re.search(re.escape(label) + r"(.*?)\.\s", section, re.S)
+    return set(re.findall(r"`(\w+)`", sentence.group(1)))
+
+
+def test_readme_config_section_matches_parser():
+    # a knob removed from the parser must leave the docs with it
+    section = readme_config_section()
+    accepted = set(cli._REQUIRED_KEYS) | set(cli._OPTIONAL_KEYS)
+    assert readme_names(section, "Top-level keys:") == accepted
+    assert readme_names(section, "Available suites:") == set(cli._SUITES)
+    example = json.loads(
+        re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    transport = json.loads("{%s}" % re.search(
+        r'`("transport": .*?)`', section, re.S).group(1))
+    as_transport = {k: v for k, v in example.items() if k != "matrix"}
+    as_transport.update(transport, world="transport")
+    for cfg in (example, as_transport):
+        assert set(cfg) <= accepted
+        cli._parse_config(cfg)
 
 
 def test_reports_byte_identical_across_runs_and_jobs(tmp_path):

@@ -7,7 +7,6 @@ from sgperturb import numkit
 from sgperturb.numkit import ShapeError, SingularMatrixError, induced_norm
 from sgperturb.toeplitz import (
     BlockToeplitz,
-    apply,
     feedback_inverse_norm_bound,
     feedback_toeplitz_inverse,
     materialize,
@@ -21,19 +20,19 @@ def random_toeplitz(seed, n, d):
 
 
 # ---------------------------------------------------------------------------
-# apply / materialize
+# materialize
 # ---------------------------------------------------------------------------
 
 def test_apply_identity_diagonal():
     T = BlockToeplitz([np.eye(3), np.zeros((3, 3))])
     x = np.arange(6, dtype=float)
-    assert_allclose(apply(T, x), x, atol=0)
+    assert_allclose(materialize(T) @ x, x, atol=0)
 
 
 def test_apply_pure_shift():
     T = BlockToeplitz([np.zeros((2, 2)), np.eye(2)])
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert_allclose(apply(T, x), [0.0, 0.0, 1.0, 2.0], atol=0)
+    assert_allclose(materialize(T) @ x, [0.0, 0.0, 1.0, 2.0], atol=0)
 
 
 def test_apply_matches_dense_oracle():
@@ -41,14 +40,7 @@ def test_apply_matches_dense_oracle():
     rng = numkit.make_rng(18)
     x = numkit.random_vector(rng, 12)
     dense = dense_lower_toeplitz(T.blocks, 4)
-    assert np.abs(apply(T, x) - dense @ x).max() <= 1e-13
-
-
-def test_apply_equals_materialized_multiply_exactly():
-    T = random_toeplitz(23, 5, 2)
-    rng = numkit.make_rng(24)
-    x = numkit.random_vector(rng, 10)
-    assert np.array_equal(apply(T, x), materialize(T) @ x)
+    assert np.abs(materialize(T) @ x - dense @ x).max() <= 1e-13
 
 
 def test_materialize_matches_independent_assembly():
@@ -73,7 +65,7 @@ def test_materialize_dtype_and_apply_match_dense(build, dtype):
     assert np.array_equal(M, dense)
     x = numkit.random_vector(numkit.make_rng(32), 15)
     ref = dense @ x
-    assert np.abs(apply(T, x) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(M @ x - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_materialize_keeps_one_complex_block():
@@ -87,9 +79,6 @@ def test_block_shape_validation():
         BlockToeplitz([np.eye(2), np.eye(3)])
     with pytest.raises(ShapeError):
         BlockToeplitz([])
-    T = BlockToeplitz([np.eye(2)])
-    with pytest.raises(ShapeError):
-        apply(T, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,65 @@ def test_phi_coefficients_reject_off_grid_atom():
         phi_coefficients(BorelMeasure(density=(1.0,) * 3), 8)
 
 
+# per-cell loop oracles: the array builds must equal them bit for bit.  A
+# ragged complex density catches a quotient taken through numpy's complex
+# division by a real scalar (a reciprocal multiply, which rounds apart from
+# Python's ``d / N``) and an abs taken by numpy's complex abs.
+
+_K = np.arange(96)
+RAGGED_96 = tuple(complex(v) for v in np.exp(np.sin(7.0 * _K))
+                  * (np.sin(_K) + 0.3j * np.cos(3.0 * _K)))
+ATOMS_96 = tuple((k / 96, w) for k, w in (
+    (0, 0.4), (17, -0.25j), (48, 0.3 - 0.2j), (49, 0.15 + 0.1j),
+    (70, -0.35), (83, 0.05 + 0.2j), (96, 0.1 + 0.05j)))
+
+
+def loop_phi_coefficients(mu, N):
+    c = np.zeros(N + 1, dtype=np.complex128)
+    for loc, w in mu.atoms:
+        c[int(round(loc * N))] += w
+    for cell, d in enumerate(mu.density):
+        c[cell] += d / (2.0 * N)
+        c[cell + 1] += d / (2.0 * N)
+    return c
+
+
+def loop_tail_mass(mu, delta):
+    lo = 1.0 - delta
+    mass = sum(abs(w) for loc, w in mu.atoms if loc >= lo - 1e-15)
+    h = 1.0 / len(mu.density)
+    for cell, d in enumerate(mu.density):
+        overlap = max(0.0, min((cell + 1) * h, 1.0) - max(cell * h, lo))
+        mass += abs(d) * overlap
+    return float(mass)
+
+
+def loop_upwind_generator(mu, N):
+    c = loop_phi_coefficients(mu, N)
+    A = np.zeros((N, N), dtype=np.complex128)
+    for k in range(N - 1):
+        A[k, k] = -N
+        A[k, k + 1] = N
+    A[N - 1, N - 1] = -N
+    A[N - 1, :] += N * c[:N] / (1.0 - c[N])
+    return A
+
+
+def test_phi_coefficients_equal_loop_oracle():
+    mu = BorelMeasure(atoms=ATOMS_96, density=RAGGED_96)
+    assert np.array_equal(phi_coefficients(mu, 96),
+                          loop_phi_coefficients(mu, 96))
+
+
+@pytest.mark.parametrize("atoms", [ATOMS_96, ()], ids=["atoms", "no-atoms"])
+def test_tail_mass_equals_loop_oracle(atoms):
+    mu = BorelMeasure(atoms=atoms, density=RAGGED_96)
+    for k in range(96):              # each delta cuts cell 95 - k
+        delta = (k + 0.3) / 96
+        assert mu.tail_mass(delta) == loop_tail_mass(mu, delta)
+    assert mu.tail_mass(1.0) == loop_tail_mass(mu, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet lift
 # ---------------------------------------------------------------------------
@@ -325,6 +384,13 @@ def test_upwind_half_atom_equals_zero_measure():
     A0 = upwind_generator(BorelMeasure(), N)
     A1 = upwind_generator(BorelMeasure(atoms=((1.0, 0.5),)), N)
     assert np.array_equal(A0, A1)
+
+
+def test_upwind_generator_equals_loop_oracle():
+    mu = BorelMeasure(atoms=ATOMS_96, density=tuple(
+        0.2 * d for d in RAGGED_96))
+    assert np.array_equal(upwind_generator(mu, 96),
+                          loop_upwind_generator(mu, 96))
 
 
 def test_upwind_unit_atom_degenerate():
