@@ -55,7 +55,9 @@ __all__ = [
     "smooth_trial_signals",
 ]
 
-#: io_matrix refuses to materialize anything wider than this
+#: io_matrix refuses to materialize anything wider than this: a bound on the
+#: estimates and the certificate, not on the feedback semigroup, whose
+#: ``solve_feedback`` never forms F
 IO_SIZE_CAP = 4096
 
 
@@ -233,6 +235,10 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     measure-window reads: an atom at an interior node lands strictly below
     the diagonal; an atom at ``s = 1`` lands *on* it; density cells read the
     signal at their midpoint through pure integer index arithmetic.
+
+    More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
+    cap bounds the estimates and the certificate, not the feedback
+    semigroup.
     """
     n_cols = grid.steps * triple.control_dim
     if n_cols > IO_SIZE_CAP:

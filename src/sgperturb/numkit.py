@@ -3,15 +3,13 @@
 Operators in this package are finite complex matrices (``numpy.ndarray``
 with dtype ``complex128``) produced by the validating coercers
 :func:`as_matrix` / :func:`as_vector`, or float64 ones where the data is
-real.  Three kernels take real input as float64, without a complex copy: the
-norms, the singular values and the triangular solve; the first two also
-narrow complex data whose imaginary part is zero.  The module provides
+real.  Two kernels take real input as float64, without a complex copy, and
+narrow complex data whose imaginary part is zero: the norms and the singular
+values.  The module provides
 
 * a scaling-and-squaring Pade matrix exponential (:func:`expm`),
 * linear solves with explicit singularity reporting (:func:`solve`,
-  LAPACK's LU behind a QR-diagonal singularity test, and blocked forward
-  substitution :func:`solve_lower_triangular`, as numpy has no triangular
-  solve),
+  LAPACK's LU behind a QR-diagonal singularity test),
 * exact induced operator norms for p in {1, 2, inf} (the 2-norm from a
   symmetric eigensolve of the Gram matrix, in real arithmetic when the data
   is real) and certified (lower, upper) brackets for every other exponent
@@ -41,7 +39,6 @@ __all__ = [
     "as_vector",
     "expm",
     "solve",
-    "solve_lower_triangular",
     "vector_norm",
     "induced_norm",
     "norm_bounds",
@@ -136,6 +133,11 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{who} requires a square matrix, got {m.shape}")
     return m
+
+
+# Rows per band of the lower-triangularity check: the band loop stays short
+# and each band's rectangle is one large read.
+_NB = 64
 
 
 def _require_lower_triangular(L: np.ndarray, who: str) -> None:
@@ -252,34 +254,6 @@ def _require_pivots(pivots: np.ndarray) -> None:
             f"(pivot ratio {0.0 if dmax == 0.0 else diag.min() / dmax:.3e})")
 
 
-# Rows per block of the forward substitution: measured on 1024 and 2048
-# complex systems, it keeps the block loop short and the products large.
-_NB = 64
-
-
-def _forward_substitute(L: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Overwrite ``X`` with ``L^{-1} X`` and return it, reading only the
-    lower triangle of ``L``.
-
-    Blocks of :data:`_NB` rows: the part of a block left of the diagonal
-    takes one product, and the diagonal block is inverted by
-    ``np.linalg.solve`` and applied by one product, so many right-hand sides
-    run at matrix-product speed.
-    """
-    n = L.shape[0]
-    for i in range(0, n, _NB):
-        j = min(i + _NB, n)
-        if i:
-            X[i:j] -= L[i:j, :i] @ X[:i]
-        try:
-            D_inv = np.linalg.solve(np.tril(L[i:j, i:j]), np.eye(j - i))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"triangular block {i}:{j} is singular: {exc}") from exc
-        X[i:j] = D_inv @ X[i:j]
-    return X
-
-
 def solve(A, b) -> np.ndarray:
     """Solve ``A x = b`` by LAPACK's partial-pivoting LU (``gesv``).
 
@@ -301,26 +275,6 @@ def solve(A, b) -> np.ndarray:
         X = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"LU pivot is exactly zero: {exc}") from exc
-    return X.reshape(-1) if vector_rhs else X
-
-
-def solve_lower_triangular(L, b) -> np.ndarray:
-    """Solve ``L x = b`` by forward substitution, ``L`` lower triangular.
-
-    Same contract as :func:`solve`: a diagonal entry within ~n*eps of zero
-    (relative to the largest one; the diagonal holds the pivots) is reported
-    as :class:`SingularMatrixError`, shape mismatches raise
-    :class:`ShapeError`, and so does a nonzero entry above the diagonal.
-    A real ``L`` stays real: it is not copied to complex for a complex ``b``.
-    """
-    L = _require_square(_unwidened(L), "solve_lower_triangular")
-    B, vector_rhs = _stacked_rhs(L, b)
-    n = L.shape[0]
-    if n == 0:
-        return B.reshape(-1) if vector_rhs else B
-    _require_lower_triangular(L, "solve_lower_triangular")
-    _require_pivots(np.diag(L))
-    X = _forward_substitute(L, B.copy())
     return X.reshape(-1) if vector_rhs else X
 
 

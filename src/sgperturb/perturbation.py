@@ -132,19 +132,16 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
             f"t = {t} must equal the grid horizon t0 = {grid.t0}")
     work = rescale(triple, mu_shift) if mu_shift else triple
     obs = observability_map(work, grid, x, require_domain=False)
-    # I - F in place: F is lower triangular in both worlds (strictly block
-    # lower in the matrix world; diagonal w(1), the atom at s = 1, in the
-    # transport world), so forward substitution solves the feedback loop
-    IF = io_matrix(work, grid)
-    np.negative(IF, out=IF)
-    IF.flat[::IF.shape[0] + 1] += 1.0
+    # F is causal, so (I - F)^{-1} is a recursion in time; the triple runs
+    # it without forming F (matrix world: the state loop; transport world:
+    # the boundary recursion, whose diagonal 1 - w(1) holds the atom at 1)
     try:
-        y = numkit.solve_lower_triangular(IF, obs.values.reshape(-1))
+        y = work.solve_feedback(grid, obs.values)
     except numkit.SingularMatrixError as exc:
         raise numkit.SingularMatrixError(
             f"discrete feedback operator is singular at horizon {t}: {exc}"
         ) from exc
-    ysig = SampledSignal(grid, y.reshape(grid.steps, -1))
+    ysig = SampledSignal(grid, y)
     ctrl = controllability_map(work, grid, ysig)
     free = apply_semigroup(work, t, x)
     comp = float(np.exp(mu_shift * t)) if mu_shift else 1.0

@@ -188,6 +188,21 @@ class MatrixTriple:
         blocks[1:] = grid.h * (self.C @ self._walk(grid)[:-1])
         return toeplitz.materialize(toeplitz.BlockToeplitz(tuple(blocks)))
 
+    def solve_feedback(self, grid, v) -> np.ndarray:
+        """``(I - F)^{-1} v`` for stacked samples ``v`` (``steps x m``),
+        without F: F's lag-d block is ``h C E^d B``, so ``y = v + F y`` is
+        the state loop ``y_k = v_k + C z_k``, ``z_{k+1} = E (z_k + h B y_k)``
+        from ``z_0 = 0``, ``E = e^{hA}``; O(steps n^2)."""
+        E = numkit.expm(self.A, grid.h)
+        hB = grid.h * self.B
+        v = np.asarray(v, dtype=np.complex128).reshape(grid.steps, -1)
+        y = np.empty_like(v)
+        z = np.zeros(self.state_dim, dtype=np.complex128)
+        for k in range(grid.steps):
+            y[k] = v[k] + self.C @ z
+            z = E @ (z + hB @ y[k])
+        return y
+
     def control(self, grid):
         W = self.controllability_matrix(grid)
         return lambda samples: W @ samples.reshape(-1)

@@ -214,6 +214,29 @@ def little_mass(mu: BorelMeasure, delta_grid) -> LittleMassReport:
     return LittleMassReport(deltas, mass, float(q_found), bool(q_found < 1.0))
 
 
+def _phi_reader(coef: np.ndarray, density: bool):
+    """``rows -> rows @ coef`` for the rows of a window view, one state per
+    row.
+
+    A window view whose row stride is below its width is no BLAS operand,
+    so a product with it visits every node, zero or not.  Without a
+    ``density`` the nonzero coefficients are the atoms, and each atom's term
+    is read by index: O(#atoms) per row.  A density gives every node
+    weight, so its rows keep the one contiguous window product (which reads
+    the atoms' nodes as well).
+    """
+    if density:
+        return lambda rows: rows @ coef
+    nodes = np.flatnonzero(coef)
+
+    def read(rows) -> np.ndarray:
+        out = np.zeros(rows.shape[0], dtype=np.complex128)
+        for node in nodes:
+            out += coef[node] * rows[:, node]
+        return out
+    return read
+
+
 def _boundary_coefficients(mu: BorelMeasure, N: int):
     """Phi coefficients plus the solvability factor ``1 / (1 - c_N)``."""
     c = phi_coefficients(mu, N)
@@ -242,10 +265,11 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     ``s = 1``, and level ``j`` is the window ``z[j : j+N+1]``.  With
     ``k_max`` the last node below ``s = 1`` that carries weight, ``b_j``
     reads ``z`` only up to ``j + k_max``, so the next ``N - k_max`` boundary
-    values depend only on earlier ones and are computed as one block by one
-    matrix-vector product over the level windows (a measure without mass
-    below ``s = 1`` is one block for the whole horizon, a density gives
-    blocks of one level).  The relation is checked to 1e-12 (relative to
+    values depend only on earlier ones and are computed as one block (a
+    measure without mass below ``s = 1`` is one block for the whole
+    horizon, a density gives blocks of one level).  A block reads each
+    atom's term off its level windows by index; a density keeps one window
+    product per block.  The relation is checked to 1e-12 (relative to
     ``max(1, max |state|)``) at every constructed level, and
     :class:`ArithmeticError` names the first level where it fails.
 
@@ -264,10 +288,11 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     support = np.flatnonzero(c[:N])
     k_max = int(support[-1]) if support.size else -1
     block = N - k_max if support.size else max(levels, 1)
-    head = c[:k_max + 1]
+    heads = windows[:, :k_max + 1]
+    read = _phi_reader(c[:k_max + 1], bool(mu.density))
     for j in range(1, levels + 1, block):
         end = min(j + block, levels + 1)
-        partial = windows[j:end, :k_max + 1] @ head
+        partial = read(heads[j:end])
         z[N + j:N + end] = partial / denom
         mag[N + j:N + end] = np.abs(z[N + j:N + end])
         # c . state with the boundary read back from the stored windows;
@@ -546,11 +571,14 @@ class TransportTriple:
             Cc *= np.exp(-self.mu_shift * (k * grid.h))[:, None]
         return Cc
 
-    def io_matrix(self, grid) -> np.ndarray:
-        """Lower triangular Toeplitz: an atom at node ``a`` adds its weight
-        at lag ``ceil((N - a) / q)``, density cell ``c`` adds ``d_c / N`` at
-        lag ``ceil((N - c) / q)``; each lag sums atoms, then cells, in
-        order."""
+    def _feedback_column(self, grid) -> np.ndarray:
+        """First column of the lower triangular Toeplitz F: an atom at node
+        ``a`` adds its weight at lag ``ceil((N - a) / q)``, density cell
+        ``c`` adds ``d_c / N`` at lag ``ceil((N - c) / q)``; each lag sums
+        atoms, then cells, in order.  Lag 0 holds only an atom at ``s = 1``.
+        A ``mu_shift`` multiplies lag ``l`` by ``e^{-mu t_l}``, which is
+        ``e^{-mu t_j} F e^{mu t_k}`` without the overflow of ``e^{mu t_k}``.
+        """
         q = _grid_nodes(grid.h, self.N, least=1)
         N, steps = self.N, grid.steps
         col = np.zeros(steps, dtype=np.complex128)
@@ -563,14 +591,45 @@ class TransportTriple:
             keep = cell_lag < steps
             cells = _cell_masses(self.mu.density, N)
             np.add.at(col, cell_lag[keep], cells[keep])
-        F = np.zeros((steps, steps), dtype=np.complex128)
+        if self.mu_shift:
+            col *= np.exp(-self.mu_shift * grid.times)
+        return col
+
+    def io_matrix(self, grid) -> np.ndarray:
+        col = self._feedback_column(grid)
+        F = np.zeros((grid.steps, grid.steps), dtype=np.complex128)
         for lag in np.flatnonzero(col):
             np.fill_diagonal(F[lag:], col[lag])
-        mu = self.mu_shift
-        if mu:
-            tk = grid.times
-            F = np.exp(-mu * tk)[:, None] * F * np.exp(mu * tk)[None, :]
         return F
+
+    def solve_feedback(self, grid, v) -> np.ndarray:
+        """``(I - F)^{-1} v`` by the boundary recursion, without F:
+
+            y_j = (v_j + sum_{l in S} col_l y_{j-l}) / (1 - col_0),
+
+        ``S`` the nonzero lags ``l >= 1`` of F's first column ``col``.  With
+        ``L`` the smallest lag in ``S``, the next ``L`` values read only
+        earlier ones, so each delay block of ``L`` steps is one gather and
+        one product (the delay blocks of :func:`solve_pde`).  ``1 - col_0``
+        is the diagonal of ``I - F``; exactly 0 (unit atom at ``s = 1``)
+        raises :class:`~sgperturb.numkit.SingularMatrixError`."""
+        col = self._feedback_column(grid)
+        denom = 1.0 - col[0]
+        numkit._require_pivots(np.array([denom]))
+        v = np.asarray(v, dtype=np.complex128).reshape(grid.steps)
+        lags = np.flatnonzero(col[1:]) + 1
+        if not lags.size:
+            return (v / denom)[:, None]
+        pad = int(lags[-1])
+        y = np.zeros(pad + grid.steps, dtype=np.complex128)
+        reads = pad - lags           # y_{j-l} sits at y[j + pad - l]
+        weights = col[lags]
+        block = int(lags[0])
+        for j in range(0, grid.steps, block):
+            end = min(j + block, grid.steps)
+            gathered = y[np.arange(j, end)[:, None] + reads]
+            y[pad + j:pad + end] = (v[j:end] + gathered @ weights) / denom
+        return y[pad:, None]
 
     def control(self, grid):
         q = _grid_nodes(grid.h, self.N, least=1)
@@ -592,7 +651,7 @@ class TransportTriple:
         """With ``require_domain`` the state must have ``x(1) = 0``."""
         q = _grid_nodes(grid.h, self.N, least=1)
         N = self.N
-        coef = phi_coefficients(self.mu, N)
+        read = _phi_reader(phi_coefficients(self.mu, N), bool(self.mu.density))
 
         def observe(x) -> np.ndarray:
             gf = as_grid_function(self, x)
@@ -605,7 +664,7 @@ class TransportTriple:
             padded = np.zeros(N + 1 + (grid.steps - 1) * q,
                               dtype=np.complex128)
             padded[:N] = gf.values[:N]
-            out = sliding_window_view(padded, N + 1)[::q] @ coef
+            out = read(sliding_window_view(padded, N + 1)[::q])
             if self.mu_shift:
                 out *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
             return out[:, None]
@@ -649,7 +708,8 @@ class TransportTriple:
                 "x(1) != Phi x")
         q = _grid_nodes(grid.h, self.N, least=1)
         traj = solve_pde(self.mu, gf, grid.t0, self.N)
-        samples = traj.states[::q][:grid.steps] @ coef
+        read = _phi_reader(coef, bool(self.mu.density))
+        samples = read(traj.states[::q][:grid.steps])
         if self.mu_shift:
             samples *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
         return samples[:, None]

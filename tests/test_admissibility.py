@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,8 +243,11 @@ def loop_transport_io_matrix(triple, grid):
                 F[j, t2 // (2 * q)] += d / N
     mu = triple.mu_shift
     if mu:
-        tk = grid.times
-        F = np.exp(-mu * tk)[:, None] * F * np.exp(mu * tk)[None, :]
+        # the shifted F is Toeplitz with lag l scaled by e^{-mu t_l};
+        # test_shifted_transport_io_matrix_is_the_conjugation checks that
+        # against e^{-mu t_j} F e^{mu t_k}
+        lag = np.subtract.outer(np.arange(steps), np.arange(steps))
+        F = F * np.exp(-mu * grid.times)[np.maximum(lag, 0)]
     return F
 
 
@@ -275,6 +281,44 @@ def test_transport_io_matrix_equals_loop_assembly(triple, grid):
     assert F.dtype == np.complex128
     assert np.count_nonzero(F) >= grid.steps
     assert np.array_equal(F, loop_transport_io_matrix(triple, grid))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (transport_triple(N=32, density=(0.2 + 0.1j,) * 32, mu_shift=0.9),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2)), mu_shift=3.0),
+     TimeGrid(1.0, 64)),
+    (transport_triple(N=96, atoms=((0.5, 0.3), (49 / 96, -0.7j),
+                                   (1.0, 0.1)),
+                      density=_RAGGED, mu_shift=3.0),
+     TimeGrid(0.75, 24)),
+], ids=["complex-density", "atoms", "ragged-density-atom-at-1-stride-3"])
+def test_shifted_transport_io_matrix_is_the_conjugation(triple, grid):
+    # the shifted column gives e^{-mu t_j} F e^{mu t_k} to roundoff
+    F = io_matrix(triple, grid)
+    plain = io_matrix(replace(triple, mu_shift=0.0), grid)
+    mu, tk = triple.mu_shift, grid.times
+    conj = np.exp(-mu * tk)[:, None] * plain * np.exp(mu * tk)[None, :]
+    assert np.abs(F - conj).max() <= 1e-14 * np.abs(conj).max()
+    assert np.array_equal(F == 0, conj == 0)
+
+
+def test_shifted_transport_io_matrix_finite_past_exp_overflow():
+    # mu t0 = 1500 > 709: e^{mu t_k} overflows, the shifted column does not
+    triple = transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2)),
+                              mu_shift=1500.0)
+    grid = TimeGrid(1.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = io_matrix(triple, grid)
+    assert np.isfinite(F).all()
+    # the atom at 0.875 sits 8 steps below s = 1; the one at 0.5 (lag 32,
+    # e^{-750}) underflows to 0
+    want = 0.2 * np.exp(-1500.0 * 8 / 64)
+    assert want > 0.0
+    assert abs(F[8, 0] - want) <= 1e-14 * want
+    assert np.array_equal(np.flatnonzero(F[:, 0]), [8])
+    assert np.array_equal(np.diag(F, -8), np.full(56, F[8, 0]))
 
 
 def test_controllability_matrix_matches_map():

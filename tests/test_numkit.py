@@ -20,7 +20,6 @@ from sgperturb.numkit import (
     random_matrix,
     random_vector,
     solve,
-    solve_lower_triangular,
     spectral_radius_distance,
     vector_norm,
 )
@@ -105,8 +104,8 @@ def test_solve_singular_raises():
         solve(A, np.array([1.0, 1.0]))
 
 
-# scipy's LAPACK LU is a test-only oracle: block-boundary sizes of the
-# blocked forward substitution, and one large system
+# scipy's LAPACK LU is a test-only oracle, on sizes from 1 up to one large
+# system (NB is the row band of the lower-triangularity check)
 NB = numkit._NB
 ORACLE_SIZES = [1, 2, NB - 1, NB, NB + 1, 2 * NB + 3, 513]
 
@@ -155,30 +154,6 @@ def test_solve_singular_after_row_swap_raises(n):
         solve(A, np.ones(n))
 
 
-@pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_solve_lower_triangular_matches_lapack(n):
-    rng = make_rng(200 + n)
-    L = np.tril(random_matrix(rng, n, n)) / np.sqrt(n) + 2.0 * np.eye(n)
-    b = random_vector(rng, n)
-    B = random_matrix(rng, n, 5)
-    for rhs in (b, B):
-        ref = scipy.linalg.solve_triangular(L, rhs, lower=True)
-        assert relative_error(solve_lower_triangular(L, rhs), ref) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [7, 2 * NB + 3])
-def test_solve_lower_triangular_real_matrix_complex_rhs(n):
-    # a real L is solved in place of its complex cast, without the copy
-    rng = make_rng(300 + n)
-    L = np.tril(rng.standard_normal((n, n))) / np.sqrt(n) + 2.0 * np.eye(n)
-    B = random_matrix(rng, n, 3)
-    ref = scipy.linalg.solve_triangular(L, B, lower=True)
-    X = solve_lower_triangular(L, B)
-    assert X.dtype == np.complex128
-    assert relative_error(X, ref) <= 1e-12
-    assert relative_error(X, solve_lower_triangular(L + 0j, B)) <= 1e-14
-
-
 @pytest.mark.parametrize("n", [2, 2 * NB + 3])
 def test_solve_ill_conditioned_below_the_bound_does_not_raise(n):
     # kappa_2 = 1e12 < 1/(n eps): the QR-diagonal test must let it through,
@@ -199,35 +174,16 @@ def test_solve_ill_conditioned_below_the_bound_does_not_raise(n):
 
 def test_solves_leave_their_inputs_alone():
     A, rng = pivoting_system(2 * NB + 3, 9)
-    L = np.tril(A)
     B = random_matrix(rng, A.shape[0], 2)
-    A0, L0, B0 = A.copy(), L.copy(), B.copy()
+    A0, B0 = A.copy(), B.copy()
     solve(A, B)
-    solve_lower_triangular(L, B)
-    assert np.array_equal(A, A0) and np.array_equal(L, L0)
+    assert np.array_equal(A, A0)
     assert np.array_equal(B, B0)
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ShapeError):
         solve(np.eye(3), np.array([1.0, 2.0]))
-
-
-def test_solve_lower_triangular_matches_lu():
-    rng = make_rng(5)
-    L = np.tril(random_matrix(rng, 7, 7)) + 2.0 * np.eye(7)
-    b = random_vector(rng, 7)
-    B = random_matrix(rng, 7, 3)
-    x = solve_lower_triangular(L, b)
-    assert x.shape == (7,)
-    assert np.linalg.norm(x - solve(L, b)) <= 1e-13 * np.linalg.norm(x)
-    assert np.abs(L @ solve_lower_triangular(L, B) - B).max() <= 1e-12
-
-
-def test_solve_lower_triangular_small_pivot_raises():
-    L = np.array([[1.0, 0.0], [3.0, 1e-17]])
-    with pytest.raises(SingularMatrixError, match="pivot ratio"):
-        solve_lower_triangular(L, np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("row, col", [
@@ -239,10 +195,10 @@ def test_solve_lower_triangular_small_pivot_raises():
 ])
 def test_lower_triangular_check_sees_each_entry_above(row, col):
     L = np.tril(numkit.random_matrix(make_rng(35), 300, 300)) + 300 * np.eye(300)
-    solve_lower_triangular(L, np.ones(300))
+    numkit._require_lower_triangular(L, "the check")
     L[row, col] = 1e-300
     with pytest.raises(ShapeError, match="lower-triangular"):
-        solve_lower_triangular(L, np.ones(300))
+        numkit._require_lower_triangular(L, "the check")
 
 
 def test_as_matrix_rejects_nonfinite_in_either_part():
@@ -252,17 +208,6 @@ def test_as_matrix_rejects_nonfinite_in_either_part():
             numkit.as_matrix(np.array([[1.0, bad]]))
         with pytest.raises(NumericalRangeError):
             numkit.as_vector(np.array([1.0, bad]))
-
-
-def test_solve_lower_triangular_rejects_upper_entries_and_shapes():
-    L = np.eye(300, dtype=complex)
-    L[257, 258] = 1e-3    # first superdiagonal, in the second row band
-    with pytest.raises(ShapeError, match="lower-triangular"):
-        solve_lower_triangular(L, np.ones(300))
-    with pytest.raises(ShapeError):
-        solve_lower_triangular(np.eye(3), np.ones(2))
-    with pytest.raises(ShapeError):
-        solve_lower_triangular(np.ones((2, 3)), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

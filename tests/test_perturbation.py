@@ -274,22 +274,39 @@ def test_ws_transport_equals_pde_solution_at_full_stride():
     assert np.abs(ws.values[:32] - pde[:32]).max() <= 1e-14
 
 
-@pytest.mark.parametrize("world", ["matrix", "transport"])
-def test_ws_feedback_forward_substitution_matches_lu(world):
-    # I - F is lower triangular in both worlds; the transport diagonal
-    # 1 - w(1) = 0.6 comes from the atom at s = 1
-    grid = TimeGrid(0.5, 32)
-    if world == "matrix":
-        triple = stable_triple(17, n=4, m=2, scale=3.0)
-    else:
-        triple = transport_triple(N=64, atoms=((0.5, 0.3), (1.0, 0.4)),
-                                  density=(0.2,) * 64)
-    IF = np.eye(grid.steps * triple.control_dim) - io_matrix(triple, grid)
-    assert np.abs(IF - np.eye(IF.shape[0])).max() > 0.1
-    rhs = numkit.random_vector(numkit.make_rng(18), IF.shape[0])
-    y = numkit.solve_lower_triangular(IF, rhs)
-    ref = numkit.solve(IF, rhs)
-    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+@pytest.mark.parametrize("triple, grid", [
+    (stable_triple(17, n=4, m=2, scale=3.0), TimeGrid(0.5, 32)),
+    (stable_triple(19, n=3, m=1, scale=3.0), TimeGrid(0.8, 40)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (1.0, 0.4)),
+                      density=(0.2,) * 64), TimeGrid(0.5, 32)),
+    (transport_triple(N=64, atoms=((0.25, 0.9), (0.5, 0.3), (0.875, 0.6))),
+     TimeGrid(1.0, 64)),
+    (transport_triple(N=32, atoms=((0.0, 0.8),)), TimeGrid(2.0, 64)),
+    (transport_triple(N=32, atoms=((0.5, 0.7), (1.0, 0.5))),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=32, atoms=((0.5, 0.7), (1.0, 0.4 - 0.3j))),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=64, density=tuple(0.8j * np.cos(np.arange(64))
+                                          + 0.3), mu_shift=1.5),
+     TimeGrid(1.0, 64)),
+    (transport_triple(N=64, atoms=((0.25, 0.5), (0.875, -0.6j))),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=32, atoms=((0.75, 0.7),), density=(0.3,) * 32),
+     TimeGrid(2.5, 80)),
+], ids=["matrix", "matrix-m1", "transport", "atoms", "atom-at-0",
+        "atom-at-1", "complex-atom-at-1", "complex-density-shift",
+        "stride-2", "past-one"])
+def test_solve_feedback_matches_dense_solve(triple, grid):
+    # (I - F)^{-1} v by the triple's recursion, against a dense LU solve of
+    # the assembled I - F
+    F = io_matrix(triple, grid)
+    assert numkit.induced_norm(F, 1) > 0.1
+    v = numkit.random_matrix(numkit.make_rng(18), grid.steps,
+                             triple.control_dim)
+    ref = numkit.solve(np.eye(F.shape[0]) - F, v.reshape(-1))
+    y = triple.solve_feedback(grid, v)
+    assert y.shape == v.shape
+    assert np.linalg.norm(y.reshape(-1) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_ws_transport_unit_atom_at_one_is_singular():
@@ -541,6 +558,44 @@ def test_growth_check_builds_one_io_matrix(world, monkeypatch):
     assert len(builds) == 1
     assert eigs == []
     assert maps == []
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_feedback_semigroup_and_vop_build_no_io_matrix(world, monkeypatch):
+    if world == "matrix":
+        triple, grid = stable_triple(53, n=3, m=2), TimeGrid(0.5, 16)
+        x = numkit.random_vector(numkit.make_rng(54), 3)
+    else:
+        triple, grid = (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS),
+                        TimeGrid(0.5, 32))
+        x = compatible_state(triple.mu, triple.N, triple.p)
+    expected = (weiss_staffans_semigroup(triple, grid, grid.t0, x),
+                variation_of_parameters_residual(triple, grid, grid.t0, x))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("io_matrix built")
+    for owner in (admissibility, perturbation, type(triple)):
+        monkeypatch.setattr(owner, "io_matrix", refuse)
+    ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
+    vop = variation_of_parameters_residual(triple, grid, grid.t0, x)
+    assert triple.state_norm(ws - expected[0]) == 0.0
+    assert vop == expected[1]
+
+
+def test_transport_feedback_semigroup_beyond_io_size_cap():
+    # 8192 steps: io_matrix refuses F, the feedback semigroup never forms
+    # it; both atoms sit whole strides below s = 1, so VoP is exact
+    triple = transport_triple(N=8192, atoms=LITTLE_MASS_ATOMS)
+    grid = TimeGrid(1.0, 8192)
+    assert grid.steps > admissibility.IO_SIZE_CAP
+    with pytest.raises(ValueError, match="io_matrix would have"):
+        io_matrix(triple, grid)
+    x = compatible_state(triple.mu, triple.N, triple.p)
+    ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
+    assert np.isfinite(ws.values).all()
+    assert triple.state_norm(ws) > 0.1 * triple.state_norm(x)
+    vop = variation_of_parameters_residual(triple, grid, grid.t0, x)
+    assert vop <= 1e-10
 
 
 def test_certificate_builds_one_io_matrix(monkeypatch):

@@ -364,6 +364,65 @@ def test_solve_pde_states_are_one_read_only_sequence():
         traj.states[0, 0] = 1.0
 
 
+def dense_observe(triple, grid, x):
+    """Observed samples by one product of the strided level windows with
+    every Phi coefficient (oracle of ``TransportTriple.observe``)."""
+    N = triple.N
+    q = int(round(grid.h * N))
+    padded = np.zeros(N + 1 + (grid.steps - 1) * q, dtype=np.complex128)
+    padded[:N] = x.values[:N]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, N + 1)
+    out = windows[::q] @ phi_coefficients(triple.mu, N)
+    return out * np.exp(-triple.mu_shift * grid.times)
+
+
+def dense_vop_outputs(triple, grid, x):
+    """Phi of the PDE states at the grid times by one product of the
+    strided level windows (oracle of ``TransportTriple.vop_outputs``)."""
+    q = int(round(grid.h * triple.N))
+    states = solve_pde(triple.mu, x, grid.t0, triple.N).states
+    out = states[::q][:grid.steps] @ phi_coefficients(triple.mu, triple.N)
+    return out * np.exp(-triple.mu_shift * grid.times)
+
+
+PHI_READ_CASES = [
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2))),
+     TimeGrid(0.5, 32)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2))),
+     TimeGrid(1.0, 32)),
+    (transport_triple(N=48, atoms=((0.0, 0.7), (1.0, 0.4 - 0.3j)),
+                      mu_shift=1.3), TimeGrid(2.0, 32)),
+    (transport_triple(N=96, atoms=ATOMS_96), TimeGrid(0.75, 24)),
+    (transport_triple(N=64, density=(0.2 + 0.1j,) * 64, mu_shift=0.9),
+     TimeGrid(1.0, 64)),
+    (transport_triple(N=96, atoms=((0.5, 0.3), (1.0, 0.1)),
+                      density=RAGGED_96, mu_shift=0.4), TimeGrid(0.5, 16)),
+]
+PHI_READ_IDS = ["two-atoms", "two-atoms-stride-2",
+                "atoms-at-0-and-1-shift-past-one", "seven-atoms-stride-3",
+                "complex-density-shift", "atoms-ragged-density-stride-3"]
+
+
+@pytest.mark.parametrize("triple, grid", PHI_READ_CASES, ids=PHI_READ_IDS)
+def test_observe_matches_dense_window_read(triple, grid):
+    x = GridFunction(np.r_[np.cos(np.arange(triple.N)) + 0.5j, 0.0])
+    ref = dense_observe(triple, grid, x)
+    got = triple.observe(grid)(x)
+    assert got.shape == (grid.steps, 1)
+    assert np.abs(ref).max() > 0.1
+    assert np.abs(got[:, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("triple, grid", PHI_READ_CASES, ids=PHI_READ_IDS)
+def test_vop_outputs_match_dense_window_read(triple, grid):
+    x = compatible_state(triple.mu, triple.N)
+    ref = dense_vop_outputs(triple, grid, x)
+    got = triple.vop_outputs(grid, x)
+    assert got.shape == (grid.steps, 1)
+    assert np.abs(ref).max() > 0.05
+    assert np.abs(got[:, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # upwind generator
 # ---------------------------------------------------------------------------
