@@ -23,7 +23,8 @@ semigroups, growth checks, certificates), :mod:`~sgperturb.classical`
 from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      ShapeError, SingularMatrixError,
                      UnsupportedExponentError, as_matrix, as_vector,
-                     eigenvalues, expm, induced_norm, make_rng, norm_bounds,
+                     eigenvalues, expm, induced_norm, lanczos_norms,
+                     make_rng, norm_bounds,
                      random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, feedback_inverse_norm_bound,
@@ -64,7 +65,8 @@ __all__ = [
     "NumkitError", "ShapeError", "SingularMatrixError",
     "NumericalRangeError", "UnsupportedExponentError", "ConvergenceError",
     "as_matrix", "as_vector", "expm", "solve", "vector_norm", "induced_norm",
-    "norm_bounds", "eigenvalues", "spectral_radius_distance", "make_rng",
+    "norm_bounds", "lanczos_norms", "eigenvalues",
+    "spectral_radius_distance", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
     "BlockToeplitz", "materialize", "norm_bound",

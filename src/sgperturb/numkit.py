@@ -14,6 +14,8 @@ values.  The module provides
   symmetric eigensolve of the Gram matrix, in real arithmetic when the data
   is real) and certified (lower, upper) brackets for every other exponent
   (:func:`induced_norm`, :func:`norm_bounds`),
+* 2-norms of operators given only by their products, section by section
+  (:func:`lanczos_norms`, Golub-Kahan-Lanczos),
 * dense eigenvalues (:func:`eigenvalues`),
 * seeded random instances (:func:`make_rng`, :func:`random_matrix`).
 
@@ -42,6 +44,7 @@ __all__ = [
     "vector_norm",
     "induced_norm",
     "norm_bounds",
+    "lanczos_norms",
     "eigenvalues",
     "spectral_radius_distance",
     "make_rng",
@@ -71,7 +74,8 @@ class UnsupportedExponentError(NumkitError, ValueError):
 
 
 class ConvergenceError(NumkitError, RuntimeError):
-    """An iterative eigenvalue computation failed to converge."""
+    """An iterative eigenvalue or singular-value computation failed to
+    converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +385,120 @@ def norm_bounds(A, p: float, rng=None, trials: int = 200):
         if nx > 0.0:
             lower = max(lower, vector_norm(A @ x, p) / nx)
     return lower, upper
+
+
+#: relative residual at which a Lanczos Ritz value counts as converged
+_GKL_TOL = 1e-13
+#: Lanczos steps allowed before :class:`ConvergenceError`
+_GKL_MAX_STEPS = 500
+#: seed of the fixed Lanczos start vector (no caller's rng is drawn from)
+_GKL_SEED = 0
+#: Lanczos vectors per storage chunk, so a basis grows without a copy
+_GKL_CHUNK = 8
+
+
+def lanczos_norms(forward, adjoint, sizes) -> np.ndarray:
+    """2-norms of the leading sections ``A[:s, :s]``, ``s`` in ``sizes``, of
+    a square operator ``A`` given only by its products.
+
+    ``forward(X)`` and ``adjoint(X)`` return ``A X`` and ``A^H X`` for a
+    block ``X`` of ``max(sizes)`` rows, one column per section; a column is
+    zero below its section, and the rows below it are dropped from the
+    product, so each column sees ``A[:s, :s]``.  Golub-Kahan-Lanczos
+    bidiagonalization (Golub & Van Loan, ch. 10) runs on every section in
+    lockstep from one fixed start vector (seeded here, so the result is a
+    pure function of ``A``), with full reorthogonalization of both Lanczos
+    bases, applied twice.
+
+    A section stops when the top Ritz triplet ``(theta, u, v)`` of its
+    bidiagonal has residual ``||A^H u - theta v|| = beta_k |y_k|`` at most
+    ``_GKL_TOL * theta`` (``y`` the Ritz vector in the left basis), or when
+    its Krylov space is exhausted (``beta = 0``, or ``s`` steps), where the
+    residual is 0.  Guarantee: ``theta <= ||A[:s, :s]||``, because the
+    bidiagonal is a compression of the section, and the section has a
+    singular value within the residual of ``theta``.  A section that has
+    not stopped after ``_GKL_MAX_STEPS`` steps raises
+    :class:`ConvergenceError`.
+    """
+    sizes = np.asarray(sizes, dtype=int).reshape(-1)
+    if not sizes.size or sizes.min() < 1:
+        raise ShapeError(f"section sizes must be positive, got {sizes}")
+    inside = np.arange(sizes.max()) < sizes[:, None]     # (sections, n)
+
+    def apply(product, w):
+        return product(w.T).T * inside
+
+    v = make_rng(_GKL_SEED).standard_normal(inside.shape[1]) * inside
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    u = apply(forward, v)
+    alpha = np.linalg.norm(u, axis=1)
+    u /= np.where(alpha > 0.0, alpha, 1.0)[:, None]
+    V = _Basis(v, np.result_type(u, v))
+    U = _Basis(u, V.dtype)
+    alphas, betas = [alpha], []
+    theta = np.zeros(sizes.size)
+    done = np.zeros(sizes.size, dtype=bool)
+    for k in range(1, _GKL_MAX_STEPS + 1):
+        r = V.project_out(apply(adjoint, u) - alpha[:, None] * v)
+        beta = np.linalg.norm(r, axis=1)
+        # top Ritz pairs of the open sections' k x k bidiagonals, from the
+        # eigensolve of B B^T (its top eigenvector is the left Ritz vector)
+        active = np.flatnonzero(~done)
+        steps = np.arange(k)
+        bidiagonal = np.zeros((active.size, k, k))
+        bidiagonal[:, steps, steps] = np.transpose(alphas)[active]
+        bidiagonal[:, steps[:-1], steps[1:]] = np.transpose(betas).reshape(
+            sizes.size, k - 1)[active]
+        lam, left = np.linalg.eigh(bidiagonal @ bidiagonal.transpose(0, 2, 1))
+        top = np.sqrt(np.maximum(lam[:, -1], 0.0))
+        residual = beta[active] * np.abs(left[:, -1, -1])
+        stop = (residual <= _GKL_TOL * top) | (k >= sizes[active])
+        theta[active[stop]] = top[stop]
+        done[active[stop]] = True
+        if done.all():
+            return theta
+        v = r / np.where(beta > 0.0, beta, 1.0)[:, None]
+        p = U.project_out(apply(forward, v) - beta[:, None] * u)
+        alpha = np.linalg.norm(p, axis=1)
+        u = p / np.where(alpha > 0.0, alpha, 1.0)[:, None]
+        V.append(v)
+        U.append(u)
+        alphas.append(alpha)
+        betas.append(beta)
+    raise ConvergenceError(
+        f"Lanczos norm of sections {sizes[~done].tolist()} not converged "
+        f"in {_GKL_MAX_STEPS} steps")
+
+
+class _Basis:
+    """Orthonormal Lanczos vectors, one row per section, kept in chunks of
+    :data:`_GKL_CHUNK` vectors of shape ``(sections, chunk, n)``."""
+
+    def __init__(self, first: np.ndarray, dtype):
+        self.dtype = dtype
+        self.chunks = []
+        self.size = 0
+        self.append(first)
+
+    def append(self, w: np.ndarray) -> None:
+        slot = self.size % _GKL_CHUNK
+        if not slot:
+            self.chunks.append(np.empty((w.shape[0], _GKL_CHUNK, w.shape[1]),
+                                        dtype=self.dtype))
+        self.chunks[-1][:, slot] = w
+        self.size += 1
+
+    def project_out(self, w: np.ndarray) -> np.ndarray:
+        """``w`` (sections, n) minus its components along the basis,
+        projected out twice (classical Gram-Schmidt, repeated once)."""
+        filled = [chunk[:, :self.size - i * _GKL_CHUNK]
+                  for i, chunk in enumerate(self.chunks)]
+        for _ in range(2):
+            coefs = [(w.conj()[:, None, :] @ part.transpose(0, 2, 1)).conj()
+                     for part in filled]
+            for coef, part in zip(coefs, filled):
+                w = w - (coef @ part)[:, 0, :]
+        return w
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -178,37 +178,41 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 
 
 # ---------------------------------------------------------------------------
-# euclidean frames of the discrete maps (p = 2 growth machinery)
+# long-horizon growth (p = 2, euclidean frames)
 # ---------------------------------------------------------------------------
-
-def _euclidean_frames(triple, grid: TimeGrid):
-    """(F, B, C, T) of the discrete maps as plain euclidean matrices whose
-    2-norms are the discrete signal/state norms."""
-    return (io_matrix(triple, grid),) + triple.euclidean_frames(grid)
-
 
 def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
                               n_max: int = 6) -> GrowthCheckReport:
     """Contraction surrogate versus ``e^{mu t0}`` plus the block norm chain.
 
-    Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` in euclidean frames and
-    compares it against ``e^{mu t0}`` for every candidate shift; then for
-    each block count ``n`` reports the exact norm of the inverse feedback
-    block matrix next to its closed-form bound (the bound must dominate).
-    ``s`` and every block entry come from one
-    :func:`~sgperturb.toeplitz.feedback_norm_chain` build: each n-block
-    inverse is a leading section of the ``n_max``-block one, so the entries
-    equal the per-n :func:`~sgperturb.toeplitz.feedback_inverse_norm_bound`
-    values.  Precondition: the feedback margin at ``t0``, read off the
-    diagonal of the frames' F, is positive.
+    Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` in euclidean frames
+    (the triple's ``euclidean_frames``, whose 2-norms are the discrete
+    signal and state norms) and compares it against ``e^{mu t0}`` for every
+    candidate shift; then for each block count ``n`` reports the 2-norm of
+    the inverse feedback block matrix next to its closed-form bound (the
+    bound must dominate).  ``s`` and every block entry come from one
+    :func:`~sgperturb.toeplitz.feedback_norm_chain` run on the first block
+    column of ``G = (I - F)^{-1}``, the impulse responses of the triple's
+    ``solve_feedback``; F is never formed.  Each block entry is a Lanczos
+    2-norm: never above the exact norm, and within the Lanczos residual
+    (at most 1e-13 relative) of a singular value of its section (see
+    :func:`~sgperturb.numkit.lanczos_norms`).  Precondition: the feedback
+    margin at ``t0``, read off the diagonal of F's lag-0 block
+    (``feedback_column``), is positive.
     """
-    frames = _euclidean_frames(triple, grid)
-    margin = _feedback_margin(frames[0])
+    column = triple.feedback_column(grid)
+    margin = _feedback_margin(column[0])
     if margin < FEEDBACK_MARGIN:
         raise ValueError(
             f"feedback margin {margin:.3e} at t0 = {grid.t0} is below "
             f"{FEEDBACK_MARGIN}; the growth surrogate needs 1 in rho(F)")
-    chain = toeplitz.feedback_norm_chain(*frames, n_max)
+    g = np.empty_like(column)
+    for i in range(triple.control_dim):
+        impulse = np.zeros(column.shape[:2], dtype=np.complex128)
+        impulse[0, i] = 1.0
+        g[:, :, i] = triple.solve_feedback(grid, impulse)
+    chain = toeplitz.feedback_norm_chain(g, *triple.euclidean_frames(grid),
+                                         n_max)
     s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),

@@ -182,11 +182,17 @@ class MatrixTriple:
             P = P @ E
         return rows.reshape(-1, self.state_dim)
 
-    def io_matrix(self, grid) -> np.ndarray:
+    def feedback_column(self, grid) -> np.ndarray:
+        """F's first block column, ``(steps, m, m)``: lag ``d >= 1`` holds
+        ``h C E^d B``; lag 0 is zero (F is strictly block lower)."""
         m = self.control_dim
         blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
         blocks[1:] = grid.h * (self.C @ self._walk(grid)[:-1])
-        return toeplitz.materialize(toeplitz.BlockToeplitz(tuple(blocks)))
+        return blocks
+
+    def io_matrix(self, grid) -> np.ndarray:
+        return toeplitz.materialize(
+            toeplitz.BlockToeplitz(self.feedback_column(grid)))
 
     def solve_feedback(self, grid, v) -> np.ndarray:
         """``(I - F)^{-1} v`` for stacked samples ``v`` (``steps x m``),

@@ -2,7 +2,10 @@
 
 An ``n``-block operator matrix ``(T_{i-j})_{i,j=1..n}`` (zero above the
 diagonal) is stored by its first block column ``T_0 .. T_{n-1}``.  The module
-provides the dense materialization, the triangle-inequality norm bound
+provides its products by FFT (a lower-triangular Toeplitz operator is a
+compression of a block circulant of twice its order; Boettcher & Silbermann,
+*Introduction to Large Truncated Toeplitz Matrices*), the dense
+materialization, the triangle-inequality norm bound
 ``||T|| <= sum_j ||T_j||``, and the explicit inverse of the feedback block
 matrix ``I - F_n`` whose sub-diagonal blocks are ``C T^{k-1} B``: the inverse
 is again block lower-triangular Toeplitz with diagonal ``G = (I - F)^{-1}``
@@ -11,10 +14,13 @@ and sub-diagonals ``G C (T + B G C)^{k-1} B G``, together with the norm chain
     ||(I - F_n)^{-1}||  <=  ||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}.
 
 :func:`feedback_norm_chain` evaluates the chain for every ``n = 1 .. n_max``
-from one build: the n-block inverse is the leading ``n q x n q`` section of
-the ``n_max``-block inverse, so each lhs is the norm of a section of one
-matrix, and the n-independent norms and the ``I - F`` margin are computed
-once.
+from G's first block column ``g`` alone (G is block lower-triangular Toeplitz
+when F is, as for a time-invariant system's input-output map).  No inverse
+is materialized: the ``n_max``-block inverse is applied as its block
+recursion, whose only large product is G's, by FFT; the n-block inverse is
+its leading section, and every lhs is a Lanczos 2-norm of such a section
+(:func:`~sgperturb.numkit.lanczos_norms`).  A dense G is the case of one
+``q x q`` block.
 
 These identities are purely algebraic — no semigroup structure is required —
 which is why the tests can demand them to 1e-10.
@@ -22,13 +28,14 @@ which is why the tests can demand them to 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numkit
-from .numkit import as_matrix, induced_norm, ShapeError, SingularMatrixError
+from .numkit import (as_matrix, induced_norm, NumericalRangeError, ShapeError,
+                     SingularMatrixError)
 
 __all__ = [
     "BlockToeplitz",
@@ -45,34 +52,80 @@ __all__ = [
 FEEDBACK_MARGIN = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockToeplitz:
     """Block lower-triangular Toeplitz operator given by its first column.
 
     ``blocks[k]`` is the k-th sub-diagonal block (k = 0 the diagonal); all
     blocks are square of equal dimension ``d``; the represented operator is
     ``n*d x n*d`` with entry block ``(i, j) = blocks[i - j]`` for ``i >= j``.
+    ``blocks`` is stored as one complex128 array of shape ``(n, d, d)``.
+
+    :meth:`forward` and :meth:`adjoint` apply the operator and its adjoint
+    by FFT on the block circulant of order ``2n`` that contains it, from a
+    symbol computed once here (in real arithmetic when every block is real).
     """
 
-    blocks: tuple
+    blocks: np.ndarray
+    _real: bool = field(init=False, repr=False)
+    _symbol: np.ndarray = field(init=False, repr=False)
+    _adjoint_symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(as_matrix(b) for b in self.blocks)
-        if not mats:
-            raise ShapeError("need at least one block")
-        d = mats[0].shape[0]
-        for b in mats:
-            if b.shape != (d, d):
-                raise ShapeError(f"all blocks must be {d}x{d}, got {b.shape}")
-        object.__setattr__(self, "blocks", mats)
+        try:
+            col = np.asarray(self.blocks, dtype=np.complex128)
+        except ValueError as exc:
+            raise ShapeError(f"blocks must share one shape: {exc}") from exc
+        if col.ndim != 3 or not col.shape[0] or col.shape[1] != col.shape[2]:
+            raise ShapeError(
+                f"need at least one block, all square of one size; got "
+                f"blocks of shape {col.shape}")
+        if not np.isfinite(col).all():
+            raise NumericalRangeError("block entries must be finite")
+        real = not col.imag.any()
+        n = col.shape[0]
+        symbol = (np.fft.rfft(col.real, 2 * n, axis=0) if real
+                  else np.fft.fft(col, 2 * n, axis=0))
+        object.__setattr__(self, "blocks", col)
+        object.__setattr__(self, "_real", real)
+        object.__setattr__(self, "_symbol", symbol)
+        object.__setattr__(self, "_adjoint_symbol",
+                           symbol.conj().transpose(0, 2, 1))
 
     @property
     def n(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def block_dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
+
+    def forward(self, X) -> np.ndarray:
+        """``T X`` for ``X`` of ``n*d`` rows (a vector, or one right-hand
+        side per column)."""
+        return self._apply(self._symbol, X)
+
+    def adjoint(self, Y) -> np.ndarray:
+        """``T^H Y``, the same way: the circulant's adjoint has the
+        conjugate-transposed symbol, and its wrap-around lands in the zero
+        padding."""
+        return self._apply(self._adjoint_symbol, Y)
+
+    def _apply(self, symbol, X) -> np.ndarray:
+        X = np.asarray(X)
+        n, d = self.n, self.block_dim
+        if X.ndim not in (1, 2) or X.shape[0] != n * d:
+            raise ShapeError(f"operand needs {n * d} rows, got {X.shape}")
+        if self._real and np.iscomplexobj(X):
+            return self._apply(symbol, X.real) \
+                + 1j * self._apply(symbol, X.imag)
+        Z = X.reshape(n, d, -1)
+        if self._real:
+            Y = np.fft.irfft(symbol @ np.fft.rfft(Z, 2 * n, axis=0), 2 * n,
+                             axis=0)
+        else:
+            Y = np.fft.ifft(symbol @ np.fft.fft(Z, 2 * n, axis=0), axis=0)
+        return Y[:n].reshape(X.shape)
 
 
 def materialize(T: BlockToeplitz) -> np.ndarray:
@@ -81,7 +134,7 @@ def materialize(T: BlockToeplitz) -> np.ndarray:
     float64 when every block has a zero imaginary part, else complex128.
     """
     n, d = T.n, T.block_dim
-    real = not any(block.imag.any() for block in T.blocks)
+    real = not T.blocks.imag.any()
     M = np.zeros((n * d, n * d), dtype=np.float64 if real else np.complex128)
     grid = M.reshape(n, d, n, d)         # (row block, row, col block, col)
     for lag, block in enumerate(T.blocks):
@@ -99,39 +152,38 @@ def norm_bound(T: BlockToeplitz, p: float = 2) -> float:
     return float(sum(induced_norm(b, p) for b in T.blocks))
 
 
-def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
-    F = as_matrix(Ft0)
-    B = as_matrix(Bt0)
-    C = as_matrix(Ct0)
-    T = as_matrix(Tt0)
-    q = F.shape[0]
-    if F.shape != (q, q):
-        raise ShapeError("F block must be square")
+def _frames(Bt0, Ct0, Tt0, q: int):
+    """``B``, ``C``, ``T`` as matrices (float64 when real), checked against
+    ``q`` signal rows."""
+    B = numkit._narrowed(Bt0)
+    C = numkit._narrowed(Ct0)
+    T = numkit._narrowed(Tt0)
     d = T.shape[0]
     if T.shape != (d, d):
         raise ShapeError("T block must be square")
     if B.shape != (d, q) or C.shape != (q, d):
         raise ShapeError(
             f"need B: {d}x{q} and C: {q}x{d}, got {B.shape}, {C.shape}")
+    return B, C, T
+
+
+def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
+    F = as_matrix(Ft0)
+    q = F.shape[0]
+    if F.shape != (q, q):
+        raise ShapeError("F block must be square")
+    B, C, T = _frames(Bt0, Ct0, Tt0, q)
     eye_q = np.eye(q, dtype=np.complex128)
-    smallest = numkit._smallest_singular_value(eye_q - F)
-    if smallest < FEEDBACK_MARGIN:
+    return F, B, C, T, numkit.solve(eye_q - F, eye_q)
+
+
+def _require_margin(inverse_norm: float) -> None:
+    """Raise unless ``sigma_min(I - F) = 1 / ||(I - F)^{-1}||`` is at least
+    :data:`FEEDBACK_MARGIN`."""
+    if inverse_norm > 1.0 / FEEDBACK_MARGIN:
         raise SingularMatrixError(
             f"I - F is singular to margin {FEEDBACK_MARGIN:g} "
-            f"(smallest singular value {smallest:.3e})")
-    G = numkit.solve(eye_q - F, eye_q)
-    return F, B, C, T, G
-
-
-def _inverse_blocks(B, C, T, G, n: int):
-    """Closed-loop block ``T + B G C`` and the first ``n`` inverse blocks."""
-    closed = T + B @ G @ C
-    closed_power = np.eye(T.shape[0], dtype=np.complex128)
-    blocks = [G]
-    for _ in range(1, n):
-        blocks.append(G @ C @ closed_power @ B @ G)
-        closed_power = closed_power @ closed
-    return closed, blocks
+            f"(smallest singular value {1.0 / inverse_norm:.3e})")
 
 
 def feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n: int):
@@ -147,12 +199,18 @@ def feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n: int):
     if n < 1:
         raise ShapeError(f"need n >= 1 blocks, got {n}")
     F, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
+    _require_margin(induced_norm(G, 2))
     fwd_blocks = [np.eye(F.shape[0], dtype=np.complex128) - F]
     power = np.eye(T.shape[0], dtype=np.complex128)  # T^{k-1} walker
     for _ in range(1, n):
         fwd_blocks.append(-(C @ power @ B))
         power = power @ T
-    _, inv_blocks = _inverse_blocks(B, C, T, G, n)
+    closed = T + B @ G @ C
+    inv_blocks = [G]
+    power = np.eye(T.shape[0], dtype=np.complex128)  # closed^{k-1} walker
+    for _ in range(1, n):
+        inv_blocks.append(G @ C @ power @ B @ G)
+        power = power @ closed
     return (materialize(BlockToeplitz(fwd_blocks)),
             materialize(BlockToeplitz(inv_blocks)))
 
@@ -161,45 +219,106 @@ class NormChain(NamedTuple):
     """The feedback-inverse norm chain for every block count up to n_max.
 
     ``closed_norm`` is ``||T + B G C||_2``; ``entries`` holds one
-    ``(n, lhs, rhs)`` per block count ``n = 1 .. n_max``.
+    ``(n, lhs, rhs)`` per block count ``n = 1 .. n_max``, with ``lhs`` the
+    Lanczos 2-norm of the n-block inverse (within the stated residual of a
+    singular value, and never above the norm; see
+    :func:`~sgperturb.numkit.lanczos_norms`).
     """
     closed_norm: float
     entries: tuple
 
 
-def feedback_norm_chain(Ft0, Bt0, Ct0, Tt0, n_max: int) -> NormChain:
+def feedback_norm_chain(g, Bt0, Ct0, Tt0, n_max: int) -> NormChain:
     """(lhs, rhs) of the feedback-inverse norm chain for ``n = 1 .. n_max``.
 
-    lhs: exact 2-norm of the inverse of ``I - F_n``.
-    rhs: ``||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}``.
-    The contract is ``lhs <= rhs``.
+    ``g`` (shape ``(K, b, b)``) is the first block column of
+    ``G = (I - F)^{-1}``, block lower-triangular Toeplitz of ``K`` blocks,
+    and ``B``, ``C``, ``T`` are the frames of the other three maps.
+    lhs: the 2-norm of the inverse of the n-block feedback matrix, from
+    :func:`~sgperturb.numkit.lanczos_norms` on the leading sections of the
+    ``n_max``-block inverse, applied as its block recursion
+    (:func:`_inverse_products`).
+    rhs: ``||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}``,
+    with ``||G||`` the lhs at n = 1.  The contract is ``lhs <= rhs``.
 
-    The inverse is materialized once, over ``n_max`` blocks; the n-block
-    inverse is its leading ``n q x n q`` section (the operator is block
-    lower-triangular), so every lhs comes from that one build, and the
-    n-independent norms and the ``I - F`` margin are computed once.
+    ``G C`` and ``B G`` are FFT products with ``g``.  ``||G|| > 1 /
+    FEEDBACK_MARGIN`` raises :class:`SingularMatrixError`, which is exactly
+    ``sigma_min(I - F) < FEEDBACK_MARGIN``.
     """
     if n_max < 1:
         raise ShapeError(f"need n >= 1 blocks, got {n_max}")
-    _, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
-    closed, blocks = _inverse_blocks(B, C, T, G, n_max)
-    inverse = materialize(BlockToeplitz(blocks))
+    G = BlockToeplitz(g)
+    q = G.n * G.block_dim
+    B, C, T = _frames(Bt0, Ct0, Tt0, q)
+    GC = G.forward(C)
+    BG = G.adjoint(B.conj().T).conj().T
+    closed = T + B @ GC
+    lhs = numkit.lanczos_norms(*_inverse_products(G, GC, BG, B, closed,
+                                                  n_max),
+                               q * np.arange(1, n_max + 1))
+    head = float(lhs[0])
+    _require_margin(head)
     s = induced_norm(closed, 2)
-    head = induced_norm(G, 2)
-    gain = induced_norm(G @ C, 2) * induced_norm(B @ G, 2)
-    q = G.shape[0]
+    gain = induced_norm(GC, 2) * induced_norm(BG, 2)
     entries = []
     for n in range(1, n_max + 1):
-        lhs = induced_norm(inverse[:n * q, :n * q], 2)
         geom = sum(s ** (l - 1) for l in range(1, n))
-        entries.append((n, float(lhs), float(head + gain * geom)))
+        entries.append((n, float(lhs[n - 1]), float(head + gain * geom)))
     return NormChain(float(s), tuple(entries))
+
+
+def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
+    """Products with the ``n_max``-block inverse ``K`` of the feedback
+    block matrix, and with its adjoint, on ``(n_max q, columns)`` blocks.
+
+    ``K``'s block ``(i, j)`` is ``G`` on the diagonal and
+    ``G C closed^{i-j-1} B G`` below it, so ``y = K x`` is the recursion
+    ``y_i = G x_i + (G C) w_i``, ``w_{i+1} = closed w_i + B (G x_i)`` from
+    ``w_0 = 0``, and ``K^H`` runs backward:
+    ``y_j = G^H x_j + (B G)^H z_j``,
+    ``z_{j-1} = closed^H z_j + (G C)^H x_j`` from ``z_{n_max-1} = 0``.
+    Each product is one FFT product with G on all ``n_max`` blocks at once.
+    A block ``x_i`` reaches only ``y_{i'}`` with ``i' >= i`` (and the
+    adjoint the other way), so a column that is zero below a leading
+    section sees that section alone.
+    """
+    q, d = GC.shape
+    GC_h, BG_h, closed_h = GC.conj().T, BG.conj().T, closed.conj().T
+
+    def by_block(X):         # (n_max q, R) -> (q, n_max R), block i first
+        return X.reshape(n_max, q, -1).transpose(1, 0, 2).reshape(q, -1)
+
+    def stacked(Y):          # (q, n_max R) -> (n_max q, R)
+        return Y.reshape(q, n_max, -1).transpose(1, 0, 2).reshape(
+            n_max * q, -1)
+
+    def forward(X):
+        Gx = G.forward(by_block(X))
+        BGx = (B @ Gx).reshape(d, n_max, -1)
+        W = np.zeros_like(BGx, dtype=np.result_type(BGx, closed))
+        for i in range(1, n_max):
+            W[:, i] = closed @ W[:, i - 1] + BGx[:, i - 1]
+        return stacked(Gx + GC @ W.reshape(d, -1))
+
+    def adjoint(X):
+        Xb = by_block(X)
+        GCx = (GC_h @ Xb).reshape(d, n_max, -1)
+        Z = np.zeros_like(GCx, dtype=np.result_type(GCx, closed))
+        for j in range(n_max - 1, 0, -1):
+            Z[:, j - 1] = closed_h @ Z[:, j] + GCx[:, j]
+        return stacked(G.adjoint(Xb) + BG_h @ Z.reshape(d, -1))
+
+    return forward, adjoint
 
 
 def feedback_inverse_norm_bound(Ft0, Bt0, Ct0, Tt0, n: int):
     """(lhs, rhs) for the feedback-inverse norm chain over ``n`` blocks.
 
-    The last entry of :func:`feedback_norm_chain` with ``n_max = n``.
+    The last entry of :func:`feedback_norm_chain` with ``n_max = n``, fed
+    the dense ``G = (I - F)^{-1}`` as a single block.
     """
-    _, lhs, rhs = feedback_norm_chain(Ft0, Bt0, Ct0, Tt0, n).entries[-1]
+    if n < 1:
+        raise ShapeError(f"need n >= 1 blocks, got {n}")
+    _, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
+    _, lhs, rhs = feedback_norm_chain(G[None], B, C, T, n).entries[-1]
     return lhs, rhs

@@ -571,12 +571,12 @@ class TransportTriple:
             Cc *= np.exp(-self.mu_shift * (k * grid.h))[:, None]
         return Cc
 
-    def _feedback_column(self, grid) -> np.ndarray:
-        """First column of the lower triangular Toeplitz F: an atom at node
-        ``a`` adds its weight at lag ``ceil((N - a) / q)``, density cell
-        ``c`` adds ``d_c / N`` at lag ``ceil((N - c) / q)``; each lag sums
-        atoms, then cells, in order.  Lag 0 holds only an atom at ``s = 1``.
-        A ``mu_shift`` multiplies lag ``l`` by ``e^{-mu t_l}``, which is
+    def feedback_column(self, grid) -> np.ndarray:
+        """F's first block column, ``(steps, 1, 1)``: an atom at node ``a``
+        adds its weight at lag ``ceil((N - a) / q)``, density cell ``c``
+        adds ``d_c / N`` at lag ``ceil((N - c) / q)``; each lag sums atoms,
+        then cells, in order.  Lag 0 holds only an atom at ``s = 1``.  A
+        ``mu_shift`` multiplies lag ``l`` by ``e^{-mu t_l}``, which is
         ``e^{-mu t_j} F e^{mu t_k}`` without the overflow of ``e^{mu t_k}``.
         """
         q = _grid_nodes(grid.h, self.N, least=1)
@@ -593,10 +593,10 @@ class TransportTriple:
             np.add.at(col, cell_lag[keep], cells[keep])
         if self.mu_shift:
             col *= np.exp(-self.mu_shift * grid.times)
-        return col
+        return col[:, None, None]
 
     def io_matrix(self, grid) -> np.ndarray:
-        col = self._feedback_column(grid)
+        col = self.feedback_column(grid)[:, 0, 0]
         F = np.zeros((grid.steps, grid.steps), dtype=np.complex128)
         for lag in np.flatnonzero(col):
             np.fill_diagonal(F[lag:], col[lag])
@@ -607,13 +607,16 @@ class TransportTriple:
 
             y_j = (v_j + sum_{l in S} col_l y_{j-l}) / (1 - col_0),
 
-        ``S`` the nonzero lags ``l >= 1`` of F's first column ``col``.  With
-        ``L`` the smallest lag in ``S``, the next ``L`` values read only
-        earlier ones, so each delay block of ``L`` steps is one gather and
-        one product (the delay blocks of :func:`solve_pde`).  ``1 - col_0``
-        is the diagonal of ``I - F``; exactly 0 (unit atom at ``s = 1``)
-        raises :class:`~sgperturb.numkit.SingularMatrixError`."""
-        col = self._feedback_column(grid)
+        ``S`` the nonzero lags ``l >= 1`` of F's first column ``col``.  A
+        density puts weight on every lag up to the largest, so each step
+        reads ``y_{j-1} .. y_{j-pad}`` as one contiguous window dot with the
+        reversed column.  Atoms alone give a few scattered lags: with ``L``
+        the smallest lag in ``S``, the next ``L`` values read only earlier
+        ones, so each delay block of ``L`` steps is one gather and one
+        product (the delay blocks of :func:`solve_pde`).  ``1 - col_0`` is
+        the diagonal of ``I - F``; exactly 0 (unit atom at ``s = 1``) raises
+        :class:`~sgperturb.numkit.SingularMatrixError`."""
+        col = self.feedback_column(grid)[:, 0, 0]
         denom = 1.0 - col[0]
         numkit._require_pivots(np.array([denom]))
         v = np.asarray(v, dtype=np.complex128).reshape(grid.steps)
@@ -622,6 +625,11 @@ class TransportTriple:
             return (v / denom)[:, None]
         pad = int(lags[-1])
         y = np.zeros(pad + grid.steps, dtype=np.complex128)
+        if self.mu.density:
+            reversed_col = col[pad:0:-1]     # y[j + i] pairs with col_{pad-i}
+            for j in range(grid.steps):
+                y[pad + j] = (v[j] + y[j:j + pad] @ reversed_col) / denom
+            return y[pad:, None]
         reads = pad - lags           # y_{j-l} sits at y[j + pad - l]
         weights = col[lags]
         block = int(lags[0])

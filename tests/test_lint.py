@@ -7,7 +7,10 @@ strips them.  No module imports scipy, not even lazily inside a function:
 the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
 second thread pool and its import time to every run.  Singular values have
 one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
-``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  Each
+``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
+calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
+and ``perturbation.py`` materializes no Toeplitz operator: it names neither
+``materialize`` nor ``feedback_toeplitz_inverse``, the dense oracles.  Each
 world's facts live on its triple class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods.
@@ -165,6 +168,58 @@ def test_singular_value_rule_passes_other_norms():
         "a = np.linalg.norm(x)\nb = np.linalg.norm(A, 1)\n"
         "c = np.linalg.norm(A, ord=np.inf)\nd = numkit.induced_norm(A, 2)\n"
         "e = np.linalg.eigvalsh(G)\n") == []
+
+
+def fft_uses(source: str, name: str = "<source>"):
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        where = f"{name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Attribute) and node.attr == "fft":
+            found.append(f"{where}: fft attribute")
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.fft") for alias in node.names):
+            found.append(f"{where}: fft import")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                (node.module or "").startswith("numpy.fft")
+                or (node.module == "numpy"
+                    and any(alias.name == "fft" for alias in node.names))):
+            found.append(f"{where}: fft import")
+    return found
+
+
+OUTSIDE_TOEPLITZ = [p for p in MODULES if p.name != "toeplitz.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_TOEPLITZ,
+                         ids=[str(p.relative_to(SRC))
+                              for p in OUTSIDE_TOEPLITZ])
+def test_fft_only_in_toeplitz(path):
+    assert fft_uses(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "y = np.fft.rfft(x)\n",
+    "y = numpy.fft.ifft(x, axis=0)\n",
+    "from numpy.fft import rfft\n",
+    "import numpy.fft as f\n",
+    "from numpy import fft\n",
+])
+def test_fft_rule_catches_each_form(snippet):
+    assert len(fft_uses(snippet)) == 1
+
+
+def test_fft_rule_passes_the_toeplitz_products():
+    assert fft_uses("y = T.forward(x)\nz = T.adjoint(y)\n"
+                    "n = numkit.lanczos_norms(f, g, sizes)\n") == []
+
+
+DENSE_ORACLES = {"materialize", "feedback_toeplitz_inverse"}
+
+
+def test_perturbation_materializes_no_toeplitz_operator():
+    path = SRC / "perturbation.py"
+    used = DENSE_ORACLES & set(_names(ast.parse(path.read_text())))
+    assert used == set()
 
 
 WORLD_CLASSES = {"MatrixTriple", "TransportTriple"}

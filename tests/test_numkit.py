@@ -300,6 +300,93 @@ def test_smallest_singular_value_resolves_a_tiny_margin():
                                                                     rel=1e-6)
 
 
+# ---------------------------------------------------------------------------
+# Lanczos norms of leading sections
+# ---------------------------------------------------------------------------
+
+def dense_products(A):
+    return (lambda X: A @ X), (lambda Y: A.conj().T @ Y)
+
+
+def section_svd(A, sizes):
+    return np.array([np.linalg.svd(A[:s, :s], compute_uv=False)[0]
+                     for s in sizes])
+
+
+def _clustered_top(rng):
+    # I plus a rank-1 term of relative size 1e-6: the top singular value
+    # sits 1e-6 above a 59-fold cluster at 1
+    u = rng.standard_normal(60)
+    return np.eye(60) + 1e-6 * np.outer(u, u) / (u @ u)
+
+
+LANCZOS_CASES = {
+    "real": lambda rng: rng.standard_normal((60, 60)),
+    "complex": lambda rng: random_matrix(rng, 60, 60),
+    "rank-deficient": lambda rng: random_matrix(rng, 60, 3)
+    @ random_matrix(rng, 3, 60),
+    "clustered-top": _clustered_top,
+    "lower-toeplitz": lambda rng: scipy.linalg.toeplitz(
+        rng.standard_normal(60), np.zeros(60)),
+}
+
+
+@pytest.mark.parametrize("case", LANCZOS_CASES)
+def test_lanczos_norms_match_svd_on_every_section(case):
+    A = LANCZOS_CASES[case](make_rng(41))
+    sizes = (1, 7, 30, 60)
+    got = numkit.lanczos_norms(*dense_products(A), sizes)
+    oracle = section_svd(A, sizes)
+    assert np.all(np.abs(got - oracle) <= 1e-12 * oracle)
+    # a compression never exceeds the norm
+    assert np.all(got <= oracle * (1.0 + 1e-14))
+
+
+def test_lanczos_norms_one_by_one_and_zero():
+    assert numkit.lanczos_norms(*dense_products(np.array([[-3.0 + 4.0j]])),
+                                (1,)) == pytest.approx([5.0], rel=1e-15)
+    assert numkit.lanczos_norms(*dense_products(np.zeros((4, 4))),
+                                (2, 4)).tolist() == [0.0, 0.0]
+
+
+def test_lanczos_norms_exact_at_krylov_exhaustion(monkeypatch):
+    # the top two singular values are 1e-9 apart, so the residual test
+    # cannot stop before the space is exhausted: with the cap at the
+    # dimension the result is the exact norm, one step less is an error
+    rng = make_rng(42)
+    Q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A = Q1 @ np.diag([1.0, 1.0 - 1e-9, 0.5, 0.2]) @ Q2
+    monkeypatch.setattr(numkit, "_GKL_MAX_STEPS", 4)
+    got = numkit.lanczos_norms(*dense_products(A), (4,))
+    assert got[0] == pytest.approx(1.0, rel=1e-14)
+    monkeypatch.setattr(numkit, "_GKL_MAX_STEPS", 3)
+    with pytest.raises(numkit.ConvergenceError, match=r"sections \[4\]"):
+        numkit.lanczos_norms(*dense_products(A), (4,))
+
+
+def test_lanczos_norms_raise_when_the_cap_is_too_low(monkeypatch):
+    A = LANCZOS_CASES["real"](make_rng(43))
+    monkeypatch.setattr(numkit, "_GKL_MAX_STEPS", 2)
+    with pytest.raises(numkit.ConvergenceError, match="not converged"):
+        numkit.lanczos_norms(*dense_products(A), (60,))
+
+
+def test_lanczos_norms_are_deterministic_and_leave_global_rngs_alone():
+    A = LANCZOS_CASES["complex"](make_rng(44))
+    state = np.random.get_state()[1].copy()
+    first = numkit.lanczos_norms(*dense_products(A), (20, 60))
+    assert np.array_equal(first,
+                          numkit.lanczos_norms(*dense_products(A), (20, 60)))
+    assert np.array_equal(np.random.get_state()[1], state)
+
+
+def test_lanczos_norms_reject_empty_sections():
+    for sizes in ((), (0, 3)):
+        with pytest.raises(ShapeError):
+            numkit.lanczos_norms(*dense_products(np.eye(3)), sizes)
+
+
 def test_induced_norm_rejects_general_p():
     with pytest.raises(UnsupportedExponentError):
         induced_norm(np.eye(2), 3)

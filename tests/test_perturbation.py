@@ -1,10 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (compatible_state, stable_triple, taylor_expm,
                       transport_triple)
-from sgperturb import admissibility, numkit, perturbation, transport
+from sgperturb import admissibility, numkit, perturbation, toeplitz, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
                                      feedback_admissible, io_matrix,
@@ -27,6 +30,7 @@ from sgperturb.semigroup import (
     volterra_resolvent_values,
 )
 from sgperturb.toeplitz import (feedback_inverse_norm_bound,
+                                feedback_norm_chain,
                                 feedback_toeplitz_inverse)
 from sgperturb.transport import (
     BorelMeasure,
@@ -419,29 +423,90 @@ def test_growth_transport_needs_feedback_margin():
         long_horizon_growth_check(triple, TimeGrid(1.0, 16), (0.0,))
 
 
+def dense_frames(triple, grid):
+    """(F, B, C, T): the assembled io_matrix next to the triple's euclidean
+    frames, the input of the dense oracles."""
+    return (io_matrix(triple, grid),) + triple.euclidean_frames(grid)
+
+
+def impulse_column(triple, grid):
+    """G's first block column, one solve_feedback per unit impulse."""
+    m = triple.control_dim
+    g = np.empty((grid.steps, m, m), dtype=np.complex128)
+    for i in range(m):
+        impulse = np.zeros((grid.steps, m))
+        impulse[0, i] = 1.0
+        g[:, :, i] = triple.solve_feedback(grid, impulse)
+    return g
+
+
 @pytest.mark.parametrize("world", ["matrix", "transport"])
-def test_growth_entries_equal_per_block_bound(world):
-    # one norm-chain build gives exactly the per-n values
+def test_growth_entries_equal_one_chain_of_the_impulse_column(world):
+    # the growth check is one chain build on G's first block column, bit
+    # for bit; that column is the dense inverse's, and every entry agrees
+    # with the per-n chain on the same column and with the per-n dense path
     if world == "matrix":
         triple, grid = stable_triple(52, n=3, m=2), TimeGrid(0.5, 16)
     else:
         triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
         grid = TimeGrid(1.0, 32)
     rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0), n_max=5)
-    F, B, C, T = perturbation._euclidean_frames(triple, grid)
-    eye = np.eye(F.shape[0], dtype=np.complex128)
-    G = numkit.solve(eye - F, eye)
-    s = numkit.induced_norm(T + B @ G @ C, 2)
+    g = impulse_column(triple, grid)
+    F, B, C, T = dense_frames(triple, grid)
+    chain = feedback_norm_chain(g, B, C, T, 5)
+    s = chain.closed_norm
     assert rep.surrogate_norm == s
+    assert rep.block_entries == chain.entries
     assert rep.mu_entries == tuple(
         (mu, float(np.exp(mu * grid.t0)), bool(s < np.exp(mu * grid.t0)))
         for mu in (0.5, 1.0, 2.0))
-    assert rep.block_entries == tuple(
-        (n, *feedback_inverse_norm_bound(F, B, C, T, n)) for n in range(1, 6))
+    eye = np.eye(F.shape[0], dtype=np.complex128)
+    G = numkit.solve(eye - F, eye)
+    m = triple.control_dim
+    assert np.abs(g.reshape(-1, m) - G[:, :m]).max() \
+        <= 1e-12 * np.abs(G).max()
+    dense_s = numkit.induced_norm(T + B @ G @ C, 2)
+    assert abs(s - dense_s) <= 1e-12 * dense_s
+    for n, lhs, rhs in rep.block_entries:
+        per_n = feedback_norm_chain(g, B, C, T, n).entries[-1]
+        dense = feedback_inverse_norm_bound(F, B, C, T, n)
+        assert per_n[0] == n
+        for got, want in ((lhs, per_n[1]), (rhs, per_n[2]),
+                          (lhs, dense[0]), (rhs, dense[1])):
+            assert abs(got - want) <= 1e-12 * want
 
 
 README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
                             np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+
+
+def assert_entries_match_dense_svd(rep, triple, grid, n_max):
+    frames = dense_frames(triple, grid)
+    q = frames[0].shape[0]
+    _, inverse = feedback_toeplitz_inverse(*frames, n_max)
+    assert [n for n, _, _ in rep.block_entries] == list(range(1, n_max + 1))
+    for n, lhs, _ in rep.block_entries:
+        oracle = np.linalg.svd(inverse[:n * q, :n * q], compute_uv=False)[0]
+        assert abs(lhs - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (README_TRIPLE, TimeGrid(0.5, 32)),
+    (stable_triple(56, n=3, m=2), TimeGrid(0.5, 16)),
+    (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 32)),
+    (transport_triple(N=64, density=tuple(0.3 + 0.2 * np.cos(np.arange(64)))),
+     TimeGrid(0.5, 32)),
+    (transport_triple(N=32, atoms=((0.0, 0.8), (0.5, 0.3))),
+     TimeGrid(2.0, 64)),
+    (transport_triple(N=32, atoms=((0.5, 0.7), (1.0, 0.4 - 0.3j))),
+     TimeGrid(1.0, 32)),
+], ids=["readme-m1", "stable-m2", "transport-atoms", "transport-density",
+        "atom-at-0", "complex-atom-at-1"])
+def test_growth_entries_match_dense_svd_sections(triple, grid):
+    # each Lanczos lhs against an SVD of its section of the dense inverse
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0), n_max=6)
+    assert rep.all_dominated
+    assert_entries_match_dense_svd(rep, triple, grid, 6)
 
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])
@@ -454,17 +519,55 @@ def test_growth_chain_matches_dense_svd_at_workload_size(world):
     else:
         triple = transport_triple(N=256, atoms=LITTLE_MASS_ATOMS)
     grid = TimeGrid(0.5, 128)
+    assert grid.steps * triple.control_dim == 128
     rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0, 4.0),
                                     n_max=6)
     assert rep.all_dominated
-    frames = perturbation._euclidean_frames(triple, grid)
-    q = frames[0].shape[0]
-    assert q == 128
-    _, inverse = feedback_toeplitz_inverse(*frames, 6)
-    assert [n for n, _, _ in rep.block_entries] == list(range(1, 7))
-    for n, lhs, _ in rep.block_entries:
-        oracle = np.linalg.svd(inverse[:n * q, :n * q], compute_uv=False)[0]
-        assert abs(lhs - oracle) <= 1e-12 * oracle
+    assert_entries_match_dense_svd(rep, triple, grid, 6)
+
+
+def test_growth_singular_feedback_raises_through_the_inverse_norm():
+    # F is strictly lower, so its diagonal margin is 1, but the loop grows
+    # like (1 + 30 h)^k: ||(I - F)^{-1}|| > 1e8, sigma_min(I - F) < 1e-8.
+    # The chain refuses through 1 / ||G||, with the dense SVD's message
+    triple = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
+                          np.array([[30.0]]))
+    grid = TimeGrid(1.0, 32)
+    F, B, C, T = dense_frames(triple, grid)
+    smallest = np.linalg.svd(np.eye(32) - F, compute_uv=False)[-1]
+    assert smallest < 1e-8
+    assert feedback_admissible(triple, grid, 2.0).margin == 1.0
+    message = (r"I - F is singular to margin 1e-08 "
+               r"\(smallest singular value ([0-9.]+e[-+][0-9]+)\)")
+    for run in (lambda: long_horizon_growth_check(triple, grid, (0.0,)),
+                lambda: feedback_inverse_norm_bound(F, B, C, T, 2),
+                lambda: feedback_toeplitz_inverse(F, B, C, T, 2)):
+        with pytest.raises(numkit.SingularMatrixError, match=message) as exc:
+            run()
+        reported = float(re.search(message, str(exc.value)).group(1))
+        assert reported == pytest.approx(smallest, rel=1e-3)
+
+
+def test_growth_check_at_4096_steps_is_linear_in_memory(monkeypatch):
+    # 4096 signal columns: the dense path built a 24576^2 inverse (4.8 GB);
+    # now neither F nor any inverse is materialized, and the traced peak
+    # stays below a bound linear in steps that one steps x steps float64
+    # matrix (8 steps^2 bytes, 134 MB) would already exceed
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense F or inverse built")
+    for owner in (admissibility, perturbation, MatrixTriple):
+        monkeypatch.setattr(owner, "io_matrix", refuse)
+    monkeypatch.setattr(toeplitz, "materialize", refuse)
+    steps = 4096
+    tracemalloc.start()
+    try:
+        rep = long_horizon_growth_check(README_TRIPLE, TimeGrid(0.5, steps),
+                                        (0.5, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_dominated
+    assert peak < 24_000 * steps
 
 
 def test_growth_transport_two_atoms():
@@ -518,9 +621,8 @@ def probed_transport_frames(triple, grid):
         "atom-at-1-shift-stride-2", "density-short", "beyond-one"])
 def test_transport_frames_equal_probed_maps(triple, grid):
     # the index-arithmetic frames are the probed ones, bit for bit
-    F, B, C, T = perturbation._euclidean_frames(triple, grid)
-    assert np.array_equal(F, io_matrix(triple, grid))
-    for got, want in zip((B, C, T), probed_transport_frames(triple, grid)):
+    for got, want in zip(triple.euclidean_frames(grid),
+                         probed_transport_frames(triple, grid)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
@@ -539,8 +641,8 @@ def count_calls(monkeypatch, name, *modules):
 
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])
-def test_growth_check_builds_one_io_matrix(world, monkeypatch):
-    # the margin comes off the frames' F: no second build, no eigensolve
+def test_growth_check_builds_no_io_matrix(world, monkeypatch):
+    # the margin comes off F's lag-0 block: no F build, no eigensolve
     if world == "matrix":
         triple, grid = stable_triple(53, n=3, m=2), TimeGrid(0.5, 16)
     else:
@@ -555,7 +657,7 @@ def test_growth_check_builds_one_io_matrix(world, monkeypatch):
             + count_calls(monkeypatch, "observability_map", admissibility,
                           perturbation))
     assert long_horizon_growth_check(triple, grid, (0.5, 1.0)) == expected
-    assert len(builds) == 1
+    assert builds == []
     assert eigs == []
     assert maps == []
 

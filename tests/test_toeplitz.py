@@ -74,6 +74,36 @@ def test_materialize_keeps_one_complex_block():
     assert materialize(BlockToeplitz(blocks)).dtype == np.complex128
 
 
+@pytest.mark.parametrize("n, d, build", [
+    (9, 1, real_toeplitz), (9, 1, random_toeplitz),
+    (6, 2, real_toeplitz), (6, 2, random_toeplitz),
+    (1, 5, real_toeplitz), (1, 5, random_toeplitz),   # one dense q x q block
+    (4, 5, random_toeplitz),
+])
+def test_fft_products_match_materialize(n, d, build):
+    T = build(61, n, d)
+    M = materialize(T)
+    rng = numkit.make_rng(62)
+    X = numkit.random_matrix(rng, n * d, 3)
+    R = rng.standard_normal((n * d, 2))
+    for got, want in ((T.forward(X), M @ X),
+                      (T.adjoint(X), M.conj().T @ X),
+                      (T.forward(X[:, 1]), M @ X[:, 1]),
+                      (T.adjoint(R), M.conj().T @ R)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if build is real_toeplitz:        # real data stays real
+        assert T.forward(R).dtype == T.adjoint(R).dtype == np.float64
+
+
+def test_fft_products_reject_wrong_rows():
+    T = random_toeplitz(63, 3, 2)
+    with pytest.raises(ShapeError):
+        T.forward(np.ones(5))
+    with pytest.raises(ShapeError):
+        T.adjoint(np.ones((6, 2, 1)))
+
+
 def test_block_shape_validation():
     with pytest.raises(ShapeError):
         BlockToeplitz([np.eye(2), np.eye(3)])
