@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import re
 import subprocess
@@ -490,6 +492,32 @@ def test_transfer_scalar_range_guard():
         transfer_scalar(BorelMeasure(atoms=((0.0, 1.0),)), 600.0)
 
 
+NON_FINITE = [np.nan, complex(np.nan, 0.0), complex(1.0, np.inf),
+              complex(0.0, np.nan), -np.inf]
+
+
+@pytest.mark.parametrize("lam", NON_FINITE)
+def test_transfer_scalar_rejects_non_finite_lambda(lam):
+    mu = BorelMeasure(atoms=((0.5, 0.3),), density=(0.1,) * 8)
+    with pytest.raises(numkit.NumericalRangeError):
+        transfer_scalar(mu, lam)
+
+
+def test_transfer_scalar_finite_at_huge_imaginary_part():
+    # |lam h| = 1.25e63: the Taylor terms of the slope must not be formed
+    mu = BorelMeasure(atoms=((0.5, 0.3),), density=(0.1,) * 8)
+    assert np.isfinite(transfer_scalar(mu, 1e64j))
+
+
+@pytest.mark.parametrize("lam", NON_FINITE)
+def test_triple_transfer_and_resolvent_reject_non_finite_lambda(lam):
+    triple = transport_triple(atoms=((0.5, 0.3),))
+    with pytest.raises(numkit.NumericalRangeError):
+        triple.transfer(lam)
+    with pytest.raises(numkit.NumericalRangeError):
+        perturbation.perturbed_resolvent(triple, lam)
+
+
 def test_characteristic_roots_zero_measure_empty():
     roots = characteristic_roots(BorelMeasure(), (-2.0, 2.0, -5.0, 5.0))
     assert roots.size == 0
@@ -510,19 +538,172 @@ def test_characteristic_roots_constant_transfer_empty():
     assert roots.size == 0
 
 
+def scalar_ratio(z):
+    """(e^z - 1) / z with the Taylor switch of ``transport._exp_ratio``."""
+    if abs(z) < 1e-5:
+        return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+    return (np.exp(z) - 1.0) / z
+
+
+def scalar_ratio_slope(z):
+    """d/dz (e^z - 1) / z: Taylor through z^5 below 1e-2, else closed."""
+    if abs(z) < 1e-2:
+        return sum(k * z ** (k - 1) / math.factorial(k + 1)
+                   for k in range(1, 7))
+    return (z * np.exp(z) - np.expm1(z)) / (z * z)
+
+
 def scalar_transfer(mu, lam):
     """H(lam) summed atom by atom and cell by cell in Python complex."""
     H = sum((w * np.exp(lam * (loc - 1.0)) for loc, w in mu.atoms), 0j)
     n = len(mu.density)
     for cell, d in enumerate(mu.density):
-        z = lam / n
-        ratio = (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-                 if abs(z) < 1e-5 else (np.exp(z) - 1.0) / z)
-        H += d / n * np.exp(lam * (cell / n - 1.0)) * ratio
+        H += d / n * np.exp(lam * (cell / n - 1.0)) * scalar_ratio(lam / n)
     return complex(H)
 
 
-def scalar_newton_roots(mu, box, tol=1e-10, max_iter=60):
+def scalar_slope(mu, lam):
+    """H'(lam), the derivative of ``scalar_transfer``, summed the same way:
+    ``(r - 1) w e^{lam (r - 1)}`` per atom and, per cell of left edge
+    ``a = k / n``, ``(c / n) e^{lam (a - 1)} ((a - 1) R(z) + R'(z) / n)``
+    with ``z = lam / n``."""
+    dH = sum(((loc - 1.0) * w * np.exp(lam * (loc - 1.0))
+              for loc, w in mu.atoms), 0j)
+    n = len(mu.density)
+    for cell, d in enumerate(mu.density):
+        a, z = cell / n, lam / n
+        dH += (d / n * np.exp(lam * (a - 1.0))
+               * ((a - 1.0) * scalar_ratio(z) + scalar_ratio_slope(z) / n))
+    return complex(dH)
+
+
+def quadrature_slope(mu, lam, order=24):
+    """H'(lam) = int (r - 1) e^{lam (r - 1)} dmu(r): atoms exactly, each
+    density cell by Gauss-Legendre of ``order`` nodes, in Python complex."""
+    lam = complex(lam)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    dH = sum(((loc - 1.0) * w * cmath.exp(lam * (loc - 1.0))
+              for loc, w in mu.atoms), 0j)
+    n = len(mu.density)
+    for cell, d in enumerate(mu.density):
+        for x, q in zip(nodes.tolist(), weights.tolist()):
+            r = (cell + (x + 1.0) / 2.0) / n
+            dH += d * q / (2.0 * n) * (r - 1.0) * cmath.exp(lam * (r - 1.0))
+    return dH
+
+
+DENSITY_64 = tuple(np.random.default_rng(5).uniform(-0.2, 0.2, 64))
+SMOOTH_64 = tuple(0.5 + 0.3 * np.cos(np.arange(64)))
+# lambda = 0, |lambda h| = 1e-8 (where the closed form of R' loses 1e-8)
+# and just below and just above the 1e-2 Taylor switch of R' (h = 1/64),
+# |Im lambda| = 300, Re lambda = +-400
+SLOPE_POINTS = [0.0, 1e-8 * 64 * np.exp(0.3j), 0.0099 * 64 * np.exp(0.7j),
+                0.0101 * 64 * np.exp(0.7j), 0.0099 * 64, -0.0101 * 64,
+                1.0 + 300j, -2.0 - 300j, 400.0 + 5j, -400.0 - 5j]
+
+
+@pytest.mark.parametrize("mu", [
+    BorelMeasure(atoms=((0.0, 0.7), (0.5, -0.3j), (0.9, 0.2), (1.0, 0.1))),
+    BorelMeasure(density=SMOOTH_64),
+    BorelMeasure(atoms=((0.25, 0.4), (0.75, 0.2 + 0.1j)),
+                 density=SMOOTH_64),
+], ids=["atoms", "density64", "atoms+density64"])
+def test_transfer_slope_matches_quadrature(mu):
+    lam = np.asarray(SLOPE_POINTS, dtype=np.complex128)
+    H, dH = transport._transfer_and_slope(mu, lam)
+    for z, value, slope in zip(lam, H, dH):
+        assert value == transfer_scalar(mu, z)
+        exact = quadrature_slope(mu, z)
+        assert abs(slope - exact) <= 1e-12 * abs(exact), z
+
+
+def transfer_values_oracle(mu, lam):
+    """The H evaluator before the slope was added, verbatim."""
+    H = np.zeros(lam.shape, dtype=np.complex128)
+    for loc, w in mu.atoms:
+        H += w * np.exp(lam * (loc - 1.0))
+    if mu.density:
+        n = len(mu.density)
+        h = 1.0 / n
+        weights = np.asarray(mu.density, dtype=np.complex128) * h
+        left = np.arange(n) * h - 1.0
+        flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        rows = max(1, transport._CELL_BLOCK // n)
+        for i in range(0, flat.size, rows):
+            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+        H += cells.reshape(lam.shape) * transport._exp_ratio(lam * h)
+    return H
+
+
+@pytest.mark.parametrize("mu", [
+    TWO_ATOMS,
+    BorelMeasure(atoms=((0.5, 0.3),), density=DENSITY_64),
+    BorelMeasure(density=SMOOTH_64),
+    # 1000 cells: 65 rows per exponential block, so the points span blocks
+    BorelMeasure(atoms=((0.0, 0.5j),), density=tuple(
+        np.random.default_rng(2).uniform(-1.0, 1.0, 1000) * (1.0 + 0.5j))),
+], ids=["atoms", "atoms+density64", "density64", "density1000"])
+def test_transfer_values_bit_identical_to_oracle(mu):
+    rng = np.random.default_rng(9)
+    lam = (rng.uniform(-450.0, 450.0, 300)
+           + 1j * rng.uniform(-300.0, 300.0, 300))
+    lam[:6] = [0.0, 1e-7, 3e-6j, 0.5 + 0.5j, -2.0 - 1e-4j, 60.0]
+    H = transport._transfer_and_slope(mu, lam)[0]
+    assert np.array_equal(H, transfer_values_oracle(mu, lam))
+    grid = lam.reshape(20, 15)
+    assert np.array_equal(transport._transfer_and_slope(mu, grid)[0],
+                          transfer_values_oracle(mu, grid))
+    for z in lam[:12]:
+        assert transfer_scalar(mu, z) == transfer_values_oracle(
+            mu, np.array([z]))[0]
+
+
+def closed_loop_measure(seed):
+    """The root-search measure of the closed-loop benchmark battery: an
+    atom (0.5, 0.3) and a 64-cell density, drawn from stream 1 of ``seed``
+    after the six coefficients of the battery's initial state."""
+    seq = np.random.SeedSequence(seed).spawn(2)[1]
+    rng = np.random.Generator(np.random.PCG64(seq))
+    rng.uniform(-1.0, 1.0, 4), rng.uniform(1.0, 3.0, 2)
+    return BorelMeasure(atoms=((0.5, 0.3),),
+                        density=tuple(rng.uniform(-0.2, 0.2, 64)))
+
+
+@pytest.mark.parametrize("max_iter", [1, 5, 60])
+def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
+    # on this measure some starts never converge, so the search runs all
+    # max_iter steps; each step is one evaluation, plus the final filter
+    calls = []
+    evaluate = transport._transfer_and_slope
+
+    def counted(mu, lam):
+        calls.append(lam.size)
+        return evaluate(mu, lam)
+    monkeypatch.setattr(transport, "_transfer_and_slope", counted)
+    mu = closed_loop_measure(7)
+    roots = characteristic_roots(mu, (-5.0, 3.0, -20.0, 20.0),
+                                 max_iter=max_iter)
+    assert len(calls) == max_iter + 1
+    assert calls[0] == 9 * 21
+    if max_iter == 60:
+        assert roots.size == 3
+
+
+def central_difference(mu):
+    """The slope the search used before H' was analytic; ``None`` (drop the
+    start) when a difference point leaves the strip ``|Re| <= 500``."""
+    def slope(lam):
+        d = 1e-6 * (1.0 + abs(lam))
+        if abs(lam.real) + d > 500.0:
+            return None
+        return (scalar_transfer(mu, lam + d)
+                - scalar_transfer(mu, lam - d)) / (2.0 * d)
+    return slope
+
+
+def scalar_newton_roots(mu, box, slope, tol=1e-10, max_iter=60):
     """The root search start by start: reference for the batched one."""
     re_min, re_max, im_min, im_max = box
     n_re = min(40, max(3, int(np.ceil(re_max - re_min)) + 1))
@@ -538,12 +719,8 @@ def scalar_newton_roots(mu, box, tol=1e-10, max_iter=60):
                 if abs(g) <= min(tol, 1e-12):
                     ok = True
                     break
-                d = 1e-6 * (1.0 + abs(lam))
-                if abs(lam.real) + d > 500.0:
-                    break
-                dg = (scalar_transfer(mu, lam + d)
-                      - scalar_transfer(mu, lam - d)) / (2.0 * d)
-                if abs(dg) < 1e-300:
+                dg = slope(lam)
+                if dg is None or abs(dg) < 1e-300:
                     break
                 step = g / dg
                 if not np.isfinite(step):
@@ -563,9 +740,6 @@ def scalar_newton_roots(mu, box, tol=1e-10, max_iter=60):
     return np.asarray(roots, dtype=np.complex128)
 
 
-DENSITY_64 = tuple(np.random.default_rng(5).uniform(-0.2, 0.2, 64))
-
-
 @pytest.mark.parametrize("mu, box", [
     (TWO_ATOMS, (-5.0, 3.0, -20.0, 20.0)),
     (BorelMeasure(atoms=((0.5, 0.3),), density=DENSITY_64),
@@ -583,10 +757,16 @@ DENSITY_64 = tuple(np.random.default_rng(5).uniform(-0.2, 0.2, 64))
         "beyond-strip"])
 def test_characteristic_roots_match_scalar_newton(mu, box):
     roots = characteristic_roots(mu, box)
-    oracle = scalar_newton_roots(mu, box)
+    oracle = scalar_newton_roots(mu, box, lambda lam: scalar_slope(mu, lam))
     assert roots.size == oracle.size
     if roots.size:
         assert np.abs(roots - oracle).max() <= 1e-12
+    # the central-difference search finds the same roots: the analytic
+    # slope neither loses nor adds one
+    difference = scalar_newton_roots(mu, box, central_difference(mu))
+    assert roots.size == difference.size
+    if roots.size:
+        assert np.abs(roots - difference).max() <= 1e-10
     for lam in roots:
         assert abs(transfer_scalar(mu, lam) - 1.0) <= 1e-10
         assert abs(transfer_scalar(mu, lam) - scalar_transfer(mu, lam)) \
@@ -594,10 +774,19 @@ def test_characteristic_roots_match_scalar_newton(mu, box):
 
 
 def test_characteristic_roots_validation():
-    with pytest.raises(ValueError):
-        characteristic_roots(BorelMeasure(), (1.0, -1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        characteristic_roots(BorelMeasure(), (-1.0, 1.0, -1.0, 1.0), tol=0.0)
+    mu = BorelMeasure(atoms=((0.0, np.e),))
+    box = (-1.0, 1.0, -1.0, 1.0)
+    for bad_box in [(1.0, -1.0, 0.0, 1.0), (-np.inf, 1.0, -1.0, 1.0),
+                    (-1.0, 1.0, -1.0, np.inf), (-1.0, np.nan, -1.0, 1.0),
+                    (-1e308, 1e308, -1.0, 1.0)]:
+        with pytest.raises(ValueError):
+            characteristic_roots(mu, bad_box)
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            characteristic_roots(mu, box, tol=tol)
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError):
+            characteristic_roots(mu, box, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
