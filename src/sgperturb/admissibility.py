@@ -441,15 +441,19 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     grow = np.exp(mu_shift * tk)
     decay = np.exp(-mu_shift * tk)
     m = triple.control_dim
+    # the signals come from smooth_trial_signals(grid, m, ...), so they meet
+    # _signal_on's grid and dimension checks and feed the built maps directly
     signals = smooth_trial_signals(grid, m, trials, rng)
     F_shifted = io_matrix(shifted, grid)
     F = io_matrix(triple, grid)
+    control_shifted = shifted.control(grid)
+    control = triple.control(grid)
 
     res_control = 0.0
     res_io = 0.0
     for u in signals:
-        lhs_B = controllability_map(shifted, grid, u)
-        rhs_B = controllability_map(triple, grid, _modulated(u, grow))
+        lhs_B = control_shifted(u.values)
+        rhs_B = control(_modulated(u, grow).values)
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
         lhs_F = _apply_io(F_shifted, u)
@@ -457,11 +461,13 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         res_io = max(res_io,
                      float(np.abs(lhs_F.values - rhs_F.values).max()))
 
+    observe_shifted = shifted.observe(grid, True)
+    observe = triple.observe(grid, True)
     res_observe = 0.0
     for _ in range(trials):
         x = triple.random_domain_state(rng)
-        lhs_C = observability_map(shifted, grid, x)
-        rhs_C = _modulated(observability_map(triple, grid, x), decay)
+        lhs_C = SampledSignal(grid, observe_shifted(x), p=shifted.p)
+        rhs_C = _modulated(SampledSignal(grid, observe(x), p=triple.p), decay)
         res_observe = max(res_observe,
                           float(np.abs(lhs_C.values - rhs_C.values).max()))
     return RescalingResiduals(control=res_control, observe=res_observe,

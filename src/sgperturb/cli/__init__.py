@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional
@@ -41,8 +41,8 @@ from ..perturbation import (generation_certificate, long_horizon_growth_check,
                             weiss_staffans_semigroup)
 from .. import classical
 
-__all__ = ["main", "run", "report_schema_version", "validate_report",
-           "REPORT_SCHEMA"]
+__all__ = ["console", "main", "run", "report_schema_version",
+           "validate_report", "REPORT_SCHEMA"]
 
 _SCHEMA_VERSION = "1.0.0"
 
@@ -588,6 +588,8 @@ def run(config_path, out_dir=None, seed=None, verify: bool = False,
                     "error": f"{type(exc).__name__}: {exc}"}
 
     if jobs > 1:
+        # imported here: it pulls in logging, which a --jobs 1 run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, suite_names))
         suites = dict(zip(suite_names, results))
@@ -675,3 +677,19 @@ def main(argv=None) -> int:
         return run(args.config, out_dir=args.out, seed=args.seed,
                    verify=args.verify, write_csv=args.csv, jobs=args.jobs)
     return 2
+
+
+def console() -> int:
+    """The ``sgperturb`` script and ``python -m sgperturb.cli``: :func:`main`,
+    then :func:`gc.freeze`, and its exit code.
+
+    Freezing moves every object alive at that point into the collector's
+    permanent generation, so the cyclic collections of interpreter teardown
+    skip numpy's and this package's objects instead of traversing them for
+    a process that is about to end.  atexit handlers and stdio flushes
+    still run and refcounting still frees objects.  :func:`main` does not
+    freeze, so in-process callers keep a normal collector.
+    """
+    code = main()
+    gc.freeze()
+    return code

@@ -323,11 +323,16 @@ def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:
 
 
 def _exp_ratio(z: np.ndarray) -> np.ndarray:
-    """Elementwise stable ``(e^z - 1) / z`` (Taylor fallback near the origin)."""
+    """Elementwise stable ``(e^z - 1) / z`` (Taylor fallback near the origin).
+
+    The Taylor terms are formed on the small entries only (zero elsewhere),
+    so a huge ``z`` cannot overflow ``z^3``.
+    """
     small = np.abs(z) < 1e-5
+    tiny = np.where(small, z, 0.0)
     safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
-                    (np.exp(safe) - 1.0) / safe)
+    return np.where(small, 1.0 + tiny / 2.0 + tiny * tiny / 6.0
+                    + tiny ** 3 / 24.0, (np.exp(safe) - 1.0) / safe)
 
 
 def _exp_ratio_slope(z: np.ndarray) -> np.ndarray:

@@ -520,6 +520,37 @@ def test_one_io_matrix_per_estimate(world, monkeypatch):
     assert len(calls) == 2  # the shifted and the plain triple
 
 
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_rescaling_builds_each_map_once_per_triple(world, monkeypatch):
+    # the map builders run once per triple per call, not once per trial; the
+    # transport world's control and observe read the grid without the
+    # stacked matrices, so only the matrix world calls those
+    if world == "matrix":
+        triple, grid = stable_triple(26, n=3, m=2), TimeGrid(0.8, 16)
+    else:
+        triple, grid = transport_triple(N=32, atoms=((0.5, 0.3),)), \
+            TimeGrid(0.5, 16)
+    expected = rescaled_map_identities(triple, grid, 1.0, trials=4,
+                                       rng=numkit.make_rng(31))
+    builds = {}
+    cls = type(triple)
+    for name in ("control", "observe", "controllability_matrix",
+                 "observability_matrix"):
+        def counted(self, *args, _name=name, _build=getattr(cls, name)):
+            builds.setdefault(_name, []).append(id(self))
+            return _build(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    result = rescaled_map_identities(triple, grid, 1.0, trials=4,
+                                     rng=numkit.make_rng(31))
+    assert result == expected
+    matrices = {"controllability_matrix", "observability_matrix"}
+    assert set(builds) == ({"control", "observe"}
+                           | (matrices if world == "matrix" else set()))
+    for ids in builds.values():
+        # two triples, the shifted and the plain one, one build each
+        assert len(ids) == 2 and len(set(ids)) == 2
+
+
 def test_estimate_constants_validates_exponents():
     rng = numkit.make_rng(3)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """End-to-end tests for the configuration-driven experiment runner."""
 
+import gc
+import importlib
 import json
 import os
 import re
@@ -97,6 +99,80 @@ print(json.dumps([after_import, code, scipy_modules()]))
         proc.stdout.decode().splitlines()[-1])
     assert code == 0
     assert after_import == [] and after_run == []
+
+
+def test_cli_imports_thread_pool_only_for_jobs(tmp_path):
+    # concurrent.futures (and the logging it pulls in) loads only when a
+    # run starts a thread pool; --jobs 2 still writes the same report bytes
+    cfg = write_config(tmp_path, matrix_config())
+    one, two = (["run", str(cfg), "--verify", "--jobs", jobs, "--out",
+                 str(tmp_path / jobs)] for jobs in ("1", "2"))
+    proc = run_python("-c", f"""
+import json, sys
+import sgperturb.cli as cli
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "concurrent")
+after_import = pool_modules()
+one = cli.main({one!r})
+after_run = pool_modules()
+two = cli.main({two!r})
+print(json.dumps([after_import, one, after_run, two, pool_modules()]))
+""")
+    assert proc.returncode == 0, proc.stderr.decode()
+    after_import, one, after_run, two, after_pool = json.loads(
+        proc.stdout.decode().splitlines()[-1])
+    assert after_import == [] and after_run == []
+    assert one == two == 0
+    assert "concurrent.futures" in after_pool
+    assert ((tmp_path / "2" / "report.json").read_bytes()
+            == (tmp_path / "1" / "report.json").read_bytes())
+
+
+def test_module_entry_point_exit_paths(tmp_path):
+    # python -m sgperturb.cli ends through console(): each exit code, the
+    # piped output in full and the report bytes of an in-process run
+    cfg = write_config(tmp_path, matrix_config())
+    assert run(cfg, out_dir=tmp_path / "inproc", verify=True) == 0
+    proc = run_python("-m", "sgperturb.cli", "run", str(cfg), "--verify",
+                      "--out", str(tmp_path / "cold"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines()[-1] == (
+        "PASS all suites: admissibility, certificate, growth, rescaling, "
+        "toeplitz")
+    assert ((tmp_path / "cold" / "report.json").read_bytes()
+            == (tmp_path / "inproc" / "report.json").read_bytes())
+
+    mismatch = write_config(
+        tmp_path, transport_config([[1.0, 1.0]], "generated"), "fail.json")
+    proc = run_python("-m", "sgperturb.cli", "run", str(mismatch),
+                      "--out", str(tmp_path / "fail"))
+    assert proc.returncode == 1
+    assert ("FAIL certificate: verdict 'not_generated' != expected "
+            "'generated'") in proc.stderr.decode().splitlines()
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    proc = run_python("-m", "sgperturb.cli", "run", str(bad))
+    assert proc.returncode == 2
+    assert "malformed JSON" in proc.stderr.decode()
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # only console() freezes, on the way out of the process
+    cfg = write_config(tmp_path, matrix_config())
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_installed_script_ends_through_console():
+    # the [project.scripts] entry ends the process as python -m does
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = text[text.index("[project.scripts]"):]
+    entry = re.search(r'^sgperturb = "([\w.]+):(\w+)"$', section, re.M)
+    assert entry.groups() == ("sgperturb.cli", "console")
+    assert getattr(importlib.import_module(entry.group(1)),
+                   entry.group(2)) is cli.console
 
 
 def test_matrix_demo_passes(tmp_path):
