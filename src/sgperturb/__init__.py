@@ -27,8 +27,7 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      make_rng, norm_bounds,
                      random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
-from .toeplitz import (BlockToeplitz, NormChain, feedback_inverse_norm_bound,
-                       feedback_norm_chain, feedback_toeplitz_inverse,
+from .toeplitz import (BlockToeplitz, NormChain, feedback_norm_chain,
                        materialize, norm_bound)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
                         SpectralAbscissa, apply_semigroup, as_grid_function,
@@ -69,9 +68,8 @@ __all__ = [
     "spectral_radius_distance", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
-    "BlockToeplitz", "materialize", "norm_bound",
-    "feedback_toeplitz_inverse", "NormChain", "feedback_norm_chain",
-    "feedback_inverse_norm_bound",
+    "BlockToeplitz", "materialize", "norm_bound", "NormChain",
+    "feedback_norm_chain",
     # semigroup
     "MatrixTriple", "GridFunction", "SpectralAbscissa",
     "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",

@@ -231,10 +231,11 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     Because signal quadrature weights are uniform they cancel in induced
     norms, so this matrix *is* the discrete ``L^p -> L^p`` operator.  Matrix
     world fills blocks ``h C e^{d h A} B`` on sub-diagonal ``d >= 1``
-    (strictly block lower triangular).  Transport world assembles the exact
-    measure-window reads: an atom at an interior node lands strictly below
-    the diagonal; an atom at ``s = 1`` lands *on* it; density cells read the
-    signal at their midpoint through pure integer index arithmetic.
+    (strictly block lower triangular).  Transport world reads the signal
+    through the node coefficients of ``Phi`` (``phi_coefficients``, the
+    trapezoid rule on density cells) by pure integer index arithmetic: an
+    interior node lands strictly below the diagonal; node ``s = 1`` (an atom
+    there plus the last density half-cell) lands *on* it.
 
     More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
     cap bounds the estimates and the certificate, not the feedback
@@ -382,7 +383,8 @@ def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
 
     ``ok`` iff the margin is >= 1e-8.  F is causal, hence lower triangular
     in both worlds (strictly block lower in the matrix world; diagonal
-    ``w(1)``, the weight of an atom at ``s = 1``, in the transport world),
+    ``c_N``, the ``Phi`` coefficient of node ``s = 1``, in the transport
+    world),
     so its spectrum is its diagonal and the margin is ``min |1 - F_kk|``
     read off exactly, with no eigensolve.  The report also carries the
     induced p-norm of the map (exact for p in {1, 2, inf}, interpolation

@@ -36,7 +36,7 @@ from ..transport import (BorelMeasure, TransportTriple, characteristic_roots,
                          solve_pde, transfer_scalar, upwind_generator,
                          _boundary_coefficients, _grid_nodes)
 from ..admissibility import (TimeGrid, estimate_constants,
-                             rescaled_map_identities)
+                             rescaled_map_identities, smooth_trial_signals)
 from ..perturbation import (generation_certificate, long_horizon_growth_check,
                             weiss_staffans_semigroup)
 from .. import classical
@@ -44,7 +44,7 @@ from .. import classical
 __all__ = ["console", "main", "run", "report_schema_version",
            "validate_report", "REPORT_SCHEMA"]
 
-_SCHEMA_VERSION = "1.0.0"
+_SCHEMA_VERSION = "2.0.0"
 
 #: the toeplitz suite's algebraic and the spectral suite's transfer tolerance
 _ALGEBRAIC_TOL = 1e-10
@@ -375,26 +375,26 @@ def _suite_growth(spec: RunSpec, rng, csv_dir):
 
 
 def _suite_toeplitz(spec: RunSpec, rng, csv_dir):
-    d, q, n = 3, 2, 5
-    F = numkit.random_matrix(rng, q, q)
-    F = F * (0.4 / max(numkit.induced_norm(F, 2), 1e-30))
-    B = numkit.random_matrix(rng, d, q)
-    C = numkit.random_matrix(rng, q, d)
-    T = numkit.random_matrix(rng, d, d, scale=0.5)
-    blocks = [numkit.random_matrix(rng, d, d, scale=0.5) for _ in range(n)]
-    op = toeplitz.BlockToeplitz(tuple(blocks))
-    exact = numkit.induced_norm(toeplitz.materialize(op), 2)
-    bound = toeplitz.norm_bound(op, 2)
-    forward, inverse = toeplitz.feedback_toeplitz_inverse(F, B, C, T, n)
-    eye = np.eye(forward.shape[0], dtype=np.complex128)
-    product_residual = float(np.abs(forward @ inverse - eye).max())
-    lhs, rhs = toeplitz.feedback_inverse_norm_bound(F, B, C, T, n)
-    ok = (exact <= bound * (1.0 + 1e-12)
-          and product_residual <= _ALGEBRAIC_TOL
-          and lhs <= rhs * (1.0 + 1e-12))
-    return {"ok": bool(ok), "norm_exact": exact, "norm_bound": bound,
-            "inverse_product_residual": product_residual,
-            "chain_lhs": lhs, "chain_rhs": rhs}
+    """Frame composition: F over three horizons has ``C T((k-1) t0) B u``
+    as its k-th block (k = 1, 2) for ``u`` on the first; the residual is
+    relative to ``max |F u|`` (absolute where ``F u`` vanishes)."""
+    triple, grid = spec.triple, spec.grid
+    m = triple.control_dim
+    F = toeplitz.BlockToeplitz(
+        triple.feedback_column(TimeGrid(3.0 * grid.t0, 3 * grid.steps)))
+    control, observe = triple.control(grid), triple.observe(grid)
+    worst = 0.0
+    for u in smooth_trial_signals(grid, m, 3, rng):
+        padded = np.zeros((3 * grid.steps, m), dtype=np.complex128)
+        padded[:grid.steps] = u.values
+        Fu = F.forward(padded.reshape(-1)).reshape(3, grid.steps, m)
+        scale = float(np.abs(Fu).max()) or 1.0
+        x = control(u.values)
+        for k, state in ((1, x), (2, triple.step(grid.t0, x))):
+            residual = float(np.abs(observe(state) - Fu[k]).max())
+            worst = max(worst, residual / scale)
+    return {"ok": bool(worst <= _ALGEBRAIC_TOL),
+            "composition_residual": worst}
 
 
 def _suite_classical_ds(spec: RunSpec, rng, csv_dir):

@@ -134,7 +134,8 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
     obs = observability_map(work, grid, x, require_domain=False)
     # F is causal, so (I - F)^{-1} is a recursion in time; the triple runs
     # it without forming F (matrix world: the state loop; transport world:
-    # the boundary recursion, whose diagonal 1 - w(1) holds the atom at 1)
+    # the boundary recursion, whose diagonal 1 - c_N holds the Phi weight
+    # of node s = 1)
     try:
         y = work.solve_feedback(grid, obs.values)
     except numkit.SingularMatrixError as exc:
@@ -161,9 +162,11 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 
     In the transport world the residual compares the feedback samples with
     the reference trajectory's outputs at the grid times, both pushed
-    through the same :func:`controllability_map` hold.  It is exact up to
-    roundoff when every atom sits a whole number of strides ``h N`` (in
-    nodes) below ``s = 1``; it carries first-order quadrature error for
+    through the same :func:`controllability_map` hold.  Both sides read
+    ``Phi`` through the same node coefficients, so the residual is exact up
+    to roundoff at stride ``q = h N = 1`` (densities included) and whenever
+    every weighted node sits a whole number of strides below ``s = 1``; it
+    carries first-order quadrature error only at a stride ``q > 1`` for
     densities and for atoms off the stride.  It does not see the hold error
     of the state against the exact solution
     (``test_ws_transport_coarse_sampling_converges`` checks that).

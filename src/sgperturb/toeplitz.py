@@ -6,10 +6,11 @@ provides its products by FFT (a lower-triangular Toeplitz operator is a
 compression of a block circulant of twice its order; Boettcher & Silbermann,
 *Introduction to Large Truncated Toeplitz Matrices*), the dense
 materialization, the triangle-inequality norm bound
-``||T|| <= sum_j ||T_j||``, and the explicit inverse of the feedback block
-matrix ``I - F_n`` whose sub-diagonal blocks are ``C T^{k-1} B``: the inverse
-is again block lower-triangular Toeplitz with diagonal ``G = (I - F)^{-1}``
-and sub-diagonals ``G C (T + B G C)^{k-1} B G``, together with the norm chain
+``||T|| <= sum_j ||T_j||``, and the norm chain of the inverse of the
+feedback block matrix ``I - F_n`` whose sub-diagonal blocks are
+``C T^{k-1} B``.  That inverse is again block lower-triangular Toeplitz with
+diagonal ``G = (I - F)^{-1}`` and sub-diagonals ``G C (T + B G C)^{k-1} B G``,
+so
 
     ||(I - F_n)^{-1}||  <=  ||G|| + ||G C|| ||B G|| sum_{l=1}^{n-1} ||T + B G C||^{l-1}.
 
@@ -17,8 +18,9 @@ and sub-diagonals ``G C (T + B G C)^{k-1} B G``, together with the norm chain
 from G's first block column ``g`` alone (G is block lower-triangular Toeplitz
 when F is, as for a time-invariant system's input-output map).  No inverse
 is materialized: the ``n_max``-block inverse is applied as its block
-recursion, whose only large product is G's, by FFT; the n-block inverse is
-its leading section, and every lhs is a Lanczos 2-norm of such a section
+recursion (:func:`_inverse_products`, the one feedback-inverse code path),
+whose only large product is G's, by FFT; the n-block inverse is its leading
+section, and every lhs is a Lanczos 2-norm of such a section
 (:func:`~sgperturb.numkit.lanczos_norms`).  A dense G is the case of one
 ``q x q`` block.
 
@@ -34,17 +36,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkit
-from .numkit import (as_matrix, induced_norm, NumericalRangeError, ShapeError,
+from .numkit import (induced_norm, NumericalRangeError, ShapeError,
                      SingularMatrixError)
 
 __all__ = [
     "BlockToeplitz",
     "norm_bound",
     "materialize",
-    "feedback_toeplitz_inverse",
     "NormChain",
     "feedback_norm_chain",
-    "feedback_inverse_norm_bound",
 ]
 
 #: distance below which 1 counts as belonging to the spectrum of a feedback
@@ -167,16 +167,6 @@ def _frames(Bt0, Ct0, Tt0, q: int):
     return B, C, T
 
 
-def _feedback_blocks(Ft0, Bt0, Ct0, Tt0):
-    F = as_matrix(Ft0)
-    q = F.shape[0]
-    if F.shape != (q, q):
-        raise ShapeError("F block must be square")
-    B, C, T = _frames(Bt0, Ct0, Tt0, q)
-    eye_q = np.eye(q, dtype=np.complex128)
-    return F, B, C, T, numkit.solve(eye_q - F, eye_q)
-
-
 def _require_margin(inverse_norm: float) -> None:
     """Raise unless ``sigma_min(I - F) = 1 / ||(I - F)^{-1}||`` is at least
     :data:`FEEDBACK_MARGIN`."""
@@ -184,35 +174,6 @@ def _require_margin(inverse_norm: float) -> None:
         raise SingularMatrixError(
             f"I - F is singular to margin {FEEDBACK_MARGIN:g} "
             f"(smallest singular value {1.0 / inverse_norm:.3e})")
-
-
-def feedback_toeplitz_inverse(Ft0, Bt0, Ct0, Tt0, n: int):
-    """Forward and inverse feedback block matrices over ``n`` blocks.
-
-    forward: diagonal blocks ``I - F``, k-th sub-diagonal ``-C T^{k-1} B``.
-    inverse: diagonal blocks ``G = (I - F)^{-1}``, k-th sub-diagonal
-    ``G C (T + B G C)^{k-1} B G``.
-
-    Returns the pair ``(forward, inverse)`` as dense matrices; their product
-    is the identity for arbitrary blocks with ``I - F`` invertible.
-    """
-    if n < 1:
-        raise ShapeError(f"need n >= 1 blocks, got {n}")
-    F, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
-    _require_margin(induced_norm(G, 2))
-    fwd_blocks = [np.eye(F.shape[0], dtype=np.complex128) - F]
-    power = np.eye(T.shape[0], dtype=np.complex128)  # T^{k-1} walker
-    for _ in range(1, n):
-        fwd_blocks.append(-(C @ power @ B))
-        power = power @ T
-    closed = T + B @ G @ C
-    inv_blocks = [G]
-    power = np.eye(T.shape[0], dtype=np.complex128)  # closed^{k-1} walker
-    for _ in range(1, n):
-        inv_blocks.append(G @ C @ power @ B @ G)
-        power = power @ closed
-    return (materialize(BlockToeplitz(fwd_blocks)),
-            materialize(BlockToeplitz(inv_blocks)))
 
 
 class NormChain(NamedTuple):
@@ -310,15 +271,3 @@ def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
 
     return forward, adjoint
 
-
-def feedback_inverse_norm_bound(Ft0, Bt0, Ct0, Tt0, n: int):
-    """(lhs, rhs) for the feedback-inverse norm chain over ``n`` blocks.
-
-    The last entry of :func:`feedback_norm_chain` with ``n_max = n``, fed
-    the dense ``G = (I - F)^{-1}`` as a single block.
-    """
-    if n < 1:
-        raise ShapeError(f"need n >= 1 blocks, got {n}")
-    _, B, C, T, G = _feedback_blocks(Ft0, Bt0, Ct0, Tt0)
-    _, lhs, rhs = feedback_norm_chain(G[None], B, C, T, n).entries[-1]
-    return lhs, rhs

@@ -622,25 +622,18 @@ class TransportTriple:
         return Cc
 
     def feedback_column(self, grid) -> np.ndarray:
-        """F's first block column, ``(steps, 1, 1)``: an atom at node ``a``
-        adds its weight at lag ``ceil((N - a) / q)``, density cell ``c``
-        adds ``d_c / N`` at lag ``ceil((N - c) / q)``; each lag sums atoms,
-        then cells, in order.  Lag 0 holds only an atom at ``s = 1``.  A
+        """F's first block column, ``(steps, 1, 1)``: node ``k`` adds its
+        :func:`phi_coefficients` entry ``c_k`` at lag ``ceil((N - k) / q)``,
+        nodes in order, so lag 0 holds ``c_N`` (an atom at ``s = 1`` plus
+        the last density half-cell; see :func:`_boundary_coefficients`).  A
         ``mu_shift`` multiplies lag ``l`` by ``e^{-mu t_l}``, which is
         ``e^{-mu t_j} F e^{mu t_k}`` without the overflow of ``e^{mu t_k}``.
         """
         q = _grid_nodes(grid.h, self.N, least=1)
-        N, steps = self.N, grid.steps
-        col = np.zeros(steps, dtype=np.complex128)
-        for loc, w in self.mu.atoms:
-            lag = -((int(round(loc * N)) - N) // q)
-            if lag < steps:
-                col[lag] += w
-        if self.mu.density:
-            cell_lag = -((np.arange(N) - N) // q)
-            keep = cell_lag < steps
-            cells = _cell_masses(self.mu.density, N)
-            np.add.at(col, cell_lag[keep], cells[keep])
+        lag = -((np.arange(self.N + 1) - self.N) // q)
+        keep = lag < grid.steps
+        col = np.zeros(grid.steps, dtype=np.complex128)
+        np.add.at(col, lag[keep], phi_coefficients(self.mu, self.N)[keep])
         if self.mu_shift:
             col *= np.exp(-self.mu_shift * grid.times)
         return col[:, None, None]
@@ -663,9 +656,10 @@ class TransportTriple:
         reversed column.  Atoms alone give a few scattered lags: with ``L``
         the smallest lag in ``S``, the next ``L`` values read only earlier
         ones, so each delay block of ``L`` steps is one gather and one
-        product (the delay blocks of :func:`solve_pde`).  ``1 - col_0`` is
-        the diagonal of ``I - F``; exactly 0 (unit atom at ``s = 1``) raises
-        :class:`~sgperturb.numkit.SingularMatrixError`."""
+        product (the delay blocks of :func:`solve_pde`).  ``1 - col_0 =
+        1 - c_N`` is the diagonal of ``I - F``, the factor of
+        :func:`_boundary_coefficients`; exactly 0 (unit mass at ``s = 1``)
+        raises :class:`~sgperturb.numkit.SingularMatrixError`."""
         col = self.feedback_column(grid)[:, 0, 0]
         denom = 1.0 - col[0]
         numkit._require_pivots(np.array([denom]))

@@ -2,14 +2,15 @@
 
 Oracles here are deliberately independent of the library code paths they
 check: the Taylor exponential sums the series in extended precision, the
-dense Toeplitz assembly indexes blocks directly, and the closed-loop
+dense Toeplitz assembly indexes blocks directly, the feedback block matrix
+and its dense inverse are built from their closed forms, and the closed-loop
 reference states come from scipy/closed forms.
 """
 
 import numpy as np
 import pytest
 
-from sgperturb import numkit
+from sgperturb import numkit, toeplitz
 from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
 
@@ -36,6 +37,60 @@ def dense_lower_toeplitz(blocks, n):
             if i - j < len(blocks):
                 M[i * d:(i + 1) * d, j * d:(j + 1) * d] = blocks[i - j]
     return M
+
+
+def feedback_forward_matrix(F, B, C, T, n):
+    """``I - F_n`` from its definition: diagonal blocks ``I - F``, k-th
+    sub-diagonal ``-C T^{k-1} B``."""
+    F, B, C, T = (np.asarray(X, dtype=np.complex128) for X in (F, B, C, T))
+    blocks = [np.eye(F.shape[0]) - F]
+    power = np.eye(T.shape[0])                 # T^{k-1} walker
+    for _ in range(1, n):
+        blocks.append(-(C @ power @ B))
+        power = power @ T
+    return dense_lower_toeplitz(blocks, n)
+
+
+def feedback_toeplitz_inverse(F, B, C, T, n):
+    """Dense oracle: ``(forward, inverse)`` of the n-block feedback matrix.
+
+    forward is :func:`feedback_forward_matrix`; inverse has diagonal blocks
+    ``G = (I - F)^{-1}`` and k-th sub-diagonal ``G C (T + B G C)^{k-1} B G``.
+    ``sigma_min(I - F)`` below the feedback margin raises the package's
+    :class:`~sgperturb.numkit.SingularMatrixError`.
+    """
+    F, B, C, T = (np.asarray(X, dtype=np.complex128) for X in (F, B, C, T))
+    eye_q = np.eye(F.shape[0], dtype=np.complex128)
+    G = numkit.solve(eye_q - F, eye_q)
+    toeplitz._require_margin(numkit.induced_norm(G, 2))
+    closed = T + B @ G @ C
+    blocks = [G]
+    power = np.eye(T.shape[0], dtype=np.complex128)  # closed^{k-1} walker
+    for _ in range(1, n):
+        blocks.append(G @ C @ power @ B @ G)
+        power = power @ closed
+    return (feedback_forward_matrix(F, B, C, T, n),
+            dense_lower_toeplitz(blocks, n))
+
+
+def shipped_feedback_inverse(F, B, C, T, n):
+    """``(K, K^H)`` for the n-block inverse K of the feedback matrix as the
+    package applies it: ``toeplitz._inverse_products`` fed the dense
+    ``G = (I - F)^{-1}`` as one block, on the identity."""
+    F, B, C, T = (np.asarray(X, dtype=np.complex128) for X in (F, B, C, T))
+    G = np.linalg.inv(np.eye(F.shape[0]) - F)
+    forward, adjoint = toeplitz._inverse_products(
+        toeplitz.BlockToeplitz(G[None]), G @ C, B @ G, B, T + B @ G @ C, n)
+    eye = np.eye(n * G.shape[0], dtype=np.complex128)
+    return forward(eye), adjoint(eye)
+
+
+def chain_entry(F, B, C, T, n):
+    """``(lhs, rhs)`` of the n-block norm chain, from
+    ``feedback_norm_chain`` fed the dense ``G = (I - F)^{-1}`` as one
+    block."""
+    G = np.linalg.inv(np.eye(np.shape(F)[0]) - np.asarray(F))
+    return toeplitz.feedback_norm_chain(G[None], B, C, T, n).entries[-1][1:]
 
 
 def power_iteration_2norm(A, iters=500, seed=7):

@@ -224,23 +224,25 @@ def test_io_matrix_equals_loop_assembly(steps):
 
 
 def loop_transport_io_matrix(triple, grid):
-    """Per-atom and per-cell loops over the time steps, each read added
-    where it lands (oracle of the transport-world io_matrix)."""
+    """Per-node loops over the time steps, each node's trapezoid weight
+    added where its read lands (oracle of the transport-world io_matrix).
+    Node k weighs its atoms, then half of cell k - 1, then half of cell k."""
     N, steps = triple.N, grid.steps
     q = int(round(grid.h * N))
     j0 = q * steps
-    F = np.zeros((steps, steps), dtype=np.complex128)
+    weight = [0j] * (N + 1)
     for loc, w in triple.mu.atoms:
-        a = int(round(loc * N))
+        weight[int(round(loc * N))] += w
+    for cell, d in enumerate(triple.mu.density):
+        weight[cell + 1] += d / (2 * N)
+    for cell, d in enumerate(triple.mu.density):
+        weight[cell] += d / (2 * N)
+    F = np.zeros((steps, steps), dtype=np.complex128)
+    for node, w in enumerate(weight):
         for j in range(steps):
-            idx = a + j * q - N
+            idx = node + j * q - N
             if 0 <= idx < j0:
                 F[j, idx // q] += w
-    for cell, d in enumerate(triple.mu.density):
-        for j in range(steps):
-            t2 = 2 * cell + 1 + 2 * (j * q - N)
-            if 0 <= t2 < 2 * j0:
-                F[j, t2 // (2 * q)] += d / N
     mu = triple.mu_shift
     if mu:
         # the shifted F is Toeplitz with lag l scaled by e^{-mu t_l};
@@ -319,6 +321,51 @@ def test_shifted_transport_io_matrix_finite_past_exp_overflow():
     assert abs(F[8, 0] - want) <= 1e-14 * want
     assert np.array_equal(np.flatnonzero(F[:, 0]), [8])
     assert np.array_equal(np.diag(F, -8), np.full(56, F[8, 0]))
+
+
+_COSINE = tuple(0.3 + 0.2 * np.cos(np.arange(64)))
+_MIXED = dict(atoms=((0.0, 0.25), (0.5, 0.3), (1.0, 0.4)),
+              density=tuple(0.1 + 0.05j * np.sin(np.arange(64))))
+
+
+def composition_residual(triple, grid, u):
+    """``max_k |C T((k-1) t0) B u - (F_{3 t0} [u; 0; 0])_k| / max |F u|``
+    over k = 1, 2: the triple's maps on ``grid`` against the blocks of the
+    assembled F on three horizons."""
+    long = TimeGrid(3.0 * grid.t0, 3 * grid.steps)
+    m = triple.control_dim
+    padded = np.zeros((long.steps, m), dtype=np.complex128)
+    padded[:grid.steps] = u.values
+    Fu = (io_matrix(triple, long) @ padded.reshape(-1)).reshape(
+        3, grid.steps, m)
+    state = triple.control(grid)(u.values)
+    worst = 0.0
+    for k in (1, 2):
+        y = triple.observe(grid)(state)
+        worst = max(worst, float(np.abs(y - Fu[k]).max()))
+        state = triple.step(grid.t0, state)
+    return worst / np.abs(Fu).max()
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (stable_triple(61, n=3, m=2), TimeGrid(0.5, 16)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2))),
+     TimeGrid(0.5, 32)),
+] + [
+    (transport_triple(N=64, mu_shift=shift, **measure), TimeGrid(0.5, steps))
+    for measure in (dict(density=_COSINE), _MIXED)
+    for steps in (32, 16)
+    for shift in (0.0, 1.5)
+], ids=["matrix", "atoms"] + [
+    f"{name}-stride-{q}-shift-{shift}"
+    for name in ("density", "atoms-density-atom-at-1")
+    for q in (1, 2) for shift in (0.0, 1.5)])
+def test_frames_compose_to_the_io_map(triple, grid):
+    # F over three horizons has C T((k-1) t0) B below its diagonal: the
+    # input-output map and the maps of the triple read Phi the same way
+    for u in smooth_trial_signals(grid, triple.control_dim, 3,
+                                  numkit.make_rng(13)):
+        assert composition_residual(triple, grid, u) <= 1e-12
 
 
 def test_controllability_matrix_matches_map():

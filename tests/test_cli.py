@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sgperturb
 from sgperturb import cli, numkit
 from sgperturb.cli import main, report_schema_version, run, validate_report
+from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
 
 
 def matrix_config():
@@ -55,12 +57,12 @@ def read_report(out_dir):
 
 
 def test_schema_version_function():
-    assert report_schema_version() == "1.0.0"
+    assert report_schema_version() == "2.0.0"
 
 
 def test_schema_version_subcommand(capsys):
     assert main(["schema-version"]) == 0
-    assert capsys.readouterr().out.strip() == "1.0.0"
+    assert capsys.readouterr().out.strip() == "2.0.0"
 
 
 def run_python(*args):
@@ -76,7 +78,7 @@ def test_module_entry_point_runs_once_without_warning():
     # (runpy warns on stderr when it does)
     proc = run_python("-m", "sgperturb.cli", "schema-version")
     assert proc.returncode == 0
-    assert proc.stdout.decode().strip() == "1.0.0"
+    assert proc.stdout.decode().strip() == "2.0.0"
     assert proc.stderr == b""
 
 
@@ -473,6 +475,56 @@ def test_verify_appends_battery_transport(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,s,re_x,im_x"
     assert len(lines) > 1
+
+
+def density_config():
+    cfg = transport_config([], "generated", seed=5)
+    cfg["transport"]["measure"] = {
+        "density": [round(0.1 + 0.8 * k / 63, 6) for k in range(64)]}
+    return cfg
+
+
+def left_node_feedback_column(self, grid):
+    """F's column with each density cell's whole mass read at its left node:
+    a read of Phi that differs from phi_coefficients' trapezoid read."""
+    q = round(grid.h * self.N)
+    atoms = phi_coefficients(BorelMeasure(self.mu.atoms), self.N)
+    cells = [d / self.N for d in self.mu.density]
+    col = np.zeros(grid.steps, dtype=np.complex128)
+    for node, w in [*enumerate(atoms), *enumerate(cells)]:
+        lag = -((node - self.N) // q)
+        if lag < grid.steps:
+            col[lag] += w
+    return col[:, None, None]
+
+
+def test_verify_density_transport_checks_frame_composition(tmp_path,
+                                                           monkeypatch):
+    # the toeplitz suite checks F over three horizons against the triple's
+    # own maps, so a density read that differs between F and Phi fails it
+    cfg = write_config(tmp_path, density_config())
+    assert run(cfg, out_dir=tmp_path / "out", verify=True) == 0
+    report = read_report(tmp_path / "out")
+    entry = report["suites"]["toeplitz"]
+    assert set(entry) == {"ok", "composition_residual"}
+    assert entry["ok"] is True
+    assert entry["composition_residual"] <= 1e-12
+    assert all(suite["ok"] for suite in report["suites"].values())
+    monkeypatch.setattr(TransportTriple, "feedback_column",
+                        left_node_feedback_column)
+    assert run(cfg, out_dir=tmp_path / "left", verify=True) == 1
+    entry = read_report(tmp_path / "left")["suites"]["toeplitz"]
+    assert entry["ok"] is False
+    assert entry["composition_residual"] > 1e-3
+
+
+def test_toeplitz_suite_on_a_zero_measure(tmp_path):
+    # F u vanishes: the composition residual is absolute, and exactly 0
+    cfg = transport_config([], None, suites=("toeplitz",))
+    del cfg["expect"]
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+    entry = read_report(tmp_path / "out")["suites"]["toeplitz"]
+    assert entry == {"ok": True, "composition_residual": 0.0}
 
 
 def test_classical_suites_through_runner(tmp_path):

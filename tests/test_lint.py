@@ -9,8 +9,11 @@ second thread pool and its import time to every run.  Singular values have
 one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
 ``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
 calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
-and ``perturbation.py`` materializes no Toeplitz operator: it names neither
-``materialize`` nor ``feedback_toeplitz_inverse``, the dense oracles.  Each
+and ``perturbation.py`` materializes no Toeplitz operator: it does not name
+``materialize``.  The feedback inverse has one code path, the block
+recursion of ``toeplitz.py``; its dense form is a test oracle, so no module
+defines, imports, exports or names ``feedback_toeplitz_inverse`` or
+``feedback_inverse_norm_bound``.  Each
 world's facts live on its triple class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods.
@@ -213,13 +216,65 @@ def test_fft_rule_passes_the_toeplitz_products():
                     "n = numkit.lanczos_norms(f, g, sizes)\n") == []
 
 
-DENSE_ORACLES = {"materialize", "feedback_toeplitz_inverse"}
+DENSE_ORACLES = {"materialize"}
 
 
 def test_perturbation_materializes_no_toeplitz_operator():
     path = SRC / "perturbation.py"
     used = DENSE_ORACLES & set(_names(ast.parse(path.read_text())))
     assert used == set()
+
+
+DENSE_FEEDBACK_INVERSE = {"feedback_toeplitz_inverse",
+                          "feedback_inverse_norm_bound"}
+
+
+def dense_feedback_inverse_names(source: str, name: str = "<source>"):
+    """Each definition, import, name, attribute or string (an ``__all__``
+    entry) that spells a dense feedback-inverse function."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            spelled = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            spelled = [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled = [node.value]
+        elif isinstance(node, ast.Name):
+            spelled = [node.id]
+        elif isinstance(node, ast.Attribute):
+            spelled = [node.attr]
+        else:
+            continue
+        for word in DENSE_FEEDBACK_INVERSE & set(spelled):
+            found.append(f"{name}:{getattr(node, 'lineno', 0)}: {word}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_dense_feedback_inverse_only_in_tests(path):
+    assert dense_feedback_inverse_names(
+        path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def feedback_toeplitz_inverse(F, B, C, T, n):\n    pass\n",
+    "from .toeplitz import feedback_inverse_norm_bound\n",
+    "__all__ = ['feedback_toeplitz_inverse']\n",
+    "x = toeplitz.feedback_inverse_norm_bound(F, B, C, T, 2)\n",
+    "run = feedback_toeplitz_inverse\n",
+])
+def test_dense_feedback_inverse_rule_catches_each_form(snippet):
+    assert len(dense_feedback_inverse_names(snippet)) == 1
+
+
+def test_dense_feedback_inverse_rule_passes_the_chain():
+    assert dense_feedback_inverse_names(
+        "from .toeplitz import feedback_norm_chain\n"
+        "chain = toeplitz.feedback_norm_chain(g, B, C, T, n)\n"
+        "f, a = _inverse_products(G, GC, BG, B, closed, n)\n") == []
 
 
 WORLD_CLASSES = {"MatrixTriple", "TransportTriple"}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (compatible_state, stable_triple, taylor_expm,
-                      transport_triple)
+from conftest import (compatible_state, feedback_toeplitz_inverse,
+                      stable_triple, taylor_expm, transport_triple)
 from sgperturb import admissibility, numkit, perturbation, toeplitz, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
@@ -29,9 +29,7 @@ from sgperturb.semigroup import (
     rescale,
     volterra_resolvent_values,
 )
-from sgperturb.toeplitz import (feedback_inverse_norm_bound,
-                                feedback_norm_chain,
-                                feedback_toeplitz_inverse)
+from sgperturb.toeplitz import feedback_norm_chain
 from sgperturb.transport import (
     BorelMeasure,
     apply_phi,
@@ -377,6 +375,23 @@ def test_vop_transport_halves_under_refinement():
     assert max(residuals) <= 1e-12
 
 
+@pytest.mark.parametrize("N", [32, 64, 128, 256])
+def test_vop_transport_density_exact_at_stride_one(N):
+    # F, the feedback loop and the reference all read Phi through the same
+    # node coefficients, so at stride 1 the density residual is roundoff;
+    # at stride 2 the hold misses half the levels and stays first order
+    k = np.arange(N)
+    triple = transport_triple(N=N, atoms=((0.5, 0.2),),
+                              density=tuple(0.3 + 0.2 * np.cos(64 * k / N)))
+    x = compatible_state(triple.mu, N, triple.p)
+    exact = variation_of_parameters_residual(triple, TimeGrid(1.0, N), 1.0,
+                                             x)
+    held = variation_of_parameters_residual(triple, TimeGrid(1.0, N // 2),
+                                            1.0, x)
+    assert exact <= 1e-12
+    assert held >= 0.02 / N
+
+
 def test_vop_rejects_state_outside_closed_loop_domain():
     triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     bad = GridFunction(np.ones(33))  # x(1) = 1 != Phi x
@@ -469,7 +484,7 @@ def test_growth_entries_equal_one_chain_of_the_impulse_column(world):
     assert abs(s - dense_s) <= 1e-12 * dense_s
     for n, lhs, rhs in rep.block_entries:
         per_n = feedback_norm_chain(g, B, C, T, n).entries[-1]
-        dense = feedback_inverse_norm_bound(F, B, C, T, n)
+        dense = feedback_norm_chain(G[None], B, C, T, n).entries[-1][1:]
         assert per_n[0] == n
         for got, want in ((lhs, per_n[1]), (rhs, per_n[2]),
                           (lhs, dense[0]), (rhs, dense[1])):
@@ -509,6 +524,24 @@ def test_growth_entries_match_dense_svd_sections(triple, grid):
     assert_entries_match_dense_svd(rep, triple, grid, 6)
 
 
+@pytest.mark.parametrize("measure", [
+    dict(density=tuple(0.3 + 0.2 * np.cos(np.arange(64)))),
+    dict(atoms=((0.5, 0.3), (1.0, 0.2)),
+         density=tuple(0.1 + 0.05j * np.sin(np.arange(64)))),
+], ids=["density", "atoms-density-atom-at-1"])
+def test_growth_sections_are_the_feedback_inverse_at_n_horizons(measure):
+    # the n-block feedback matrix is I - F at horizon n t0 once F and the
+    # frames read Phi alike, so each lhs is ||(I - F_{n t0})^{-1}||
+    triple = transport_triple(N=64, **measure)
+    rep = long_horizon_growth_check(triple, TimeGrid(0.5, 32), (0.5,),
+                                    n_max=4)
+    for n, lhs, _ in rep.block_entries:
+        F = io_matrix(triple, TimeGrid(0.5 * n, 32 * n))
+        inverse = np.linalg.inv(np.eye(32 * n) - F)
+        oracle = np.linalg.svd(inverse, compute_uv=False)[0]
+        assert abs(lhs - oracle) <= 1e-12 * oracle
+
+
 @pytest.mark.parametrize("world", ["matrix", "transport"])
 def test_growth_chain_matches_dense_svd_at_workload_size(world):
     # 128 signal columns per block and n_max = 6: a 768 x 768 inverse, the
@@ -539,8 +572,9 @@ def test_growth_singular_feedback_raises_through_the_inverse_norm():
     assert feedback_admissible(triple, grid, 2.0).margin == 1.0
     message = (r"I - F is singular to margin 1e-08 "
                r"\(smallest singular value ([0-9.]+e[-+][0-9]+)\)")
+    G = numkit.solve(np.eye(32) - F, np.eye(32))
     for run in (lambda: long_horizon_growth_check(triple, grid, (0.0,)),
-                lambda: feedback_inverse_norm_bound(F, B, C, T, 2),
+                lambda: feedback_norm_chain(G[None], B, C, T, 2),
                 lambda: feedback_toeplitz_inverse(F, B, C, T, 2)):
         with pytest.raises(numkit.SingularMatrixError, match=message) as exc:
             run()

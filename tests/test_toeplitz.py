@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import dense_lower_toeplitz
+from conftest import (chain_entry, dense_lower_toeplitz,
+                      feedback_forward_matrix, shipped_feedback_inverse)
 from sgperturb import numkit
 from sgperturb.numkit import ShapeError, SingularMatrixError, induced_norm
 from sgperturb.toeplitz import (
     BlockToeplitz,
-    feedback_inverse_norm_bound,
-    feedback_toeplitz_inverse,
+    feedback_norm_chain,
     materialize,
     norm_bound,
 )
@@ -152,9 +152,10 @@ def scalar_blocks(F, B, C, T):
 
 def test_inverse_single_block_is_resolvent_of_F():
     F, B, C, T = scalar_blocks(0.5, 1.0, 1.0, 0.25)
-    forward, inverse = feedback_toeplitz_inverse(F, B, C, T, 1)
-    assert_allclose(forward, [[0.5]], atol=0)
+    inverse, adjoint = shipped_feedback_inverse(F, B, C, T, 1)
+    assert_allclose(feedback_forward_matrix(F, B, C, T, 1), [[0.5]], atol=0)
     assert_allclose(inverse, [[2.0]], atol=1e-14)
+    assert_allclose(adjoint, [[2.0]], atol=1e-14)
 
 
 def test_inverse_two_blocks_matches_direct_block_inversion():
@@ -163,7 +164,8 @@ def test_inverse_two_blocks_matches_direct_block_inversion():
     B = numkit.random_matrix(rng, 3, 2)
     C = numkit.random_matrix(rng, 2, 3)
     T = numkit.random_matrix(rng, 3, 3)
-    forward, inverse = feedback_toeplitz_inverse(F, B, C, T, 2)
+    forward = feedback_forward_matrix(F, B, C, T, 2)
+    inverse, _ = shipped_feedback_inverse(F, B, C, T, 2)
     assert np.abs(inverse - np.linalg.inv(forward)).max() <= 1e-12
     # sub-diagonal block has the closed form G C B G
     G = np.linalg.inv(np.eye(2) - F)
@@ -171,6 +173,8 @@ def test_inverse_two_blocks_matches_direct_block_inversion():
 
 
 def test_inverse_product_identity_n6():
+    # the recursion applies K with forward @ K = K @ forward = I, and its
+    # adjoint recursion applies K^H
     for seed in range(10):
         rng = numkit.make_rng(100 + seed)
         F = numkit.random_matrix(rng, 2, 2)
@@ -180,10 +184,12 @@ def test_inverse_product_identity_n6():
         B = numkit.random_matrix(rng, 3, 2)
         C = numkit.random_matrix(rng, 2, 3)
         T = numkit.random_matrix(rng, 3, 3)
-        forward, inverse = feedback_toeplitz_inverse(F, B, C, T, 6)
+        forward = feedback_forward_matrix(F, B, C, T, 6)
+        inverse, adjoint = shipped_feedback_inverse(F, B, C, T, 6)
         eye = np.eye(forward.shape[0])
         assert np.abs(forward @ inverse - eye).max() <= 1e-10
         assert np.abs(inverse @ forward - eye).max() <= 1e-10
+        assert np.abs(adjoint - inverse.conj().T).max() <= 1e-10
 
 
 def test_inverse_is_block_toeplitz():
@@ -192,29 +198,34 @@ def test_inverse_is_block_toeplitz():
     B = numkit.random_matrix(rng, 2, 2)
     C = numkit.random_matrix(rng, 2, 2)
     T = numkit.random_matrix(rng, 2, 2)
-    forward, _ = feedback_toeplitz_inverse(F, B, C, T, 5)
-    inv = np.linalg.inv(forward)
+    inv = np.linalg.inv(feedback_forward_matrix(F, B, C, T, 5))
+    shipped, _ = shipped_feedback_inverse(F, B, C, T, 5)
     d = 2
     for k in range(5):  # every diagonal is constant block-wise
         ref = inv[k * d:(k + 1) * d, :d]
         for i in range(k, 5):
             j = i - k
-            blk = inv[i * d:(i + 1) * d, j * d:(j + 1) * d]
-            assert np.abs(blk - ref).max() <= 1e-10
+            for M in (inv, shipped):
+                blk = M[i * d:(i + 1) * d, j * d:(j + 1) * d]
+                assert np.abs(blk - ref).max() <= 1e-10
 
 
 def test_inverse_rejects_singular_feedback():
+    # I - F exactly singular: no G to feed the chain; sigma_min(I - F) of
+    # 1e-9, below the feedback margin: the chain refuses through ||G||
     F, B, C, T = scalar_blocks(1.0, 1.0, 1.0, 0.5)
     with pytest.raises(SingularMatrixError):
-        feedback_toeplitz_inverse(F, B, C, T, 3)
+        numkit.solve(np.eye(1) - F, np.eye(1))
+    with pytest.raises(SingularMatrixError):
+        chain_entry(F - 1e-9, B, C, T, 3)
     with pytest.raises(ShapeError):
-        feedback_toeplitz_inverse(np.eye(2) * 0.1, np.eye(2), np.eye(2),
-                                  np.eye(2), 0)
+        feedback_norm_chain(np.full((1, 2, 2), 0.1), np.eye(2), np.eye(2),
+                            np.eye(2), 0)
 
 
 def test_norm_chain_single_block_trivial():
     F, B, C, T = scalar_blocks(0.5, 1.0, 1.0, 0.25)
-    lhs, rhs = feedback_inverse_norm_bound(F, B, C, T, 1)
+    lhs, rhs = chain_entry(F, B, C, T, 1)
     assert lhs == pytest.approx(2.0)
     assert rhs == pytest.approx(2.0)
 
@@ -223,7 +234,7 @@ def test_norm_chain_scalar_hand_value():
     # G = 2, closed loop T + BGC = 2.25, sum over l=1,2 of s^{l-1} = 3.25,
     # so rhs = 2 + 2*2*3.25 = 15
     F, B, C, T = scalar_blocks(0.5, 1.0, 1.0, 0.25)
-    lhs, rhs = feedback_inverse_norm_bound(F, B, C, T, 3)
+    lhs, rhs = chain_entry(F, B, C, T, 3)
     assert rhs == pytest.approx(15.0)
     assert lhs <= rhs
 
@@ -239,5 +250,5 @@ def test_norm_chain_dominates_100_seeds():
         B = numkit.random_matrix(rng, 2, 2)
         C = numkit.random_matrix(rng, 2, 2)
         T = 0.8 * numkit.random_matrix(rng, 2, 2)
-        lhs, rhs = feedback_inverse_norm_bound(F, B, C, T, n)
+        lhs, rhs = chain_entry(F, B, C, T, n)
         assert lhs <= rhs * (1.0 + 1e-12)
