@@ -24,11 +24,10 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      ShapeError, SingularMatrixError,
                      UnsupportedExponentError, as_matrix, as_vector,
                      eigenvalues, expm, induced_norm, lanczos_norms,
-                     make_rng, norm_bounds,
-                     random_matrix, random_vector, solve,
+                     make_rng, random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
-from .toeplitz import (BlockToeplitz, NormChain, feedback_norm_chain,
-                       materialize, norm_bound)
+from .toeplitz import (BlockToeplitz, NormChain, column_norm,
+                       feedback_norm_chain, materialize)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
                         SpectralAbscissa, apply_semigroup, as_grid_function,
                         rescale, resolvent, shift_open, spectral_abscissa,
@@ -64,11 +63,11 @@ __all__ = [
     "NumkitError", "ShapeError", "SingularMatrixError",
     "NumericalRangeError", "UnsupportedExponentError", "ConvergenceError",
     "as_matrix", "as_vector", "expm", "solve", "vector_norm", "induced_norm",
-    "norm_bounds", "lanczos_norms", "eigenvalues",
+    "lanczos_norms", "eigenvalues",
     "spectral_radius_distance", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
-    "BlockToeplitz", "materialize", "norm_bound", "NormChain",
+    "BlockToeplitz", "column_norm", "materialize", "NormChain",
     "feedback_norm_chain",
     # semigroup
     "MatrixTriple", "GridFunction", "SpectralAbscissa",

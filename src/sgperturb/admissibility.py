@@ -8,7 +8,9 @@ the three maps of admissibility theory are discretized as
 * input-output     ``(F_t0 u)(t_j) = C int_0^{t_j} T(t_j - s) B u(s) ds``,
 
 each by its world's closed form, a method of the triple class.  F is
-causal, hence lower triangular in both worlds.
+causal and shift-invariant: block lower-triangular Toeplitz, given by its
+first block column (``feedback_column``), of which :func:`io_matrix` is the
+one dense builder.
 
 Signals are sampled at left endpoints ``t_k = k h`` and normed with weight
 ``h``; since the weights are uniform they cancel in induced operator norms,
@@ -25,12 +27,13 @@ which is what :func:`rescaled_map_identities` verifies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import numkit
+from . import numkit, toeplitz
 from .numkit import ShapeError, as_vector
 from .semigroup import rescale
 from .toeplitz import FEEDBACK_MARGIN
@@ -56,8 +59,8 @@ __all__ = [
 ]
 
 #: io_matrix refuses to materialize anything wider than this: a bound on the
-#: estimates and the certificate, not on the feedback semigroup, whose
-#: ``solve_feedback`` never forms F
+#: trial products and the p = 2 norm of the estimates and the certificate,
+#: not on the feedback semigroup, whose ``solve_feedback`` never forms F
 IO_SIZE_CAP = 4096
 
 
@@ -72,8 +75,11 @@ class TimeGrid:
         if not 0 < self.t0 < np.inf:
             raise ValueError(
                 f"horizon must be positive and finite, got {self.t0}")
-        if self.steps < 1:
-            raise ValueError(f"need at least one step, got {self.steps}")
+        steps = self.steps
+        if (isinstance(steps, bool) or not hasattr(steps, "__index__")
+                or operator.index(steps) < 1):
+            raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+        object.__setattr__(self, "steps", operator.index(steps))
 
     @property
     def h(self) -> float:
@@ -229,13 +235,11 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     """Dense sample matrix of the input-output map on the grid.
 
     Because signal quadrature weights are uniform they cancel in induced
-    norms, so this matrix *is* the discrete ``L^p -> L^p`` operator.  Matrix
-    world fills blocks ``h C e^{d h A} B`` on sub-diagonal ``d >= 1``
-    (strictly block lower triangular).  Transport world reads the signal
-    through the node coefficients of ``Phi`` (``phi_coefficients``, the
-    trapezoid rule on density cells) by pure integer index arithmetic: an
-    interior node lands strictly below the diagonal; node ``s = 1`` (an atom
-    there plus the last density half-cell) lands *on* it.
+    norms, so this matrix *is* the discrete ``L^p -> L^p`` operator: the
+    triple's ``feedback_column`` materialized (float64 when F is real).
+    Matrix world: blocks ``h C e^{d h A} B`` on lags ``d >= 1``.  Transport
+    world: each node coefficient of ``Phi`` on its lag; node ``s = 1`` (an
+    atom there plus the last density half-cell) lands on the diagonal.
 
     More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
     cap bounds the estimates and the certificate, not the feedback
@@ -245,7 +249,8 @@ def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
     if n_cols > IO_SIZE_CAP:
         raise ValueError(
             f"io_matrix would have {n_cols} > {IO_SIZE_CAP} columns")
-    return triple.io_matrix(grid)
+    return toeplitz.materialize(
+        toeplitz.BlockToeplitz(triple.feedback_column(grid)))
 
 
 def io_map(triple, grid: TimeGrid, u: SampledSignal) -> SampledSignal:
@@ -350,7 +355,7 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
         raise ValueError(f"need alpha <= p <= beta, got {alpha}, {p}, {beta}")
     m = triple.control_dim
     signals = smooth_trial_signals(grid, m, trials, rng, p=p)
-    F = io_matrix(triple, grid)
+    column, F = _read_F(triple, grid, dense=True)
     control = triple.control(grid)
     M_control = 0.0
     M_io = 0.0
@@ -370,7 +375,7 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
     for _ in range(trials):
         y = SampledSignal(grid, observe(triple.random_domain_state(rng)))
         M_observe = max(M_observe, y.norm(p))
-    fb = _feedback_report(F, p)
+    fb = _feedback_report(column, F, p)
     report = AdmissibilityReport(
         M_control=float(M_control), M_observe=float(M_observe),
         M_io=float(M_io), p=float(p), alpha=float(alpha), beta=float(beta),
@@ -381,39 +386,42 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
 def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     """Distance of 1 from the spectrum of the discretized input-output map.
 
-    ``ok`` iff the margin is >= 1e-8.  F is causal, hence lower triangular
-    in both worlds (strictly block lower in the matrix world; diagonal
-    ``c_N``, the ``Phi`` coefficient of node ``s = 1``, in the transport
-    world),
-    so its spectrum is its diagonal and the margin is ``min |1 - F_kk|``
-    read off exactly, with no eigensolve.  The report also carries the
-    induced p-norm of the map (exact for p in {1, 2, inf}, interpolation
-    upper bound otherwise) and whether that norm certifies admissibility by
-    ``||F|| < 1`` alone — the sufficient condition that survives to the
-    continuum.
+    ``ok`` iff the margin is >= 1e-8.  F is block lower-triangular
+    Toeplitz, so its spectrum is that of its lag-0 block, whose diagonal
+    gives the margin with no eigensolve.  The report also carries the
+    induced p-norm of F (at p = 2 exact from the dense F, else
+    :func:`~sgperturb.toeplitz.column_norm` with no F formed) and whether
+    ``||F|| < 1`` certifies admissibility alone — the sufficient condition
+    that survives to the continuum.
     """
-    return _feedback_report(io_matrix(triple, grid), p)
+    return _feedback_report(*_read_F(triple, grid, dense=p == 2), p)
 
 
-def _feedback_margin(F: np.ndarray) -> float:
-    """``min |1 - diag F|``, the distance of 1 from the spectrum of the
-    lower-triangular ``F`` (:class:`ShapeError` above the diagonal)."""
-    numkit._require_lower_triangular(F, "the feedback margin")
-    return float(np.min(np.abs(np.diag(F) - 1.0)))
+def _read_F(triple, grid: TimeGrid, dense: bool):
+    """F's first block column and, if ``dense``, the :func:`io_matrix` it is
+    then read off (else ``None``)."""
+    if not dense:
+        return triple.feedback_column(grid), None
+    F = io_matrix(triple, grid)
+    m = triple.control_dim
+    return F[:, :m].reshape(-1, m, m), F
 
 
-def _io_norm(F: np.ndarray, p: float) -> float:
-    """Induced p-norm of ``F``: exact for p in {1, 2, inf}, else the upper
-    end of :func:`~sgperturb.numkit.norm_bounds`."""
-    try:
-        return float(numkit.induced_norm(F, p))
-    except numkit.UnsupportedExponentError:
-        return float(numkit.norm_bounds(F, p)[1])
+def _feedback_margin(column: np.ndarray) -> float:
+    """``min |1 - diag F_0|``, F's lag-0 block ``F_0 = column[0]`` (zero in
+    the matrix world, ``1 x 1`` in the transport world); its diagonal is its
+    spectrum only if it is lower triangular, else :class:`ShapeError`."""
+    if np.triu(column[0], 1).any():
+        raise ShapeError("the margin needs a lower-triangular lag-0 block")
+    return float(np.min(np.abs(np.diag(column[0]) - 1.0)))
 
 
-def _feedback_report(F: np.ndarray, p: float) -> FeedbackReport:
-    margin = _feedback_margin(F)
-    nrm = _io_norm(F, p)
+def _feedback_report(column: np.ndarray, F, p: float) -> FeedbackReport:
+    """Margin off the column; p-norm by the Gram eigensolve on the dense
+    ``F`` at p = 2, else :func:`~sgperturb.toeplitz.column_norm`."""
+    margin = _feedback_margin(column)
+    nrm = (float(numkit.induced_norm(F, 2)) if p == 2
+           else toeplitz.column_norm(column, p))
     return FeedbackReport(bool(margin >= FEEDBACK_MARGIN), margin, nrm,
                           bool(nrm < 1.0))
 

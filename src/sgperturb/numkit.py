@@ -10,10 +10,9 @@ values.  The module provides
 * a scaling-and-squaring Pade matrix exponential (:func:`expm`),
 * linear solves with explicit singularity reporting (:func:`solve`,
   LAPACK's LU behind a QR-diagonal singularity test),
-* exact induced operator norms for p in {1, 2, inf} (the 2-norm from a
-  symmetric eigensolve of the Gram matrix, in real arithmetic when the data
-  is real) and certified (lower, upper) brackets for every other exponent
-  (:func:`induced_norm`, :func:`norm_bounds`),
+* exact induced operator norms for p in {1, 2, inf} (:func:`induced_norm`;
+  the 2-norm from a symmetric eigensolve of the Gram matrix, in real
+  arithmetic when the data is real),
 * 2-norms of operators given only by their products, section by section
   (:func:`lanczos_norms`, Golub-Kahan-Lanczos),
 * dense eigenvalues (:func:`eigenvalues`),
@@ -43,7 +42,6 @@ __all__ = [
     "solve",
     "vector_norm",
     "induced_norm",
-    "norm_bounds",
     "lanczos_norms",
     "eigenvalues",
     "spectral_radius_distance",
@@ -137,25 +135,6 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"{who} requires a square matrix, got {m.shape}")
     return m
-
-
-# Rows per band of the lower-triangularity check: the band loop stays short
-# and each band's rectangle is one large read.
-_NB = 64
-
-
-def _require_lower_triangular(L: np.ndarray, who: str) -> None:
-    """Raise :class:`ShapeError` on a nonzero entry above the diagonal.
-
-    Reads each band of :data:`_NB` rows on views: the rectangle right of its
-    diagonal block, and the strict upper triangle of that block by mask.
-    """
-    n = L.shape[0]
-    above = np.triu(np.ones((_NB, _NB), dtype=bool), 1)
-    for r in range(0, n, _NB):
-        j = min(r + _NB, n)
-        if L[r:j, j:].any() or L[r:j, r:j][above[:j - r, :j - r]].any():
-            raise ShapeError(f"{who} needs a lower-triangular matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +277,8 @@ def induced_norm(A, p, weights=None) -> float:
     ``weights`` (positive reals, one per axis point) turn the plain p-norm
     into the quadrature-weighted one via the diagonal similarity
     ``D A D^{-1}`` with ``D = diag(w^{1/p})``; for p = inf weights cancel.
-    For any other exponent use :func:`norm_bounds`.
+    For a causal Toeplitz operator,
+    :func:`~sgperturb.toeplitz.column_norm` bounds every other exponent.
 
     p = 2 is the largest singular value, taken as the square root of the
     largest eigenvalue of the Hermitian Gram matrix on the smaller side
@@ -322,7 +302,7 @@ def induced_norm(A, p, weights=None) -> float:
         return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
     raise UnsupportedExponentError(
         f"exact induced norm only for p in {{1, 2, inf}}, got p = {p}; "
-        "use norm_bounds for a certified bracket")
+        "toeplitz.column_norm bounds a causal Toeplitz operator's norm")
 
 
 def _largest_singular_value(A: np.ndarray) -> float:
@@ -353,38 +333,6 @@ def _norm_weights(A: np.ndarray, weights):
     if np.any(w_out <= 0) or np.any(w_in <= 0):
         raise ValueError("weights must be positive")
     return w_out, w_in
-
-
-def norm_bounds(A, p: float, rng=None, trials: int = 200):
-    """Certified (lower, upper) bracket for the induced p-norm, 1 <= p <= inf.
-
-    lower: best ratio ``||Ax||_p / ||x||_p`` over the canonical basis plus
-    ``trials`` seeded random vectors (a genuine lower bound).
-    upper: the interpolation bound ``||A||_1^{1/p} * ||A||_inf^{1-1/p}``
-    (log-convexity of p -> ||A||_p between the exact endpoint norms).
-    """
-    A = as_matrix(A)
-    if p < 1:
-        raise UnsupportedExponentError(f"p = {p} < 1 is not supported")
-    if p in (1, 2) or np.isinf(p):
-        exact = induced_norm(A, p)
-        return exact, exact
-    if A.size == 0:
-        return 0.0, 0.0
-    n1 = induced_norm(A, 1)
-    ninf = induced_norm(A, np.inf)
-    upper = n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)
-    rng = make_rng(0) if rng is None else rng
-    lower = 0.0
-    cols = A.shape[1]
-    for j in range(cols):
-        lower = max(lower, vector_norm(A[:, j], p))  # unit basis vectors
-    for _ in range(max(trials, 1)):
-        x = random_vector(rng, cols)
-        nx = vector_norm(x, p)
-        if nx > 0.0:
-            lower = max(lower, vector_norm(A @ x, p) / nx)
-    return lower, upper
 
 
 #: relative residual at which a Lanczos Ritz value counts as converged

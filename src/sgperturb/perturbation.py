@@ -41,9 +41,9 @@ from . import numkit, toeplitz
 from .semigroup import (FeedbackSingularError, apply_semigroup, rescale,
                         spectral_abscissa)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
-                            io_matrix, observability_map, FEEDBACK_MARGIN,
+                            observability_map, FEEDBACK_MARGIN,
                             _constants_and_feedback, _feedback_margin,
-                            _io_norm)
+                            _feedback_report, _read_F)
 
 __all__ = [
     "FeedbackSingularError",
@@ -204,7 +204,7 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     (``feedback_column``), is positive.
     """
     column = triple.feedback_column(grid)
-    margin = _feedback_margin(column[0])
+    margin = _feedback_margin(column)
     if margin < FEEDBACK_MARGIN:
         raise ValueError(
             f"feedback margin {margin:.3e} at t0 = {grid.t0} is below "
@@ -238,7 +238,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     """Shrink-the-horizon search for ``||F_t|| < 1`` with the fitted rate.
 
     ``io_norm`` is the norm of F at ``grid`` (the feedback report's), so
-    F is built only at the shorter horizons.
+    F is read only at the shorter horizons, as the feedback report reads it.
     """
     horizons = []
     norms = []
@@ -248,7 +248,8 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     for _ in range(21):
         try:
             g = TimeGrid(t, steps)
-            nrm = io_norm if g == grid else _io_norm(io_matrix(triple, g), p)
+            nrm = io_norm if g == grid else _feedback_report(
+                *_read_F(triple, g, dense=p == 2), p).io_norm
         except ValueError:
             break  # horizon fell below the space grid
         horizons.append(t)

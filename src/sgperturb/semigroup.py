@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import numkit, toeplitz
+from . import numkit
 from .numkit import ShapeError, as_matrix, as_vector
 from .toeplitz import FEEDBACK_MARGIN
 
@@ -189,10 +189,6 @@ class MatrixTriple:
         blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
         blocks[1:] = grid.h * (self.C @ self._walk(grid)[:-1])
         return blocks
-
-    def io_matrix(self, grid) -> np.ndarray:
-        return toeplitz.materialize(
-            toeplitz.BlockToeplitz(self.feedback_column(grid)))
 
     def solve_feedback(self, grid, v) -> np.ndarray:
         """``(I - F)^{-1} v`` for stacked samples ``v`` (``steps x m``),

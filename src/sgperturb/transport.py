@@ -638,13 +638,6 @@ class TransportTriple:
             col *= np.exp(-self.mu_shift * grid.times)
         return col[:, None, None]
 
-    def io_matrix(self, grid) -> np.ndarray:
-        col = self.feedback_column(grid)[:, 0, 0]
-        F = np.zeros((grid.steps, grid.steps), dtype=np.complex128)
-        for lag in np.flatnonzero(col):
-            np.fill_diagonal(F[lag:], col[lag])
-        return F
-
     def solve_feedback(self, grid, v) -> np.ndarray:
         """``(I - F)^{-1} v`` by the boundary recursion, without F:
 

@@ -53,6 +53,18 @@ def test_time_grid_basics():
         TimeGrid(1.0, 0)
 
 
+@pytest.mark.parametrize("steps", [2.5, np.nan, True, "3"])
+def test_time_grid_steps_must_be_an_integer(steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        TimeGrid(0.5, steps)
+
+
+def test_time_grid_accepts_a_numpy_integer():
+    grid = TimeGrid(0.5, np.int64(4))
+    assert grid == TimeGrid(0.5, 4)
+    assert type(grid.steps) is int and grid.times.shape == (4,)
+
+
 def test_sampled_signal_norm_uses_step_weight():
     grid = TimeGrid(1.0, 8)
     u = constant_signal(grid)
@@ -280,9 +292,10 @@ def test_transport_io_matrix_equals_loop_assembly(triple, grid):
     # the lag-indexed build adds the same reads in the same order: equal
     # bit for bit, also where several atoms or cells share an entry
     F = io_matrix(triple, grid)
-    assert F.dtype == np.complex128
+    oracle = loop_transport_io_matrix(triple, grid)
+    assert F.dtype == (np.complex128 if oracle.imag.any() else np.float64)
     assert np.count_nonzero(F) >= grid.steps
-    assert np.array_equal(F, loop_transport_io_matrix(triple, grid))
+    assert np.array_equal(F, oracle)
 
 
 @pytest.mark.parametrize("triple, grid", [
@@ -472,13 +485,46 @@ def test_feedback_margin_equals_eigensolve(triple, grid):
 
 
 def test_feedback_margin_rejects_entry_above_diagonal():
-    F = np.tril(np.full((6, 6), 0.25 + 0j))
-    assert admissibility._feedback_margin(F) == 0.75
-    F[1, 4] = 1e-3
+    # the margin reads the diagonal of F's lag-0 block, which is its
+    # spectrum only when the block is lower triangular
+    column = np.tile(np.tril(np.full((3, 3), 0.25 + 0j)), (6, 1, 1))
+    assert admissibility._feedback_margin(column) == 0.75
+    column[0, 1, 2] = 1e-3
     with pytest.raises(ShapeError, match="lower-triangular"):
-        admissibility._feedback_margin(F)
+        admissibility._feedback_margin(column)
     with pytest.raises(ShapeError, match="lower-triangular"):
-        admissibility._feedback_report(F, 2.0)
+        admissibility._feedback_report(column, None, 3.0)
+    column[0, 1, 2] = 0.0
+    column[1, 1, 2] = 1e-3      # other lags are unconstrained
+    assert admissibility._feedback_margin(column) == 0.75
+
+
+_COLUMN_NORM_CASES = [
+    (stable_triple(29, n=3, m=2), TimeGrid(0.8, 16)),
+    (transport_triple(N=32, atoms=((1.0, 0.25j),),
+                      density=(0.1 - 0.05j,) * 32, mu_shift=2.0),
+     TimeGrid(0.5, 8)),
+]
+
+
+@pytest.mark.parametrize("triple, grid", _COLUMN_NORM_CASES,
+                         ids=["matrix-m2", "complex-density-atom-at-1-shift"])
+def test_io_norm_off_two_comes_from_the_column(triple, grid, monkeypatch):
+    # p in {1, inf}: the exact dense norms; p = 3: Riesz-Thorin between
+    # them; all read off F's first block column, with no dense F formed
+    F = io_matrix(triple, grid)
+    n1, ninf = numkit.induced_norm(F, 1), numkit.induced_norm(F, np.inf)
+    assert n1 > 0.0 and ninf > 0.0
+    margin = feedback_admissible(triple, grid, 2.0).margin
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense F built")
+    monkeypatch.setattr(admissibility, "io_matrix", refuse)
+    for p, want in ((1.0, n1), (np.inf, ninf),
+                    (3.0, n1 ** (1.0 / 3.0) * ninf ** (2.0 / 3.0))):
+        fb = feedback_admissible(triple, grid, p)
+        assert fb.io_norm == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert fb.margin == margin
 
 
 def test_io_matrix_strictly_lower_triangular_matrix_world():

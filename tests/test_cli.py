@@ -249,6 +249,33 @@ def test_two_atom_profile_halves_above_roundoff(tmp_path):
     assert pde["sup_difference_refined"] <= 0.75 * pde["sup_difference"]
 
 
+def test_transport_pde_at_stride_one_refuses_a_first_order_defect(
+        tmp_path, monkeypatch):
+    # at stride h N = 1 the feedback semigroup reads the PDE's own nodes:
+    # an O(h) error seeded into its state halves under refinement, which
+    # the halving test alone would accept, so the suite must demand
+    # roundoff agreement there
+    cfg = transport_config([[0.5, 0.3], [0.875, 0.2]], None,
+                           suites=("transport_pde",), seed=11)
+    del cfg["expect"]
+    cfg = write_config(tmp_path, cfg)
+    assert run(cfg, out_dir=tmp_path / "out") == 0
+    exact = read_report(tmp_path / "out")["suites"]["transport_pde"]
+    assert exact["ok"] is True
+    assert exact["sup_difference_refined"] <= 1e-12
+    semigroup = cli.weiss_staffans_semigroup
+
+    def first_order(triple, grid, t, x):
+        out = semigroup(triple, grid, t, x)
+        return type(out)(out.values + grid.h * x.values, p=out.p)
+    monkeypatch.setattr(cli, "weiss_staffans_semigroup", first_order)
+    assert run(cfg, out_dir=tmp_path / "defect") == 1
+    pde = read_report(tmp_path / "defect")["suites"]["transport_pde"]
+    assert pde["ok"] is False
+    assert pde["sup_difference"] >= 1e-3
+    assert pde["sup_difference_refined"] <= 0.75 * pde["sup_difference"]
+
+
 def test_numkit_failure_becomes_suite_error(tmp_path, monkeypatch):
     def fail(spec, rng, csv_dir):
         raise numkit.ConvergenceError("no convergence")

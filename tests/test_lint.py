@@ -10,16 +10,20 @@ one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
 ``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
 calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
 and ``perturbation.py`` materializes no Toeplitz operator: it does not name
-``materialize``.  The feedback inverse has one code path, the block
-recursion of ``toeplitz.py``; its dense form is a test oracle, so no module
-defines, imports, exports or names ``feedback_toeplitz_inverse`` or
-``feedback_inverse_norm_bound``.  Each
-world's facts live on its triple class: no module tests whether a triple is a
+``materialize``.  F has one dense builder, ``admissibility.io_matrix``,
+the one caller of ``materialize``, and no triple class defines
+``io_matrix``.  Every name in a module's ``__all__`` resolves.  The
+feedback inverse has one code path, the block recursion of
+``toeplitz.py``; its dense form is a test oracle, so no module defines,
+imports, exports or names ``feedback_toeplitz_inverse`` or
+``feedback_inverse_norm_bound``.  Each world's facts live on its triple
+class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -372,3 +376,69 @@ def test_world_classes_expose_the_same_methods():
     transport = _public_methods("transport.py", "TransportTriple")
     assert len(matrix) >= 15
     assert matrix == transport
+
+
+def materialize_callers(source: str, name: str = "<source>"):
+    """``(module, function)`` of each call of ``materialize``, by name or
+    attribute, with ``None`` for a call at module level."""
+    module = Path(name).name
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and "materialize" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((module, function))
+            visit(child, inner)
+    visit(ast.parse(source, name), None)
+    return found
+
+
+def test_io_matrix_is_the_one_dense_builder_of_f():
+    # F is stored by its first block column; admissibility.io_matrix is the
+    # only code that materializes it, and no triple class builds its own
+    callers = [call for path in MODULES
+               for call in materialize_callers(path.read_text(),
+                                               str(path.relative_to(SRC)))]
+    assert callers == [("admissibility.py", "io_matrix")]
+    assert "io_matrix" not in _public_methods("semigroup.py", "MatrixTriple")
+    assert "io_matrix" not in _public_methods("transport.py",
+                                              "TransportTriple")
+
+
+@pytest.mark.parametrize("snippet, caller", [
+    ("M = toeplitz.materialize(T)\n", None),
+    ("def f(T):\n    return materialize(T)\n", "f"),
+    ("class K:\n    def io_matrix(self, g):\n"
+     "        return toeplitz.materialize(self.col(g))\n", "io_matrix"),
+])
+def test_materialize_rule_catches_each_form(snippet, caller):
+    assert materialize_callers(snippet, "x.py") == [("x.py", caller)]
+
+
+def test_materialize_rule_passes_other_names():
+    assert materialize_callers("T = BlockToeplitz(c)\ny = T.forward(x)\n"
+                               "from .toeplitz import materialize\n") == []
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: every module but the entry point, which runs the CLI on import
+IMPORTABLE = [p for p in MODULES if p.name != "__main__.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTABLE,
+                         ids=[str(p.relative_to(SRC)) for p in IMPORTABLE])
+def test_every_export_resolves(path):
+    # a deleted function leaves no dangling name in any __all__
+    module = importlib.import_module(_module_name(path))
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -589,8 +589,7 @@ def test_growth_check_at_4096_steps_is_linear_in_memory(monkeypatch):
     # matrix (8 steps^2 bytes, 134 MB) would already exceed
     def refuse(*args, **kwargs):
         raise AssertionError("dense F or inverse built")
-    for owner in (admissibility, perturbation, MatrixTriple):
-        monkeypatch.setattr(owner, "io_matrix", refuse)
+    monkeypatch.setattr(admissibility, "io_matrix", refuse)
     monkeypatch.setattr(toeplitz, "materialize", refuse)
     steps = 4096
     tracemalloc.start()
@@ -683,8 +682,8 @@ def test_growth_check_builds_no_io_matrix(world, monkeypatch):
         triple, grid = (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS),
                         TimeGrid(0.5, 32))
     expected = long_horizon_growth_check(triple, grid, (0.5, 1.0))
-    builds = count_calls(monkeypatch, "io_matrix", admissibility,
-                         perturbation)
+    builds = (count_calls(monkeypatch, "io_matrix", admissibility)
+              + count_calls(monkeypatch, "materialize", toeplitz))
     eigs = count_calls(monkeypatch, "eigenvalues", numkit)
     maps = (count_calls(monkeypatch, "controllability_map", admissibility,
                         perturbation)
@@ -710,8 +709,8 @@ def test_feedback_semigroup_and_vop_build_no_io_matrix(world, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("io_matrix built")
-    for owner in (admissibility, perturbation, type(triple)):
-        monkeypatch.setattr(owner, "io_matrix", refuse)
+    monkeypatch.setattr(admissibility, "io_matrix", refuse)
+    monkeypatch.setattr(toeplitz, "materialize", refuse)
     ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
     vop = variation_of_parameters_residual(triple, grid, grid.t0, x)
     assert triple.state_norm(ws - expected[0]) == 0.0
@@ -739,14 +738,14 @@ def test_certificate_builds_one_io_matrix(monkeypatch):
     # feedback report's norm and builds nothing
     triple = README_TRIPLE
     grid = TimeGrid(0.5, 32)
-    builds = count_calls(monkeypatch, "io_matrix", admissibility,
-                         perturbation)
+    builds = count_calls(monkeypatch, "io_matrix", admissibility)
+    dense = count_calls(monkeypatch, "materialize", toeplitz)
     cert = generation_certificate(triple, grid, 2.0, 1.0, 3.0,
                                   numkit.make_rng(42))
     assert cert.verdict == "generated"
     fb = cert.conditions["feedback"]
     assert fb["bypass"]["io_norms"] == (fb["io_norm"],)
-    assert len(builds) == 1
+    assert len(builds) == len(dense) == 1
 
 
 def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
@@ -756,13 +755,44 @@ def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
     grid = TimeGrid(1.0, 32)
     fb = feedback_admissible(triple, grid, 2.0)
     assert fb.io_norm >= 1.0
-    builds = count_calls(monkeypatch, "io_matrix", perturbation)
+    builds = count_calls(monkeypatch, "io_matrix", admissibility)
     entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
                                                fb.io_norm)
     assert entry["io_norms"][0] == fb.io_norm
     assert [g.t0 for _, g in builds] == list(entry["horizons"][1:])
     assert entry["found"] and found.t0 == entry["t1"] < grid.t0
     assert entry["io_norms"][-1] < 1.0
+
+
+def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
+    # ||F|| = 1.5 until the horizon drops below the atom's lag: the bypass
+    # halves twice, each norm the Riesz-Thorin value of the dense F's exact
+    # 1- and inf-norms, from one feedback_column per halved horizon and no
+    # dense F but the one the trial products use
+    triple = transport_triple(N=32, atoms=((0.25, 1.5),))
+    grid = TimeGrid(2.0, 64)
+
+    def riesz_thorin(g, p=3.0):
+        F = io_matrix(triple, g)
+        return (numkit.induced_norm(F, 1) ** (1.0 / p)
+                * numkit.induced_norm(F, np.inf) ** (1.0 - 1.0 / p))
+    want = [riesz_thorin(TimeGrid(t, n)) for t, n in
+            ((2.0, 64), (1.0, 32), (0.5, 16))]
+    assert want[0] == pytest.approx(1.5) and want[2] == 0.0
+    builds = count_calls(monkeypatch, "io_matrix", admissibility)
+    columns = count_calls(monkeypatch, "feedback_column", type(triple))
+    cert = generation_certificate(triple, grid, 3.0, 1.0, 3.0,
+                                  numkit.make_rng(5))
+    assert cert.verdict == "generated"
+    fb = cert.conditions["feedback"]
+    bypass = fb["bypass"]
+    assert bypass["found"] and bypass["t1"] == 0.5
+    assert bypass["horizons"] == (2.0, 1.0, 0.5)
+    assert bypass["io_norms"][0] == fb["io_norm"]
+    for got, exact in zip(bypass["io_norms"], want):
+        assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert [g for _, g in builds] == [grid]
+    assert [g.t0 for _, g in columns] == [2.0, 1.0, 0.5]
 
 
 def test_vop_closed_loop_samples_match_walk():

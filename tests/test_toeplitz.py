@@ -8,9 +8,9 @@ from sgperturb import numkit
 from sgperturb.numkit import ShapeError, SingularMatrixError, induced_norm
 from sgperturb.toeplitz import (
     BlockToeplitz,
+    column_norm,
     feedback_norm_chain,
     materialize,
-    norm_bound,
 )
 
 
@@ -112,20 +112,39 @@ def test_block_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# norm bound
+# norms from the first column
 # ---------------------------------------------------------------------------
 
-def test_norm_bound_single_block_is_exact():
-    rng = numkit.make_rng(31)
-    T0 = numkit.random_matrix(rng, 3, 3)
-    T = BlockToeplitz([T0])
-    assert norm_bound(T, 2) == pytest.approx(induced_norm(T0, 2))
+@pytest.mark.parametrize("n, d, build", [
+    (1, 3, "complex"), (5, 1, "complex"), (7, 2, "real"), (9, 3, "complex"),
+])
+def test_column_norm_is_exact_at_1_and_inf(n, d, build):
+    T = random_toeplitz(60 + n, n, d) if build == "complex" else \
+        BlockToeplitz(random_toeplitz(60 + n, n, d).blocks.real)
+    M = materialize(T)
+    for p in (1, np.inf):
+        assert column_norm(T.blocks, p) == pytest.approx(
+            induced_norm(M, p), rel=1e-14)
+
+
+def test_column_norm_is_riesz_thorin_between_the_ends():
+    T = random_toeplitz(71, 6, 2)
+    M = materialize(T)
+    n1, ninf = induced_norm(M, 1), induced_norm(M, np.inf)
+    for p in (1.5, 3.0, 7.0):
+        assert column_norm(T.blocks, p) == pytest.approx(
+            n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p), rel=1e-14)
+
+
+def test_column_norm_rejects_p_below_one():
+    with pytest.raises(numkit.UnsupportedExponentError):
+        column_norm(np.ones((2, 1, 1)), 0.5)
 
 
 def test_norm_bound_two_identities_golden_ratio():
     T = BlockToeplitz([np.eye(1), np.eye(1)])
     exact = induced_norm(materialize(T), 2)
-    assert norm_bound(T, 2) == pytest.approx(2.0)
+    assert column_norm(T.blocks, 2) == pytest.approx(2.0)
     assert exact == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
     assert exact <= 2.0
 
@@ -138,7 +157,7 @@ def test_norm_bound_dominates_exact_100_seeds(p):
         T = BlockToeplitz([numkit.random_matrix(rng, 3, 3)
                            for _ in range(n)])
         exact = induced_norm(materialize(T), p)
-        assert exact <= norm_bound(T, p) * (1.0 + 1e-12)
+        assert exact <= column_norm(T.blocks, p) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
