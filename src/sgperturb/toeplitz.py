@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
 from .numkit import (induced_norm, NumericalRangeError, ShapeError,
@@ -143,19 +144,18 @@ def column_norm(column, p: float) -> float:
 
 
 def materialize(T: BlockToeplitz) -> np.ndarray:
-    """Dense ``n*d x n*d`` matrix of the operator, one write per nonzero lag.
+    """Dense ``n*d x n*d`` matrix of the operator, one strided copy: entry
+    ``(i, a, j, b)`` is ``blocks[i - j, a, b]``, read backwards off the
+    windows of the column zero-padded by ``n - 1`` blocks in front.
 
     float64 when every block has a zero imaginary part, else complex128.
     """
     n, d = T.n, T.block_dim
-    real = not T.blocks.imag.any()
-    M = np.zeros((n * d, n * d), dtype=np.float64 if real else np.complex128)
-    grid = M.reshape(n, d, n, d)         # (row block, row, col block, col)
-    for lag in np.flatnonzero(T.blocks.any(axis=(1, 2))):
-        block = T.blocks[lag]
-        grid[np.arange(lag, n), :, np.arange(n - lag), :] = (
-            block.real if real else block)
-    return M
+    col = T.blocks.real if T._real else T.blocks
+    padded = np.concatenate([np.zeros((n - 1, d, d), col.dtype), col])
+    windows = sliding_window_view(padded, n, axis=0)[..., ::-1]
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
+        n * d, n * d)
 
 
 def _frames(Bt0, Ct0, Tt0, q: int):

@@ -27,6 +27,7 @@ left-endpoint norms, atoms snapped to nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -109,6 +110,17 @@ class BorelMeasure:
             terms = np.hypot(d.real, d.imag) * overlap
             mass = np.add.accumulate(np.r_[mass, terms])[-1]  # in order
         return float(mass)
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """``((r - 1, w) per atom, c_k h, k h - 1, c_k h (k h - 1), h)``
+        for :func:`_transfer_and_slope`, built on first use."""
+        n = len(self.density)
+        h = 1.0 / max(n, 1)
+        weights = np.asarray(self.density, dtype=np.complex128) * h
+        left = np.arange(n) * h - 1.0
+        return (tuple((loc - 1.0, w) for loc, w in self.atoms), weights, left,
+                weights * left, h)
 
 
 def _grid_nodes(t: float, N: int, least: int = 0) -> int:
@@ -363,37 +375,39 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     blocks of at most :data:`_CELL_BLOCK` entries, and weighted twice: by
     ``c_k h`` for ``S`` and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
     gains ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
-    ``S_1 R(lam h) + S h R'(lam h)``.  ``H'`` is the exact derivative of
-    the ``H`` computed here (the same cell primitives, differentiated in
-    closed form), up to the rounding of :func:`_exp_ratio_slope`, so Newton
-    on it converges to the zeros that a ``|H - 1|`` test on this ``H``
-    accepts.
+    ``S_1 R(lam h) + S h R'(lam h)``, ``R`` and ``R'`` from one ``e^z``
+    unless some ``|lam h| < 1e-2`` needs a Taylor branch.  ``H'`` is the
+    exact derivative of the ``H`` computed here (the same cell primitives,
+    differentiated in closed form), up to the rounding of
+    :func:`_exp_ratio_slope`, so Newton on it converges to the zeros that a
+    ``|H - 1|`` test on this ``H`` accepts.
     """
+    atoms, weights, left, moments, h = mu._terms
     H = np.zeros(lam.shape, dtype=np.complex128)
     dH = np.zeros(lam.shape, dtype=np.complex128)
-    for loc, w in mu.atoms:
-        atom = w * np.exp(lam * (loc - 1.0))
+    for offset, w in atoms:
+        atom = w * np.exp(lam * offset)
         H += atom
-        dH += (loc - 1.0) * atom
-    if mu.density:
-        n = len(mu.density)
-        h = 1.0 / n
-        weights = np.asarray(mu.density, dtype=np.complex128) * h
-        left = np.arange(n) * h - 1.0
-        moments = weights * left
+        dH += offset * atom
+    if left.size:
         flat = lam.reshape(-1)
-        cells = np.empty_like(flat)
-        cell_moments = np.empty_like(flat)
-        rows = max(1, _CELL_BLOCK // n)
-        for i in range(0, flat.size, rows):
+        rows = max(1, _CELL_BLOCK // left.size)
+        sums = []
+        for i in range(0, max(flat.size, 1), rows):  # empty lam: 1 block
             block = np.exp(np.multiply.outer(flat[i:i + rows], left))
-            cells[i:i + rows] = (block * weights).sum(axis=-1)
-            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
-        cells = cells.reshape(lam.shape)
-        ratio = _exp_ratio(lam * h)
+            sums.append(((block * weights).sum(axis=-1),
+                         (block * moments).sum(axis=-1)))
+        cells, cell_moments = (np.concatenate(part).reshape(lam.shape)
+                               for part in zip(*sums))
+        z = lam * h
+        if (np.abs(z) < 1e-2).any():
+            ratio, slope = _exp_ratio(z), _exp_ratio_slope(z)
+        else:
+            e = np.exp(z)
+            ratio = (e - 1.0) / z
+            slope = (e - np.expm1(z) / z) / z
         H += cells * ratio
-        dH += (cell_moments.reshape(lam.shape) * ratio
-               + cells * h * _exp_ratio_slope(lam * h))
+        dH += cell_moments * ratio + cells * h * slope
     return H, dH
 
 
@@ -422,7 +436,10 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     ``search_box`` is ``(re_min, re_max, im_min, im_max)``, finite in extent.
     Newton runs from a grid of up to 40 x 80 starting points, all starts at
     once as one batch, with the analytic derivative: each step makes one
-    evaluation of ``H`` and ``H'`` (:func:`_transfer_and_slope`).  A start
+    evaluation of ``H`` and ``H'`` (:func:`_transfer_and_slope`).  For a
+    real measure ``H(conj lam) = conj H(lam)`` bit for bit, so on a grid
+    symmetric about the real axis Newton runs only from the starts with
+    ``Im >= 0`` and mirrors the rest; the roots do not change.  A start
     is dropped when its iterate leaves the evaluable strip
     ``|Re lam| <= 500``, when the derivative vanishes or the step is not
     finite, when ``|lam| > 1e6``, or when it has not reached
@@ -446,29 +463,38 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
         raise ValueError("max_iter must be at least 1")
     n_re = min(40, max(3, int(np.ceil((re_max - re_min) / 1.0)) + 1))
     n_im = min(80, max(3, int(np.ceil((im_max - im_min) / 2.0)) + 1))
-    lam = np.add.outer(np.linspace(re_min, re_max, n_re),
-                       1j * np.linspace(im_min, im_max, n_im)).ravel()
-    converged = np.zeros(lam.size, dtype=bool)
-    live = np.arange(lam.size)
+    im = np.linspace(im_min, im_max, n_im)
+    lam = np.add.outer(np.linspace(re_min, re_max, n_re), 1j * im)
+    # columns :lower mirror the columns with Im >= 0 (none without symmetry)
+    real = not np.imag([w for _, w in mu.atoms] + [*mu.density]).any()
+    lower = n_im // 2 if real and np.array_equal(im, -im[::-1]) else 0
+    converged = np.zeros(lam.shape, dtype=bool)
+    upper, upper_converged = lam[:, lower:], converged[:, lower:]
+    z = upper.ravel()
+    live = np.arange(z.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            z = lam[live]
             keep = np.abs(z.real) <= _RE_LIMIT
-            live, z = live[keep], z[keep]
+            if not keep.all():
+                live, z = live[keep], z[keep]
             H, dg = _transfer_and_slope(mu, z)
             g = H - 1.0
             done = np.abs(g) <= min(tol, 1e-12)
-            converged[live[done]] = True
-            keep = ~done
-            live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
+            if done.any():
+                upper.flat[live[done]] = z[done]
+                upper_converged.flat[live[done]] = True
+                keep = ~done
+                live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
             step = g / dg
             z = z - step
             keep = ((np.abs(dg) >= 1e-300) & np.isfinite(step.real)
                     & np.isfinite(step.imag) & (np.abs(z) <= 1e6))
-            live = live[keep]
-            lam[live] = z[keep]
+            if not keep.all():
+                live, z = live[keep], z[keep]
             if not live.size:
                 break
+    lam[:, :lower] = lam[:, ::-1][:, :lower].conj()
+    converged[:, :lower] = converged[:, ::-1][:, :lower]
     found = lam[converged]
     pad = 1e-9
     H = _transfer_and_slope(mu, found)[0]

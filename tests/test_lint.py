@@ -16,7 +16,9 @@ the one caller of ``materialize``, and no triple class defines
 feedback inverse has one code path, the block recursion of
 ``toeplitz.py``; its dense form is a test oracle, so no module defines,
 imports, exports or names ``feedback_toeplitz_inverse`` or
-``feedback_inverse_norm_bound``.  Each world's facts live on its triple
+``feedback_inverse_norm_bound``.  H has one evaluator: only
+``transport._transfer_and_slope`` forms the density cell exponentials
+``np.exp(np.multiply.outer(...))``.  Each world's facts live on its triple
 class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods.
@@ -378,9 +380,9 @@ def test_world_classes_expose_the_same_methods():
     assert matrix == transport
 
 
-def materialize_callers(source: str, name: str = "<source>"):
-    """``(module, function)`` of each call of ``materialize``, by name or
-    attribute, with ``None`` for a call at module level."""
+def call_sites(source: str, name: str, matches):
+    """``(module, function)`` of each call node for which ``matches`` holds,
+    with ``None`` for a call at module level."""
     module = Path(name).name
     found = []
 
@@ -389,13 +391,17 @@ def materialize_callers(source: str, name: str = "<source>"):
             inner = function
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            if isinstance(child, ast.Call) and "materialize" in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append((module, function))
             visit(child, inner)
     visit(ast.parse(source, name), None)
     return found
+
+
+def materialize_callers(source: str, name: str = "<source>"):
+    """Each call of ``materialize``, by name or attribute."""
+    return call_sites(source, name, lambda call: "materialize" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
 
 
 def test_io_matrix_is_the_one_dense_builder_of_f():
@@ -423,6 +429,49 @@ def test_materialize_rule_catches_each_form(snippet, caller):
 def test_materialize_rule_passes_other_names():
     assert materialize_callers("T = BlockToeplitz(c)\ny = T.forward(x)\n"
                                "from .toeplitz import materialize\n") == []
+
+
+def _is_cell_exponential(call: ast.Call) -> bool:
+    """``<x>.exp(<y>.multiply.outer(...))``: the exponentials of a grid of
+    points against the density cells, the bulk of an evaluation of H."""
+    inner = call.args[0] if call.args else None
+    return (getattr(call.func, "attr", None) == "exp"
+            and isinstance(inner, ast.Call)
+            and getattr(inner.func, "attr", None) == "outer"
+            and getattr(getattr(inner.func, "value", None), "attr",
+                        None) == "multiply")
+
+
+def cell_exponential_sites(source: str, name: str = "<source>"):
+    """Each place that forms the density cell exponentials."""
+    return call_sites(source, name, _is_cell_exponential)
+
+
+def test_transfer_evaluator_is_the_one_h_path():
+    # H and H' have one evaluator, transport._transfer_and_slope; the root
+    # search and transfer_scalar read it, so no second H path grows beside it
+    sites = {site for path in MODULES
+             for site in cell_exponential_sites(path.read_text(),
+                                                str(path.relative_to(SRC)))}
+    assert sites == {("transport.py", "_transfer_and_slope")}
+
+
+@pytest.mark.parametrize("snippet, site", [
+    ("E = np.exp(np.multiply.outer(lam, left))\n", None),
+    ("def H(lam, x):\n"
+     "    return numpy.exp(numpy.multiply.outer(lam, x)).sum(-1)\n", "H"),
+    ("class K:\n    def slope(self, z):\n"
+     "        b = np.exp(np.multiply.outer(z[:9], self.left)) * self.w\n",
+     "slope"),
+])
+def test_cell_exponential_rule_catches_each_form(snippet, site):
+    assert cell_exponential_sites(snippet, "x.py") == [("x.py", site)]
+
+
+def test_cell_exponential_rule_passes_other_exponentials():
+    assert cell_exponential_sites(
+        "a = np.exp(lam * (loc - 1.0))\nb = np.multiply.outer(x, y)\n"
+        "c = np.exp(np.add.outer(x, y))\nd = np.exp()\n") == []
 
 
 def _module_name(path: Path) -> str:

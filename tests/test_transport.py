@@ -686,10 +686,8 @@ def closed_loop_measure(seed):
                         density=tuple(rng.uniform(-0.2, 0.2, 64)))
 
 
-@pytest.mark.parametrize("max_iter", [1, 5, 60])
-def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
-    # on this measure some starts never converge, so the search runs all
-    # max_iter steps; each step is one evaluation, plus the final filter
+def counted_evaluations(monkeypatch) -> list:
+    """Patch the evaluator of H to record the size of each batch."""
     calls = []
     evaluate = transport._transfer_and_slope
 
@@ -697,13 +695,198 @@ def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
         calls.append(lam.size)
         return evaluate(mu, lam)
     monkeypatch.setattr(transport, "_transfer_and_slope", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_iter", [1, 5, 60])
+def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
+    # on this measure some starts never converge, so the search runs all
+    # max_iter steps; each step is one evaluation, plus the final filter
+    calls = counted_evaluations(monkeypatch)
     mu = closed_loop_measure(7)
     roots = characteristic_roots(mu, (-5.0, 3.0, -20.0, 20.0),
                                  max_iter=max_iter)
     assert len(calls) == max_iter + 1
-    assert calls[0] == 9 * 21
+    # a real measure on a grid symmetric about the real axis: Newton runs
+    # from the 11 of 21 imaginary columns with Im >= 0
+    assert calls[0] == 9 * 11
     if max_iter == 60:
         assert roots.size == 3
+
+
+def transfer_and_slope_oracle(mu, lam):
+    """``transport._transfer_and_slope`` before the measure's arrays were
+    built once per measure and R, R' shared one exponential, verbatim."""
+    H = np.zeros(lam.shape, dtype=np.complex128)
+    dH = np.zeros(lam.shape, dtype=np.complex128)
+    for loc, w in mu.atoms:
+        atom = w * np.exp(lam * (loc - 1.0))
+        H += atom
+        dH += (loc - 1.0) * atom
+    if mu.density:
+        n = len(mu.density)
+        h = 1.0 / n
+        weights = np.asarray(mu.density, dtype=np.complex128) * h
+        left = np.arange(n) * h - 1.0
+        moments = weights * left
+        flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        cell_moments = np.empty_like(flat)
+        rows = max(1, transport._CELL_BLOCK // n)
+        for i in range(0, flat.size, rows):
+            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
+        cells = cells.reshape(lam.shape)
+        ratio = transport._exp_ratio(lam * h)
+        H += cells * ratio
+        dH += (cell_moments.reshape(lam.shape) * ratio
+               + cells * h * transport._exp_ratio_slope(lam * h))
+    return H, dH
+
+
+def bit_test_points():
+    """The 300 points of ``test_transfer_values_bit_identical_to_oracle``."""
+    rng = np.random.default_rng(9)
+    lam = (rng.uniform(-450.0, 450.0, 300)
+           + 1j * rng.uniform(-300.0, 300.0, 300))
+    lam[:6] = [0.0, 1e-7, 3e-6j, 0.5 + 0.5j, -2.0 - 1e-4j, 60.0]
+    return lam
+
+
+REAL_MEASURES = [
+    TWO_ATOMS,
+    BorelMeasure(atoms=((0.5, 0.3),), density=DENSITY_64),
+    BorelMeasure(density=SMOOTH_64),
+    BorelMeasure(atoms=((0.0, 0.5),), density=tuple(
+        np.random.default_rng(2).uniform(-1.0, 1.0, 1000))),
+]
+REAL_IDS = ["atoms", "atoms+density64", "density64", "density1000"]
+
+
+@pytest.mark.parametrize("mu", REAL_MEASURES + [BorelMeasure(
+    atoms=((0.0, 0.5j),), density=tuple(
+        np.random.default_rng(2).uniform(-1.0, 1.0, 1000) * (1.0 + 0.5j)))],
+    ids=REAL_IDS + ["complex1000"])
+def test_transfer_and_slope_bit_identical_to_oracle(mu):
+    lam = bit_test_points()
+    # lam[:6] holds points with |lam h| < 1e-2 (the Taylor branches of R
+    # and R'); lam[6:] has none, so R and R' come from one exponential
+    assert np.abs(lam[6:] / 64).min() >= 1e-2
+    for points in (lam, lam[6:], lam.reshape(20, 15)):
+        H, dH = transport._transfer_and_slope(mu, points)
+        H_ref, dH_ref = transfer_and_slope_oracle(mu, points)
+        assert np.array_equal(H, H_ref) and np.array_equal(dH, dH_ref)
+
+
+@pytest.mark.parametrize("mu", REAL_MEASURES, ids=REAL_IDS)
+def test_real_measure_transfer_commutes_with_conjugation(mu):
+    # the premise of the mirrored root search: for a real measure,
+    # H(conj lam) = conj H(lam) and H'(conj lam) = conj H'(lam) in floating
+    # point, bit for bit up to the sign of a zero part
+    lam = bit_test_points()
+    for points in (lam, lam[6:]):
+        H, dH = transport._transfer_and_slope(mu, points)
+        H_bar, dH_bar = transport._transfer_and_slope(mu, points.conj())
+        assert np.array_equal(H_bar, H.conj())
+        assert np.array_equal(dH_bar, dH.conj())
+
+
+def full_grid_roots(mu, search_box, tol=1e-10, max_iter=60):
+    """``characteristic_roots`` before the mirrored search, verbatim:
+    Newton from every start of the grid."""
+    re_min, re_max, im_min, im_max = (float(v) for v in search_box)
+    if not np.all(np.isfinite((re_max - re_min, im_max - im_min))):
+        raise ValueError("search box edges and extent must be finite")
+    if not (re_min < re_max and im_min < im_max):
+        raise ValueError("search box must have positive extent")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    n_re = min(40, max(3, int(np.ceil((re_max - re_min) / 1.0)) + 1))
+    n_im = min(80, max(3, int(np.ceil((im_max - im_min) / 2.0)) + 1))
+    lam = np.add.outer(np.linspace(re_min, re_max, n_re),
+                       1j * np.linspace(im_min, im_max, n_im)).ravel()
+    converged = np.zeros(lam.size, dtype=bool)
+    live = np.arange(lam.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            z = lam[live]
+            keep = np.abs(z.real) <= transport._RE_LIMIT
+            live, z = live[keep], z[keep]
+            H, dg = transport._transfer_and_slope(mu, z)
+            g = H - 1.0
+            done = np.abs(g) <= min(tol, 1e-12)
+            converged[live[done]] = True
+            keep = ~done
+            live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
+            step = g / dg
+            z = z - step
+            keep = ((np.abs(dg) >= 1e-300) & np.isfinite(step.real)
+                    & np.isfinite(step.imag) & (np.abs(z) <= 1e6))
+            live = live[keep]
+            lam[live] = z[keep]
+            if not live.size:
+                break
+    found = lam[converged]
+    pad = 1e-9
+    H = transport._transfer_and_slope(mu, found)[0]
+    found = found[(np.abs(H - 1.0) <= tol)
+                  & (re_min - pad <= found.real) & (found.real <= re_max + pad)
+                  & (im_min - pad <= found.imag)
+                  & (found.imag <= im_max + pad)]
+    roots = []
+    while found.size:
+        roots.append(found[0])
+        found = found[np.abs(found - found[0]) > 1e-6]
+    roots = np.asarray(roots, dtype=np.complex128)
+    return roots[np.lexsort((roots.real, roots.imag))]
+
+
+README_ATOMS = BorelMeasure(atoms=((0.5, 0.3), (0.875, 0.2)))
+CLOSED_LOOP_BOX = (-5.0, 3.0, -20.0, 20.0)
+
+
+@pytest.mark.parametrize("mu, box", [
+    *[(closed_loop_measure(seed), CLOSED_LOOP_BOX) for seed in range(1, 6)],
+    (README_ATOMS, CLOSED_LOOP_BOX),
+    # 21 x 80 starts: linspace(-300, 300, 80) is not symmetric bit for bit
+    (BorelMeasure(atoms=((0.0, 1.0), (0.01, 1.0))),
+     (-10.0, 10.0, -300.0, 300.0)),
+    (BorelMeasure(atoms=((0.5, 0.3 + 0.2j),),
+                  density=closed_loop_measure(3).density), CLOSED_LOOP_BOX),
+    (closed_loop_measure(2), (-5.0, 3.0, -10.0, 30.0)),
+    (closed_loop_measure(4), (-5.0, 3.0, -30.3, 30.3)),
+    # an even number of imaginary columns, symmetric: no column on Im = 0
+    (closed_loop_measure(5), (-5.0, 3.0, -21.0, 21.0)),
+    (BorelMeasure(atoms=((0.0, np.e),)), (-1.0, 3.0, -14.0, 14.0)),
+], ids=[*(f"closed-loop-{seed}" for seed in range(1, 6)), "readme-atoms",
+        "95-root-box", "complex-weight", "asymmetric-box", "box-30.3",
+        "even-columns", "exponential-atom"])
+def test_characteristic_roots_equal_full_grid_search(mu, box):
+    roots = characteristic_roots(mu, box)
+    assert roots.size
+    assert np.array_equal(roots, full_grid_roots(mu, box))
+
+
+@pytest.mark.parametrize("mu, box, starts", [
+    (closed_loop_measure(7), (-5.0, 3.0, -21.0, 21.0), 9 * 11),
+    (BorelMeasure(atoms=((0.5, 0.3 - 1e-3j),),
+                  density=closed_loop_measure(7).density),
+     CLOSED_LOOP_BOX, 9 * 21),
+    (BorelMeasure(atoms=((0.5, 0.3),), density=tuple(
+        np.asarray(closed_loop_measure(7).density) * (1.0 + 0j)
+        + np.r_[1e-9j, np.zeros(63)])), CLOSED_LOOP_BOX, 9 * 21),
+    (closed_loop_measure(7), (-5.0, 3.0, -10.0, 30.0), 9 * 21),
+    (closed_loop_measure(7), (-5.0, 3.0, -30.3, 30.3), 9 * 32),
+], ids=["symmetric-even", "complex-atom", "complex-density",
+        "asymmetric-box", "box-30.3"])
+def test_first_newton_step_takes_the_mirrored_or_the_whole_grid(
+        monkeypatch, mu, box, starts):
+    calls = counted_evaluations(monkeypatch)
+    characteristic_roots(mu, box, max_iter=1)
+    assert calls[0] == starts
 
 
 def central_difference(mu):
