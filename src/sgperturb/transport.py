@@ -334,35 +334,31 @@ def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:
     return A
 
 
-def _exp_ratio(z: np.ndarray) -> np.ndarray:
-    """Elementwise stable ``(e^z - 1) / z`` (Taylor fallback near the origin).
+def _exp_ratio_and_slope(z: np.ndarray):
+    """Elementwise stable ``R(z) = (e^z - 1) / z`` and
+    ``R'(z) = (z e^z - expm1(z)) / z^2``, from one ``e^z``.
 
-    The Taylor terms are formed on the small entries only (zero elsewhere),
-    so a huge ``z`` cannot overflow ``z^3``.
-    """
-    small = np.abs(z) < 1e-5
-    tiny = np.where(small, z, 0.0)
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + tiny / 2.0 + tiny * tiny / 6.0
-                    + tiny ** 3 / 24.0, (np.exp(safe) - 1.0) / safe)
-
-
-def _exp_ratio_slope(z: np.ndarray) -> np.ndarray:
-    """Elementwise ``d/dz (e^z - 1) / z = (z e^z - expm1(z)) / z^2``.
-
-    Below ``|z| = 1e-2`` the Taylor series through ``z^5`` is used; its
-    truncation is below 2e-16 there.  Above, the closed form, evaluated as
-    ``(e^z - expm1(z) / z) / z`` so that no ``z^2`` overflows, loses about
+    ``R`` takes its Taylor series through ``z^3`` below ``|z| = 1e-5``,
+    ``R'`` its series through ``z^5`` below ``|z| = 1e-2``, where the
+    truncation is below 2e-16.  Above, ``R'`` is evaluated as
+    ``(e^z - expm1(z) / z) / z`` so that no ``z^2`` overflows; it loses about
     ``2 eps / |z|`` relative to cancellation, at most 4e-14 at the switch.
+    The Taylor terms are formed on the small entries only and written over
+    the closed forms there, so a huge ``z`` cannot overflow ``z^3``.
     """
-    small = np.abs(z) < 1e-2
-    tiny = np.where(small, z, 0.0)
-    safe = np.where(small, 1.0, z)
-    return np.where(
-        small,
-        0.5 + tiny * (1.0 / 3.0 + tiny * (1.0 / 8.0 + tiny * (
-            1.0 / 30.0 + tiny * (1.0 / 144.0 + tiny / 840.0)))),
-        (np.exp(safe) - np.expm1(safe) / safe) / safe)
+    size = np.abs(z)
+    safe = np.where(size < 1e-5, 1.0, z)
+    e = np.exp(safe)
+    ratio = (e - 1.0) / safe
+    slope = (e - np.expm1(safe) / safe) / safe
+    small = size < 1e-5
+    x = z[small]
+    ratio[small] = 1.0 + x / 2.0 + x * x / 6.0 + x ** 3 / 24.0
+    small = size < 1e-2
+    x = z[small]
+    slope[small] = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (
+        1.0 / 30.0 + x * (1.0 / 144.0 + x / 840.0))))
+    return ratio, slope
 
 
 def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
@@ -375,12 +371,11 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     blocks of at most :data:`_CELL_BLOCK` entries, and weighted twice: by
     ``c_k h`` for ``S`` and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
     gains ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
-    ``S_1 R(lam h) + S h R'(lam h)``, ``R`` and ``R'`` from one ``e^z``
-    unless some ``|lam h| < 1e-2`` needs a Taylor branch.  ``H'`` is the
-    exact derivative of the ``H`` computed here (the same cell primitives,
-    differentiated in closed form), up to the rounding of
-    :func:`_exp_ratio_slope`, so Newton on it converges to the zeros that a
-    ``|H - 1|`` test on this ``H`` accepts.
+    ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`).
+    ``H'`` is the exact derivative of the ``H`` computed here (the same cell
+    primitives, differentiated in closed form), up to the rounding of
+    ``R'``, so Newton on it converges to the zeros that a ``|H - 1|`` test
+    on this ``H`` accepts.
     """
     atoms, weights, left, moments, h = mu._terms
     H = np.zeros(lam.shape, dtype=np.complex128)
@@ -391,23 +386,17 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
         dH += offset * atom
     if left.size:
         flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        cell_moments = np.empty_like(flat)
         rows = max(1, _CELL_BLOCK // left.size)
-        sums = []
-        for i in range(0, max(flat.size, 1), rows):  # empty lam: 1 block
+        for i in range(0, flat.size, rows):
             block = np.exp(np.multiply.outer(flat[i:i + rows], left))
-            sums.append(((block * weights).sum(axis=-1),
-                         (block * moments).sum(axis=-1)))
-        cells, cell_moments = (np.concatenate(part).reshape(lam.shape)
-                               for part in zip(*sums))
-        z = lam * h
-        if (np.abs(z) < 1e-2).any():
-            ratio, slope = _exp_ratio(z), _exp_ratio_slope(z)
-        else:
-            e = np.exp(z)
-            ratio = (e - 1.0) / z
-            slope = (e - np.expm1(z) / z) / z
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
+        cells = cells.reshape(lam.shape)
+        ratio, slope = _exp_ratio_and_slope(lam * h)
         H += cells * ratio
-        dH += cell_moments * ratio + cells * h * slope
+        dH += cell_moments.reshape(lam.shape) * ratio + cells * h * slope
     return H, dH
 
 
@@ -475,22 +464,19 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
             keep = np.abs(z.real) <= _RE_LIMIT
-            if not keep.all():
-                live, z = live[keep], z[keep]
+            live, z = live[keep], z[keep]
             H, dg = _transfer_and_slope(mu, z)
             g = H - 1.0
             done = np.abs(g) <= min(tol, 1e-12)
-            if done.any():
-                upper.flat[live[done]] = z[done]
-                upper_converged.flat[live[done]] = True
-                keep = ~done
-                live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
+            upper.flat[live[done]] = z[done]
+            upper_converged.flat[live[done]] = True
+            keep = ~done
+            live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
             step = g / dg
             z = z - step
             keep = ((np.abs(dg) >= 1e-300) & np.isfinite(step.real)
                     & np.isfinite(step.imag) & (np.abs(z) <= 1e6))
-            if not keep.all():
-                live, z = live[keep], z[keep]
+            live, z = live[keep], z[keep]
             if not live.size:
                 break
     lam[:, :lower] = lam[:, ::-1][:, :lower].conj()

@@ -544,7 +544,8 @@ def test_characteristic_roots_constant_transfer_empty():
 
 
 def scalar_ratio(z):
-    """(e^z - 1) / z with the Taylor switch of ``transport._exp_ratio``."""
+    """(e^z - 1) / z with the Taylor switch of R in
+    ``transport._exp_ratio_and_slope``."""
     if abs(z) < 1e-5:
         return 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
     return (np.exp(z) - 1.0) / z
@@ -623,8 +624,8 @@ def test_transfer_slope_matches_quadrature(mu):
 
 
 def exp_ratio_oracle(z):
-    """``transport._exp_ratio`` before its Taylor terms were restricted to
-    the small entries, verbatim."""
+    """The ratio ``(e^z - 1) / z`` of transport before its Taylor terms
+    were restricted to the small entries, verbatim."""
     small = np.abs(z) < 1e-5
     safe = np.where(small, 1.0, z)
     return np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0,
@@ -633,7 +634,7 @@ def exp_ratio_oracle(z):
 
 def transfer_values_oracle(mu, lam):
     """The H evaluator before the slope was added, verbatim, with
-    :func:`exp_ratio_oracle` for ``transport._exp_ratio``."""
+    :func:`exp_ratio_oracle` for the ratio."""
     H = np.zeros(lam.shape, dtype=np.complex128)
     for loc, w in mu.atoms:
         H += w * np.exp(lam * (loc - 1.0))
@@ -714,9 +715,24 @@ def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
         assert roots.size == 3
 
 
+def exp_ratio_slope_oracle(z):
+    """R'(z) of transport before R and R' shared one exponential,
+    verbatim."""
+    small = np.abs(z) < 1e-2
+    tiny = np.where(small, z, 0.0)
+    safe = np.where(small, 1.0, z)
+    return np.where(
+        small,
+        0.5 + tiny * (1.0 / 3.0 + tiny * (1.0 / 8.0 + tiny * (
+            1.0 / 30.0 + tiny * (1.0 / 144.0 + tiny / 840.0)))),
+        (np.exp(safe) - np.expm1(safe) / safe) / safe)
+
+
 def transfer_and_slope_oracle(mu, lam):
     """``transport._transfer_and_slope`` before the measure's arrays were
-    built once per measure and R, R' shared one exponential, verbatim."""
+    built once per measure and R, R' shared one exponential, verbatim, with
+    :func:`exp_ratio_oracle` and :func:`exp_ratio_slope_oracle` for R and
+    R'."""
     H = np.zeros(lam.shape, dtype=np.complex128)
     dH = np.zeros(lam.shape, dtype=np.complex128)
     for loc, w in mu.atoms:
@@ -738,11 +754,23 @@ def transfer_and_slope_oracle(mu, lam):
             cells[i:i + rows] = (block * weights).sum(axis=-1)
             cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)
-        ratio = transport._exp_ratio(lam * h)
+        ratio = exp_ratio_oracle(lam * h)
         H += cells * ratio
         dH += (cell_moments.reshape(lam.shape) * ratio
-               + cells * h * transport._exp_ratio_slope(lam * h))
+               + cells * h * exp_ratio_slope_oracle(lam * h))
     return H, dH
+
+
+def test_exp_ratio_and_slope_bit_identical_to_oracles():
+    # both Taylor switches, the window between them (R closed, R' Taylor),
+    # and points far out, where R and R' share one exponential
+    z = np.concatenate([np.array([0.0, 1e-300j]), np.outer(
+        [1e-9, 9.9e-6, 1.01e-5, 3e-4, 9.9e-3, 1.01e-2, 0.7, 40.0, 450.0],
+        np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7))).ravel()])
+    ratio, slope = transport._exp_ratio_and_slope(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(ratio, exp_ratio_oracle(z))
+    assert np.array_equal(slope, exp_ratio_slope_oracle(z))
 
 
 def bit_test_points():
@@ -771,7 +799,7 @@ REAL_IDS = ["atoms", "atoms+density64", "density64", "density1000"]
 def test_transfer_and_slope_bit_identical_to_oracle(mu):
     lam = bit_test_points()
     # lam[:6] holds points with |lam h| < 1e-2 (the Taylor branches of R
-    # and R'); lam[6:] has none, so R and R' come from one exponential
+    # and R'); lam[6:] has none, so every R and R' is the closed form
     assert np.abs(lam[6:] / 64).min() >= 1e-2
     for points in (lam, lam[6:], lam.reshape(20, 15)):
         H, dH = transport._transfer_and_slope(mu, points)
