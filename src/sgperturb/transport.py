@@ -261,6 +261,27 @@ def _boundary_coefficients(mu: BorelMeasure, N: int):
     return c, denom
 
 
+def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
+    """``max(a[i : i + width])`` for every full window, in O(len(a)).
+
+    van Herk / Gil-Werman: cut ``a`` into tiles of ``width`` (the last one
+    padded with its final value, which every window reaching it holds); a
+    window starting at ``i`` spans the rest of ``i``'s tile, whose suffix
+    maximum is taken backwards, and the start of the next tile, whose prefix
+    maximum is taken forwards.  ``np.maximum`` propagates NaN, so a window
+    holding a NaN gives NaN, as ``max`` does.
+    """
+    n = a.shape[0]
+    tiles = -(-n // width)
+    padded = np.empty(tiles * width, dtype=a.dtype)
+    padded[:n] = a
+    padded[n:] = a[-1]
+    padded = padded.reshape(tiles, width)
+    prefix = np.maximum.accumulate(padded, axis=1).ravel()
+    suffix = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n - width + 1], prefix[width - 1:n])
+
+
 def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
               N: int) -> Trajectory:
     """Method-of-steps solution of the closed-loop transport equation.
@@ -281,9 +302,12 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     measure without mass below ``s = 1`` is one block for the whole
     horizon, a density gives blocks of one level).  A block reads each
     atom's term off its level windows by index; a density keeps one window
-    product per block.  The relation is checked to 1e-12 (relative to
-    ``max(1, max |state|)``) at every constructed level, and
-    :class:`ArithmeticError` names the first level where it fails.
+    product per block.  After the recursion one pass checks the relation to
+    1e-12 (relative to ``max(1, max |state|)``) at every constructed level,
+    in O(levels + N): the scales are one sliding maximum of ``|z|``.  Level
+    ``j``'s check reads ``z`` only up to ``N + j``, so
+    :class:`ArithmeticError` names the first level where it fails, whatever
+    the later levels hold.
 
     ``states`` is a read-only window view of ``z``, not one array per level;
     copy it before writing.
@@ -294,29 +318,29 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     c, denom = _boundary_coefficients(mu, N)
     z = np.zeros(N + 1 + levels, dtype=np.complex128)
     z[:N + 1] = x0.values
-    mag = np.abs(z)          # |z|, extended per block, for the relative scale
     windows = sliding_window_view(z, N + 1)
-    mag_windows = sliding_window_view(mag, N + 1)
     support = np.flatnonzero(c[:N])
     k_max = int(support[-1]) if support.size else -1
     block = N - k_max if support.size else max(levels, 1)
     heads = windows[:, :k_max + 1]
     read = _phi_reader(c[:k_max + 1], bool(mu.density))
-    for j in range(1, levels + 1, block):
-        end = min(j + block, levels + 1)
-        partial = read(heads[j:end])
-        z[N + j:N + end] = partial / denom
-        mag[N + j:N + end] = np.abs(z[N + j:N + end])
+    partial = np.empty(levels, dtype=np.complex128)  # level j at j - 1
+    # past a broken level the values may overflow; the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, levels + 1, block):
+            end = min(j + block, levels + 1)
+            partial[j - 1:end - 1] = read(heads[j:end])
+            z[N + j:N + end] = partial[j - 1:end - 1] / denom
         # c . state with the boundary read back from the stored windows;
         # c vanishes on (k_max, N), so the partial sum carries the rest
-        b = windows[j:end, N]
+        b = z[N + 1:]
         gap = np.abs(b - (partial + c[N] * b))
-        scale = np.maximum(1.0, mag_windows[j:end].max(axis=1))
+        scale = np.maximum(1.0, _sliding_max(np.abs(z), N + 1)[1:])
         bad = np.flatnonzero(~(gap <= 1e-12 * scale))
-        if bad.size:
-            raise ArithmeticError(
-                f"boundary relation x(1) = Phi x broken by "
-                f"{gap[bad[0]]:.3e} at time level {j + bad[0]}")
+    if bad.size:
+        raise ArithmeticError(
+            f"boundary relation x(1) = Phi x broken by "
+            f"{gap[bad[0]]:.3e} at time level {1 + bad[0]}")
     times = np.arange(levels + 1, dtype=float) / N
     return Trajectory(times, windows)
 
@@ -344,20 +368,23 @@ def _exp_ratio_and_slope(z: np.ndarray):
     ``(e^z - expm1(z) / z) / z`` so that no ``z^2`` overflows; it loses about
     ``2 eps / |z|`` relative to cancellation, at most 4e-14 at the switch.
     The Taylor terms are formed on the small entries only and written over
-    the closed forms there, so a huge ``z`` cannot overflow ``z^3``.
+    the closed forms there, so a huge ``z`` cannot overflow ``z^3``; a batch
+    without an entry below ``1e-2`` skips them.
     """
     size = np.abs(z)
-    safe = np.where(size < 1e-5, 1.0, z)
+    small = size < 1e-2
+    series = small.any()
+    tiny = size < 1e-5
+    safe = np.where(tiny, 1.0, z) if series else z
     e = np.exp(safe)
     ratio = (e - 1.0) / safe
     slope = (e - np.expm1(safe) / safe) / safe
-    small = size < 1e-5
-    x = z[small]
-    ratio[small] = 1.0 + x / 2.0 + x * x / 6.0 + x ** 3 / 24.0
-    small = size < 1e-2
-    x = z[small]
-    slope[small] = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (
-        1.0 / 30.0 + x * (1.0 / 144.0 + x / 840.0))))
+    if series:
+        x = z[tiny]
+        ratio[tiny] = 1.0 + x / 2.0 + x * x / 6.0 + x ** 3 / 24.0
+        x = z[small]
+        slope[small] = 0.5 + x * (1.0 / 3.0 + x * (1.0 / 8.0 + x * (
+            1.0 / 30.0 + x * (1.0 / 144.0 + x / 840.0))))
     return ratio, slope
 
 
@@ -368,8 +395,9 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     ``(r - 1) w e^{lam (r - 1)}`` to ``H'``.  The density cells are summed
     per entry along the cell axis, so each value does not depend on which
     other points share the array; the cell exponentials are formed once, in
-    blocks of at most :data:`_CELL_BLOCK` entries, and weighted twice: by
-    ``c_k h`` for ``S`` and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
+    blocks of at most :data:`_CELL_BLOCK` entries (one block, without the
+    loop, when the batch fits), and weighted twice: by ``c_k h`` for ``S``
+    and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
     gains ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
     ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`).
     ``H'`` is the exact derivative of the ``H`` computed here (the same cell
@@ -386,13 +414,18 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
         dH += offset * atom
     if left.size:
         flat = lam.reshape(-1)
-        cells = np.empty_like(flat)
-        cell_moments = np.empty_like(flat)
         rows = max(1, _CELL_BLOCK // left.size)
-        for i in range(0, flat.size, rows):
-            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
-            cells[i:i + rows] = (block * weights).sum(axis=-1)
-            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
+        if flat.size <= rows:
+            block = np.exp(np.multiply.outer(flat, left))
+            cells = (block * weights).sum(axis=-1)
+            cell_moments = (block * moments).sum(axis=-1)
+        else:
+            cells = np.empty_like(flat)
+            cell_moments = np.empty_like(flat)
+            for i in range(0, flat.size, rows):
+                block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+                cells[i:i + rows] = (block * weights).sum(axis=-1)
+                cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)
         ratio, slope = _exp_ratio_and_slope(lam * h)
         H += cells * ratio
@@ -427,12 +460,12 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     once as one batch, with the analytic derivative: each step makes one
     evaluation of ``H`` and ``H'`` (:func:`_transfer_and_slope`).  For a
     real measure ``H(conj lam) = conj H(lam)`` bit for bit, so on a grid
-    symmetric about the real axis Newton runs only from the starts with
-    ``Im >= 0`` and mirrors the rest; the roots do not change.  A start
-    is dropped when its iterate leaves the evaluable strip
-    ``|Re lam| <= 500``, when the derivative vanishes or the step is not
-    finite, when ``|lam| > 1e6``, or when it has not reached
-    ``|H - 1| <= min(tol, 1e-12)`` after ``max_iter`` steps.  Converged
+    symmetric about the real axis Newton and the final ``|H - 1|`` test
+    run only from the starts with ``Im >= 0`` and mirror the rest; the
+    roots do not change.  A start is dropped when its iterate leaves the
+    evaluable strip ``|Re lam| <= 500``, when the derivative vanishes or
+    the step is not finite, when ``|lam| > 1e6``, or when it has not
+    reached ``|H - 1| <= min(tol, 1e-12)`` after ``max_iter`` steps.  Converged
     points are kept iff ``|1 - H(lam)| <= tol``, clipped to the box (pad
     1e-9) and deduplicated to 1e-6 in start order; the result is sorted by
     imaginary, then real part.  An empty result is a valid answer (e.g. a
@@ -457,8 +490,8 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     # columns :lower mirror the columns with Im >= 0 (none without symmetry)
     real = not np.imag([w for _, w in mu.atoms] + [*mu.density]).any()
     lower = n_im // 2 if real and np.array_equal(im, -im[::-1]) else 0
-    converged = np.zeros(lam.shape, dtype=bool)
-    upper, upper_converged = lam[:, lower:], converged[:, lower:]
+    upper = lam[:, lower:]
+    converged = np.zeros(upper.shape, dtype=bool)
     z = upper.ravel()
     live = np.arange(z.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -469,7 +502,7 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
             g = H - 1.0
             done = np.abs(g) <= min(tol, 1e-12)
             upper.flat[live[done]] = z[done]
-            upper_converged.flat[live[done]] = True
+            converged.flat[live[done]] = True
             keep = ~done
             live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
             step = g / dg
@@ -479,13 +512,16 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
             live, z = live[keep], z[keep]
             if not live.size:
                 break
+    # keep iff |1 - H| <= tol, tested on the upper columns; |H - 1| at a
+    # mirrored point is its mirror's, so the lower flags are mirrored too
+    kept = np.zeros(lam.shape, dtype=bool)
+    H = _transfer_and_slope(mu, upper[converged])[0]
+    kept[:, lower:][converged] = np.abs(H - 1.0) <= tol
     lam[:, :lower] = lam[:, ::-1][:, :lower].conj()
-    converged[:, :lower] = converged[:, ::-1][:, :lower]
-    found = lam[converged]
+    kept[:, :lower] = kept[:, ::-1][:, :lower]
+    found = lam[kept]
     pad = 1e-9
-    H = _transfer_and_slope(mu, found)[0]
-    found = found[(np.abs(H - 1.0) <= tol)
-                  & (re_min - pad <= found.real) & (found.real <= re_max + pad)
+    found = found[(re_min - pad <= found.real) & (found.real <= re_max + pad)
                   & (im_min - pad <= found.imag)
                   & (found.imag <= im_max + pad)]
     # dedup in start order: each kept root removes the points within 1e-6

@@ -4,13 +4,17 @@ Oracles here are deliberately independent of the library code paths they
 check: the Taylor exponential sums the series in extended precision, the
 dense Toeplitz assembly indexes blocks directly, the feedback block matrix
 and its dense inverse are built from their closed forms, and the closed-loop
-reference states come from scipy/closed forms.
+reference states come from scipy/closed forms.  A replaced code path is
+kept here verbatim as the oracle of its replacement: ``block_solve_pde`` is
+``transport.solve_pde`` as it checked each block's boundary relation inside
+the recursion.
 """
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from sgperturb import numkit, toeplitz
+from sgperturb import numkit, toeplitz, transport
 from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
 
@@ -91,6 +95,43 @@ def chain_entry(F, B, C, T, n):
     block."""
     G = np.linalg.inv(np.eye(np.shape(F)[0]) - np.asarray(F))
     return toeplitz.feedback_norm_chain(G[None], B, C, T, n).entries[-1][1:]
+
+
+def block_solve_pde(mu, x0, horizon, N):
+    """``transport.solve_pde`` with the relation checked per block, inside
+    the recursion (a fresh window maximum of ``|z|`` per level), verbatim
+    but for the module prefixes."""
+    if x0.N != N:
+        raise numkit.ShapeError(f"x0 lives on N = {x0.N}, expected {N}")
+    levels = transport._grid_nodes(horizon, N)
+    c, denom = transport._boundary_coefficients(mu, N)
+    z = np.zeros(N + 1 + levels, dtype=np.complex128)
+    z[:N + 1] = x0.values
+    mag = np.abs(z)          # |z|, extended per block, for the relative scale
+    windows = sliding_window_view(z, N + 1)
+    mag_windows = sliding_window_view(mag, N + 1)
+    support = np.flatnonzero(c[:N])
+    k_max = int(support[-1]) if support.size else -1
+    block = N - k_max if support.size else max(levels, 1)
+    heads = windows[:, :k_max + 1]
+    read = transport._phi_reader(c[:k_max + 1], bool(mu.density))
+    for j in range(1, levels + 1, block):
+        end = min(j + block, levels + 1)
+        partial = read(heads[j:end])
+        z[N + j:N + end] = partial / denom
+        mag[N + j:N + end] = np.abs(z[N + j:N + end])
+        # c . state with the boundary read back from the stored windows;
+        # c vanishes on (k_max, N), so the partial sum carries the rest
+        b = windows[j:end, N]
+        gap = np.abs(b - (partial + c[N] * b))
+        scale = np.maximum(1.0, mag_windows[j:end].max(axis=1))
+        bad = np.flatnonzero(~(gap <= 1e-12 * scale))
+        if bad.size:
+            raise ArithmeticError(
+                f"boundary relation x(1) = Phi x broken by "
+                f"{gap[bad[0]]:.3e} at time level {j + bad[0]}")
+    times = np.arange(levels + 1, dtype=float) / N
+    return transport.Trajectory(times, windows)
 
 
 def power_iteration_2norm(A, iters=500, seed=7):

@@ -18,7 +18,10 @@ feedback inverse has one code path, the block recursion of
 imports, exports or names ``feedback_toeplitz_inverse`` or
 ``feedback_inverse_norm_bound``.  H has one evaluator: only
 ``transport._transfer_and_slope`` forms the density cell exponentials
-``np.exp(np.multiply.outer(...))``.  Each world's facts live on its triple
+``np.exp(np.multiply.outer(...))``.  No module reduces a sliding window
+view (``.max``, ``.min``, ``.sum``) inside a loop, so no per-level
+O(levels * N) window scan stands where one O(levels + N) sliding maximum
+does.  Each world's facts live on its triple
 class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods.
@@ -472,6 +475,100 @@ def test_cell_exponential_rule_passes_other_exponentials():
     assert cell_exponential_sites(
         "a = np.exp(lam * (loc - 1.0))\nb = np.multiply.outer(x, y)\n"
         "c = np.exp(np.add.outer(x, y))\nd = np.exp()\n") == []
+
+
+WINDOW_REDUCTIONS = {"max", "min", "sum"}
+
+
+def _is_window(node, spellings, views) -> bool:
+    """A ``sliding_window_view`` call, a name bound to a window view, or a
+    slice of either."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Call):
+        return bool(spellings & {getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None)})
+    return isinstance(node, ast.Name) and node.id in views
+
+
+def window_reductions_in_loops(source: str, name: str = "<source>"):
+    """Each ``.max`` / ``.min`` / ``.sum`` (method or numpy function) of a
+    sliding window view inside a ``for`` or ``while`` loop.  Names bound to
+    a view, or to a slice of a bound name, count as views, module-wide."""
+    tree = ast.parse(source, name)
+    spellings = {"sliding_window_view"} | {
+        alias.asname for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+        if alias.name == "sliding_window_view" and alias.asname}
+    views = set()
+    while True:
+        bound = {target.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 and _is_window(node.value, spellings, views)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        if bound <= views:
+            break
+        views |= bound
+    found = {}
+    for loop in ast.walk(tree):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            inside = loop.body + loop.orelse
+        elif isinstance(loop, ast.While):
+            inside = [loop.test] + loop.body + loop.orelse
+        else:
+            continue
+        for node in (sub for part in inside for sub in ast.walk(part)):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "attr", None) in WINDOW_REDUCTIONS \
+                    and (_is_window(node.func.value, spellings, views)
+                         or (node.args and _is_window(node.args[0],
+                                                      spellings, views))):
+                found[id(node)] = (f"{name}:{node.lineno}: window "
+                                   f"{node.func.attr} in a loop")
+    return sorted(found.values())
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_window_reduction_in_a_loop(path):
+    assert window_reductions_in_loops(path.read_text(),
+                                      str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "w = sliding_window_view(a, 3)\nfor j in range(n):\n"
+    "    m = w[j:j + 2].max(axis=1)\n",
+    "while k < n:\n"
+    "    s = np.lib.stride_tricks.sliding_window_view(a, 3).sum(axis=1)\n"
+    "    k += 1\n",
+    "w = sliding_window_view(a, 4)\nheads = w[:, :2]\nfor j in range(n):\n"
+    "    lo = heads[j].min()\n",
+    "w = sliding_window_view(a, 4)\nfor j in range(n):\n"
+    "    m = np.max(w[j:j + 8], axis=1)\n",
+    "w = sliding_window_view(a, 4)\nwhile w[k].sum() > 0:\n    k += 1\n",
+    "from numpy.lib.stride_tricks import sliding_window_view as swv\n"
+    "for j in range(n):\n    m = swv(a, 4).max()\n",
+    "def f(a):\n    w = sliding_window_view(a, 4)\n"
+    "    for i in range(2):\n        for j in range(3):\n"
+    "            t = w[j].sum()\n",
+], ids=["named-slice", "while-call", "derived-name", "numpy-function",
+        "while-test", "alias", "nested-loops"])
+def test_window_reduction_rule_catches_each_form(snippet):
+    assert len(window_reductions_in_loops(snippet)) == 1
+
+
+def test_window_reduction_rule_catches_the_block_oracle():
+    # the per-block window maximum that the sliding maximum replaced
+    source = (SRC.parents[1] / "tests" / "conftest.py").read_text()
+    assert len(window_reductions_in_loops(source)) == 1
+
+
+def test_window_reduction_rule_passes_other_reductions():
+    assert window_reductions_in_loops(
+        "w = sliding_window_view(a, 4)\nm = w.max(axis=1)\n"
+        "for row in w.sum(axis=1):\n    t = np.maximum(1.0, w[row])\n"
+        "    u = x[row].max()\n    v = np.sum(y)\n    r = read(w[row])\n"
+        "while k < n:\n    k = np.maximum.accumulate(a).max()\n") == []
 
 
 def _module_name(path: Path) -> str:

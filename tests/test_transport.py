@@ -15,7 +15,7 @@ except ImportError:  # numpy < 2
     from numpy import byte_bounds
 from numpy.testing import assert_allclose
 
-from conftest import compatible_state, transport_triple
+from conftest import block_solve_pde, compatible_state, transport_triple
 import sgperturb
 from sgperturb import admissibility, numkit, perturbation, transport
 from sgperturb.admissibility import SampledSignal, TimeGrid
@@ -365,6 +365,90 @@ def test_solve_pde_states_are_one_read_only_sequence():
     assert hi - lo == (N + 1 + levels) * 16
     with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("width", [1, 4, 6, 7, 35])
+@pytest.mark.parametrize("specials", [
+    {}, {3: np.nan}, {0: np.nan, 20: np.nan}, {34: np.nan},
+    {5: np.inf, 30: -np.inf}, {10: -np.inf, 11: np.nan, 12: np.inf},
+    {k: -np.inf for k in range(35)},
+], ids=["finite", "nan", "nan-first", "nan-last", "inf", "mixed",
+        "all-minus-inf"])
+def test_sliding_max_equals_window_view_max(width, specials):
+    # 35 values: widths 1 and 35, widths 7 that divides and 4, 6 that do not
+    a = np.random.default_rng(width).standard_normal(35)
+    for k, value in specials.items():
+        a[k] = value
+    got = transport._sliding_max(a, width)
+    want = np.lib.stride_tricks.sliding_window_view(a, width).max(axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    # a window that holds a NaN gives NaN
+    holds_nan = [np.isnan(a[i:i + width]).any() for i in range(want.size)]
+    assert np.array_equal(np.isnan(got), holds_nan)
+
+
+def closed_loop_state(seed, N=2048):
+    """The initial state of the closed-loop benchmark battery for
+    ``seed``: stream 1 of the seed, boundary value read off the README
+    atoms (none at s = 1)."""
+    seq = np.random.SeedSequence(seed).spawn(2)[1]
+    rng = np.random.Generator(np.random.PCG64(seq))
+    amp, freq = rng.uniform(-1.0, 1.0, 4), rng.uniform(1.0, 3.0, 2)
+    s = np.arange(N + 1) / N
+    v = (amp[0] * np.sin(np.pi * freq[0] * s)
+         + amp[1] * np.cos(np.pi * freq[1] * s)
+         + amp[2] + amp[3] * s).astype(np.complex128)
+    v[N] = 0.3 * v[N // 2] + 0.2 * v[7 * N // 8]
+    return GridFunction(v)
+
+
+DENSITY_2048 = BorelMeasure(
+    density=tuple(np.random.default_rng(3).uniform(-0.3, 0.3, 2048)))
+
+
+@pytest.mark.parametrize("mu, x0, horizon, N", [
+    (TWO_ATOMS, None, 239 / 80, 80),
+    (BorelMeasure(atoms=((0.25, 0.4), (1.0, 0.5))), None, 2.0, 64),
+    (BorelMeasure(atoms=((0.0, 0.7),)), None, 2.5, 64),
+    (BorelMeasure(density=tuple(np.sin(np.arange(64)))), None, 1.5, 64),
+    (BorelMeasure(), None, 2.0, 64),
+    (BorelMeasure(atoms=((0.5, 0.3), (0.875, 0.2))), closed_loop_state(7),
+     4.0, 2048),
+    (DENSITY_2048, None, 4.0, 2048),
+], ids=["atoms", "atom-at-one", "atom-at-zero", "density", "zero",
+        "closed-loop", "density-2048"])
+def test_solve_pde_equals_block_oracle(mu, x0, horizon, N):
+    # the check after the recursion leaves the trajectory bit for bit
+    x0 = compatible_state(mu, N) if x0 is None else x0
+    ref = block_solve_pde(mu, x0, horizon, N)
+    traj = solve_pde(mu, x0, horizon, N)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.times, ref.times)
+
+
+@pytest.mark.parametrize("factor", [2.0, 1e-200])
+def test_solve_pde_long_broken_horizon_names_block_oracle_level(
+        monkeypatch, factor):
+    # the recursion runs on past the broken level (to 320 levels; a factor
+    # of 1e-200 overflows it to inf and nan), and the check after it still
+    # raises the oracle's error, with no RuntimeWarning on the way
+    N = 40
+    v = np.zeros(N + 1, dtype=complex)
+    v[30:35] = 1.0
+    x0 = GridFunction(v)
+    right = transport._boundary_coefficients
+    monkeypatch.setattr(
+        transport, "_boundary_coefficients",
+        lambda m, n: (right(m, n)[0], factor * right(m, n)[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ArithmeticError) as oracle:
+            block_solve_pde(TWO_ATOMS, x0, 8.0, N)
+        with pytest.raises(ArithmeticError) as err:
+            solve_pde(TWO_ATOMS, x0, 8.0, N)
+    assert str(err.value) == str(oracle.value)
+    assert str(err.value).endswith("at time level 10")
 
 
 def dense_observe(triple, grid, x):
