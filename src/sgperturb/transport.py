@@ -395,9 +395,8 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     ``(r - 1) w e^{lam (r - 1)}`` to ``H'``.  The density cells are summed
     per entry along the cell axis, so each value does not depend on which
     other points share the array; the cell exponentials are formed once, in
-    blocks of at most :data:`_CELL_BLOCK` entries (one block, without the
-    loop, when the batch fits), and weighted twice: by ``c_k h`` for ``S``
-    and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
+    blocks of at most :data:`_CELL_BLOCK` entries, and weighted twice: by
+    ``c_k h`` for ``S`` and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
     gains ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
     ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`).
     ``H'`` is the exact derivative of the ``H`` computed here (the same cell
@@ -414,18 +413,13 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
         dH += offset * atom
     if left.size:
         flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        cell_moments = np.empty_like(flat)
         rows = max(1, _CELL_BLOCK // left.size)
-        if flat.size <= rows:
-            block = np.exp(np.multiply.outer(flat, left))
-            cells = (block * weights).sum(axis=-1)
-            cell_moments = (block * moments).sum(axis=-1)
-        else:
-            cells = np.empty_like(flat)
-            cell_moments = np.empty_like(flat)
-            for i in range(0, flat.size, rows):
-                block = np.exp(np.multiply.outer(flat[i:i + rows], left))
-                cells[i:i + rows] = (block * weights).sum(axis=-1)
-                cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
+        for i in range(0, flat.size, rows):
+            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)
         ratio, slope = _exp_ratio_and_slope(lam * h)
         H += cells * ratio
