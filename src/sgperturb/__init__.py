@@ -28,32 +28,27 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      spectral_radius_distance, vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, column_norm,
                        feedback_norm_chain, materialize)
-from .semigroup import (NILPOTENT_SENTINEL, GridFunction, MatrixTriple,
-                        SpectralAbscissa, apply_semigroup, as_grid_function,
-                        rescale, resolvent, shift_open, spectral_abscissa,
+from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
+                        MatrixDiscretization, MatrixTriple, SpectralAbscissa,
+                        apply_semigroup, as_grid_function, rescale,
+                        resolvent, shift_open, spectral_abscissa,
                         volterra_resolvent_values)
 from .transport import (BorelMeasure, LittleMassReport, Trajectory,
-                        TransportTriple, apply_phi, characteristic_roots,
-                        dirichlet_operator, greiner_compatibility,
-                        little_mass, phi_coefficients, solve_pde,
-                        transfer_scalar, upwind_generator)
+                        TransportDiscretization, TransportTriple, apply_phi,
+                        characteristic_roots, dirichlet_operator,
+                        greiner_compatibility, little_mass, phi_coefficients,
+                        solve_pde, transfer_scalar, upwind_generator)
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
-                            FeedbackReport, RegularityReport,
-                            RescalingResiduals, SampledSignal, TimeGrid,
-                            controllability_map, controllability_matrix,
-                            estimate_constants,
-                            feedback_admissible, io_map, io_matrix,
-                            observability_map, observability_matrix,
-                            regularity_check,
+                            FeedbackReport, RescalingResiduals, SampledSignal,
+                            TimeGrid, controllability_map, estimate_constants,
+                            feedback_admissible, io_matrix, observability_map,
                             rescaled_map_identities, smooth_trial_signals)
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
-                           GrowthCheckReport, PerturbedGenerator,
-                           generation_certificate, long_horizon_growth_check,
-                           perturbed_generator, perturbed_resolvent,
+                           GrowthCheckReport, generation_certificate,
+                           long_horizon_growth_check, perturbed_resolvent,
                            transfer_function, variation_of_parameters_residual,
                            weiss_staffans_semigroup)
-from .classical import (SuiteReport, dissipative_matrix, ds_suite, mv_suite,
-                        random_bounded_factor)
+from .classical import SuiteReport, ds_suite, mv_suite, random_bounded_factor
 from .cli import report_schema_version, validate_report
 
 __version__ = "0.1.0"
@@ -70,31 +65,31 @@ __all__ = [
     "BlockToeplitz", "column_norm", "materialize", "NormChain",
     "feedback_norm_chain",
     # semigroup
-    "MatrixTriple", "GridFunction", "SpectralAbscissa",
+    "MatrixTriple", "MatrixDiscretization", "GridFunction",
+    "SpectralAbscissa",
     "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",
     "volterra_resolvent_values", "resolvent", "as_grid_function", "rescale",
     "spectral_abscissa",
     # transport
-    "TransportTriple", "BorelMeasure", "LittleMassReport", "Trajectory",
+    "TransportTriple", "TransportDiscretization", "BorelMeasure",
+    "LittleMassReport", "Trajectory",
     "phi_coefficients", "apply_phi", "dirichlet_operator", "little_mass",
     "solve_pde", "upwind_generator", "transfer_scalar",
     "characteristic_roots", "greiner_compatibility",
     # admissibility
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
-    "RescalingResiduals", "RegularityReport", "FEEDBACK_MARGIN",
-    "controllability_map", "controllability_matrix", "observability_map",
-    "observability_matrix", "io_map", "io_matrix",
+    "RescalingResiduals", "FEEDBACK_MARGIN",
+    "controllability_map", "observability_map", "io_matrix",
     "estimate_constants", "feedback_admissible", "rescaled_map_identities",
-    "regularity_check", "smooth_trial_signals",
+    "smooth_trial_signals",
     # perturbation
-    "FeedbackSingularError", "PerturbedGenerator", "GrowthCheckReport",
-    "GenerationCertificate", "perturbed_generator", "perturbed_resolvent",
+    "FeedbackSingularError", "GrowthCheckReport",
+    "GenerationCertificate", "perturbed_resolvent",
     "transfer_function", "weiss_staffans_semigroup",
     "variation_of_parameters_residual", "long_horizon_growth_check",
     "generation_certificate",
     # classical
-    "SuiteReport", "ds_suite", "mv_suite", "dissipative_matrix",
-    "random_bounded_factor",
+    "SuiteReport", "ds_suite", "mv_suite", "random_bounded_factor",
     # cli
     "report_schema_version", "validate_report",
     "__version__",

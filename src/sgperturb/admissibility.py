@@ -7,10 +7,10 @@ the three maps of admissibility theory are discretized as
 * observability    ``(C_t0 x)(t_k) = C T(t_k) x`` (pointwise samples),
 * input-output     ``(F_t0 u)(t_j) = C int_0^{t_j} T(t_j - s) B u(s) ds``,
 
-each by its world's closed form, a method of the triple class.  F is
-causal and shift-invariant: block lower-triangular Toeplitz, given by its
-first block column (``feedback_column``), of which :func:`io_matrix` is the
-one dense builder.
+each by its world's closed form, a method of ``triple.discretize(grid)``,
+which the map functions take.  F is causal and shift-invariant: block
+lower-triangular Toeplitz, given by its first block column
+(``feedback_column``), of which :func:`io_matrix` is the one dense builder.
 
 Signals are sampled at left endpoints ``t_k = k h`` and normed with weight
 ``h``; since the weights are uniform they cancel in induced operator norms,
@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import numkit, toeplitz
-from .numkit import ShapeError, as_vector
+from .numkit import ShapeError
 from .semigroup import rescale
 from .toeplitz import FEEDBACK_MARGIN
 
@@ -44,17 +44,12 @@ __all__ = [
     "AdmissibilityReport",
     "FeedbackReport",
     "RescalingResiduals",
-    "RegularityReport",
     "controllability_map",
-    "controllability_matrix",
     "observability_map",
-    "observability_matrix",
-    "io_map",
     "io_matrix",
     "estimate_constants",
     "feedback_admissible",
     "rescaled_map_identities",
-    "regularity_check",
     "smooth_trial_signals",
 ]
 
@@ -158,57 +153,31 @@ class RescalingResiduals:
         return max(self.control, self.observe, self.io)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    times: tuple
-    quantities: tuple
-    fitted_exponent: float
-    predicted_exponent: float
-    passes: bool
-
-
-# ---------------------------------------------------------------------------
-# grid compatibility helpers
-# ---------------------------------------------------------------------------
-
-def _signal_on(grid: TimeGrid, u: SampledSignal, m: int) -> np.ndarray:
-    if u.grid != grid:
-        raise ShapeError("signal lives on a different time grid")
-    if u.control_dim != m:
-        raise ShapeError(
-            f"signal has control dim {u.control_dim}, triple needs {m}")
-    return u.values
-
-
 # ---------------------------------------------------------------------------
 # the three maps
 # ---------------------------------------------------------------------------
 
-def controllability_map(triple, grid: TimeGrid, u: SampledSignal):
+def controllability_map(disc, u: SampledSignal):
     """State reached from 0 at time ``t0`` under the input ``u``.
 
-    matrix world: ``h sum_k e^{(t0 - t_k) A} B u_k``, i.e.
-    :func:`controllability_matrix` applied to the stacked samples;
-    transport world: the translated signal placed on the surviving window
+    matrix world: ``h sum_k e^{(t0 - t_k) A} B u_k``, i.e. the stacked
+    ``disc.controllability_matrix()`` applied to the samples; transport
+    world: the translated signal placed on the surviving window
     ``[1 - t0, 1)`` exactly, with the spectral-shift factor folded in at the
-    snapped sample times.
+    snapped sample times.  A signal on another grid or of another control
+    dimension raises :class:`ShapeError`.
     """
-    return triple.control(grid)(_signal_on(grid, u, triple.control_dim))
+    m = disc.triple.control_dim
+    if u.grid != disc.grid:
+        raise ShapeError("signal lives on a different time grid")
+    if u.control_dim != m:
+        raise ShapeError(
+            f"signal has control dim {u.control_dim}, triple needs {m}")
+    return disc.control(u.values)
 
 
-def controllability_matrix(triple, grid: TimeGrid) -> np.ndarray:
-    """Stacked euclidean matrix of the controllability map.
-
-    Applied to the stacked samples of ``u`` it gives
-    :func:`controllability_map` (transport world: on nodes ``0 .. N-1``).
-    Matrix world: column block k is ``h e^{(t0 - t_k) A} B``, read off one
-    walk in ``E = e^{hA}``.
-    """
-    return triple.controllability_matrix(grid)
-
-
-def observability_map(triple, grid: TimeGrid, x, *,
-                      require_domain: bool = True) -> SampledSignal:
+def observability_map(disc, x, *, require_domain: bool = True
+                      ) -> SampledSignal:
     """Samples ``C T(t_k) x`` of the observed free orbit.
 
     transport world: ``x`` must represent a state with ``x(1) = 0`` (the
@@ -216,51 +185,31 @@ def observability_map(triple, grid: TimeGrid, x, *,
     ``require_domain=False`` for constructions that supply perturbed-domain
     states on purpose.
     """
-    return SampledSignal(grid, triple.observe(grid, require_domain)(x),
-                         p=triple.p)
+    return SampledSignal(disc.grid, disc.observe(x, require_domain),
+                         p=disc.triple.p)
 
 
-def observability_matrix(triple, grid: TimeGrid) -> np.ndarray:
-    """Stacked euclidean matrix of the observability map.
-
-    Applied to the state (transport world: its nodes ``0 .. N-1``) it gives
-    the samples of :func:`observability_map`, rows read as ``(steps, m)``.
-    Matrix world: row block k is ``C e^{t_k A} = C E^k`` from one forward
-    walk in ``E = e^{hA}``.
-    """
-    return triple.observability_matrix(grid)
-
-
-def io_matrix(triple, grid: TimeGrid) -> np.ndarray:
-    """Dense sample matrix of the input-output map on the grid.
+def io_matrix(disc) -> np.ndarray:
+    """Dense sample matrix of the input-output map on ``disc``'s grid.
 
     Because signal quadrature weights are uniform they cancel in induced
     norms, so this matrix *is* the discrete ``L^p -> L^p`` operator: the
-    triple's ``feedback_column`` materialized (float64 when F is real).
-    Matrix world: blocks ``h C e^{d h A} B`` on lags ``d >= 1``.  Transport
-    world: each node coefficient of ``Phi`` on its lag; node ``s = 1`` (an
-    atom there plus the last density half-cell) lands on the diagonal.
+    discretization's ``feedback_column`` materialized (float64 when F is
+    real).  Matrix world: blocks ``h C e^{d h A} B`` on lags ``d >= 1``.
+    Transport world: each node coefficient of ``Phi`` on its lag; node
+    ``s = 1`` (an atom there plus the last density half-cell) lands on the
+    diagonal.
 
     More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
     cap bounds the estimates and the certificate, not the feedback
     semigroup.
     """
-    n_cols = grid.steps * triple.control_dim
+    n_cols = disc.grid.steps * disc.triple.control_dim
     if n_cols > IO_SIZE_CAP:
         raise ValueError(
             f"io_matrix would have {n_cols} > {IO_SIZE_CAP} columns")
     return toeplitz.materialize(
-        toeplitz.BlockToeplitz(triple.feedback_column(grid)))
-
-
-def io_map(triple, grid: TimeGrid, u: SampledSignal) -> SampledSignal:
-    """Input-output map ``u -> F_t0 u``, via the assembled sample matrix.
-
-    Single code path for both worlds so that applying :func:`io_matrix` to
-    the stacked samples agrees with this function bit-for-bit.
-    """
-    _signal_on(grid, u, triple.control_dim)
-    return _apply_io(io_matrix(triple, grid), u)
+        toeplitz.BlockToeplitz(disc.feedback_column()))
 
 
 def _apply_io(F: np.ndarray, u: SampledSignal) -> SampledSignal:
@@ -270,7 +219,7 @@ def _apply_io(F: np.ndarray, u: SampledSignal) -> SampledSignal:
 
 
 # ---------------------------------------------------------------------------
-# constants, feedback, rescaling, regularity
+# constants, feedback, rescaling
 # ---------------------------------------------------------------------------
 
 #: knots of the trial-signal spline, equispaced on [0, t0]
@@ -340,23 +289,21 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
     in the observation domain), ``M_io`` as the ``alpha -> beta`` ratio of
     the input-output map.  Feedback admissibility and margin ride along.
     """
-    return _constants_and_feedback(triple, grid, p, alpha, beta, trials,
-                                   rng)[0]
+    return _constants_and_feedback(triple.discretize(grid), p, alpha, beta,
+                                   trials, rng)[0]
 
 
-def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
-                            beta: float, trials: int,
-                            rng: np.random.Generator):
+def _constants_and_feedback(disc, p: float, alpha: float, beta: float,
+                            trials: int, rng: np.random.Generator):
     """:func:`estimate_constants` and :func:`feedback_admissible` at ``p``
-    from one :func:`io_matrix` build."""
+    on one discretization, from one :func:`io_matrix` build."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (alpha <= p <= beta):
         raise ValueError(f"need alpha <= p <= beta, got {alpha}, {p}, {beta}")
-    m = triple.control_dim
-    signals = smooth_trial_signals(grid, m, trials, rng, p=p)
-    column, F = _read_F(triple, grid, dense=True)
-    control = triple.control(grid)
+    triple, grid = disc.triple, disc.grid
+    signals = smooth_trial_signals(grid, triple.control_dim, trials, rng, p=p)
+    column, F = _read_F(disc, dense=True)
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -366,14 +313,14 @@ def _constants_and_feedback(triple, grid: TimeGrid, p: float, alpha: float,
         if nu_p <= 1e-14 or nu_a <= 1e-14:
             continue
         used += 1
-        M_control = max(M_control, triple.state_norm(control(u.values)) / nu_p)
+        M_control = max(M_control,
+                        triple.state_norm(disc.control(u.values)) / nu_p)
         M_io = max(M_io, _apply_io(F, u).norm(beta) / nu_a)
     if used == 0:
         raise ValueError("all trial signals had zero norm; nothing estimated")
-    observe = triple.observe(grid)
     M_observe = 0.0
     for _ in range(trials):
-        y = SampledSignal(grid, observe(triple.random_domain_state(rng)))
+        y = SampledSignal(grid, disc.observe(triple.random_domain_state(rng)))
         M_observe = max(M_observe, y.norm(p))
     fb = _feedback_report(column, F, p)
     report = AdmissibilityReport(
@@ -394,16 +341,17 @@ def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     ``||F|| < 1`` certifies admissibility alone — the sufficient condition
     that survives to the continuum.
     """
-    return _feedback_report(*_read_F(triple, grid, dense=p == 2), p)
+    return _feedback_report(*_read_F(triple.discretize(grid), dense=p == 2),
+                            p)
 
 
-def _read_F(triple, grid: TimeGrid, dense: bool):
-    """F's first block column and, if ``dense``, the :func:`io_matrix` it is
-    then read off (else ``None``)."""
+def _read_F(disc, dense: bool):
+    """F's first block column on ``disc`` and, if ``dense``, the
+    :func:`io_matrix` it is then read off (else ``None``)."""
     if not dense:
-        return triple.feedback_column(grid), None
-    F = io_matrix(triple, grid)
-    m = triple.control_dim
+        return disc.feedback_column(), None
+    F = io_matrix(disc)
+    m = disc.triple.control_dim
     return F[:, :m].reshape(-1, m, m), F
 
 
@@ -452,18 +400,19 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     decay = np.exp(-mu_shift * tk)
     m = triple.control_dim
     # the signals come from smooth_trial_signals(grid, m, ...), so they meet
-    # _signal_on's grid and dimension checks and feed the built maps directly
+    # controllability_map's grid and dimension checks and feed the
+    # discretizations' maps directly
     signals = smooth_trial_signals(grid, m, trials, rng)
-    F_shifted = io_matrix(shifted, grid)
-    F = io_matrix(triple, grid)
-    control_shifted = shifted.control(grid)
-    control = triple.control(grid)
+    disc = triple.discretize(grid)
+    disc_shifted = shifted.discretize(grid) if mu_shift else disc
+    F_shifted = io_matrix(disc_shifted)
+    F = io_matrix(disc)
 
     res_control = 0.0
     res_io = 0.0
     for u in signals:
-        lhs_B = control_shifted(u.values)
-        rhs_B = control(_modulated(u, grow).values)
+        lhs_B = disc_shifted.control(u.values)
+        rhs_B = disc.control(_modulated(u, grow).values)
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
         lhs_F = _apply_io(F_shifted, u)
@@ -471,63 +420,14 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         res_io = max(res_io,
                      float(np.abs(lhs_F.values - rhs_F.values).max()))
 
-    observe_shifted = shifted.observe(grid, True)
-    observe = triple.observe(grid, True)
     res_observe = 0.0
     for _ in range(trials):
         x = triple.random_domain_state(rng)
-        lhs_C = SampledSignal(grid, observe_shifted(x), p=shifted.p)
-        rhs_C = _modulated(SampledSignal(grid, observe(x), p=triple.p), decay)
+        lhs_C = SampledSignal(grid, disc_shifted.observe(x), p=shifted.p)
+        rhs_C = _modulated(SampledSignal(grid, disc.observe(x), p=triple.p),
+                           decay)
         res_observe = max(res_observe,
                           float(np.abs(lhs_C.values - rhs_C.values).max()))
     return RescalingResiduals(control=res_control, observe=res_observe,
                               io=res_io, mu_shift=float(mu_shift))
 
-
-def regularity_check(triple, v, t_sequence, alpha: float, beta: float,
-                     base_steps: int = 64) -> RegularityReport:
-    """Decay of the averaged input-output response to a frozen input.
-
-    For each horizon ``t`` the quantity ``|| (1/t) int_0^t (F_t 1 (x) v)(s) ds ||``
-    is computed on a grid adapted to ``t``; compatibility-style regularity
-    predicts decay like ``t^(1/alpha - 1/beta)``.  The check passes when the
-    quantity is non-increasing along the (decreasing) horizon sequence and
-    the log-log fitted exponent is >= the predicted one minus 0.25, or when
-    the quantity is identically zero.
-    """
-    ts = [float(t) for t in t_sequence]
-    if len(ts) < 3:
-        raise ValueError("need at least 3 horizons to fit a rate")
-    if any(t <= 0 for t in ts):
-        raise ValueError("horizons must be positive")
-    if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
-        raise ValueError("horizons must be strictly decreasing")
-    v = as_vector(v)
-    m = triple.control_dim
-    if v.shape[0] != m:
-        raise ShapeError(f"direction must have control dim {m}")
-
-    quantities = []
-    for t in ts:
-        grid = TimeGrid(t, triple.grid_steps(t, base_steps))
-        u = SampledSignal(grid, np.tile(v, (grid.steps, 1)))
-        y = io_map(triple, grid, u)
-        avg = (grid.h / t) * y.values.sum(axis=0)
-        quantities.append(float(np.linalg.norm(avg)))
-
-    predicted = 1.0 / alpha - 1.0 / beta
-    nonzero = [(t, qy) for t, qy in zip(ts, quantities) if qy > 1e-14]
-    monotone = all(quantities[i] + 1e-12 >= quantities[i + 1]
-                   for i in range(len(quantities) - 1))
-    if len(nonzero) < 2:
-        fitted = float("inf")
-        passes = monotone
-    else:
-        lt = np.log([t for t, _ in nonzero])
-        lq = np.log([qy for _, qy in nonzero])
-        fitted = float(np.polyfit(lt, lq, 1)[0])
-        passes = monotone and fitted >= predicted - 0.25
-    return RegularityReport(times=tuple(ts), quantities=tuple(quantities),
-                            fitted_exponent=fitted,
-                            predicted_exponent=float(predicted),
-                            passes=bool(passes))

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import numkit
 from .semigroup import MatrixTriple
-from .admissibility import (TimeGrid, SampledSignal, controllability_matrix,
-                            io_matrix, observability_matrix,
+from .admissibility import (TimeGrid, SampledSignal, io_matrix,
                             smooth_trial_signals, _apply_io)
 from .perturbation import generation_certificate, weiss_staffans_semigroup
 
@@ -42,7 +41,6 @@ __all__ = [
     "SuiteReport",
     "ds_suite",
     "mv_suite",
-    "dissipative_matrix",
     "random_bounded_factor",
 ]
 
@@ -57,15 +55,6 @@ class SuiteReport:
     header: str
     checks: dict
     ok: bool
-
-
-def dissipative_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random dissipative matrix: skew-hermitian part plus strictly negative
-    diagonal, so the generated semigroup is a strict contraction."""
-    R = numkit.random_matrix(rng, n, n)
-    A = (R - R.conj().T) / 2.0
-    A = A - np.diag(rng.uniform(0.2, 1.0, size=n).astype(np.complex128))
-    return A
 
 
 def random_bounded_factor(rng: np.random.Generator, n: int,
@@ -144,7 +133,8 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         raise ValueError("the control-side suite needs C = Id")
     checks: dict = {}
     steps = grid.steps
-    Bc = controllability_matrix(triple, grid)
+    disc = triple.discretize(grid)
+    Bc = disc.controllability_matrix()
     M_B = _control_norm(Bc, grid, p)
 
     # (a) running convolution = controllability o right translation;
@@ -157,7 +147,6 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         pairs.append((ks[0], ks[-1]))
     worst_gap = 0.0
     ident_res = 0.0
-    E = numkit.expm(triple.A, grid.h)
     ok_a = True
     for u in signals:
         scale = max(1.0, float(np.abs(u.values).max()))
@@ -167,7 +156,7 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         k0 = ks[len(ks) // 2]
         direct = np.zeros(n, dtype=np.complex128)
         for j in range(k0):
-            direct = E @ (direct + triple.B @ u.values[j])
+            direct = disc.E @ (direct + triple.B @ u.values[j])
         ident_res = max(ident_res,
                         float(np.abs(v[k0] - grid.h * direct).max()))
         for ki, kj in pairs:
@@ -226,7 +215,7 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
 def _observation_constant(O: np.ndarray, grid: TimeGrid, p: float,
                           states) -> float:
     """max over states of int_0^t0 ||C T(s) x||^p ds / ||x||^p (discrete),
-    with ``O`` the :func:`observability_matrix` on ``grid``."""
+    with ``O`` the observability matrix on ``grid``."""
     M = 0.0
     for x in states:
         nx = float(np.linalg.norm(x))
@@ -265,9 +254,9 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
     checks: dict = {}
     steps = grid.steps
     h = grid.h
-    F_io = io_matrix(triple, grid)
-    O = observability_matrix(triple, grid)
-    E = numkit.expm(triple.A, h)
+    disc = triple.discretize(grid)
+    F_io = io_matrix(disc)
+    O = disc.observability_matrix()
 
     # (a) admissibility constant from random unit states
     states = [numkit.random_vector(rng, n) for _ in range(5)]
@@ -287,7 +276,7 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         lhs = _apply_io(F_io, u).norm(p) ** p
         # the proof also observes the completed inner integral; fold both
         # vectors into the constant sweep so M covers them
-        inner = h * _orbit_sum(E, x, i1 - i0)
+        inner = h * _orbit_sum(disc.E, x, i1 - i0)
         M = max(M, _observation_constant(O, grid, p, [x, inner]))
         rhs_exact = M * (1.0 + 1.0 / p) * L ** p * np.linalg.norm(x) ** p
         rhs_env = M * (1.0 + 1.0 / p) * (L + h) ** p * np.linalg.norm(x) ** p
@@ -315,7 +304,7 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
             vals[cuts[j]:cuts[j + 1]] = xj
             l1 += (cuts[j + 1] - cuts[j]) * h * float(np.linalg.norm(xj))
             env += h * float(np.linalg.norm(xj))
-            inner = h * _orbit_sum(E, xj, cuts[j + 1] - cuts[j])
+            inner = h * _orbit_sum(disc.E, xj, cuts[j + 1] - cuts[j])
             sweep.extend([xj, inner])
         M = max(M, _observation_constant(O, grid, p, sweep))
         K = (M * (1.0 + 1.0 / p)) ** (1.0 / p)

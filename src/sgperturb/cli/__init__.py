@@ -34,7 +34,7 @@ from .. import numkit, toeplitz
 from ..semigroup import GridFunction, MatrixTriple
 from ..transport import (BorelMeasure, TransportTriple, characteristic_roots,
                          solve_pde, transfer_scalar, upwind_generator,
-                         _boundary_coefficients, _grid_nodes)
+                         _boundary_coefficients)
 from ..admissibility import (TimeGrid, estimate_constants,
                              rescaled_map_identities, smooth_trial_signals)
 from ..perturbation import (generation_certificate, long_horizon_growth_check,
@@ -200,7 +200,7 @@ def _parse_config(cfg: dict) -> RunSpec:
         raise ConfigError(f"config.grid: {exc}") from exc
     if world == "transport":
         try:
-            _grid_nodes(grid.h, triple.N, least=1)
+            triple.discretize(grid)
         except ValueError as exc:
             raise ConfigError(f"config.grid: time step {exc}") from exc
 
@@ -380,18 +380,18 @@ def _suite_toeplitz(spec: RunSpec, rng, csv_dir):
     relative to ``max |F u|`` (absolute where ``F u`` vanishes)."""
     triple, grid = spec.triple, spec.grid
     m = triple.control_dim
-    F = toeplitz.BlockToeplitz(
-        triple.feedback_column(TimeGrid(3.0 * grid.t0, 3 * grid.steps)))
-    control, observe = triple.control(grid), triple.observe(grid)
+    F = toeplitz.BlockToeplitz(triple.discretize(
+        TimeGrid(3.0 * grid.t0, 3 * grid.steps)).feedback_column())
+    disc = triple.discretize(grid)
     worst = 0.0
     for u in smooth_trial_signals(grid, m, 3, rng):
         padded = np.zeros((3 * grid.steps, m), dtype=np.complex128)
         padded[:grid.steps] = u.values
         Fu = F.forward(padded.reshape(-1)).reshape(3, grid.steps, m)
         scale = float(np.abs(Fu).max()) or 1.0
-        x = control(u.values)
+        x = disc.control(u.values)
         for k, state in ((1, x), (2, triple.step(grid.t0, x))):
-            residual = float(np.abs(observe(state) - Fu[k]).max())
+            residual = float(np.abs(disc.observe(state) - Fu[k]).max())
             worst = max(worst, residual / scale)
     return {"ok": bool(worst <= _ALGEBRAIC_TOL),
             "composition_residual": worst}
@@ -454,7 +454,7 @@ def _suite_transport_pde(spec: RunSpec, rng, csv_dir):
         if refine == 1 and csv_dir is not None:
             _write_trajectory_csv(csv_dir / "trajectory_transport_pde.csv",
                                   traj, N)
-    if _grid_nodes(spec.grid.h, spec.triple.N, least=1) == 1:
+    if spec.triple.discretize(spec.grid).q == 1:
         ok = all(d <= 1e-12 * scale for d, scale in zip(diffs, scales))
     else:
         ok = diffs[1] <= 0.75 * diffs[0] + 1e-12

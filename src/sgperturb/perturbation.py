@@ -1,4 +1,4 @@
-"""Perturbed generators, resolvents, semigroups, and generation certificates.
+"""Perturbed resolvents, semigroups, and generation certificates.
 
 Given a system triple, the closed-loop state operator is the restriction of
 ``A + B C`` back to the state space (the triple's ``closed_loop`` matrix).
@@ -17,7 +17,7 @@ The module realizes
   level — a tested invariant);
 
 * the variation-of-parameters residual against an *independent* reference
-  propagator (the triple's ``vop_outputs``);
+  propagator (the discretization's ``vop_outputs``);
 
 * the long-horizon growth check: the contraction surrogate
   ``||T(t0) + B (I - F)^{-1} C|| < e^{mu t0}`` plus the block-Toeplitz bound
@@ -33,7 +33,6 @@ The module realizes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -47,10 +46,8 @@ from .admissibility import (TimeGrid, SampledSignal, controllability_map,
 
 __all__ = [
     "FeedbackSingularError",
-    "PerturbedGenerator",
     "GrowthCheckReport",
     "GenerationCertificate",
-    "perturbed_generator",
     "perturbed_resolvent",
     "transfer_function",
     "weiss_staffans_semigroup",
@@ -58,21 +55,6 @@ __all__ = [
     "long_horizon_growth_check",
     "generation_certificate",
 ]
-
-
-@dataclass(frozen=True)
-class PerturbedGenerator:
-    """Discrete closed-loop state operator.
-
-    ``matrix`` is the dense realization (``A + B C`` or the boundary-folded
-    upwind matrix); it is ``None`` exactly when ``degenerate`` is set — the
-    transport boundary functional has unit weight at ``s = 1``, the closed
-    loop is not a generator, and the object is only usable in negative tests.
-    """
-
-    world: str
-    matrix: Optional[np.ndarray]
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,14 +73,6 @@ class GenerationCertificate:
     resolvent_residuals: tuple   # ((lambda, residual, threshold), ...)
     mu_shift: float
     notes: tuple = field(default_factory=tuple)
-
-
-def perturbed_generator(triple) -> PerturbedGenerator:
-    """Dense realization of the closed-loop state operator."""
-    try:
-        return PerturbedGenerator(triple.world, triple.closed_loop())
-    except ArithmeticError:
-        return PerturbedGenerator(triple.world, None, degenerate=True)
 
 
 def transfer_function(triple, lam: complex) -> np.ndarray:
@@ -131,22 +105,24 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
         raise ValueError(
             f"t = {t} must equal the grid horizon t0 = {grid.t0}")
     work = rescale(triple, mu_shift) if mu_shift else triple
-    obs = observability_map(work, grid, x, require_domain=False)
-    # F is causal, so (I - F)^{-1} is a recursion in time; the triple runs
-    # it without forming F (matrix world: the state loop; transport world:
-    # the boundary recursion, whose diagonal 1 - c_N holds the Phi weight
-    # of node s = 1)
+    comp = float(np.exp(mu_shift * t)) if mu_shift else 1.0
+    return comp * _feedback_state(work.discretize(grid), x,
+                                  apply_semigroup(work, t, x))
+
+
+def _feedback_state(disc, x, free):
+    """``T(t0) x + B (I - F)^{-1} C x`` on ``disc``, ``free = T(t0) x``."""
+    obs = observability_map(disc, x, require_domain=False)
+    # F is causal, so (I - F)^{-1} is a recursion in time, run without F
+    # (matrix world: the state loop; transport world: the boundary
+    # recursion, whose diagonal 1 - c_N holds the Phi weight at s = 1)
     try:
-        y = work.solve_feedback(grid, obs.values)
+        y = disc.solve_feedback(obs.values)
     except numkit.SingularMatrixError as exc:
         raise numkit.SingularMatrixError(
-            f"discrete feedback operator is singular at horizon {t}: {exc}"
-        ) from exc
-    ysig = SampledSignal(grid, y)
-    ctrl = controllability_map(work, grid, ysig)
-    free = apply_semigroup(work, t, x)
-    comp = float(np.exp(mu_shift * t)) if mu_shift else 1.0
-    return comp * (free + ctrl)
+            f"discrete feedback operator is singular at horizon "
+            f"{disc.grid.t0}: {exc}") from exc
+    return free + controllability_map(disc, SampledSignal(disc.grid, y))
 
 
 def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
@@ -173,10 +149,11 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
     """
     if abs(t - grid.t0) > 1e-12:
         raise ValueError("t must equal the grid horizon")
-    lhs = weiss_staffans_semigroup(triple, grid, t, x)
-    csig = SampledSignal(grid, triple.vop_outputs(grid, x), p=triple.p)
-    rhs = apply_semigroup(triple, t, x) \
-        + controllability_map(triple, grid, csig)
+    disc = triple.discretize(grid)
+    free = apply_semigroup(triple, t, x)
+    lhs = _feedback_state(disc, x, free)
+    csig = SampledSignal(grid, disc.vop_outputs(x), p=triple.p)
+    rhs = free + controllability_map(disc, csig)
     return triple.state_norm(lhs - rhs) / triple.state_norm(x)
 
 
@@ -189,13 +166,13 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     """Contraction surrogate versus ``e^{mu t0}`` plus the block norm chain.
 
     Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` in euclidean frames
-    (the triple's ``euclidean_frames``, whose 2-norms are the discrete
+    (``euclidean_frames``, whose 2-norms are the discrete
     signal and state norms) and compares it against ``e^{mu t0}`` for every
     candidate shift; then for each block count ``n`` reports the 2-norm of
     the inverse feedback block matrix next to its closed-form bound (the
     bound must dominate).  ``s`` and every block entry come from one
     :func:`~sgperturb.toeplitz.feedback_norm_chain` run on the first block
-    column of ``G = (I - F)^{-1}``, the impulse responses of the triple's
+    column of ``G = (I - F)^{-1}``, the impulse responses of
     ``solve_feedback``; F is never formed.  Each block entry is a Lanczos
     2-norm: never above the exact norm, and within the Lanczos residual
     (at most 1e-13 relative) of a singular value of its section (see
@@ -203,7 +180,8 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     margin at ``t0``, read off the diagonal of F's lag-0 block
     (``feedback_column``), is positive.
     """
-    column = triple.feedback_column(grid)
+    disc = triple.discretize(grid)
+    column = disc.feedback_column()
     margin = _feedback_margin(column)
     if margin < FEEDBACK_MARGIN:
         raise ValueError(
@@ -213,9 +191,8 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     for i in range(triple.control_dim):
         impulse = np.zeros(column.shape[:2], dtype=np.complex128)
         impulse[0, i] = 1.0
-        g[:, :, i] = triple.solve_feedback(grid, impulse)
-    chain = toeplitz.feedback_norm_chain(g, *triple.euclidean_frames(grid),
-                                         n_max)
+        g[:, :, i] = disc.solve_feedback(impulse)
+    chain = toeplitz.feedback_norm_chain(g, *disc.euclidean_frames(), n_max)
     s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),
@@ -249,7 +226,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
         try:
             g = TimeGrid(t, steps)
             nrm = io_norm if g == grid else _feedback_report(
-                *_read_F(triple, g, dense=p == 2), p).io_norm
+                *_read_F(triple.discretize(g), dense=p == 2), p).io_norm
         except ValueError:
             break  # horizon fell below the space grid
         horizons.append(t)
@@ -336,8 +313,8 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         compat_ok, provenance = triple.compatibility()
         conditions["compatibility"] = {"ok": compat_ok,
                                        "provenance": provenance}
-        report, fb = _constants_and_feedback(triple, grid, p, alpha, beta,
-                                             trials=12, rng=rng)
+        report, fb = _constants_and_feedback(triple.discretize(grid), p,
+                                             alpha, beta, trials=12, rng=rng)
         conditions["M_control"] = report.M_control
         conditions["M_observe"] = report.M_observe
         conditions["M_io"] = {"value": report.M_io,

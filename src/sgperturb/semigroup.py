@@ -4,9 +4,9 @@ The package never materializes an extrapolation space.  Instead every
 computation runs in one of two concrete instantiations — the matrix world
 (:class:`MatrixTriple`) and the transport world
 (:class:`~sgperturb.transport.TransportTriple`) — and each class holds all of
-its world's facts behind the same methods.  The module functions validate
-what both worlds share and make one method call, so the algorithms built on
-them never test which world they are in.
+its world's facts behind the same methods, those a time grid fixes on its
+``discretize(grid)``.  The module functions validate what both worlds share
+and make one method call, so no algorithm tests which world it is in.
 
 Transport states are :class:`GridFunction` samples.  Discretization
 conventions (load-bearing; the admissibility identities are exact *because*
@@ -25,6 +25,7 @@ of them):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
     "MatrixTriple",
+    "MatrixDiscretization",
     "GridFunction",
     "SpectralAbscissa",
     "shift_open",
@@ -157,68 +159,6 @@ class MatrixTriple:
                 f"(smallest singular value {smallest:.3e})")
         return RA + RA @ B @ numkit.solve(W, C @ RA)
 
-    def _walk(self, grid) -> np.ndarray:
-        """``E^k B`` for k = 1 .. steps, ``E = e^{hA}``: shape
-        ``(steps, n, m)``; the one walk behind the control matrix and the
-        lag blocks of F."""
-        E = numkit.expm(self.A, grid.h)
-        walk = np.empty((grid.steps,) + self.B.shape, dtype=np.complex128)
-        P = self.B
-        for k in range(grid.steps):
-            P = E @ P
-            walk[k] = P
-        return walk
-
-    def controllability_matrix(self, grid) -> np.ndarray:
-        walk = grid.h * self._walk(grid)[::-1]
-        return walk.transpose(1, 0, 2).reshape(self.state_dim, -1)
-
-    def observability_matrix(self, grid) -> np.ndarray:
-        E = numkit.expm(self.A, grid.h)
-        rows = np.empty((grid.steps,) + self.C.shape, dtype=np.complex128)
-        P = self.C
-        for k in range(grid.steps):
-            rows[k] = P
-            P = P @ E
-        return rows.reshape(-1, self.state_dim)
-
-    def feedback_column(self, grid) -> np.ndarray:
-        """F's first block column, ``(steps, m, m)``: lag ``d >= 1`` holds
-        ``h C E^d B``; lag 0 is zero (F is strictly block lower)."""
-        m = self.control_dim
-        blocks = np.zeros((grid.steps, m, m), dtype=np.complex128)
-        blocks[1:] = grid.h * (self.C @ self._walk(grid)[:-1])
-        return blocks
-
-    def solve_feedback(self, grid, v) -> np.ndarray:
-        """``(I - F)^{-1} v`` for stacked samples ``v`` (``steps x m``),
-        without F: F's lag-d block is ``h C E^d B``, so ``y = v + F y`` is
-        the state loop ``y_k = v_k + C z_k``, ``z_{k+1} = E (z_k + h B y_k)``
-        from ``z_0 = 0``, ``E = e^{hA}``; O(steps n^2)."""
-        E = numkit.expm(self.A, grid.h)
-        hB = grid.h * self.B
-        v = np.asarray(v, dtype=np.complex128).reshape(grid.steps, -1)
-        y = np.empty_like(v)
-        z = np.zeros(self.state_dim, dtype=np.complex128)
-        for k in range(grid.steps):
-            y[k] = v[k] + self.C @ z
-            z = E @ (z + hB @ y[k])
-        return y
-
-    def control(self, grid):
-        W = self.controllability_matrix(grid)
-        return lambda samples: W @ samples.reshape(-1)
-
-    def observe(self, grid, require_domain: bool = True):
-        O = self.observability_matrix(grid)
-
-        def observe(x) -> np.ndarray:
-            x = as_vector(x)
-            if x.shape[0] != self.state_dim:
-                raise ShapeError("state dimension mismatch")
-            return (O @ x).reshape(grid.steps, -1)
-        return observe
-
     def state_norm(self, x) -> float:
         return float(np.linalg.norm(as_vector(x)))
 
@@ -226,22 +166,8 @@ class MatrixTriple:
         x = numkit.random_vector(rng, self.state_dim)
         return x / np.linalg.norm(x)
 
-    def grid_steps(self, t: float, base_steps: int) -> int:
-        return base_steps
-
-    def euclidean_frames(self, grid):
-        """(B, C, T): the stacked maps weighted by ``sqrt(h)`` so that
-        euclidean norms are the signal norms, and ``T = e^{t0 A}``."""
-        sqrt_h = np.sqrt(grid.h)
-        return (self.controllability_matrix(grid) / sqrt_h,
-                sqrt_h * self.observability_matrix(grid),
-                numkit.expm(self.A, grid.t0))
-
-    def vop_outputs(self, grid, x) -> np.ndarray:
-        """Outputs of the independent reference, the exponential of the
-        closed-loop matrix: the samples ``C e^{t_k (A + BC)} x``."""
-        closed = MatrixTriple(self.closed_loop(), self.B, self.C)
-        return closed.observe(grid)(x)
+    def discretize(self, grid) -> "MatrixDiscretization":
+        return MatrixDiscretization(self, grid)
 
     def compatibility(self):
         return True, "finite-dimensional state space: compatibility automatic"
@@ -259,6 +185,90 @@ class MatrixTriple:
             worst = max(worst, float(res))
         threshold = 1e-8 * max(1.0, numkit.induced_norm(Q, 2))
         return lam, worst, threshold
+
+
+@dataclass(frozen=True)
+class MatrixDiscretization:
+    """A :class:`MatrixTriple` on a time grid: ``E = e^{hA}``, computed once,
+    and the maps it fixes; the walk ``E^k B``, W and O on first use."""
+
+    triple: MatrixTriple
+    grid: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "E", numkit.expm(self.triple.A, self.grid.h))
+
+    @cached_property
+    def _walk(self) -> np.ndarray:
+        """``E^k B`` for k = 1 .. steps, ``(steps, n, m)``: W and F's lags."""
+        B = self.triple.B
+        walk = np.empty((self.grid.steps,) + B.shape, dtype=np.complex128)
+        P = B
+        for k in range(self.grid.steps):
+            P = self.E @ P
+            walk[k] = P
+        return walk
+
+    def controllability_matrix(self) -> np.ndarray:
+        walk = self.grid.h * self._walk[::-1]
+        return walk.transpose(1, 0, 2).reshape(self.triple.state_dim, -1)
+
+    def observability_matrix(self) -> np.ndarray:
+        C = self.triple.C
+        rows = np.empty((self.grid.steps,) + C.shape, dtype=np.complex128)
+        P = C
+        for k in range(self.grid.steps):
+            rows[k] = P
+            P = P @ self.E
+        return rows.reshape(-1, self.triple.state_dim)
+
+    _W = cached_property(controllability_matrix)
+    _O = cached_property(observability_matrix)
+
+    def feedback_column(self) -> np.ndarray:
+        """F's first block column, ``(steps, m, m)``: lag ``d >= 1`` holds
+        ``h C E^d B``; lag 0 is zero (F is strictly block lower)."""
+        m = self.triple.control_dim
+        blocks = np.zeros((self.grid.steps, m, m), dtype=np.complex128)
+        blocks[1:] = self.grid.h * (self.triple.C @ self._walk[:-1])
+        return blocks
+
+    def solve_feedback(self, v) -> np.ndarray:
+        """``(I - F)^{-1} v`` for stacked samples ``v`` (``steps x m``),
+        without F: F's lag-d block is ``h C E^d B``, so ``y = v + F y`` is
+        the state loop ``y_k = v_k + C z_k``, ``z_{k+1} = E (z_k + h B y_k)``
+        from ``z_0 = 0``; O(steps n^2)."""
+        C, hB = self.triple.C, self.grid.h * self.triple.B
+        v = np.asarray(v, dtype=np.complex128).reshape(self.grid.steps, -1)
+        y = np.empty_like(v)
+        z = np.zeros(self.triple.state_dim, dtype=np.complex128)
+        for k in range(self.grid.steps):
+            y[k] = v[k] + C @ z
+            z = self.E @ (z + hB @ y[k])
+        return y
+
+    def control(self, samples) -> np.ndarray:
+        return self._W @ samples.reshape(-1)
+
+    def observe(self, x, require_domain: bool = True) -> np.ndarray:
+        x = as_vector(x)
+        if x.shape[0] != self.triple.state_dim:
+            raise ShapeError("state dimension mismatch")
+        return (self._O @ x).reshape(self.grid.steps, -1)
+
+    def euclidean_frames(self):
+        """(B, C, T): the stacked maps weighted by ``sqrt(h)`` so that
+        euclidean norms are the signal norms, and ``T = e^{t0 A}``."""
+        sqrt_h = np.sqrt(self.grid.h)
+        return (self._W / sqrt_h, sqrt_h * self._O,
+                numkit.expm(self.triple.A, self.grid.t0))
+
+    def vop_outputs(self, x) -> np.ndarray:
+        """Outputs of the independent reference, the exponential of the
+        closed-loop matrix: the samples ``C e^{t_k (A + BC)} x``."""
+        t = self.triple
+        closed = MatrixTriple(t.closed_loop(), t.B, t.C)
+        return closed.discretize(self.grid).observe(x)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ boundary condition ``x(1, t) = Phi x(., t)`` where ``Phi`` is integration
 against a complex measure ``mu`` (atoms on grid nodes plus a
 piecewise-constant density).  The module provides
 
-* the system triple :class:`TransportTriple`, this world's side of every
-  generic algorithm,
+* the system triple :class:`TransportTriple` and its time-grid maps
+  (:class:`TransportDiscretization`), this world's side of every algorithm,
 * the functional itself (:func:`apply_phi`, :func:`phi_coefficients`),
 * boundary Dirichlet lifts ``D_lam`` (:func:`dirichlet_operator`),
 * the tail-variation test ``|mu|[1-delta, 1] < 1`` (:func:`little_mass`),
@@ -26,7 +26,7 @@ left-endpoint norms, atoms snapped to nodes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -41,6 +41,7 @@ from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
     "TransportTriple",
+    "TransportDiscretization",
     "BorelMeasure",
     "LittleMassReport",
     "Trajectory",
@@ -552,11 +553,10 @@ class TransportTriple:
     (``(T(t) f)(s) = f(s+t)`` for ``s+t <= 1``, else 0), the control
     channel is the boundary inflow at ``s = 1`` and the observation is
     ``Phi``.  Wherever the abstract theory applies an extrapolated
-    semigroup, the methods substitute these closed forms.  A time grid
-    advances ``q = h N`` nodes per step, a positive whole number.  A
-    non-negative ``mu_shift`` represents the rescaled state operator
-    ``A - mu``: analytic data are evaluated at ``lambda + mu`` and the
-    semigroup and the maps gain the factors ``e^{-mu t}``.
+    semigroup, the methods substitute these closed forms.  A non-negative
+    ``mu_shift`` represents the rescaled state operator ``A - mu``:
+    analytic data are evaluated at ``lambda + mu`` and the semigroup and
+    the maps gain the factors ``e^{-mu t}``.
 
     Parameters
     ----------
@@ -571,6 +571,7 @@ class TransportTriple:
     p: float
     mu: BorelMeasure
     mu_shift: float = 0.0
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 4:
@@ -579,7 +580,8 @@ class TransportTriple:
             raise ValueError(f"need p in [1, inf), got {self.p}")
         if self.mu_shift < 0:
             raise ValueError("mu_shift must be >= 0")
-        phi_coefficients(self.mu, self.N)  # atoms on nodes, N density cells
+        # atoms on nodes, N density cells; every read of Phi uses this
+        object.__setattr__(self, "coef", phi_coefficients(self.mu, self.N))
 
     @property
     def world(self) -> str:
@@ -631,39 +633,95 @@ class TransportTriple:
                 f"feedback singular at lambda = {lam} (transfer {H:.6g})")
         lift = dirichlet_operator(lam_eff, 1.0, self.N, p=self.p).values
         gain = 1.0 / (1.0 - H)
-        coef = phi_coefficients(self.mu, self.N)
 
         def _apply(f):
             gf = as_grid_function(self, f)
             Rf = volterra_resolvent_values(lam_eff, gf.values)
-            boundary = gain * complex(coef @ Rf)
+            boundary = gain * complex(self.coef @ Rf)
             return GridFunction(Rf + boundary * lift, p=self.p)
         return _apply
 
-    def controllability_matrix(self, grid) -> np.ndarray:
+    def state_norm(self, x) -> float:
+        return as_grid_function(self, x).norm()
+
+    def random_domain_state(self, rng: np.random.Generator) -> GridFunction:
+        v = numkit.random_vector(rng, self.N + 1)
+        v[-1] = 0.0
+        return GridFunction(v / self.state_norm(v), p=self.p)
+
+    def discretize(self, grid) -> "TransportDiscretization":
+        return TransportDiscretization(self, grid)
+
+    def compatibility(self):
+        res = greiner_compatibility(1.0, self.N)
+        ok = res <= 10.0 / self.N
+        return bool(ok), (f"boundary-lift range identity residual {res:.3e} "
+                          f"at probe lambda = 1 (threshold "
+                          f"{10.0 / self.N:.3e})")
+
+    def resolvent_residual(self, lam: complex, Q, rng: np.random.Generator):
+        """Worst forward-difference residual of ``(lam + mu - d/ds) g = f``
+        and of ``g(1) = Phi g`` for ``g = Q f`` over three random ``f`` with
+        ``f(1) = 0``, against ``50 (1 + |lam|)^2 / N``."""
+        N = self.N
+        lam_eff = lam + self.mu_shift
+        worst = 0.0
+        for _ in range(3):
+            f = numkit.random_vector(rng, N + 1)
+            f[-1] = 0.0
+            g = Q(GridFunction(f, p=self.p)).values
+            interior = lam_eff * g[:N] - N * (g[1:] - g[:N]) - f[:N]
+            boundary = abs(g[N] - self.coef @ g)
+            res = max(float(np.abs(interior).max()), float(boundary))
+            res /= max(1.0, float(np.abs(f).max()))
+            worst = max(worst, res)
+        threshold = 50.0 * (1.0 + abs(lam)) ** 2 / N
+        return lam, worst, threshold
+
+
+@dataclass(frozen=True)
+class TransportDiscretization:
+    """A :class:`TransportTriple` on a time grid: the stride ``q = h N``, a
+    positive whole number (else :class:`ValueError`), and the ``mu_shift``
+    factors, fixed once.  Control, observation and F stay index arithmetic
+    on the triple's node coefficients; dense matrices only on request."""
+
+    triple: TransportTriple
+    grid: object
+
+    def __post_init__(self):
+        triple, grid = self.triple, self.grid
+        object.__setattr__(self, "q", _grid_nodes(grid.h, triple.N, least=1))
+        if triple.mu_shift:
+            mu, k = triple.mu_shift, np.arange(grid.steps)
+            # e^{-mu (t0 - t_k)} on inputs, e^{-mu t_k} on F's lags and O's
+            # rows, and rounded as e^{(-mu k) h} on the observed samples
+            for name, exponent in (("_grow", -mu * (grid.t0 - k * grid.h)),
+                                   ("_decay", -mu * grid.times),
+                                   ("_sample_decay", -mu * k * grid.h)):
+                object.__setattr__(self, name, np.exp(exponent))
+
+    def controllability_matrix(self) -> np.ndarray:
         """``N x steps``: node i holds sample ``k = (i + q steps - N) // q``
         when that is ``>= 0``, with factor ``e^{-mu (t0 - t_k)}``."""
-        q = _grid_nodes(grid.h, self.N, least=1)
-        k = np.arange(grid.steps)
-        sample = (np.arange(self.N) + q * grid.steps - self.N) // q
-        Bc = (sample[:, None] == k).astype(np.complex128)
-        if self.mu_shift:
-            Bc *= np.exp(-self.mu_shift * (grid.t0 - k * grid.h))
+        N, q, steps = self.triple.N, self.q, self.grid.steps
+        sample = (np.arange(N) + q * steps - N) // q
+        Bc = (sample[:, None] == np.arange(steps)).astype(np.complex128)
+        if self.triple.mu_shift:
+            Bc *= self._grow
         return Bc
 
-    def observability_matrix(self, grid) -> np.ndarray:
+    def observability_matrix(self) -> np.ndarray:
         """``steps x N``: row k reads node i through ``c[i - k q]`` when
         ``i >= k q``, with factor ``e^{-mu t_k}``."""
-        q = _grid_nodes(grid.h, self.N, least=1)
-        k = np.arange(grid.steps)
-        lag = np.arange(self.N) - q * k[:, None]
-        coef = phi_coefficients(self.mu, self.N)
-        Cc = np.where(lag >= 0, coef[np.maximum(lag, 0)], 0.0)
-        if self.mu_shift:
-            Cc *= np.exp(-self.mu_shift * (k * grid.h))[:, None]
+        k = np.arange(self.grid.steps)
+        lag = np.arange(self.triple.N) - self.q * k[:, None]
+        Cc = np.where(lag >= 0, self.triple.coef[np.maximum(lag, 0)], 0.0)
+        if self.triple.mu_shift:
+            Cc *= self._decay[:, None]
         return Cc
 
-    def feedback_column(self, grid) -> np.ndarray:
+    def feedback_column(self) -> np.ndarray:
         """F's first block column, ``(steps, 1, 1)``: node ``k`` adds its
         :func:`phi_coefficients` entry ``c_k`` at lag ``ceil((N - k) / q)``,
         nodes in order, so lag 0 holds ``c_N`` (an atom at ``s = 1`` plus
@@ -671,16 +729,16 @@ class TransportTriple:
         ``mu_shift`` multiplies lag ``l`` by ``e^{-mu t_l}``, which is
         ``e^{-mu t_j} F e^{mu t_k}`` without the overflow of ``e^{mu t_k}``.
         """
-        q = _grid_nodes(grid.h, self.N, least=1)
-        lag = -((np.arange(self.N + 1) - self.N) // q)
-        keep = lag < grid.steps
-        col = np.zeros(grid.steps, dtype=np.complex128)
-        np.add.at(col, lag[keep], phi_coefficients(self.mu, self.N)[keep])
-        if self.mu_shift:
-            col *= np.exp(-self.mu_shift * grid.times)
+        triple, steps = self.triple, self.grid.steps
+        lag = -((np.arange(triple.N + 1) - triple.N) // self.q)
+        keep = lag < steps
+        col = np.zeros(steps, dtype=np.complex128)
+        np.add.at(col, lag[keep], triple.coef[keep])
+        if triple.mu_shift:
+            col *= self._decay
         return col[:, None, None]
 
-    def solve_feedback(self, grid, v) -> np.ndarray:
+    def solve_feedback(self, v) -> np.ndarray:
         """``(I - F)^{-1} v`` by the boundary recursion, without F:
 
             y_j = (v_j + sum_{l in S} col_l y_{j-l}) / (1 - col_0),
@@ -695,135 +753,89 @@ class TransportTriple:
         1 - c_N`` is the diagonal of ``I - F``, the factor of
         :func:`_boundary_coefficients`; exactly 0 (unit mass at ``s = 1``)
         raises :class:`~sgperturb.numkit.SingularMatrixError`."""
-        col = self.feedback_column(grid)[:, 0, 0]
+        steps = self.grid.steps
+        col = self.feedback_column()[:, 0, 0]
         denom = 1.0 - col[0]
         numkit._require_pivots(np.array([denom]))
-        v = np.asarray(v, dtype=np.complex128).reshape(grid.steps)
+        v = np.asarray(v, dtype=np.complex128).reshape(steps)
         lags = np.flatnonzero(col[1:]) + 1
         if not lags.size:
             return (v / denom)[:, None]
         pad = int(lags[-1])
-        y = np.zeros(pad + grid.steps, dtype=np.complex128)
-        if self.mu.density:
+        y = np.zeros(pad + steps, dtype=np.complex128)
+        if self.triple.mu.density:
             reversed_col = col[pad:0:-1]     # y[j + i] pairs with col_{pad-i}
-            for j in range(grid.steps):
+            for j in range(steps):
                 y[pad + j] = (v[j] + y[j:j + pad] @ reversed_col) / denom
             return y[pad:, None]
         reads = pad - lags           # y_{j-l} sits at y[j + pad - l]
         weights = col[lags]
         block = int(lags[0])
-        for j in range(0, grid.steps, block):
-            end = min(j + block, grid.steps)
+        for j in range(0, steps, block):
+            end = min(j + block, steps)
             gathered = y[np.arange(j, end)[:, None] + reads]
             y[pad + j:pad + end] = (v[j:end] + gathered @ weights) / denom
         return y[pad:, None]
 
-    def control(self, grid):
-        q = _grid_nodes(grid.h, self.N, least=1)
-        N = self.N
-        j0 = q * grid.steps
+    def control(self, samples) -> GridFunction:
+        N, q = self.triple.N, self.q
+        j0 = q * self.grid.steps
         first = max(0, N - j0)
         # node i reads sample (i + j0 - N) // q while that index is >= 0
         k = (np.arange(first, N) + j0 - N) // q
+        out = np.zeros(N + 1, dtype=np.complex128)
+        out[first:N] = samples[k, 0]
+        if self.triple.mu_shift:
+            out[first:N] *= self._grow[k]
+        return GridFunction(out, p=self.triple.p)
 
-        def control(samples) -> GridFunction:
-            out = np.zeros(N + 1, dtype=np.complex128)
-            out[first:N] = samples[k, 0]
-            if self.mu_shift:
-                out[first:N] *= np.exp(-self.mu_shift * (grid.t0 - k * grid.h))
-            return GridFunction(out, p=self.p)
-        return control
-
-    def observe(self, grid, require_domain: bool = True):
+    def observe(self, x, require_domain: bool = True) -> np.ndarray:
         """With ``require_domain`` the state must have ``x(1) = 0``."""
-        q = _grid_nodes(grid.h, self.N, least=1)
-        N = self.N
-        read = _phi_reader(phi_coefficients(self.mu, N), bool(self.mu.density))
+        N, q = self.triple.N, self.q
+        gf = as_grid_function(self.triple, x)
+        scale = max(1.0, float(np.abs(gf.values).max()))
+        if require_domain and abs(gf.values[-1]) > 1e-9 * scale:
+            raise ValueError(
+                f"state rejected (outside D(A)): boundary sample x(1) = "
+                f"{gf.values[-1]:.3e} must vanish")
+        # shift_open(x, k q) is the window at k q of x[:N] padded with 0
+        padded = np.zeros(N + 1 + (self.grid.steps - 1) * q,
+                          dtype=np.complex128)
+        padded[:N] = gf.values[:N]
+        return self._read_levels(sliding_window_view(padded, N + 1)[::q])
 
-        def observe(x) -> np.ndarray:
-            gf = as_grid_function(self, x)
-            scale = max(1.0, float(np.abs(gf.values).max()))
-            if require_domain and abs(gf.values[-1]) > 1e-9 * scale:
-                raise ValueError(
-                    f"state rejected (outside D(A)): boundary sample x(1) = "
-                    f"{gf.values[-1]:.3e} must vanish")
-            # shift_open(x, k q) is the window at k q of x[:N] padded with 0
-            padded = np.zeros(N + 1 + (grid.steps - 1) * q,
-                              dtype=np.complex128)
-            padded[:N] = gf.values[:N]
-            out = read(sliding_window_view(padded, N + 1)[::q])
-            if self.mu_shift:
-                out *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
-            return out[:, None]
-        return observe
+    def _read_levels(self, levels) -> np.ndarray:
+        """Phi of each level (one state per row), times ``e^{-mu t_k}``."""
+        triple = self.triple
+        out = _phi_reader(triple.coef, bool(triple.mu.density))(levels)
+        if triple.mu_shift:
+            out *= self._sample_decay
+        return out[:, None]
 
-    def state_norm(self, x) -> float:
-        return as_grid_function(self, x).norm()
-
-    def random_domain_state(self, rng: np.random.Generator) -> GridFunction:
-        v = numkit.random_vector(rng, self.N + 1)
-        v[-1] = 0.0
-        return GridFunction(v / self.state_norm(v), p=self.p)
-
-    def grid_steps(self, t: float, base_steps: int) -> int:
-        return _grid_nodes(t, self.N, least=1)
-
-    def euclidean_frames(self, grid):
+    def euclidean_frames(self):
         """(B, C, T) reweighted so that euclidean 2-norms are the signal and
         state norms (signal frame ``sqrt(h)``; state frame ``sqrt(1/N)`` on
         nodes ``0 .. N-1``, node N dropped — it carries no norm).  T is the
         open shift by ``q steps`` nodes, ``e^{-mu t0}`` on its diagonal."""
+        triple, grid = self.triple, self.grid
         sqrt_h = np.sqrt(grid.h)
-        sqrt_N = np.sqrt(float(self.N))
-        q = _grid_nodes(grid.h, self.N, least=1)
-        T = np.eye(self.N, k=q * grid.steps, dtype=np.complex128)
-        if self.mu_shift:
-            T = T * np.exp(-self.mu_shift * grid.t0)
-        return ((self.controllability_matrix(grid) / sqrt_N) / sqrt_h,
-                sqrt_h * self.observability_matrix(grid) * sqrt_N, T)
+        sqrt_N = np.sqrt(float(triple.N))
+        T = np.eye(triple.N, k=self.q * grid.steps, dtype=np.complex128)
+        if triple.mu_shift:
+            T = T * np.exp(-triple.mu_shift * grid.t0)
+        return ((self.controllability_matrix() / sqrt_N) / sqrt_h,
+                sqrt_h * self.observability_matrix() * sqrt_N, T)
 
-    def vop_outputs(self, grid, x) -> np.ndarray:
+    def vop_outputs(self, x) -> np.ndarray:
         """Outputs of the independent reference, the method-of-steps PDE
         solution: ``Phi`` of its states at the grid times.  ``x`` must
         satisfy the closed-loop boundary constraint ``x(1) = Phi x``."""
-        gf = as_grid_function(self, x)
-        coef = phi_coefficients(self.mu, self.N)
+        triple, grid = self.triple, self.grid
+        gf = as_grid_function(triple, x)
         scale = max(1.0, float(np.abs(gf.values).max()))
-        if abs(gf.values[-1] - coef @ gf.values) > 1e-9 * scale:
+        if abs(gf.values[-1] - triple.coef @ gf.values) > 1e-9 * scale:
             raise ValueError(
                 "state is outside the discrete closed-loop domain: "
                 "x(1) != Phi x")
-        q = _grid_nodes(grid.h, self.N, least=1)
-        traj = solve_pde(self.mu, gf, grid.t0, self.N)
-        read = _phi_reader(coef, bool(self.mu.density))
-        samples = read(traj.states[::q][:grid.steps])
-        if self.mu_shift:
-            samples *= np.exp(-self.mu_shift * np.arange(grid.steps) * grid.h)
-        return samples[:, None]
-
-    def compatibility(self):
-        res = greiner_compatibility(1.0, self.N)
-        ok = res <= 10.0 / self.N
-        return bool(ok), (f"boundary-lift range identity residual {res:.3e} "
-                          f"at probe lambda = 1 (threshold "
-                          f"{10.0 / self.N:.3e})")
-
-    def resolvent_residual(self, lam: complex, Q, rng: np.random.Generator):
-        """Worst forward-difference residual of ``(lam + mu - d/ds) g = f``
-        and of ``g(1) = Phi g`` for ``g = Q f`` over three random ``f`` with
-        ``f(1) = 0``, against ``50 (1 + |lam|)^2 / N``."""
-        N = self.N
-        coef = phi_coefficients(self.mu, N)
-        lam_eff = lam + self.mu_shift
-        worst = 0.0
-        for _ in range(3):
-            f = numkit.random_vector(rng, N + 1)
-            f[-1] = 0.0
-            g = Q(GridFunction(f, p=self.p)).values
-            interior = lam_eff * g[:N] - N * (g[1:] - g[:N]) - f[:N]
-            boundary = abs(g[N] - coef @ g)
-            res = max(float(np.abs(interior).max()), float(boundary))
-            res /= max(1.0, float(np.abs(f).max()))
-            worst = max(worst, res)
-        threshold = 50.0 * (1.0 + abs(lam)) ** 2 / N
-        return lam, worst, threshold
+        traj = solve_pde(triple.mu, gf, grid.t0, triple.N)
+        return self._read_levels(traj.states[::self.q][:grid.steps])

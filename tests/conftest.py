@@ -7,14 +7,15 @@ and its dense inverse are built from their closed forms, and the closed-loop
 reference states come from scipy/closed forms.  A replaced code path is
 kept here verbatim as the oracle of its replacement: ``block_solve_pde`` is
 ``transport.solve_pde`` as it checked each block's boundary relation inside
-the recursion.
+the recursion.  ``io_map`` is the reference application of F, and
+``dissipative_matrix`` draws test generators.
 """
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from sgperturb import numkit, toeplitz, transport
+from sgperturb import admissibility, numkit, toeplitz, transport
 from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
 
@@ -150,6 +151,23 @@ def power_iteration_2norm(A, iters=500, seed=7):
         v = w / nw
         lam = nw
     return float(np.sqrt(lam))
+
+
+def io_map(triple, grid, u):
+    """Input-output map ``u -> F_t0 u`` by the assembled sample matrix, so
+    that applying ``io_matrix`` to the stacked samples agrees with it bit
+    for bit."""
+    return admissibility._apply_io(
+        admissibility.io_matrix(triple.discretize(grid)), u)
+
+
+def dissipative_matrix(rng, n):
+    """Random dissipative matrix: skew-hermitian part plus strictly negative
+    diagonal, so the generated semigroup is a strict contraction."""
+    R = numkit.random_matrix(rng, n, n)
+    A = (R - R.conj().T) / 2.0
+    A = A - np.diag(rng.uniform(0.2, 1.0, size=n).astype(np.complex128))
+    return A
 
 
 def stable_triple(seed, n=4, m=2, scale=0.7):

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (chain_entry, feedback_forward_matrix,
+from conftest import (chain_entry, dissipative_matrix, feedback_forward_matrix,
                       shipped_feedback_inverse, stable_triple, taylor_expm)
 from test_cli import matrix_config, transport_config
 from sgperturb import numkit
@@ -22,7 +22,7 @@ from sgperturb.admissibility import (
     io_matrix,
     rescaled_map_identities,
 )
-from sgperturb.classical import dissipative_matrix, ds_suite, mv_suite
+from sgperturb.classical import ds_suite, mv_suite
 from sgperturb.cli import run as cli_run
 from sgperturb.perturbation import (
     generation_certificate,
@@ -206,7 +206,7 @@ def test_criterion_08_boundary_atom_edge_cases():
     for alpha in (0.5, 1.0):
         triple = TransportTriple(N=16, p=2.0,
                                  mu=BorelMeasure(((1.0, alpha),)))
-        F = io_matrix(triple, grid)
+        F = io_matrix(triple.discretize(grid))
         assert np.array_equal(F, alpha * np.eye(16))
     half = TransportTriple(N=16, p=2.0, mu=BorelMeasure(((1.0, 0.5),)))
     unit = TransportTriple(N=16, p=2.0, mu=BorelMeasure(((1.0, 1.0),)))

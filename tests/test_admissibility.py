@@ -8,27 +8,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
-from conftest import stable_triple, transport_triple
+from conftest import io_map, stable_triple, transport_triple
 from sgperturb import admissibility, numkit
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
     SampledSignal,
     TimeGrid,
     controllability_map,
-    controllability_matrix,
     estimate_constants,
     feedback_admissible,
-    io_map,
     io_matrix,
     observability_map,
-    observability_matrix,
-    regularity_check,
     rescaled_map_identities,
     smooth_trial_signals,
 )
 from sgperturb.numkit import ShapeError
 from sgperturb.semigroup import GridFunction, MatrixTriple
-from sgperturb.transport import BorelMeasure, phi_coefficients
+from sgperturb.transport import (BorelMeasure, TransportDiscretization,
+                                 phi_coefficients)
 
 SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                       np.array([[1.0]]))
@@ -80,14 +77,15 @@ def test_sampled_signal_norm_uses_step_weight():
 
 def test_controllability_zero_signal():
     grid = TimeGrid(1.0, 16)
-    out = controllability_map(SCALAR, grid, constant_signal(grid, 0.0))
+    out = controllability_map(SCALAR.discretize(grid),
+                              constant_signal(grid, 0.0))
     assert np.abs(out).max() == 0.0
 
 
 def test_controllability_scalar_closed_form():
     # int_0^1 e^{-(1-s)} ds = 1 - e^{-1}, first-order quadrature
     grid = TimeGrid(1.0, 256)
-    out = controllability_map(SCALAR, grid, constant_signal(grid))
+    out = controllability_map(SCALAR.discretize(grid), constant_signal(grid))
     assert abs(out[0] - (1.0 - np.exp(-1.0))) <= 2.0 * grid.h
 
 
@@ -96,10 +94,20 @@ def test_controllability_quadrature_first_order():
     errors = []
     for steps in (32, 64, 128):
         grid = TimeGrid(1.0, steps)
-        out = controllability_map(SCALAR, grid, constant_signal(grid))
+        out = controllability_map(SCALAR.discretize(grid),
+                                  constant_signal(grid))
         errors.append(abs(out[0] - exact))
     for e0, e1 in zip(errors, errors[1:]):
         assert 1.6 <= e0 / e1 <= 2.4
+
+
+def test_controllability_map_rejects_foreign_signals():
+    grid = TimeGrid(1.0, 8)
+    disc = SCALAR.discretize(grid)
+    with pytest.raises(ShapeError, match="different time grid"):
+        controllability_map(disc, constant_signal(TimeGrid(1.0, 4)))
+    with pytest.raises(ShapeError, match="control dim 2, triple needs 1"):
+        controllability_map(disc, constant_signal(grid, m=2))
 
 
 def test_controllability_transport_translates_into_window():
@@ -108,7 +116,7 @@ def test_controllability_transport_translates_into_window():
     triple = transport_triple(N=4)
     grid = TimeGrid(0.5, 2)
     u = SampledSignal(grid, np.array([[2.0], [3.0]]))
-    out = controllability_map(triple, grid, u)
+    out = controllability_map(triple.discretize(grid), u)
     assert_allclose(out.values, [0.0, 0.0, 2.0, 3.0, 0.0], atol=0)
 
 
@@ -119,7 +127,7 @@ def test_controllability_transport_norm_identity():
     rng = numkit.make_rng(5)
     u = SampledSignal(grid, numkit.random_vector(rng, 8).reshape(-1, 1),
                       p=3.0)
-    out = controllability_map(triple, grid, u)
+    out = controllability_map(triple.discretize(grid), u)
     assert out.norm() == pytest.approx(u.norm(3.0), rel=1e-12)
 
 
@@ -129,13 +137,13 @@ def test_controllability_transport_norm_identity():
 
 def test_observability_zero_state():
     grid = TimeGrid(1.0, 8)
-    y = observability_map(SCALAR, grid, np.zeros(1))
+    y = observability_map(SCALAR.discretize(grid), np.zeros(1))
     assert np.abs(y.values).max() == 0.0
 
 
 def test_observability_scalar_samples_decay():
     grid = TimeGrid(1.0, 16)
-    y = observability_map(SCALAR, grid, np.ones(1))
+    y = observability_map(SCALAR.discretize(grid), np.ones(1))
     assert_allclose(y.values[:, 0], np.exp(-grid.times), rtol=1e-12)
 
 
@@ -143,7 +151,7 @@ def test_observability_transport_atom_sees_shifted_sample():
     triple = transport_triple(N=8, atoms=((1.0, 0.5),))
     x = GridFunction(np.r_[np.ones(8), 0.0])  # vanishes at s = 1
     grid = TimeGrid(1.0, 8)
-    y = observability_map(triple, grid, x, require_domain=False)
+    y = observability_map(triple.discretize(grid), x, require_domain=False)
     # (T(t)x)(1) = 0 for every t > 0; at t = 0 the node value is x(1) = 0
     assert np.abs(y.values).max() == 0.0
 
@@ -189,20 +197,20 @@ def test_io_quadrature_first_order():
 def test_io_matrix_zero_control():
     triple = MatrixTriple(np.array([[-1.0]]), np.zeros((1, 1)),
                           np.array([[1.0]]))
-    F = io_matrix(triple, TimeGrid(1.0, 3))
+    F = io_matrix(triple.discretize(TimeGrid(1.0, 3)))
     assert np.array_equal(F, np.zeros((3, 3)))
 
 
 def test_io_matrix_transport_atom_is_alpha_identity():
     triple = transport_triple(N=16, atoms=((1.0, 0.5),))
-    F = io_matrix(triple, TimeGrid(1.0, 16))
+    F = io_matrix(triple.discretize(TimeGrid(1.0, 16)))
     assert np.array_equal(F, 0.5 * np.eye(16))
 
 
 def test_io_matrix_matches_io_map_exactly():
     triple = stable_triple(19, n=3, m=2)
     grid = TimeGrid(0.8, 12)
-    F = io_matrix(triple, grid)
+    F = io_matrix(triple.discretize(grid))
     rng = numkit.make_rng(20)
     u = SampledSignal(grid, numkit.random_matrix(rng, 12, 2))
     direct = io_map(triple, grid, u)
@@ -230,7 +238,7 @@ def test_io_matrix_equals_loop_assembly(steps):
     # the lag-indexed fill places the same blocks: equal bit for bit
     triple = stable_triple(23, n=3, m=2)
     grid = TimeGrid(0.7, steps)
-    F = io_matrix(triple, grid)
+    F = io_matrix(triple.discretize(grid))
     assert F.shape == (2 * steps, 2 * steps)
     assert np.array_equal(F, loop_io_matrix(triple, grid))
 
@@ -291,7 +299,7 @@ _RAGGED = tuple(np.sin(np.arange(96)) + 0.3j * np.cos(3.0 * np.arange(96)))
 def test_transport_io_matrix_equals_loop_assembly(triple, grid):
     # the lag-indexed build adds the same reads in the same order: equal
     # bit for bit, also where several atoms or cells share an entry
-    F = io_matrix(triple, grid)
+    F = io_matrix(triple.discretize(grid))
     oracle = loop_transport_io_matrix(triple, grid)
     assert F.dtype == (np.complex128 if oracle.imag.any() else np.float64)
     assert np.count_nonzero(F) >= grid.steps
@@ -310,8 +318,8 @@ def test_transport_io_matrix_equals_loop_assembly(triple, grid):
 ], ids=["complex-density", "atoms", "ragged-density-atom-at-1-stride-3"])
 def test_shifted_transport_io_matrix_is_the_conjugation(triple, grid):
     # the shifted column gives e^{-mu t_j} F e^{mu t_k} to roundoff
-    F = io_matrix(triple, grid)
-    plain = io_matrix(replace(triple, mu_shift=0.0), grid)
+    F = io_matrix(triple.discretize(grid))
+    plain = io_matrix(replace(triple, mu_shift=0.0).discretize(grid))
     mu, tk = triple.mu_shift, grid.times
     conj = np.exp(-mu * tk)[:, None] * plain * np.exp(mu * tk)[None, :]
     assert np.abs(F - conj).max() <= 1e-14 * np.abs(conj).max()
@@ -325,7 +333,7 @@ def test_shifted_transport_io_matrix_finite_past_exp_overflow():
     grid = TimeGrid(1.0, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        F = io_matrix(triple, grid)
+        F = io_matrix(triple.discretize(grid))
     assert np.isfinite(F).all()
     # the atom at 0.875 sits 8 steps below s = 1; the one at 0.5 (lag 32,
     # e^{-750}) underflows to 0
@@ -349,12 +357,13 @@ def composition_residual(triple, grid, u):
     m = triple.control_dim
     padded = np.zeros((long.steps, m), dtype=np.complex128)
     padded[:grid.steps] = u.values
-    Fu = (io_matrix(triple, long) @ padded.reshape(-1)).reshape(
+    Fu = (io_matrix(triple.discretize(long)) @ padded.reshape(-1)).reshape(
         3, grid.steps, m)
-    state = triple.control(grid)(u.values)
+    disc = triple.discretize(grid)
+    state = disc.control(u.values)
     worst = 0.0
     for k in (1, 2):
-        y = triple.observe(grid)(state)
+        y = disc.observe(state)
         worst = max(worst, float(np.abs(y - Fu[k]).max()))
         state = triple.step(grid.t0, state)
     return worst / np.abs(Fu).max()
@@ -385,13 +394,13 @@ def test_controllability_matrix_matches_map():
     # column k*m + i is the map applied to the unit signal e_i at t_k
     triple = stable_triple(25, n=3, m=2)
     grid = TimeGrid(0.9, 10)
-    Bc = controllability_matrix(triple, grid)
+    Bc = triple.discretize(grid).controllability_matrix()
     assert Bc.shape == (3, 20)
     for k in range(grid.steps):
         for i in range(2):
             basis = np.zeros((grid.steps, 2))
             basis[k, i] = 1.0
-            col = controllability_map(triple, grid,
+            col = controllability_map(triple.discretize(grid),
                                       SampledSignal(grid, basis))
             assert np.abs(Bc[:, 2 * k + i] - col).max() \
                 <= 1e-14 * np.abs(col).max()
@@ -426,11 +435,11 @@ def test_matrix_maps_match_their_loops(n, m, steps):
     for _ in range(3):
         u = SampledSignal(grid, numkit.random_matrix(rng, steps, m))
         want = horner_control(triple, grid, u)
-        got = controllability_map(triple, grid, u)
+        got = controllability_map(triple.discretize(grid), u)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         x = numkit.random_vector(rng, n)
         want = walked_observe(triple, grid, x)
-        got = observability_map(triple, grid, x)
+        got = observability_map(triple.discretize(grid), x)
         assert got.values.shape == (steps, m)
         assert np.abs(got.values - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -438,7 +447,7 @@ def test_matrix_maps_match_their_loops(n, m, steps):
 def test_observability_matrix_rows_are_C_exp():
     triple = stable_triple(62, n=3, m=2)
     grid = TimeGrid(0.6, 6)
-    O = observability_matrix(triple, grid)
+    O = triple.discretize(grid).observability_matrix()
     assert O.shape == (12, 3)
     for k in range(6):
         want = triple.C @ numkit.expm(triple.A, k * grid.h)
@@ -480,7 +489,8 @@ ATOM_ONE = ((0.5, 0.3), (1.0, 0.4 - 0.3j))
 def test_feedback_margin_equals_eigensolve(triple, grid):
     # F is lower triangular, so its diagonal is its spectrum: the diagonal
     # read equals the dense eigensolve bit for bit
-    oracle = numkit.spectral_radius_distance(io_matrix(triple, grid), 1.0)
+    oracle = numkit.spectral_radius_distance(
+        io_matrix(triple.discretize(grid)), 1.0)
     assert feedback_admissible(triple, grid, 2.0).margin == oracle
 
 
@@ -512,7 +522,7 @@ _COLUMN_NORM_CASES = [
 def test_io_norm_off_two_comes_from_the_column(triple, grid, monkeypatch):
     # p in {1, inf}: the exact dense norms; p = 3: Riesz-Thorin between
     # them; all read off F's first block column, with no dense F formed
-    F = io_matrix(triple, grid)
+    F = io_matrix(triple.discretize(grid))
     n1, ninf = numkit.induced_norm(F, 1), numkit.induced_norm(F, np.inf)
     assert n1 > 0.0 and ninf > 0.0
     margin = feedback_admissible(triple, grid, 2.0).margin
@@ -529,7 +539,7 @@ def test_io_norm_off_two_comes_from_the_column(triple, grid, monkeypatch):
 
 def test_io_matrix_strictly_lower_triangular_matrix_world():
     triple = stable_triple(21, n=3, m=2)
-    F = io_matrix(triple, TimeGrid(1.0, 6))
+    F = io_matrix(triple.discretize(TimeGrid(1.0, 6)))
     m = 2
     for bi in range(6):
         for bj in range(bi, 6):
@@ -554,7 +564,7 @@ def test_io_causality(cut, seed):
 
 
 # ---------------------------------------------------------------------------
-# constants, feedback, rescaling, regularity
+# constants, feedback, rescaling
 # ---------------------------------------------------------------------------
 
 def test_estimate_constants_zero_control():
@@ -586,9 +596,9 @@ def counted_io_matrix(monkeypatch):
     calls = []
     build = admissibility.io_matrix
 
-    def counted(triple, grid):
-        calls.append(grid)
-        return build(triple, grid)
+    def counted(disc):
+        calls.append(disc.grid)
+        return build(disc)
     monkeypatch.setattr(admissibility, "io_matrix", counted)
     return calls
 
@@ -615,9 +625,9 @@ def test_one_io_matrix_per_estimate(world, monkeypatch):
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])
 def test_rescaling_builds_each_map_once_per_triple(world, monkeypatch):
-    # the map builders run once per triple per call, not once per trial; the
-    # transport world's control and observe read the grid without the
-    # stacked matrices, so only the matrix world calls those
+    # one discretization per triple per call, not one per trial: the matrix
+    # world's control and observe read the W and O it builds once, and the
+    # transport world's read the grid without any stacked matrix
     if world == "matrix":
         triple, grid = stable_triple(26, n=3, m=2), TimeGrid(0.8, 16)
     else:
@@ -625,23 +635,25 @@ def test_rescaling_builds_each_map_once_per_triple(world, monkeypatch):
             TimeGrid(0.5, 16)
     expected = rescaled_map_identities(triple, grid, 1.0, trials=4,
                                        rng=numkit.make_rng(31))
-    builds = {}
-    cls = type(triple)
-    for name in ("control", "observe", "controllability_matrix",
-                 "observability_matrix"):
-        def counted(self, *args, _name=name, _build=getattr(cls, name)):
-            builds.setdefault(_name, []).append(id(self))
-            return _build(self, *args)
-        monkeypatch.setattr(cls, name, counted)
+    discs = []
+    build = type(triple).discretize
+
+    def counted(self, g):
+        discs.append(build(self, g))
+        return discs[-1]
+    monkeypatch.setattr(type(triple), "discretize", counted)
+    if world == "transport":
+        def refuse(self):
+            raise AssertionError("stacked matrix built")
+        for name in ("controllability_matrix", "observability_matrix"):
+            monkeypatch.setattr(TransportDiscretization, name, refuse)
     result = rescaled_map_identities(triple, grid, 1.0, trials=4,
                                      rng=numkit.make_rng(31))
     assert result == expected
-    matrices = {"controllability_matrix", "observability_matrix"}
-    assert set(builds) == ({"control", "observe"}
-                           | (matrices if world == "matrix" else set()))
-    for ids in builds.values():
-        # two triples, the shifted and the plain one, one build each
-        assert len(ids) == 2 and len(set(ids)) == 2
+    # two triples, the shifted and the plain one, one discretization each
+    assert len(discs) == 2 and discs[0].triple is not discs[1].triple
+    if world == "matrix":
+        assert all({"_W", "_O"} <= set(vars(d)) for d in discs)
 
 
 def test_estimate_constants_validates_exponents():
@@ -687,39 +699,6 @@ def test_rescaled_identities_transport():
     res = rescaled_map_identities(triple, TimeGrid(0.5, 16), 2.0,
                                   trials=3, rng=numkit.make_rng(5))
     assert res.max_residual() <= 1e-9
-
-
-def test_regularity_zero_control_passes():
-    triple = MatrixTriple(np.array([[-1.0]]), np.zeros((1, 1)),
-                          np.array([[1.0]]))
-    rep = regularity_check(triple, np.array([1.0]), (0.5, 0.25, 0.125),
-                           1.0, 2.0)
-    assert rep.passes
-    assert max(rep.quantities) == 0.0
-
-
-def test_regularity_atoms_away_from_one_pass():
-    triple = transport_triple(N=64, atoms=((0.5, 0.5),))
-    rep = regularity_check(triple, np.array([1.0]),
-                           (0.25, 0.125, 0.0625, 0.03125), 1.0, 2.0)
-    assert rep.passes
-    # below the gap the response is identically zero
-    assert rep.quantities[-1] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_regularity_unit_atom_fails():
-    triple = transport_triple(N=64, atoms=((1.0, 1.0),))
-    rep = regularity_check(triple, np.array([1.0]),
-                           (0.25, 0.125, 0.0625), 1.0, 2.0)
-    assert not rep.passes
-
-
-def test_regularity_validates_horizons():
-    with pytest.raises(ValueError):
-        regularity_check(SCALAR, np.array([1.0]), (0.5, 0.25), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        regularity_check(SCALAR, np.array([1.0]), (0.25, 0.5, 1.0),
-                         1.0, 2.0)
 
 
 def test_jensen_monotonicity_of_control_constant():

@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import taylor_expm
-from sgperturb import admissibility, classical, numkit
+from conftest import dissipative_matrix, taylor_expm
+from sgperturb import classical, numkit
 from sgperturb.admissibility import TimeGrid
-from sgperturb.classical import (
-    dissipative_matrix,
-    ds_suite,
-    mv_suite,
-    random_bounded_factor,
-)
-from sgperturb.semigroup import MatrixTriple
+from sgperturb.classical import ds_suite, mv_suite, random_bounded_factor
+from sgperturb.semigroup import MatrixDiscretization, MatrixTriple
 from sgperturb.transport import BorelMeasure, TransportTriple
 
 
@@ -213,16 +208,13 @@ def test_mv_suite_builds_each_operator_once_per_level(builder, monkeypatch):
     grid = TimeGrid(0.5, 32)
     expected = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
     builds = []
-    build = getattr(classical, builder)
+    owner = classical if builder == "io_matrix" else MatrixDiscretization
+    build = getattr(owner, builder)
 
-    def counted(tr, g):
-        builds.append(tr)
-        return build(tr, g)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("io_map rebuilds F")
-    monkeypatch.setattr(classical, builder, counted)
-    monkeypatch.setattr(admissibility, "io_map", fail)
+    def counted(disc):
+        builds.append(disc.triple)
+        return build(disc)
+    monkeypatch.setattr(owner, builder, counted)
     report = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
     assert report == expected
     assert len(builds) == 2  # the suite and its bounded-factor level

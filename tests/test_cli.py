@@ -15,7 +15,8 @@ import pytest
 import sgperturb
 from sgperturb import cli, numkit
 from sgperturb.cli import main, report_schema_version, run, validate_report
-from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
+from sgperturb.transport import (BorelMeasure, TransportDiscretization,
+                                 phi_coefficients)
 
 
 def matrix_config():
@@ -511,16 +512,16 @@ def density_config():
     return cfg
 
 
-def left_node_feedback_column(self, grid):
+def left_node_feedback_column(self):
     """F's column with each density cell's whole mass read at its left node:
     a read of Phi that differs from phi_coefficients' trapezoid read."""
-    q = round(grid.h * self.N)
-    atoms = phi_coefficients(BorelMeasure(self.mu.atoms), self.N)
-    cells = [d / self.N for d in self.mu.density]
-    col = np.zeros(grid.steps, dtype=np.complex128)
+    N, mu, steps = self.triple.N, self.triple.mu, self.grid.steps
+    atoms = phi_coefficients(BorelMeasure(mu.atoms), N)
+    cells = [d / N for d in mu.density]
+    col = np.zeros(steps, dtype=np.complex128)
     for node, w in [*enumerate(atoms), *enumerate(cells)]:
-        lag = -((node - self.N) // q)
-        if lag < grid.steps:
+        lag = -((node - N) // self.q)
+        if lag < steps:
             col[lag] += w
     return col[:, None, None]
 
@@ -537,7 +538,7 @@ def test_verify_density_transport_checks_frame_composition(tmp_path,
     assert entry["ok"] is True
     assert entry["composition_residual"] <= 1e-12
     assert all(suite["ok"] for suite in report["suites"].values())
-    monkeypatch.setattr(TransportTriple, "feedback_column",
+    monkeypatch.setattr(TransportDiscretization, "feedback_column",
                         left_node_feedback_column)
     assert run(cfg, out_dir=tmp_path / "left", verify=True) == 1
     entry = read_report(tmp_path / "left")["suites"]["toeplitz"]

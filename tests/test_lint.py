@@ -24,7 +24,12 @@ O(levels * N) window scan stands where one O(levels + N) sliding maximum
 does.  Each world's facts live on its triple
 class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
-aside), and both classes expose the same public methods.
+aside), and both classes expose the same public methods, none of which
+takes a grid but ``discretize``.  What a time grid fixes lives on the two
+discretization classes, which expose the same grid maps: only they compute
+``expm(<triple>.A, <grid>.h)`` or ``_grid_nodes(<grid>.h, ...)``, and
+``phi_coefficients(<triple>.mu, ...)`` runs there or in
+``TransportTriple.__post_init__``, which keeps the coefficients.
 """
 
 import ast
@@ -376,11 +381,29 @@ def _public_methods(module: str, cls: str) -> dict:
                         for d in node.decorator_list)}
 
 
+#: the grid-free methods of a triple, and its one door to a time grid
+TRIPLE_METHODS = {"step", "resolvent", "rescale", "spectral_abscissa",
+                  "closed_loop", "transfer", "perturbed_resolvent",
+                  "state_norm", "random_domain_state", "compatibility",
+                  "resolvent_residual", "discretize"}
+#: the maps a discretization owns on its grid
+GRID_METHODS = {"control", "observe", "controllability_matrix",
+                "observability_matrix", "feedback_column", "solve_feedback",
+                "euclidean_frames", "vop_outputs"}
+
+
 def test_world_classes_expose_the_same_methods():
-    matrix = _public_methods("semigroup.py", "MatrixTriple")
-    transport = _public_methods("transport.py", "TransportTriple")
-    assert len(matrix) >= 15
-    assert matrix == transport
+    for classes, names in ((("MatrixTriple", "TransportTriple"),
+                            TRIPLE_METHODS),
+                           (("MatrixDiscretization",
+                             "TransportDiscretization"), GRID_METHODS)):
+        matrix = _public_methods("semigroup.py", classes[0])
+        transport = _public_methods("transport.py", classes[1])
+        assert set(matrix) == names
+        assert matrix == transport
+        # no method takes a grid but the triples' discretize
+        assert {name for name, params in matrix.items()
+                if "grid" in params} == names & {"discretize"}
 
 
 def call_sites(source: str, name: str, matches):
@@ -432,6 +455,85 @@ def test_materialize_rule_catches_each_form(snippet, caller):
 def test_materialize_rule_passes_other_names():
     assert materialize_callers("T = BlockToeplitz(c)\ny = T.forward(x)\n"
                                "from .toeplitz import materialize\n") == []
+
+
+DISCRETIZATIONS = {"MatrixDiscretization", "TransportDiscretization"}
+#: callee -> attribute names of its leading arguments, for the work that a
+#: time grid (or a triple) fixes
+GRID_WORK = {"expm": ["A", "h"], "_grid_nodes": ["h"],
+             "phi_coefficients": ["mu"]}
+
+
+def _grid_work(call: ast.Call):
+    """The callee of ``expm(<x>.A, <y>.h)``, ``_grid_nodes(<y>.h, ...)`` or
+    ``phi_coefficients(<x>.mu, ...)``, else ``None``."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    want = GRID_WORK.get(name)
+    attrs = [getattr(arg, "attr", None) for arg in call.args[:2]]
+    return name if want is not None and attrs[:len(want)] == want else None
+
+
+def grid_work_outside_discretizations(source: str, name: str = "<source>"):
+    """Each call that re-derives what a time grid fixes outside the two
+    discretization classes (the Phi coefficients may also be built in
+    ``TransportTriple.__post_init__``)."""
+    found = []
+
+    def visit(node, cls, function):
+        for child in ast.iter_child_nodes(node):
+            kind = _grid_work(child) if isinstance(child, ast.Call) else None
+            if kind and cls not in DISCRETIZATIONS and not (
+                    kind == "phi_coefficients"
+                    and (cls, function) == ("TransportTriple",
+                                            "__post_init__")):
+                found.append(f"{name}:{child.lineno}: {kind}")
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+            else:
+                visit(child, cls, function)
+    visit(ast.parse(source, name), None, None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_grid_work_only_in_the_discretizations(path):
+    # e^{hA}, the stride q and the Phi coefficients are built once per
+    # (triple, grid), not re-derived by each map
+    assert grid_work_outside_discretizations(
+        path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "E = numkit.expm(self.A, grid.h)\n",
+    "def f(t, g):\n    return expm(t.A, g.h) @ x\n",
+    "class MatrixTriple:\n    def __post_init__(self):\n"
+    "        E = numkit.expm(self.A, self.grid.h)\n",
+    "q = _grid_nodes(grid.h, self.N, least=1)\n",
+    "class K:\n    def control(self, g):\n"
+    "        return transport._grid_nodes(g.h, N)\n",
+    "c = phi_coefficients(self.mu, self.N)\n",
+    "class TransportTriple:\n    def resolvent_residual(self, lam):\n"
+    "        c = phi_coefficients(self.mu, N)\n",
+], ids=["expm-module", "expm-function", "expm-triple", "stride-module",
+        "stride-method", "phi-module", "phi-triple-method"])
+def test_grid_work_rule_catches_each_form(snippet):
+    assert len(grid_work_outside_discretizations(snippet)) == 1
+
+
+def test_grid_work_rule_passes_other_calls():
+    assert grid_work_outside_discretizations(
+        "T = numkit.expm(self.A, t)\nT = numkit.expm(self.A, grid.t0)\n"
+        "E = numkit.expm(t.closed_loop(), grid.h)\n"
+        "j = _grid_nodes(t, self.N)\nc = phi_coefficients(mu, N)\n"
+        "class MatrixDiscretization:\n    def __post_init__(self):\n"
+        "        E = numkit.expm(self.triple.A, self.grid.h)\n"
+        "class TransportDiscretization:\n    def __post_init__(self):\n"
+        "        q = _grid_nodes(self.grid.h, self.triple.N, least=1)\n"
+        "class TransportTriple:\n    def __post_init__(self):\n"
+        "        c = phi_coefficients(self.mu, self.N)\n") == []
 
 
 def _is_cell_exponential(call: ast.Call) -> bool:

@@ -16,7 +16,6 @@ from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
     long_horizon_growth_check,
-    perturbed_generator,
     perturbed_resolvent,
     transfer_function,
     variation_of_parameters_residual,
@@ -53,38 +52,35 @@ def zero_observation(seed=2, n=4, m=2):
 
 
 # ---------------------------------------------------------------------------
-# perturbed generator
+# closed-loop generator
 # ---------------------------------------------------------------------------
 
 def test_generator_zero_observation_is_A():
     triple = zero_observation()
-    gen = perturbed_generator(triple)
-    assert gen.world == "matrix"
-    assert np.array_equal(gen.matrix, triple.A)
+    assert np.array_equal(triple.closed_loop(), triple.A)
 
 
 def test_generator_scalar_sum():
-    gen = perturbed_generator(SCALAR)
-    assert_allclose(gen.matrix, [[-0.5]], atol=0)
+    assert_allclose(SCALAR.closed_loop(), [[-0.5]], atol=0)
 
 
 def test_generator_transport_half_atom_equals_unperturbed():
     triple = transport_triple(N=16, atoms=((1.0, 0.5),))
-    gen = perturbed_generator(triple)
-    assert np.array_equal(gen.matrix, upwind_generator(BorelMeasure(), 16))
+    assert np.array_equal(triple.closed_loop(),
+                          upwind_generator(BorelMeasure(), 16))
 
 
 def test_generator_transport_unit_atom_degenerate():
+    # unit mass at s = 1: the closed loop is not a generator
     triple = transport_triple(N=16, atoms=((1.0, 1.0),))
-    gen = perturbed_generator(triple)
-    assert gen.degenerate
-    assert gen.matrix is None
+    with pytest.raises(ArithmeticError, match="unit mass at s = 1"):
+        triple.closed_loop()
 
 
 def test_generator_transport_folds_spectral_shift():
     plain = transport_triple(N=16, atoms=((0.5, 0.4),))
     shifted = transport_triple(N=16, atoms=((0.5, 0.4),), mu_shift=2.0)
-    d = perturbed_generator(shifted).matrix - perturbed_generator(plain).matrix
+    d = shifted.closed_loop() - plain.closed_loop()
     assert_allclose(d, -2.0 * np.eye(16), atol=1e-14)
 
 
@@ -201,12 +197,12 @@ def test_resolvent_transport_residual_small():
 
 
 def test_resolvent_transport_builds_phi_once(monkeypatch):
-    # Q reads Phi from one coefficient vector, with the same bits as
-    # apply_phi, however often it is applied
+    # Q reads Phi from the coefficient vector the triple builds once, with
+    # the same bits as apply_phi, however often it is applied
+    builds = count_calls(monkeypatch, "phi_coefficients", transport)
     triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
     lam = 2.0 + 3.0j
     fs = [np.ones(65), np.arange(65.0), np.cos(np.arange(65.0))]
-    builds = count_calls(monkeypatch, "phi_coefficients", transport)
     Q = perturbed_resolvent(triple, lam)
     outs = [Q(f).values for f in fs]
     assert len(builds) == 1
@@ -301,12 +297,12 @@ def test_ws_transport_equals_pde_solution_at_full_stride():
 def test_solve_feedback_matches_dense_solve(triple, grid):
     # (I - F)^{-1} v by the triple's recursion, against a dense LU solve of
     # the assembled I - F
-    F = io_matrix(triple, grid)
+    F = io_matrix(triple.discretize(grid))
     assert numkit.induced_norm(F, 1) > 0.1
     v = numkit.random_matrix(numkit.make_rng(18), grid.steps,
                              triple.control_dim)
     ref = numkit.solve(np.eye(F.shape[0]) - F, v.reshape(-1))
-    y = triple.solve_feedback(grid, v)
+    y = triple.discretize(grid).solve_feedback(v)
     assert y.shape == v.shape
     assert np.linalg.norm(y.reshape(-1) - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -441,17 +437,19 @@ def test_growth_transport_needs_feedback_margin():
 def dense_frames(triple, grid):
     """(F, B, C, T): the assembled io_matrix next to the triple's euclidean
     frames, the input of the dense oracles."""
-    return (io_matrix(triple, grid),) + triple.euclidean_frames(grid)
+    disc = triple.discretize(grid)
+    return (io_matrix(disc),) + disc.euclidean_frames()
 
 
 def impulse_column(triple, grid):
     """G's first block column, one solve_feedback per unit impulse."""
     m = triple.control_dim
+    disc = triple.discretize(grid)
     g = np.empty((grid.steps, m, m), dtype=np.complex128)
     for i in range(m):
         impulse = np.zeros((grid.steps, m))
         impulse[0, i] = 1.0
-        g[:, :, i] = triple.solve_feedback(grid, impulse)
+        g[:, :, i] = disc.solve_feedback(impulse)
     return g
 
 
@@ -536,7 +534,7 @@ def test_growth_sections_are_the_feedback_inverse_at_n_horizons(measure):
     rep = long_horizon_growth_check(triple, TimeGrid(0.5, 32), (0.5,),
                                     n_max=4)
     for n, lhs, _ in rep.block_entries:
-        F = io_matrix(triple, TimeGrid(0.5 * n, 32 * n))
+        F = io_matrix(triple.discretize(TimeGrid(0.5 * n, 32 * n)))
         inverse = np.linalg.inv(np.eye(32 * n) - F)
         oracle = np.linalg.svd(inverse, compute_uv=False)[0]
         assert abs(lhs - oracle) <= 1e-12 * oracle
@@ -616,20 +614,21 @@ def probed_transport_frames(triple, grid):
     one controllability_map per basis signal, one observability_map per
     node, and T filled entry by entry."""
     steps, N = grid.steps, triple.N
+    disc = triple.discretize(grid)
     q = round(grid.h * N)
     sqrt_h, sqrt_N = np.sqrt(grid.h), np.sqrt(float(N))
     Bc = np.empty((N, steps), dtype=np.complex128)
     for k in range(steps):
         basis = np.zeros((steps, 1), dtype=np.complex128)
         basis[k, 0] = 1.0
-        gf = controllability_map(triple, grid,
-                                 SampledSignal(grid, basis, p=triple.p))
+        gf = controllability_map(disc, SampledSignal(grid, basis,
+                                                     p=triple.p))
         Bc[:, k] = gf.values[:N]
     Cc = np.empty((steps, N), dtype=np.complex128)
     for i in range(N):
         e = np.zeros(N + 1, dtype=np.complex128)
         e[i] = 1.0
-        y = observability_map(triple, grid, GridFunction(e, p=triple.p),
+        y = observability_map(disc, GridFunction(e, p=triple.p),
                               require_domain=False)
         Cc[:, i] = y.values.reshape(-1)
     T = np.zeros((N, N), dtype=np.complex128)
@@ -654,7 +653,7 @@ def probed_transport_frames(triple, grid):
         "atom-at-1-shift-stride-2", "density-short", "beyond-one"])
 def test_transport_frames_equal_probed_maps(triple, grid):
     # the index-arithmetic frames are the probed ones, bit for bit
-    for got, want in zip(triple.euclidean_frames(grid),
+    for got, want in zip(triple.discretize(grid).euclidean_frames(),
                          probed_transport_frames(triple, grid)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -724,7 +723,7 @@ def test_transport_feedback_semigroup_beyond_io_size_cap():
     grid = TimeGrid(1.0, 8192)
     assert grid.steps > admissibility.IO_SIZE_CAP
     with pytest.raises(ValueError, match="io_matrix would have"):
-        io_matrix(triple, grid)
+        io_matrix(triple.discretize(grid))
     x = compatible_state(triple.mu, triple.N, triple.p)
     ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
     assert np.isfinite(ws.values).all()
@@ -759,7 +758,7 @@ def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
     entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
                                                fb.io_norm)
     assert entry["io_norms"][0] == fb.io_norm
-    assert [g.t0 for _, g in builds] == list(entry["horizons"][1:])
+    assert [d.grid.t0 for d, in builds] == list(entry["horizons"][1:])
     assert entry["found"] and found.t0 == entry["t1"] < grid.t0
     assert entry["io_norms"][-1] < 1.0
 
@@ -773,14 +772,15 @@ def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     grid = TimeGrid(2.0, 64)
 
     def riesz_thorin(g, p=3.0):
-        F = io_matrix(triple, g)
+        F = io_matrix(triple.discretize(g))
         return (numkit.induced_norm(F, 1) ** (1.0 / p)
                 * numkit.induced_norm(F, np.inf) ** (1.0 - 1.0 / p))
     want = [riesz_thorin(TimeGrid(t, n)) for t, n in
             ((2.0, 64), (1.0, 32), (0.5, 16))]
     assert want[0] == pytest.approx(1.5) and want[2] == 0.0
     builds = count_calls(monkeypatch, "io_matrix", admissibility)
-    columns = count_calls(monkeypatch, "feedback_column", type(triple))
+    columns = count_calls(monkeypatch, "feedback_column",
+                          transport.TransportDiscretization)
     cert = generation_certificate(triple, grid, 3.0, 1.0, 3.0,
                                   numkit.make_rng(5))
     assert cert.verdict == "generated"
@@ -791,8 +791,8 @@ def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     assert bypass["io_norms"][0] == fb["io_norm"]
     for got, exact in zip(bypass["io_norms"], want):
         assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
-    assert [g for _, g in builds] == [grid]
-    assert [g.t0 for _, g in columns] == [2.0, 1.0, 0.5]
+    assert [d.grid for d, in builds] == [grid]
+    assert [d.grid.t0 for d, in columns] == [2.0, 1.0, 0.5]
 
 
 def test_vop_closed_loop_samples_match_walk():
@@ -803,7 +803,7 @@ def test_vop_closed_loop_samples_match_walk():
     x = numkit.random_vector(numkit.make_rng(55), 3)
     closed = MatrixTriple(triple.A + triple.B @ triple.C, triple.B,
                           triple.C)
-    samples = observability_map(closed, grid, x).values
+    samples = observability_map(closed.discretize(grid), x).values
     E = numkit.expm(closed.A, grid.h)
     walk = np.empty_like(samples)
     v = x
@@ -811,6 +811,45 @@ def test_vop_closed_loop_samples_match_walk():
         walk[k] = triple.C @ v
         v = E @ v
     assert np.abs(samples - walk).max() <= 1e-14 * np.abs(walk).max()
+
+
+def counted_expm(monkeypatch):
+    """The ``(matrix bytes, t)`` pair of every ``numkit.expm`` call."""
+    pairs = []
+    expm = numkit.expm
+
+    def counted(A, t=1.0):
+        pairs.append((np.asarray(A).tobytes(), float(t)))
+        return expm(A, t)
+    monkeypatch.setattr(numkit, "expm", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("entry, distinct", [
+    (lambda T, g, x: long_horizon_growth_check(T, g, (0.5, 1.0)), 2),
+    (lambda T, g, x: weiss_staffans_semigroup(T, g, g.t0, x), 2),
+    (lambda T, g, x: variation_of_parameters_residual(T, g, g.t0, x), 3),
+    (lambda T, g, x: admissibility.rescaled_map_identities(T, g, 1.0), 2),
+], ids=["growth", "feedback-semigroup", "vop", "rescaling"])
+def test_one_expm_per_distinct_matrix_and_time(entry, distinct, monkeypatch):
+    # e^{hA} is built once per (triple, grid), by its discretization; the
+    # pairs are (A, h) and (A, t0), plus (A + BC, h) for the VoP reference
+    # and (A - mu, h) for the rescaled triple (5, 4, 7 and 6 calls before)
+    pairs = counted_expm(monkeypatch)
+    entry(README_TRIPLE, TimeGrid(0.5, 32), np.array([1.0, 0.0]))
+    assert len(pairs) == len(set(pairs)) == distinct
+
+
+def test_transport_certificate_reads_phi_once_per_triple(monkeypatch):
+    # the triple keeps its Phi coefficients and every map on every grid
+    # reads them (22 phi_coefficients calls per certificate before)
+    calls = count_calls(monkeypatch, "phi_coefficients", transport)
+    triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
+    assert len(calls) == 1
+    cert = generation_certificate(triple, TimeGrid(0.5, 32), 2.0, 1.0, 3.0,
+                                  numkit.make_rng(42))
+    assert cert.verdict == "generated"
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

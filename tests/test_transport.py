@@ -453,7 +453,7 @@ def test_solve_pde_long_broken_horizon_names_block_oracle_level(
 
 def dense_observe(triple, grid, x):
     """Observed samples by one product of the strided level windows with
-    every Phi coefficient (oracle of ``TransportTriple.observe``)."""
+    every Phi coefficient (oracle of ``TransportDiscretization.observe``)."""
     N = triple.N
     q = int(round(grid.h * N))
     padded = np.zeros(N + 1 + (grid.steps - 1) * q, dtype=np.complex128)
@@ -465,7 +465,8 @@ def dense_observe(triple, grid, x):
 
 def dense_vop_outputs(triple, grid, x):
     """Phi of the PDE states at the grid times by one product of the
-    strided level windows (oracle of ``TransportTriple.vop_outputs``)."""
+    strided level windows (oracle of
+    ``TransportDiscretization.vop_outputs``)."""
     q = int(round(grid.h * triple.N))
     states = solve_pde(triple.mu, x, grid.t0, triple.N).states
     out = states[::q][:grid.steps] @ phi_coefficients(triple.mu, triple.N)
@@ -494,7 +495,7 @@ PHI_READ_IDS = ["two-atoms", "two-atoms-stride-2",
 def test_observe_matches_dense_window_read(triple, grid):
     x = GridFunction(np.r_[np.cos(np.arange(triple.N)) + 0.5j, 0.0])
     ref = dense_observe(triple, grid, x)
-    got = triple.observe(grid)(x)
+    got = triple.discretize(grid).observe(x)
     assert got.shape == (grid.steps, 1)
     assert np.abs(ref).max() > 0.1
     assert np.abs(got[:, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -504,7 +505,7 @@ def test_observe_matches_dense_window_read(triple, grid):
 def test_vop_outputs_match_dense_window_read(triple, grid):
     x = compatible_state(triple.mu, triple.N)
     ref = dense_vop_outputs(triple, grid, x)
-    got = triple.vop_outputs(grid, x)
+    got = triple.discretize(grid).vop_outputs(x)
     assert got.shape == (grid.steps, 1)
     assert np.abs(ref).max() > 0.05
     assert np.abs(got[:, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -1142,20 +1143,19 @@ OFF_GRID_CALLS = {
     "solve_pde":
         lambda g: solve_pde(OFF_GRID_TRIPLE.mu, OFF_GRID_CLOSED, g.h, 16),
     "controllability_map": lambda g: admissibility.controllability_map(
-        OFF_GRID_TRIPLE, g, _ones(g)),
+        OFF_GRID_TRIPLE.discretize(g), _ones(g)),
     "observability_map": lambda g: admissibility.observability_map(
-        OFF_GRID_TRIPLE, g, OFF_GRID_DOMAIN),
-    "controllability_matrix": lambda g: admissibility.controllability_matrix(
-        OFF_GRID_TRIPLE, g),
-    "observability_matrix": lambda g: admissibility.observability_matrix(
-        OFF_GRID_TRIPLE, g),
-    "io_matrix": lambda g: admissibility.io_matrix(OFF_GRID_TRIPLE, g),
+        OFF_GRID_TRIPLE.discretize(g), OFF_GRID_DOMAIN),
+    "controllability_matrix":
+        lambda g: OFF_GRID_TRIPLE.discretize(g).controllability_matrix(),
+    "observability_matrix":
+        lambda g: OFF_GRID_TRIPLE.discretize(g).observability_matrix(),
+    "io_matrix":
+        lambda g: admissibility.io_matrix(OFF_GRID_TRIPLE.discretize(g)),
     "estimate_constants": lambda g: admissibility.estimate_constants(
         OFF_GRID_TRIPLE, g, 2.0, 1.0, 3.0, trials=2, rng=numkit.make_rng(1)),
     "rescaled_map_identities": lambda g: admissibility.rescaled_map_identities(
         OFF_GRID_TRIPLE, g, 1.0),
-    "regularity_check": lambda g: admissibility.regularity_check(
-        OFF_GRID_TRIPLE, [1.0], (1.0, 0.5, g.h), 1.0, 3.0),
     "weiss_staffans_semigroup":
         lambda g: perturbation.weiss_staffans_semigroup(
             OFF_GRID_TRIPLE, g, g.t0, OFF_GRID_CLOSED),
