@@ -31,7 +31,7 @@ from .toeplitz import (BlockToeplitz, NormChain, column_norm,
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
                         MatrixDiscretization, MatrixTriple, SpectralAbscissa,
                         apply_semigroup, as_grid_function, rescale,
-                        resolvent, shift_open, spectral_abscissa,
+                        shift_open, spectral_abscissa,
                         volterra_resolvent_values)
 from .transport import (BorelMeasure, LittleMassReport, Trajectory,
                         TransportDiscretization, TransportTriple, apply_phi,
@@ -46,7 +46,7 @@ from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
                            GrowthCheckReport, generation_certificate,
                            long_horizon_growth_check, perturbed_resolvent,
-                           transfer_function, variation_of_parameters_residual,
+                           variation_of_parameters_residual,
                            weiss_staffans_semigroup)
 from .classical import SuiteReport, ds_suite, mv_suite, random_bounded_factor
 from .cli import report_schema_version, validate_report
@@ -68,7 +68,7 @@ __all__ = [
     "MatrixTriple", "MatrixDiscretization", "GridFunction",
     "SpectralAbscissa",
     "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",
-    "volterra_resolvent_values", "resolvent", "as_grid_function", "rescale",
+    "volterra_resolvent_values", "as_grid_function", "rescale",
     "spectral_abscissa",
     # transport
     "TransportTriple", "TransportDiscretization", "BorelMeasure",
@@ -85,7 +85,7 @@ __all__ = [
     # perturbation
     "FeedbackSingularError", "GrowthCheckReport",
     "GenerationCertificate", "perturbed_resolvent",
-    "transfer_function", "weiss_staffans_semigroup",
+    "weiss_staffans_semigroup",
     "variation_of_parameters_residual", "long_horizon_growth_check",
     "generation_certificate",
     # classical

@@ -10,7 +10,10 @@ the three maps of admissibility theory are discretized as
 each by its world's closed form, a method of ``triple.discretize(grid)``,
 which the map functions take.  F is causal and shift-invariant: block
 lower-triangular Toeplitz, given by its first block column
-(``feedback_column``), of which :func:`io_matrix` is the one dense builder.
+(``feedback_column``).  Every product with F is an FFT product with that
+column (:class:`~sgperturb.toeplitz.BlockToeplitz`), all trial signals of a
+map in one call; :func:`io_matrix`, the one dense builder, serves only the
+p = 2 norm of F.
 
 Signals are sampled at left endpoints ``t_k = k h`` and normed with weight
 ``h``; since the weights are uniform they cancel in induced operator norms,
@@ -54,8 +57,8 @@ __all__ = [
 ]
 
 #: io_matrix refuses to materialize anything wider than this: a bound on the
-#: trial products and the p = 2 norm of the estimates and the certificate,
-#: not on the feedback semigroup, whose ``solve_feedback`` never forms F
+#: p = 2 norm of F alone, the one use of a dense F (the trial products, the
+#: other exponents' norms and the feedback semigroup never form it)
 IO_SIZE_CAP = 4096
 
 
@@ -201,8 +204,7 @@ def io_matrix(disc) -> np.ndarray:
     diagonal.
 
     More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
-    cap bounds the estimates and the certificate, not the feedback
-    semigroup.
+    cap bounds the p = 2 norm of F and nothing else.
     """
     n_cols = disc.grid.steps * disc.triple.control_dim
     if n_cols > IO_SIZE_CAP:
@@ -212,10 +214,12 @@ def io_matrix(disc) -> np.ndarray:
         toeplitz.BlockToeplitz(disc.feedback_column()))
 
 
-def _apply_io(F: np.ndarray, u: SampledSignal) -> SampledSignal:
-    """``F`` from :func:`io_matrix` applied to the stacked samples of ``u``."""
-    out = (F @ u.values.reshape(-1)).reshape(u.values.shape)
-    return SampledSignal(u.grid, out, p=u.p)
+def _io_products(column: np.ndarray, signals) -> np.ndarray:
+    """F, given by its first block ``column``, applied to every signal in
+    one FFT product: ``out[..., j]`` holds the samples of ``F u_j``."""
+    samples = np.stack([u.values for u in signals], axis=-1)
+    return toeplitz.BlockToeplitz(column).forward(
+        samples.reshape(-1, len(signals))).reshape(samples.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,9 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
     hence *lower bounds* of the true constants: ``M_control`` over smooth
     signals, ``M_observe`` over random unit states (transport states drawn
     in the observation domain), ``M_io`` as the ``alpha -> beta`` ratio of
-    the input-output map.  Feedback admissibility and margin ride along.
+    the input-output map, applied to all trials in one FFT product with
+    F's first block column.  Feedback admissibility and margin ride along
+    (see :func:`feedback_admissible`: only p = 2 forms the dense F).
     """
     return _constants_and_feedback(triple.discretize(grid), p, alpha, beta,
                                    trials, rng)[0]
@@ -296,18 +302,20 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
 def _constants_and_feedback(disc, p: float, alpha: float, beta: float,
                             trials: int, rng: np.random.Generator):
     """:func:`estimate_constants` and :func:`feedback_admissible` at ``p``
-    on one discretization, from one :func:`io_matrix` build."""
+    on one discretization, from one ``feedback_column``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (alpha <= p <= beta):
         raise ValueError(f"need alpha <= p <= beta, got {alpha}, {p}, {beta}")
     triple, grid = disc.triple, disc.grid
     signals = smooth_trial_signals(grid, triple.control_dim, trials, rng, p=p)
-    column, F = _read_F(disc, dense=True)
+    column = disc.feedback_column()
+    fb = _feedback_report(disc, column, p)
+    outputs = _io_products(column, signals)
     M_control = 0.0
     M_io = 0.0
     used = 0
-    for u in signals:
+    for j, u in enumerate(signals):
         nu_p = u.norm(p)
         nu_a = u.norm(alpha)
         if nu_p <= 1e-14 or nu_a <= 1e-14:
@@ -315,14 +323,14 @@ def _constants_and_feedback(disc, p: float, alpha: float, beta: float,
         used += 1
         M_control = max(M_control,
                         triple.state_norm(disc.control(u.values)) / nu_p)
-        M_io = max(M_io, _apply_io(F, u).norm(beta) / nu_a)
+        Fu = SampledSignal(grid, outputs[..., j])
+        M_io = max(M_io, Fu.norm(beta) / nu_a)
     if used == 0:
         raise ValueError("all trial signals had zero norm; nothing estimated")
     M_observe = 0.0
     for _ in range(trials):
         y = SampledSignal(grid, disc.observe(triple.random_domain_state(rng)))
         M_observe = max(M_observe, y.norm(p))
-    fb = _feedback_report(column, F, p)
     report = AdmissibilityReport(
         M_control=float(M_control), M_observe=float(M_observe),
         M_io=float(M_io), p=float(p), alpha=float(alpha), beta=float(beta),
@@ -336,23 +344,14 @@ def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     ``ok`` iff the margin is >= 1e-8.  F is block lower-triangular
     Toeplitz, so its spectrum is that of its lag-0 block, whose diagonal
     gives the margin with no eigensolve.  The report also carries the
-    induced p-norm of F (at p = 2 exact from the dense F, else
-    :func:`~sgperturb.toeplitz.column_norm` with no F formed) and whether
-    ``||F|| < 1`` certifies admissibility alone — the sufficient condition
-    that survives to the continuum.
+    induced p-norm of F and whether ``||F|| < 1`` certifies admissibility
+    alone — the sufficient condition that survives to the continuum.  At
+    p = 2 the norm is exact, from the dense :func:`io_matrix` (the one use
+    of a dense F, bounded by :data:`IO_SIZE_CAP`); any other p reads it off
+    the first block column (:func:`~sgperturb.toeplitz.column_norm`).
     """
-    return _feedback_report(*_read_F(triple.discretize(grid), dense=p == 2),
-                            p)
-
-
-def _read_F(disc, dense: bool):
-    """F's first block column on ``disc`` and, if ``dense``, the
-    :func:`io_matrix` it is then read off (else ``None``)."""
-    if not dense:
-        return disc.feedback_column(), None
-    F = io_matrix(disc)
-    m = disc.triple.control_dim
-    return F[:, :m].reshape(-1, m, m), F
+    disc = triple.discretize(grid)
+    return _feedback_report(disc, disc.feedback_column(), p)
 
 
 def _feedback_margin(column: np.ndarray) -> float:
@@ -364,11 +363,12 @@ def _feedback_margin(column: np.ndarray) -> float:
     return float(np.min(np.abs(np.diag(column[0]) - 1.0)))
 
 
-def _feedback_report(column: np.ndarray, F, p: float) -> FeedbackReport:
-    """Margin off the column; p-norm by the Gram eigensolve on the dense
-    ``F`` at p = 2, else :func:`~sgperturb.toeplitz.column_norm`."""
+def _feedback_report(disc, column: np.ndarray, p: float) -> FeedbackReport:
+    """Margin off ``disc``'s first block ``column``; p-norm by the Gram
+    eigensolve on ``disc``'s :func:`io_matrix` at p = 2, else
+    :func:`~sgperturb.toeplitz.column_norm`."""
     margin = _feedback_margin(column)
-    nrm = (float(numkit.induced_norm(F, 2)) if p == 2
+    nrm = (float(numkit.induced_norm(io_matrix(disc), 2)) if p == 2
            else toeplitz.column_norm(column, p))
     return FeedbackReport(bool(margin >= FEEDBACK_MARGIN), margin, nrm,
                           bool(nrm < 1.0))
@@ -390,6 +390,13 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     independently on smooth trial signals / random states; the sup residuals
     are returned and are expected at the 1e-9 level (the identities are exact
     discretely; only floating-point evaluation differs).
+
+    Both sides of the F identity are FFT products with a first block
+    column, all trials in one call.  On the uniform grid ``M^{-1} F M`` is
+    again block Toeplitz, with lag-l block ``e^{-mu t_l} F_l``, so the right
+    side applies F's column times ``e^{-mu t_l}`` to ``u``: an FFT product
+    with the grown signal ``M u`` would round every sample at the scale of
+    its largest, ``e^{mu t0}`` times that of the first.
     """
     if mu_shift < 0:
         raise ValueError("mu_shift must be >= 0")
@@ -405,20 +412,17 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     signals = smooth_trial_signals(grid, m, trials, rng)
     disc = triple.discretize(grid)
     disc_shifted = shifted.discretize(grid) if mu_shift else disc
-    F_shifted = io_matrix(disc_shifted)
-    F = io_matrix(disc)
 
     res_control = 0.0
-    res_io = 0.0
     for u in signals:
         lhs_B = disc_shifted.control(u.values)
         rhs_B = disc.control(_modulated(u, grow).values)
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
-        lhs_F = _apply_io(F_shifted, u)
-        rhs_F = _modulated(_apply_io(F, _modulated(u, grow)), decay)
-        res_io = max(res_io,
-                     float(np.abs(lhs_F.values - rhs_F.values).max()))
+    lhs_F = _io_products(disc_shifted.feedback_column(), signals)
+    rhs_F = _io_products(decay[:, None, None] * disc.feedback_column(),
+                         signals)
+    res_io = float(np.abs(lhs_F - rhs_F).max())
 
     res_observe = 0.0
     for _ in range(trials):

@@ -271,12 +271,9 @@ def vector_norm(x, p: float, weight: float = 1.0) -> float:
     return float((weight * np.sum(v ** p)) ** (1.0 / p))
 
 
-def induced_norm(A, p, weights=None) -> float:
+def induced_norm(A, p) -> float:
     """Exact induced operator p-norm for p in {1, 2, inf}.
 
-    ``weights`` (positive reals, one per axis point) turn the plain p-norm
-    into the quadrature-weighted one via the diagonal similarity
-    ``D A D^{-1}`` with ``D = diag(w^{1/p})``; for p = inf weights cancel.
     For a causal Toeplitz operator,
     :func:`~sgperturb.toeplitz.column_norm` bounds every other exponent.
 
@@ -289,11 +286,6 @@ def induced_norm(A, p, weights=None) -> float:
     imaginary part) runs in real arithmetic.
     """
     A = _narrowed(A)
-    if weights is not None and not np.isinf(p):
-        w_out, w_in = _norm_weights(A, weights)
-        D_out = w_out ** (1.0 / p)
-        D_in = w_in ** (1.0 / p)
-        A = (A * D_out[:, None]) / D_in[None, :]
     if p == 1:
         return float(np.abs(A).sum(axis=0).max()) if A.size else 0.0
     if p == 2:
@@ -319,20 +311,6 @@ def _smallest_singular_value(A) -> float:
     if not A.size:
         return float("inf")
     return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
-def _norm_weights(A: np.ndarray, weights):
-    if isinstance(weights, tuple):
-        w_out, w_in = weights
-    else:
-        w_out = w_in = weights
-    w_out = np.asarray(w_out, dtype=float).reshape(-1)
-    w_in = np.asarray(w_in, dtype=float).reshape(-1)
-    if w_out.shape[0] != A.shape[0] or w_in.shape[0] != A.shape[1]:
-        raise ShapeError("weight lengths must match matrix dimensions")
-    if np.any(w_out <= 0) or np.any(w_in <= 0):
-        raise ValueError("weights must be positive")
-    return w_out, w_in
 
 
 #: relative residual at which a Lanczos Ritz value counts as converged
@@ -405,7 +383,11 @@ def lanczos_norms(forward, adjoint, sizes) -> np.ndarray:
         done[active[stop]] = True
         if done.all():
             return theta
+        # a stopped section's Krylov space may be exhausted: its rows stay
+        # 0 from here on instead of growing until alpha and beta overflow
+        beta[done] = 0.0
         v = r / np.where(beta > 0.0, beta, 1.0)[:, None]
+        v[done] = 0.0
         p = U.project_out(apply(forward, v) - beta[:, None] * u)
         alpha = np.linalg.norm(p, axis=1)
         u = p / np.where(alpha > 0.0, alpha, 1.0)[:, None]

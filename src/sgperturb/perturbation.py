@@ -41,15 +41,14 @@ from .semigroup import (FeedbackSingularError, apply_semigroup, rescale,
                         spectral_abscissa)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
                             observability_map, FEEDBACK_MARGIN,
-                            _constants_and_feedback, _feedback_margin,
-                            _feedback_report, _read_F)
+                            feedback_admissible, _constants_and_feedback,
+                            _feedback_margin)
 
 __all__ = [
     "FeedbackSingularError",
     "GrowthCheckReport",
     "GenerationCertificate",
     "perturbed_resolvent",
-    "transfer_function",
     "weiss_staffans_semigroup",
     "variation_of_parameters_residual",
     "long_horizon_growth_check",
@@ -73,11 +72,6 @@ class GenerationCertificate:
     resolvent_residuals: tuple   # ((lambda, residual, threshold), ...)
     mu_shift: float
     notes: tuple = field(default_factory=tuple)
-
-
-def transfer_function(triple, lam: complex) -> np.ndarray:
-    """``C R(lam, A) B`` as an m x m matrix (transport world: ``[[H(lam)]]``)."""
-    return triple.transfer(complex(lam))
 
 
 def perturbed_resolvent(triple, lam: complex):
@@ -225,8 +219,8 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     for _ in range(21):
         try:
             g = TimeGrid(t, steps)
-            nrm = io_norm if g == grid else _feedback_report(
-                *_read_F(triple.discretize(g), dense=p == 2), p).io_norm
+            nrm = io_norm if g == grid else feedback_admissible(
+                triple, g, p).io_norm
         except ValueError:
             break  # horizon fell below the space grid
         horizons.append(t)
@@ -268,8 +262,7 @@ def _residual_lambda_line(triple, abscissa: float, margin: float,
     transfers = []
     for im in imag:
         try:
-            H = transfer_function(triple, complex(max(abscissa + offset, 1.0),
-                                                  im))
+            H = triple.transfer(complex(max(abscissa + offset, 1.0), im))
             transfers.append(complex(H[0, 0]) if H.shape == (1, 1) else None)
         except (numkit.SingularMatrixError, numkit.NumericalRangeError):
             transfers.append(None)

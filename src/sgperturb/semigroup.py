@@ -41,7 +41,6 @@ __all__ = [
     "SpectralAbscissa",
     "shift_open",
     "apply_semigroup",
-    "resolvent",
     "volterra_resolvent_values",
     "as_grid_function",
     "rescale",
@@ -377,16 +376,6 @@ def volterra_resolvent_values(lam: complex, values: np.ndarray) -> np.ndarray:
         acc = (h / 2.0) * (f[k] + E * f[k + 1]) + E * acc
         out[k] = acc
     return out
-
-
-def resolvent(triple, lam: complex):
-    """Resolvent ``R(lam, A)`` of the unperturbed state operator, as a map.
-
-    Returns a callable ``state -> state``.  matrix world: dense solve with a
-    spectrum-distance guard of 1e-8; transport world: the explicit Volterra
-    integral above, evaluated at ``lam + mu_shift``.
-    """
-    return triple.resolvent(lam)
 
 
 def rescale(triple, mu_shift: float):

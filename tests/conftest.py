@@ -154,11 +154,11 @@ def power_iteration_2norm(A, iters=500, seed=7):
 
 
 def io_map(triple, grid, u):
-    """Input-output map ``u -> F_t0 u`` by the assembled sample matrix, so
-    that applying ``io_matrix`` to the stacked samples agrees with it bit
-    for bit."""
-    return admissibility._apply_io(
-        admissibility.io_matrix(triple.discretize(grid)), u)
+    """Input-output map ``u -> F_t0 u`` by the assembled sample matrix
+    applied to the stacked samples: the dense oracle of F's FFT products."""
+    F = admissibility.io_matrix(triple.discretize(grid))
+    out = (F @ u.values.reshape(-1)).reshape(u.values.shape)
+    return admissibility.SampledSignal(grid, out, p=u.p)
 
 
 def dissipative_matrix(rng, n):

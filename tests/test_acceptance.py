@@ -27,7 +27,6 @@ from sgperturb.cli import run as cli_run
 from sgperturb.perturbation import (
     generation_certificate,
     perturbed_resolvent,
-    transfer_function,
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
@@ -214,7 +213,7 @@ def test_criterion_08_boundary_atom_edge_cases():
                                        numkit.make_rng(8))
     cert_unit = generation_certificate(unit, grid, 2.0, 1.0, 3.0,
                                        numkit.make_rng(9))
-    worst_transfer = max(abs(complex(transfer_function(unit, lam)[0, 0]) - 1.0)
+    worst_transfer = max(abs(complex(unit.transfer(lam)[0, 0]) - 1.0)
                          for lam in (0.0, 1.0, -2.0 + 3.0j, 10.0j))
     print(f"criterion 08: io matrix equals alpha*I exactly; verdicts "
           f"{cert_half.verdict} / {cert_unit.verdict}; unit-atom transfer "

@@ -503,7 +503,7 @@ def test_feedback_margin_rejects_entry_above_diagonal():
     with pytest.raises(ShapeError, match="lower-triangular"):
         admissibility._feedback_margin(column)
     with pytest.raises(ShapeError, match="lower-triangular"):
-        admissibility._feedback_report(column, None, 3.0)
+        admissibility._feedback_report(None, column, 3.0)
     column[0, 1, 2] = 0.0
     column[1, 1, 2] = 1e-3      # other lags are unconstrained
     assert admissibility._feedback_margin(column) == 0.75
@@ -603,6 +603,26 @@ def counted_io_matrix(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("p, alpha, beta", [(2.0, 1.0, 3.0),
+                                             (3.0, 1.0, 4.0)])
+@pytest.mark.parametrize("triple, grid", [
+    (stable_triple(26, n=3, m=2), TimeGrid(0.8, 16)),
+    (transport_triple(N=32, atoms=((0.5, 0.3),), density=(0.1,) * 32,
+                      mu_shift=1.0), TimeGrid(0.5, 16)),
+], ids=["matrix-m2", "transport-density-shift"])
+def test_m_io_matches_the_dense_products(triple, grid, p, alpha, beta):
+    # the trials go through one FFT product with F's first block column;
+    # the dense io_map on each trial agrees to FFT rounding
+    rep = estimate_constants(triple, grid, p, alpha, beta, trials=6,
+                             rng=numkit.make_rng(30))
+    signals = smooth_trial_signals(grid, triple.control_dim, 6,
+                                   numkit.make_rng(30), p=p)
+    oracle = max(io_map(triple, grid, u).norm(beta) / u.norm(alpha)
+                 for u in signals)
+    assert oracle > 0.0
+    assert rep.M_io == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("world", ["matrix", "transport"])
 def test_one_io_matrix_per_estimate(world, monkeypatch):
     if world == "matrix":
@@ -616,11 +636,11 @@ def test_one_io_matrix_per_estimate(world, monkeypatch):
     report = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=6,
                                 rng=numkit.make_rng(30))
     assert report == expected
-    assert len(calls) == 1
+    assert len(calls) == 1  # the p = 2 norm of F; the products use none
     calls.clear()
     rescaled_map_identities(triple, grid, 1.0, trials=4,
                             rng=numkit.make_rng(31))
-    assert len(calls) == 2  # the shifted and the plain triple
+    assert calls == []
 
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])
@@ -698,6 +718,18 @@ def test_rescaled_identities_transport():
     triple = transport_triple(N=32, atoms=((0.5, 0.4),))
     res = rescaled_map_identities(triple, TimeGrid(0.5, 16), 2.0,
                                   trials=3, rng=numkit.make_rng(5))
+    assert res.max_residual() <= 1e-9
+
+
+@pytest.mark.parametrize("t0, steps", [(10.0, 128), (20.0, 256)])
+def test_rescaled_io_identity_holds_at_long_horizons(t0, steps):
+    # e^{mu t0} = e^40 at t0 = 20: an FFT product with the grown signal
+    # M u would leave residuals of 1.9e-9 at t0 = 10 and 0.4 at t0 = 20;
+    # the conjugated column keeps the F identity at rounding level
+    triple = stable_triple(23)
+    res = rescaled_map_identities(triple, TimeGrid(t0, steps), 2.0,
+                                  trials=3, rng=numkit.make_rng(4))
+    assert res.io <= 1e-12
     assert res.max_residual() <= 1e-9
 
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import dissipative_matrix, taylor_expm
-from sgperturb import classical, numkit
+from sgperturb import admissibility, classical, numkit
 from sgperturb.admissibility import TimeGrid
 from sgperturb.classical import ds_suite, mv_suite, random_bounded_factor
 from sgperturb.semigroup import MatrixDiscretization, MatrixTriple
@@ -200,25 +200,31 @@ def test_suites_carry_boundedness_header():
     assert "not unboundedness itself" in report.header
 
 
-@pytest.mark.parametrize("builder", ["io_matrix", "observability_matrix"])
-def test_mv_suite_builds_each_operator_once_per_level(builder, monkeypatch):
+@pytest.mark.parametrize("builder, per_level", [("io_matrix", 0),
+                                                ("observability_matrix", 1)],
+                         ids=["io_matrix", "observability_matrix"])
+def test_mv_suite_builds_each_operator_once_per_level(builder, per_level,
+                                                      monkeypatch):
     # the indicator, step-function and constant checks share the level's
-    # F and observability matrix
+    # observability matrix, and apply F as FFT products with its first
+    # block column: no level builds a dense F (at p = 3 not even its
+    # certificate, whose p = 2 norm is the dense F's one use)
     triple, _ = observation_triple(47, n=3)
     grid = TimeGrid(0.5, 32)
-    expected = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
+    expected = mv_suite(triple, grid, 3.0, numkit.make_rng(48))
     builds = []
-    owner = classical if builder == "io_matrix" else MatrixDiscretization
+    owner = admissibility if builder == "io_matrix" else MatrixDiscretization
     build = getattr(owner, builder)
 
     def counted(disc):
         builds.append(disc.triple)
         return build(disc)
     monkeypatch.setattr(owner, builder, counted)
-    report = mv_suite(triple, grid, 2.0, numkit.make_rng(48))
+    report = mv_suite(triple, grid, 3.0, numkit.make_rng(48))
     assert report == expected
-    assert len(builds) == 2  # the suite and its bounded-factor level
-    assert builds[0] is triple
+    # per_level builds by the suite, then as many by its bounded-factor level
+    assert len(builds) == 2 * per_level
+    assert all(b is triple for b in builds[:per_level])
 
 
 @pytest.mark.parametrize("seed", range(3))

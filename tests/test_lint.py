@@ -12,7 +12,9 @@ calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
 and ``perturbation.py`` materializes no Toeplitz operator: it does not name
 ``materialize``.  F has one dense builder, ``admissibility.io_matrix``,
 the one caller of ``materialize``, and no triple class defines
-``io_matrix``.  Every name in a module's ``__all__`` resolves.  The
+``io_matrix``; its one caller is the p = 2 norm in
+``admissibility._feedback_report``, since every product with F is an FFT
+product with its first block column.  Every name in a module's ``__all__`` resolves.  The
 feedback inverse has one code path, the block recursion of
 ``toeplitz.py``; its dense form is a test oracle, so no module defines,
 imports, exports or names ``feedback_toeplitz_inverse`` or
@@ -455,6 +457,39 @@ def test_materialize_rule_catches_each_form(snippet, caller):
 def test_materialize_rule_passes_other_names():
     assert materialize_callers("T = BlockToeplitz(c)\ny = T.forward(x)\n"
                                "from .toeplitz import materialize\n") == []
+
+
+def io_matrix_callers(source: str, name: str = "<source>"):
+    """Each call of ``io_matrix``, by name or attribute."""
+    return call_sites(source, name, lambda call: "io_matrix" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+
+
+def test_dense_f_serves_only_the_two_norm():
+    # every product with F is an FFT product with its first block column;
+    # the dense F is built for the p = 2 norm of the feedback report alone
+    callers = [call for path in MODULES
+               for call in io_matrix_callers(path.read_text(),
+                                             str(path.relative_to(SRC)))]
+    assert callers == [("admissibility.py", "_feedback_report")]
+
+
+@pytest.mark.parametrize("snippet, caller", [
+    ("F = io_matrix(disc)\n", None),
+    ("def f(disc, u):\n    return admissibility.io_matrix(disc) @ u\n", "f"),
+    ("class K:\n    def apply(self, u):\n"
+     "        return io_matrix(self.disc) @ u\n", "apply"),
+])
+def test_io_matrix_rule_catches_each_form(snippet, caller):
+    assert io_matrix_callers(snippet, "x.py") == [("x.py", caller)]
+
+
+def test_io_matrix_rule_passes_other_calls():
+    assert io_matrix_callers(
+        "from .admissibility import io_matrix\n"
+        "y = BlockToeplitz(disc.feedback_column()).forward(u)\n"
+        "cap = IO_SIZE_CAP\nbuild = io_matrix\n"
+        "def io_matrix(disc):\n    return materialize(T)\n") == []
 
 
 DISCRETIZATIONS = {"MatrixDiscretization", "TransportDiscretization"}

@@ -12,12 +12,12 @@ from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
                                      feedback_admissible, io_matrix,
                                      observability_map)
+from sgperturb.classical import mv_suite
 from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
     long_horizon_growth_check,
     perturbed_resolvent,
-    transfer_function,
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
@@ -31,6 +31,7 @@ from sgperturb.semigroup import (
 from sgperturb.toeplitz import feedback_norm_chain
 from sgperturb.transport import (
     BorelMeasure,
+    TransportTriple,
     apply_phi,
     dirichlet_operator,
     phi_coefficients,
@@ -91,19 +92,19 @@ def test_generator_transport_folds_spectral_shift():
 def test_transfer_zero_control():
     triple = MatrixTriple(np.array([[-1.0]]), np.zeros((1, 1)),
                           np.array([[1.0]]))
-    assert np.abs(transfer_function(triple, 2.0)).max() == 0.0
+    assert np.abs(triple.transfer(2.0)).max() == 0.0
 
 
 def test_transfer_scalar_at_zero():
     triple = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                           np.array([[1.0]]))
-    assert transfer_function(triple, 0.0)[0, 0] == pytest.approx(1.0)
+    assert triple.transfer(0.0)[0, 0] == pytest.approx(1.0)
 
 
 def test_transfer_transport_atom_is_constant_alpha():
     triple = transport_triple(N=16, atoms=((1.0, 0.5),))
     for lam in (0.0, 1.0, -1.0 + 2.0j):
-        assert transfer_function(triple, lam)[0, 0] == pytest.approx(0.5)
+        assert triple.transfer(lam)[0, 0] == pytest.approx(0.5)
 
 
 def test_transfer_matches_resolvent_lift_quadrature():
@@ -119,7 +120,7 @@ def test_transfer_matches_resolvent_lift_quadrature():
 
 def test_transfer_guards_spectrum():
     with pytest.raises(numkit.SingularMatrixError):
-        transfer_function(SCALAR, -1.0)
+        SCALAR.transfer(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +610,19 @@ def test_growth_transport_two_atoms():
     assert any(ok for _, _, ok in rep.mu_entries)
 
 
+def test_growth_check_keeps_stopped_sections_finite():
+    # with a density the 16- and 32-column sections stop long before the
+    # 96-column one; their exhausted Krylov spaces once kept iterating
+    # until alpha and beta overflowed (a RuntimeWarning, an error here)
+    density = tuple(np.random.default_rng(0).uniform(-0.2, 0.2, 64))
+    triple = TransportTriple(64, 2.0, BorelMeasure(atoms=((0.5, 0.3),),
+                                                   density=density))
+    rep = long_horizon_growth_check(triple, TimeGrid(0.5, 16), (0.5, 1.0))
+    assert rep.all_dominated
+    assert all(np.isfinite([lhs, rhs]).all()
+               for _, lhs, rhs in rep.block_entries)
+
+
 def probed_transport_frames(triple, grid):
     """The transport (B, C, T) frames built by probing the maps (oracle):
     one controllability_map per basis signal, one observability_map per
@@ -732,6 +746,48 @@ def test_transport_feedback_semigroup_beyond_io_size_cap():
     assert vop <= 1e-10
 
 
+def test_p3_certificate_and_rescaling_beyond_io_size_cap():
+    # 8192 columns: only the p = 2 norm needs the dense F, so the p = 3
+    # certificate and the rescaling identities run past the cap
+    grid = TimeGrid(0.5, 8192)
+    assert grid.steps > admissibility.IO_SIZE_CAP
+    cert = generation_certificate(README_TRIPLE, grid, 3.0, 1.0, 4.0,
+                                  numkit.make_rng(42))
+    assert cert.verdict == "generated", cert.notes
+    res = admissibility.rescaled_map_identities(README_TRIPLE, grid, 1.0,
+                                                trials=3)
+    assert res.max_residual() <= 1e-9
+
+
+NO_DENSE_F_CALLS = {
+    "estimate_constants-p3": lambda: estimate_constants(
+        README_TRIPLE, TimeGrid(0.5, 32), 3.0, 1.0, 4.0, trials=4,
+        rng=numkit.make_rng(1)),
+    "certificate-p3": lambda: generation_certificate(
+        README_TRIPLE, TimeGrid(0.5, 32), 3.0, 1.0, 4.0, numkit.make_rng(2)),
+    "certificate-transport-p3": lambda: generation_certificate(
+        transport_triple(N=32, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 16),
+        3.0, 1.0, 4.0, numkit.make_rng(3)),
+    "rescaled_map_identities": lambda: admissibility.rescaled_map_identities(
+        README_TRIPLE, TimeGrid(0.5, 32), 1.0),
+    "mv_suite": lambda: mv_suite(
+        MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]), np.eye(2),
+                     np.array([[0.3, -0.4], [0.1, 0.2]])),
+        TimeGrid(0.5, 16), 3.0, numkit.make_rng(4)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NO_DENSE_F_CALLS))
+def test_products_with_f_build_no_dense_f(call, monkeypatch):
+    # every product with F is an FFT product with its first block column;
+    # the dense F serves the p = 2 norm alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense F built")
+    monkeypatch.setattr(admissibility, "io_matrix", refuse)
+    monkeypatch.setattr(toeplitz, "materialize", refuse)
+    NO_DENSE_F_CALLS[call]()
+
+
 def test_certificate_builds_one_io_matrix(monkeypatch):
     # README triple: ||F|| < 1 at t0, so the bypass search reuses the
     # feedback report's norm and builds nothing
@@ -766,8 +822,8 @@ def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
 def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     # ||F|| = 1.5 until the horizon drops below the atom's lag: the bypass
     # halves twice, each norm the Riesz-Thorin value of the dense F's exact
-    # 1- and inf-norms, from one feedback_column per halved horizon and no
-    # dense F but the one the trial products use
+    # 1- and inf-norms, from one feedback_column per horizon and no dense F:
+    # the trial products are FFT products with the column too
     triple = transport_triple(N=32, atoms=((0.25, 1.5),))
     grid = TimeGrid(2.0, 64)
 
@@ -791,7 +847,7 @@ def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     assert bypass["io_norms"][0] == fb["io_norm"]
     for got, exact in zip(bypass["io_norms"], want):
         assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
-    assert [d.grid for d, in builds] == [grid]
+    assert builds == []
     assert [d.grid.t0 for d, in columns] == [2.0, 1.0, 0.5]
 
 

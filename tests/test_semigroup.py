@@ -9,7 +9,6 @@ from sgperturb.semigroup import (
     MatrixTriple,
     apply_semigroup,
     as_grid_function,
-    resolvent,
     rescale,
     shift_open,
     spectral_abscissa,
@@ -136,14 +135,14 @@ def test_shift_open_zero_fills():
 def test_resolvent_scalar_is_multiplication_by_one():
     triple = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                           np.array([[1.0]]))
-    R = resolvent(triple, 0.0)
+    R = triple.resolvent(0.0)
     assert_allclose(R(np.array([3.0])), [3.0], rtol=1e-14)
 
 
 def test_resolvent_of_zero_is_zero():
-    m = resolvent(stable_triple(7), 1.0)(np.zeros(4))
+    m = stable_triple(7).resolvent(1.0)(np.zeros(4))
     assert np.abs(m).max() == 0.0
-    tr = resolvent(transport_triple(N=16), 1.0)(GridFunction(np.zeros(17)))
+    tr = transport_triple(N=16).resolvent(1.0)(GridFunction(np.zeros(17)))
     assert np.abs(tr.values).max() == 0.0
 
 
@@ -152,7 +151,7 @@ def test_transport_resolvent_matches_closed_form():
     triple = transport_triple(N=N)
     lam = 1.0
     f = GridFunction(np.ones(N + 1))
-    out = resolvent(triple, lam)(f)
+    out = triple.resolvent(lam)(f)
     s = np.arange(N + 1) / N
     exact = (1.0 - np.exp(lam * (s - 1.0))) / lam
     assert np.abs(out.values - exact).max() <= 1e-3
@@ -162,7 +161,7 @@ def test_resolvent_equation_matrix():
     triple = stable_triple(8)
     lam, nu = 1.0 + 0.5j, 2.5 - 1.0j
     x = numkit.random_vector(numkit.make_rng(9), 4)
-    Rl, Rn = resolvent(triple, lam), resolvent(triple, nu)
+    Rl, Rn = triple.resolvent(lam), triple.resolvent(nu)
     lhs = Rl(x) - Rn(x)
     rhs = (nu - lam) * Rl(Rn(x))
     assert np.abs(lhs - rhs).max() <= 1e-8
@@ -172,7 +171,7 @@ def test_resolvent_equation_transport():
     triple = transport_triple(N=64)
     f = smooth_gridfun(64)
     lam, nu = 1.0, 2.0 + 1.0j
-    Rl, Rn = resolvent(triple, lam), resolvent(triple, nu)
+    Rl, Rn = triple.resolvent(lam), triple.resolvent(nu)
     lhs = Rl(f).values - Rn(f).values
     rhs = (nu - lam) * Rl(Rn(f)).values
     # discrete Volterra quadrature: the identity holds to quadrature error
@@ -183,7 +182,7 @@ def test_resolvent_guards_spectrum():
     triple = MatrixTriple(np.diag([-1.0, -2.0]), np.zeros((2, 1)),
                           np.zeros((1, 2)))
     with pytest.raises(numkit.SingularMatrixError):
-        resolvent(triple, -1.0)
+        triple.resolvent(-1.0)
 
 
 def test_volterra_resolvent_overflow_guard():
