@@ -222,6 +222,21 @@ def _io_products(column: np.ndarray, signals) -> np.ndarray:
         samples.reshape(-1, len(signals))).reshape(samples.shape)
 
 
+def _frame_column(disc) -> np.ndarray:
+    """F's first block column composed from the frames: lag ``l >= 1`` is
+    the observed free orbit, at sample ``l - 1``, of the state that the last
+    input sample alone drives (``C T(t_{l-1}) B``, the composition the
+    ``toeplitz`` suite checks), one control direction at a time; lag 0, the
+    feedthrough, is the column's."""
+    steps, m = disc.grid.steps, disc.triple.control_dim
+    column = disc.feedback_column().copy()
+    for i in range(m):
+        impulse = np.zeros((steps, m), dtype=np.complex128)
+        impulse[-1, i] = 1.0
+        column[1:, :, i] = disc.observe(disc.control(impulse))[:-1]
+    return column
+
+
 # ---------------------------------------------------------------------------
 # constants, feedback, rescaling
 # ---------------------------------------------------------------------------
@@ -394,9 +409,11 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     Both sides of the F identity are FFT products with a first block
     column, all trials in one call.  On the uniform grid ``M^{-1} F M`` is
     again block Toeplitz, with lag-l block ``e^{-mu t_l} F_l``, so the right
-    side applies F's column times ``e^{-mu t_l}`` to ``u``: an FFT product
-    with the grown signal ``M u`` would round every sample at the scale of
-    its largest, ``e^{mu t0}`` times that of the first.
+    side applies ``e^{-mu t_l} F_l`` to ``u``: an FFT product with the
+    grown signal ``M u`` would round every sample at the scale of its
+    largest, ``e^{mu t0}`` times that of the first.  The right side reads
+    ``F_l`` off the unshifted frames (:func:`_frame_column`), not off the
+    column, so it does not repeat the shifted column's own product.
     """
     if mu_shift < 0:
         raise ValueError("mu_shift must be >= 0")
@@ -420,8 +437,7 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
     lhs_F = _io_products(disc_shifted.feedback_column(), signals)
-    rhs_F = _io_products(decay[:, None, None] * disc.feedback_column(),
-                         signals)
+    rhs_F = _io_products(decay[:, None, None] * _frame_column(disc), signals)
     res_io = float(np.abs(lhs_F - rhs_F).max())
 
     res_observe = 0.0

@@ -16,7 +16,9 @@ piecewise-constant density).  The module provides
   (:func:`upwind_generator`),
 * the scalar transfer function ``H(lam) = int_0^1 e^{lam (r-1)} dmu(r)`` and
   the eigenvalue characteristic ``H(lam) = 1`` (:func:`transfer_scalar`,
-  :func:`characteristic_roots`),
+  :func:`characteristic_roots`: its zeros in a box counted by the argument
+  principle on the box boundary, then found by batched Newton, which stops
+  once the count is met),
 * the range-compatibility identity ``(Id - lam R(lam, A)) D_0 = D_lam``
   (:func:`greiner_compatibility`).
 
@@ -58,6 +60,31 @@ __all__ = [
 
 _RE_LIMIT = 500.0          # |Re lambda| beyond which e^{lam (r - 1)} is refused
 _CELL_BLOCK = 1 << 16      # entries of one start-by-cell exponential block
+_BOX_PAD = 1e-9            # the root search's box, widened on every side
+
+# Gauss-Kronrod 7/15 on [-1, 1], the QUADPACK qk15 table: the Kronrod nodes
+# from the end inwards to 0 with their weights, and the Gauss weights of the
+# second, fourth, sixth and eighth of those nodes
+_KRONROD_NODES = (0.991455371120812639206854697526329,
+                  0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926,
+                  0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013,
+                  0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245,
+                  0.0)
+_KRONROD_WEIGHTS = (0.022935322010529224963732008058970,
+                    0.063092092629978553290700663189204,
+                    0.104790010322250183839876322541518,
+                    0.140653259715525918745189590510238,
+                    0.169004726639267902826583426598550,
+                    0.190350578064785409913256402421014,
+                    0.204432940075298892414161999234649,
+                    0.209482141084727828012999174891714)
+_GAUSS_WEIGHTS = (0.129484966168869693270611432679082,
+                  0.279705391489276667901467771423780,
+                  0.381830050505118944950369775488975,
+                  0.417959183673469387755102040816327)
 
 
 @dataclass(frozen=True)
@@ -446,9 +473,113 @@ def transfer_scalar(mu: BorelMeasure, lam: complex) -> complex:
     return complex(_transfer_and_slope(mu, np.array([lam]))[0][0])
 
 
+def _gauss_kronrod_15():
+    """The 15 nodes of :data:`_KRONROD_NODES` on [-1, 1], ascending, with
+    their Kronrod weights and their Gauss weights (0 off the 7 Gauss
+    nodes)."""
+    half = np.array(_KRONROD_NODES)
+    kronrod = np.array(_KRONROD_WEIGHTS)
+    gauss = np.zeros(8)
+    gauss[1::2] = _GAUSS_WEIGHTS
+    return (np.concatenate([-half, half[-2::-1]]),
+            np.concatenate([kronrod, kronrod[-2::-1]]),
+            np.concatenate([gauss, gauss[-2::-1]]))
+
+
+def _root_count(mu: BorelMeasure, box, mirrored: bool, budget: int):
+    """Zeros of ``H - 1`` inside ``box`` padded by :data:`_BOX_PAD`, or
+    ``None`` when the count is not certified.
+
+    Argument principle, ``(1 / 2 pi i)`` times the integral of
+    ``H' / (H - 1)`` counter-clockwise round the padded box, by
+    Gauss-Kronrod 7/15 on segments of at most 4 per edge, with ``H`` and
+    ``H'`` from one :func:`_transfer_and_slope` call on every node.  For
+    ``mirrored`` (a real measure on a box symmetric about the real axis) the
+    lower half is the conjugate of the upper, so only the upper half path
+    (right edge up from ``Im = 0``, top edge, left edge down to ``Im = 0``)
+    is evaluated and the count is ``Im I_upper / pi``.  Certified means:
+    the box lies in the strip ``|Re| <= 500``, the contour has at most
+    ``budget`` nodes (they are evaluated before the count is known), the
+    Kronrod and the Gauss sums lie within 1e-3 of the same integer, and the
+    phase of ``H - 1`` turns by less than ``pi / 2`` between consecutive
+    nodes round the whole contour.  A zero of ``H - 1`` on or near the
+    contour breaks the last two.
+    """
+    re_min, re_max, im_min, im_max = box
+    lo, hi = re_min - _BOX_PAD, re_max + _BOX_PAD
+    bottom, top = im_min - _BOX_PAD, im_max + _BOX_PAD
+    if max(-lo, hi) > _RE_LIMIT:
+        return None
+    wide = int(np.ceil((re_max - re_min) / 4.0))
+    if mirrored:
+        tall = int(np.ceil(im_max / 4.0))
+        edges = ((complex(hi, 0.0), complex(hi, top), tall),
+                 (complex(hi, top), complex(lo, top), wide),
+                 (complex(lo, top), complex(lo, 0.0), tall))
+    else:
+        tall = int(np.ceil((im_max - im_min) / 4.0))
+        edges = ((complex(lo, bottom), complex(hi, bottom), wide),
+                 (complex(hi, bottom), complex(hi, top), tall),
+                 (complex(hi, top), complex(lo, top), wide),
+                 (complex(lo, top), complex(lo, bottom), tall))
+    if 15 * sum(pieces for _, _, pieces in edges) > budget:
+        return None
+    x, kronrod, gauss = _gauss_kronrod_15()
+    lam, half = [], []
+    for start, end, pieces in edges:
+        step = (end - start) / pieces
+        lam.append(start + step * (np.arange(pieces) + 0.5)[:, None]
+                   + step / 2.0 * x)
+        half.append(np.full(pieces, step / 2.0))
+    lam = np.concatenate(lam)
+    H, dH = _transfer_and_slope(mu, lam)
+    g = H - 1.0
+    ring = g.ravel()
+    if mirrored:
+        ring = np.concatenate([ring, ring[::-1].conj()])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.concatenate(half)[:, None] * (dH / g)
+        sums = np.array([(terms * kronrod).sum(), (terms * gauss).sum()])
+        turns = np.abs(np.angle(np.roll(ring, -1) / ring))
+    counts = sums.imag / np.pi if mirrored else sums / (2j * np.pi)
+    if not np.all(np.isfinite(counts)) or not np.all(turns < np.pi / 2.0):
+        return None
+    n = np.rint(counts[0].real)
+    return int(n) if np.all(np.abs(counts - n) <= 1e-3) else None
+
+
+def _clip_and_dedup(points, seen: np.ndarray, box, mirrored: bool):
+    """``(seen, found)``: ``seen`` extended, in order, by each of
+    ``points`` that lies in the padded box and farther than 1e-6 from every
+    point of ``seen`` so far, and the number of roots that ``seen`` stands
+    for.  Mirrored, a point stands for itself and its conjugate, so it is
+    kept as the one with ``Im >= 0`` and counts twice unless the two lie
+    within 1e-6 (a real root).  The loop runs once per point kept.  The
+    result of :func:`characteristic_roots` and its stop test both come from
+    here.
+    """
+    if mirrored:
+        points = points.real + 1j * np.abs(points.imag)
+    re_min, re_max, im_min, im_max = box
+    points = points[(re_min - _BOX_PAD <= points.real)
+                    & (points.real <= re_max + _BOX_PAD)
+                    & (im_min - _BOX_PAD <= points.imag)
+                    & (points.imag <= im_max + _BOX_PAD)]
+    if seen.size:
+        points = points[np.abs(points[:, None] - seen).min(axis=1) > 1e-6]
+    new = [seen]
+    while points.size:
+        new.append(points[:1])
+        points = points[np.abs(points - points[0]) > 1e-6]
+    seen = np.concatenate(new)
+    pairs = np.count_nonzero(2.0 * seen.imag > 1e-6) if mirrored else 0
+    return seen, seen.size + pairs
+
+
 def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
                          max_iter: int = 60) -> np.ndarray:
-    """Roots of ``H(lam) = 1`` inside a rectangular box, by seeded Newton.
+    """Roots of ``H(lam) = 1`` inside a rectangular box: counted by the
+    argument principle, found by seeded Newton.
 
     ``search_box`` is ``(re_min, re_max, im_min, im_max)``, finite in extent.
     Newton runs from a grid of up to 40 x 80 starting points, all starts at
@@ -465,9 +596,25 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     1e-9) and deduplicated to 1e-6 in start order; the result is sorted by
     imaginary, then real part.  An empty result is a valid answer (e.g. a
     constant transfer function that never equals 1).  Roots that no start
-    converges to go unreported.  A box edge or extent that is not finite, a
-    ``tol`` that is not positive and finite, or a ``max_iter < 1`` raises
-    :class:`ValueError`.
+    converges to go unreported.
+
+    Before Newton, one evaluation on the padded box's boundary counts the
+    zeros of ``H - 1`` inside (:func:`_root_count`; the upper half
+    boundary when the grid is mirrored).  The count is used only when it is
+    certified: the box lies in the strip, the boundary has no more nodes
+    than the ``(max_iter - 1)`` Newton steps it can save evaluate at most,
+    the Kronrod and Gauss sums agree on an integer to 1e-3 and the phase of
+    ``H - 1`` turns by less than ``pi / 2`` between neighbouring nodes, which
+    a zero on or near the boundary breaks.  Newton then stops once the
+    distinct converged points in the padded box, counted as the clip and
+    dedup count them (a mirrored pair twice), reach the count; a count that
+    is refused or never met changes nothing.  A met count means every zero
+    in the box has been found, so the result is the same root set as the
+    full run's, to the Newton stop: each root is the point of the first
+    start, in start order, among those converged by the stop step, within
+    about ``2e-12 / |H'|`` of the full run's.  A box edge or extent that is
+    not finite, a ``tol`` that is not positive and finite, or a
+    ``max_iter < 1`` raises :class:`ValueError`.
     """
     re_min, re_max, im_min, im_max = (float(v) for v in search_box)
     if not np.all(np.isfinite((re_max - re_min, im_max - im_min))):
@@ -489,15 +636,28 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     converged = np.zeros(upper.shape, dtype=bool)
     z = upper.ravel()
     live = np.arange(z.size)
+    box, mirrored = (re_min, re_max, im_min, im_max), lower > 0
+    count = _root_count(mu, box, mirrored, (max_iter - 1) * z.size)
+    # converged points wait until they could meet the count, then are tallied
+    seen, tally, waiting = np.empty(0, dtype=np.complex128), 0, []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
+            if count is not None and tally >= count:
+                break
             keep = np.abs(z.real) <= _RE_LIMIT
             live, z = live[keep], z[keep]
             H, dg = _transfer_and_slope(mu, z)
             g = H - 1.0
             done = np.abs(g) <= min(tol, 1e-12)
-            upper.flat[live[done]] = z[done]
+            fresh = z[done]
+            upper.flat[live[done]] = fresh
             converged.flat[live[done]] = True
+            if count is not None and fresh.size:
+                waiting.append(fresh)
+                if tally + sum(map(len, waiting)) * (1 + mirrored) >= count:
+                    seen, tally = _clip_and_dedup(np.concatenate(waiting),
+                                                  seen, box, mirrored)
+                    waiting = []
             keep = ~done
             live, z, g, dg = live[keep], z[keep], g[keep], dg[keep]
             step = g / dg
@@ -514,18 +674,10 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     kept[:, lower:][converged] = np.abs(H - 1.0) <= tol
     lam[:, :lower] = lam[:, ::-1][:, :lower].conj()
     kept[:, :lower] = kept[:, ::-1][:, :lower]
-    found = lam[kept]
-    pad = 1e-9
-    found = found[(re_min - pad <= found.real) & (found.real <= re_max + pad)
-                  & (im_min - pad <= found.imag)
-                  & (found.imag <= im_max + pad)]
     # dedup in start order: each kept root removes the points within 1e-6
     # of it, so the first point left is the first one far from every root
-    roots = []
-    while found.size:
-        roots.append(found[0])
-        found = found[np.abs(found - found[0]) > 1e-6]
-    roots = np.asarray(roots, dtype=np.complex128)
+    roots = _clip_and_dedup(lam[kept], np.empty(0, dtype=np.complex128), box,
+                            False)[0]
     return roots[np.lexsort((roots.real, roots.imag))]
 
 

@@ -721,6 +721,57 @@ def test_rescaled_identities_transport():
     assert res.max_residual() <= 1e-9
 
 
+RESCALING_TRANSPORT = [
+    transport_triple(N=32, atoms=((0.5, 0.4),)),
+    transport_triple(N=32, atoms=((0.5, 0.3),), density=tuple(
+        np.random.default_rng(6).uniform(-0.2, 0.2, 32))),
+]
+
+
+@pytest.mark.parametrize("triple", RESCALING_TRANSPORT,
+                         ids=["atom", "atom+density"])
+def test_rescaled_io_identity_catches_a_skewed_decay(triple, monkeypatch):
+    # the right side reads F off the unshifted frames, so a shifted column
+    # whose decay is off by 1e-6 no longer agrees with it
+    args = (triple, TimeGrid(1.0, 16), 2.0)
+    assert rescaled_map_identities(*args, trials=3,
+                                   rng=numkit.make_rng(5)).io <= 1e-12
+    build = TransportDiscretization.__post_init__
+
+    def skewed(self):
+        build(self)
+        if self.triple.mu_shift:
+            object.__setattr__(self, "_decay", self._decay * (1.0 + 1e-6))
+    monkeypatch.setattr(TransportDiscretization, "__post_init__", skewed)
+    res = rescaled_map_identities(*args, trials=3, rng=numkit.make_rng(5))
+    assert res.io > 1e-9 and res.max_residual() > 1e-9
+
+
+@pytest.mark.parametrize("triple", RESCALING_TRANSPORT,
+                         ids=["atom", "atom+density"])
+def test_rescaled_io_identity_catches_a_wrong_column(triple, monkeypatch):
+    # a column twice F's is wrong on both sides of the identity when both
+    # read it; the frames' side, which reads it only at lag 0, exposes it
+    column = TransportDiscretization.feedback_column
+    monkeypatch.setattr(TransportDiscretization, "feedback_column",
+                        lambda self: 2.0 * column(self))
+    res = rescaled_map_identities(triple, TimeGrid(1.0, 16), 2.0, trials=3,
+                                  rng=numkit.make_rng(5))
+    assert res.io > 1e-3
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_frame_column_is_the_feedback_column(world):
+    # the composition C T(t_{l-1}) B of the last input sample is F's lag l
+    if world == "matrix":
+        disc = stable_triple(23).discretize(TimeGrid(0.8, 16))
+    else:
+        disc = RESCALING_TRANSPORT[1].rescale(0.5).discretize(
+            TimeGrid(1.0, 16))
+    assert_allclose(admissibility._frame_column(disc), disc.feedback_column(),
+                    rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("t0, steps", [(10.0, 128), (20.0, 256)])
 def test_rescaled_io_identity_holds_at_long_horizons(t0, steps):
     # e^{mu t0} = e^40 at t0 = 20: an FFT product with the grown signal

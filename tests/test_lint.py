@@ -5,7 +5,10 @@ or a bare ``except:``) would turn a bug into a reported numerical failure.
 Runtime contracts must not be ``assert`` statements, because ``python -O``
 strips them.  No module imports scipy, not even lazily inside a function:
 the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
-second thread pool and its import time to every run.  Singular values have
+second thread pool and its import time to every run.  No module names
+``numpy.polynomial``, which numpy loads lazily at a cost of milliseconds on
+its first use: the quadrature table of the root count is literal
+constants.  Singular values have
 one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
 ``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
 calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
@@ -132,6 +135,59 @@ def test_scipy_rule_catches_each_form(snippet):
 def test_scipy_rule_passes_other_imports():
     assert scipy_imports("import numpy as np\nfrom . import scipyish\n"
                          "import scipyish\n") == []
+
+
+def polynomial_uses(source: str, name: str = "<source>"):
+    """Every import or attribute naming ``numpy.polynomial``: numpy loads
+    that subpackage lazily, and its first use costs a cold process several
+    milliseconds, so tables such as quadrature rules are literal
+    constants."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.startswith("numpy.polynomial")
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            hit = (module.startswith("numpy.polynomial")
+                   or module == "numpy"
+                   and any(a.name == "polynomial" for a in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr == "polynomial"
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in {"np", "numpy"})
+        else:
+            continue
+        if hit:
+            found.append(f"{name}:{node.lineno}: numpy.polynomial")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_numpy_polynomial(path):
+    assert polynomial_uses(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "x, w = np.polynomial.legendre.leggauss(7)\n",
+    "p = numpy.polynomial.Polynomial([1.0, 2.0])\n",
+    "import numpy.polynomial\n",
+    "import numpy.polynomial.legendre as leg\n",
+    "from numpy.polynomial import legendre\n",
+    "from numpy.polynomial.legendre import leggauss\n",
+    "from numpy import polynomial\n",
+    "def f():\n    return np.polynomial\n",
+])
+def test_polynomial_rule_catches_each_form(snippet):
+    assert len(polynomial_uses(snippet)) == 1
+
+
+def test_polynomial_rule_passes_other_calls():
+    assert polynomial_uses(
+        "import numpy as np\nfrom numpy import polyfit\n"
+        "y = np.polyval(c, x)\nq = np.poly1d(c)\nz = fit.polynomial\n"
+        "from .quadrature import polynomial\n") == []
 
 
 def _is_two(node) -> bool:

@@ -786,18 +786,24 @@ def counted_evaluations(monkeypatch) -> list:
 
 @pytest.mark.parametrize("max_iter", [1, 5, 60])
 def test_characteristic_roots_one_evaluation_per_step(monkeypatch, max_iter):
-    # on this measure some starts never converge, so the search runs all
-    # max_iter steps; each step is one evaluation, plus the final filter
+    # one count batch, then one evaluation per Newton step until the count
+    # is met, then the final filter; at max_iter = 1 the count could save
+    # no step, so it is not made
     calls = counted_evaluations(monkeypatch)
     mu = closed_loop_measure(7)
     roots = characteristic_roots(mu, (-5.0, 3.0, -20.0, 20.0),
                                  max_iter=max_iter)
-    assert len(calls) == max_iter + 1
+    counted = max_iter > 1
+    if counted:
+        # the upper half contour: 15 nodes on each of 5 + 2 + 5 segments
+        assert calls[0] == 15 * 12
+    newton = calls[counted:-1]
     # a real measure on a grid symmetric about the real axis: Newton runs
     # from the 11 of 21 imaginary columns with Im >= 0
-    assert calls[0] == 9 * 11
+    assert newton[0] == 9 * 11
+    assert 1 <= len(newton) <= min(max_iter, 6)
     if max_iter == 60:
-        assert roots.size == 3
+        assert roots.size == 3 and len(calls) <= 8
 
 
 def exp_ratio_slope_oracle(z):
@@ -961,45 +967,179 @@ README_ATOMS = BorelMeasure(atoms=((0.5, 0.3), (0.875, 0.2)))
 CLOSED_LOOP_BOX = (-5.0, 3.0, -20.0, 20.0)
 
 
-@pytest.mark.parametrize("mu, box", [
-    *[(closed_loop_measure(seed), CLOSED_LOOP_BOX) for seed in range(1, 6)],
-    (README_ATOMS, CLOSED_LOOP_BOX),
-    # 21 x 80 starts: linspace(-300, 300, 80) is not symmetric bit for bit
+def newton_gap_bound(mu, roots):
+    """Per-root bound on the distance between two points that Newton
+    accepted at the same root: each has ``|H - 1| <= 1e-12``, so each lies
+    within about ``1e-12 / |H'|`` of the root; 2.5 rather than 2 leaves room
+    for the variation of ``H'`` and for rounding."""
+    return 2.5e-12 / np.abs(transport._transfer_and_slope(mu, roots)[1])
+
+
+def assert_same_roots_to_the_newton_stop(mu, roots, oracle):
+    assert roots.size == oracle.size
+    if roots.size:
+        gap = np.abs(roots[:, None] - oracle).min(axis=1)
+        assert np.all(gap <= newton_gap_bound(mu, roots))
+
+
+@pytest.mark.parametrize("mu, box, stops", [
+    *[(closed_loop_measure(seed), CLOSED_LOOP_BOX, True)
+      for seed in range(1, 6)],
+    (README_ATOMS, CLOSED_LOOP_BOX, True),
+    # 21 x 80 starts: linspace(-300, 300, 80) is not symmetric bit for bit;
+    # the count, 95, is never met (79 roots found)
     (BorelMeasure(atoms=((0.0, 1.0), (0.01, 1.0))),
-     (-10.0, 10.0, -300.0, 300.0)),
+     (-10.0, 10.0, -300.0, 300.0), False),
     (BorelMeasure(atoms=((0.5, 0.3 + 0.2j),),
-                  density=closed_loop_measure(3).density), CLOSED_LOOP_BOX),
-    (closed_loop_measure(2), (-5.0, 3.0, -10.0, 30.0)),
-    (closed_loop_measure(4), (-5.0, 3.0, -30.3, 30.3)),
+                  density=closed_loop_measure(3).density), CLOSED_LOOP_BOX,
+     True),
+    (closed_loop_measure(2), (-5.0, 3.0, -10.0, 30.0), True),
+    (closed_loop_measure(4), (-5.0, 3.0, -30.3, 30.3), True),
     # an even number of imaginary columns, symmetric: no column on Im = 0
-    (closed_loop_measure(5), (-5.0, 3.0, -21.0, 21.0)),
-    (BorelMeasure(atoms=((0.0, np.e),)), (-1.0, 3.0, -14.0, 14.0)),
+    (closed_loop_measure(5), (-5.0, 3.0, -21.0, 21.0), True),
+    (BorelMeasure(atoms=((0.0, np.e),)), (-1.0, 3.0, -14.0, 14.0), True),
 ], ids=[*(f"closed-loop-{seed}" for seed in range(1, 6)), "readme-atoms",
         "95-root-box", "complex-weight", "asymmetric-box", "box-30.3",
         "even-columns", "exponential-atom"])
-def test_characteristic_roots_equal_full_grid_search(mu, box):
+def test_characteristic_roots_equal_full_grid_search(monkeypatch, mu, box,
+                                                     stops):
+    oracle = full_grid_roots(mu, box)
+    calls = counted_evaluations(monkeypatch)
     roots = characteristic_roots(mu, box)
     assert roots.size
-    assert np.array_equal(roots, full_grid_roots(mu, box))
+    # count batch, Newton steps, final filter: fewer steps iff the count
+    # was met, and then each root is the first start's to converge by the
+    # stop, which Newton's own stop puts this close to the full run's
+    assert (len(calls) < 62) == stops
+    if stops:
+        assert_same_roots_to_the_newton_stop(mu, roots, oracle)
+    else:
+        assert np.array_equal(roots, oracle)
 
 
-@pytest.mark.parametrize("mu, box, starts", [
-    (closed_loop_measure(7), (-5.0, 3.0, -21.0, 21.0), 9 * 11),
+@pytest.mark.parametrize("mu, box, contour, starts", [
+    (closed_loop_measure(7), (-5.0, 3.0, -21.0, 21.0), 15 * 14, 9 * 11),
     (BorelMeasure(atoms=((0.5, 0.3 - 1e-3j),),
                   density=closed_loop_measure(7).density),
-     CLOSED_LOOP_BOX, 9 * 21),
+     CLOSED_LOOP_BOX, 15 * 24, 9 * 21),
     (BorelMeasure(atoms=((0.5, 0.3),), density=tuple(
         np.asarray(closed_loop_measure(7).density) * (1.0 + 0j)
-        + np.r_[1e-9j, np.zeros(63)])), CLOSED_LOOP_BOX, 9 * 21),
-    (closed_loop_measure(7), (-5.0, 3.0, -10.0, 30.0), 9 * 21),
-    (closed_loop_measure(7), (-5.0, 3.0, -30.3, 30.3), 9 * 32),
+        + np.r_[1e-9j, np.zeros(63)])), CLOSED_LOOP_BOX, 15 * 24, 9 * 21),
+    (closed_loop_measure(7), (-5.0, 3.0, -10.0, 30.0), 15 * 24, 9 * 21),
+    (closed_loop_measure(7), (-5.0, 3.0, -30.3, 30.3), 15 * 36, 9 * 32),
 ], ids=["symmetric-even", "complex-atom", "complex-density",
         "asymmetric-box", "box-30.3"])
 def test_first_newton_step_takes_the_mirrored_or_the_whole_grid(
-        monkeypatch, mu, box, starts):
+        monkeypatch, mu, box, contour, starts):
+    # the count batch comes first: the upper half contour where the grid
+    # is mirrored, else (a complex weight, an asymmetric grid) the whole
+    # one; then the first Newton batch
     calls = counted_evaluations(monkeypatch)
-    characteristic_roots(mu, box, max_iter=1)
-    assert calls[0] == starts
+    characteristic_roots(mu, box)
+    assert calls[:2] == [contour, starts]
+
+
+E_ATOM = BorelMeasure(atoms=((0.0, np.e),))   # roots 1 + 2 pi i k
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_root_count_exponential_atom(mirrored):
+    # 1 + 2 pi i k for |k| <= 3 lie in the box; the upper half contour and
+    # the whole one count the same
+    assert transport._root_count(E_ATOM, CLOSED_LOOP_BOX, mirrored,
+                                 10 ** 6) == 7
+
+
+def test_unmet_count_runs_every_step(monkeypatch):
+    # 95 zeros in the box, 79 of them found from the 21 x 80 starts: the
+    # count is certified but never met, so every step runs and the result
+    # is the full run's
+    mu = BorelMeasure(atoms=((0.0, 1.0), (0.01, 1.0)))
+    box = (-10.0, 10.0, -300.0, 300.0)
+    assert transport._root_count(mu, box, False, 10 ** 6) == 95
+    oracle = full_grid_roots(mu, box)
+    calls = counted_evaluations(monkeypatch)
+    roots = characteristic_roots(mu, box)
+    assert len(calls) == 1 + 60 + 1
+    assert roots.size == 79 and np.array_equal(roots, oracle)
+
+
+@pytest.mark.parametrize("re_max", [1.0 + 1e-7, 1.0 - 1e-7],
+                         ids=["roots-inside", "roots-outside"])
+def test_roots_next_to_the_contour_refuse_the_count(monkeypatch, re_max):
+    # the roots 1 + 2 pi i k lie 1e-7 from the right edge: the count is not
+    # certified, so the search runs as without one
+    box = (-5.0, re_max, -20.0, 20.0)
+    assert transport._root_count(E_ATOM, box, True, 10 ** 6) is None
+    assert transport._root_count(E_ATOM, box, False, 10 ** 6) is None
+    oracle = full_grid_roots(E_ATOM, box)
+    calls = counted_evaluations(monkeypatch)
+    roots = characteristic_roots(E_ATOM, box)
+    assert len(calls) == 1 + 60 + 1
+    assert np.array_equal(roots, oracle)
+    assert roots.size == (7 if re_max > 1.0 else 0)
+
+
+def test_root_count_refused_beyond_the_strip_or_the_budget():
+    # the contour must lie where H is evaluable and cost no more than the
+    # Newton steps it can save
+    box = (-600.0, 3.0, -20.0, 20.0)
+    assert transport._root_count(E_ATOM, box, False, 10 ** 6) is None
+    assert transport._root_count(E_ATOM, CLOSED_LOOP_BOX, True,
+                                 15 * 12 - 1) is None
+    assert transport._root_count(E_ATOM, CLOSED_LOOP_BOX, True, 15 * 12) == 7
+
+
+THIN_BOX = (-0.5, 0.5, -20.0, 20.0)
+
+
+@pytest.mark.parametrize("g, slope, box, count", [
+    # one zero 1 from the right edge: both sums round to 1
+    (lambda lam: lam - (2.0 + 0.3j), np.ones_like, CLOSED_LOOP_BOX, 1),
+    # 0.5 from the edge the Kronrod sum still rounds to 1 within 1e-4,
+    # but the Gauss sum misses by 2.6e-3: refused
+    (lambda lam: lam - (2.5 + 0.3j), np.ones_like, CLOSED_LOOP_BOX, None),
+    # no zero, and both sums vanish; the phase of e^{lam / 4} turns slowly
+    (lambda lam: np.exp(lam / 4.0), lambda lam: np.exp(lam / 4.0) / 4.0,
+     THIN_BOX, 0),
+    # ... but that of e^{12 lam} by more than pi / 2 between nodes: refused
+    (lambda lam: np.exp(12.0 * lam), lambda lam: 12.0 * np.exp(12.0 * lam),
+     THIN_BOX, None),
+], ids=["zero-inside", "zero-near-edge", "slow-phase", "fast-phase"])
+def test_root_count_certifies_only_resolved_contours(monkeypatch, g, slope,
+                                                     box, count):
+    monkeypatch.setattr(transport, "_transfer_and_slope",
+                        lambda mu, lam: (g(lam) + 1.0, slope(lam)))
+    assert transport._root_count(None, box, False, 10 ** 6) == count
+
+
+def test_clip_and_dedup_counts_the_roots_kept():
+    box, none = (-1.0, 1.0, -2.0, 2.0), np.empty(0, dtype=np.complex128)
+    # 0.5 + 1j + 4e-7 is within 1e-6 of 0.5 + 1j; 3, 1 + 2e-9, -1 - 2e-9,
+    # 2.5j and -2.1j lie outside the box padded by 1e-9, 1 + 5e-10 inside
+    points = np.array([0.5 + 1j, 0.5 + 1j + 4e-7, 3.0, 0.2 - 1.5j,
+                       1.0 + 5e-10, 1.0 + 2e-9, -1.0 - 2e-9, 2.5j, -2.1j])
+    seen, found = transport._clip_and_dedup(points, none, box, False)
+    assert np.array_equal(seen, points[[0, 3, 4]]) and found == 3
+    seen, found = transport._clip_and_dedup(np.array([0.2 - 1.5j + 1e-8]),
+                                            seen, box, False)
+    assert seen.size == 3 and found == 3
+    # mirrored: a point stands for its conjugate too, kept with Im >= 0;
+    # off the axis it counts twice, within 1e-6 of it once
+    seen, found = transport._clip_and_dedup(
+        np.array([0.5 - 1j, 0.5 + 1j, -0.3 + 4e-7j, -0.3 - 4e-7j]), none,
+        box, True)
+    assert np.array_equal(seen, [0.5 + 1j, -0.3 + 4e-7j]) and found == 3
+
+
+def test_gauss_kronrod_table_is_exact_to_its_degree():
+    x, kronrod, gauss = transport._gauss_kronrod_15()
+    assert np.all(np.diff(x) > 0) and np.count_nonzero(gauss) == 7
+    for degree in range(23):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(kronrod @ x ** degree - exact) <= 1e-15
+        if degree <= 13:
+            assert abs(gauss @ x ** degree - exact) <= 1e-15
 
 
 def central_difference(mu):
@@ -1069,9 +1209,7 @@ def scalar_newton_roots(mu, box, slope, tol=1e-10, max_iter=60):
 def test_characteristic_roots_match_scalar_newton(mu, box):
     roots = characteristic_roots(mu, box)
     oracle = scalar_newton_roots(mu, box, lambda lam: scalar_slope(mu, lam))
-    assert roots.size == oracle.size
-    if roots.size:
-        assert np.abs(roots - oracle).max() <= 1e-12
+    assert_same_roots_to_the_newton_stop(mu, roots, oracle)
     # the central-difference search finds the same roots: the analytic
     # slope neither loses nor adds one
     difference = scalar_newton_roots(mu, box, central_difference(mu))
