@@ -44,7 +44,7 @@ from .. import classical
 __all__ = ["console", "main", "run", "report_schema_version",
            "validate_report", "REPORT_SCHEMA"]
 
-_SCHEMA_VERSION = "2.0.0"
+_SCHEMA_VERSION = "3.0.0"
 
 #: the toeplitz suite's algebraic and the spectral suite's transfer tolerance
 _ALGEBRAIC_TOL = 1e-10
@@ -283,7 +283,24 @@ def _jsonable(obj):
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Strict JSON (RFC 8259).  ``validate_report`` already names any
+    non-finite float in a report, and configs holding one are refused when
+    parsed; ``allow_nan=False`` is only the backstop (``ValueError``)."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
+def _nonfinite_paths(obj, path="report"):
+    """Where ``obj`` holds a float that is NaN or infinite."""
+    if isinstance(obj, dict):
+        return [bad for key, value in obj.items()
+                for bad in _nonfinite_paths(value, f"{path}.{key}")]
+    if isinstance(obj, list):
+        return [bad for i, value in enumerate(obj)
+                for bad in _nonfinite_paths(value, f"{path}[{i}]")]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return [path]
+    return []
 
 
 def validate_report(report: dict):
@@ -326,6 +343,8 @@ def validate_report(report: dict):
         problems.append("expect_ok must be boolean or null")
     if not isinstance(report["ok"], bool):
         problems.append("ok must be boolean")
+    problems.extend(f"{path} is not a finite number"
+                    for path in _nonfinite_paths(report))
     return problems
 
 

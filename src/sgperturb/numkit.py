@@ -14,7 +14,7 @@ values.  The module provides
   the 2-norm from a symmetric eigensolve of the Gram matrix, in real
   arithmetic when the data is real),
 * 2-norms of operators given only by their products, section by section
-  (:func:`lanczos_norms`, Golub-Kahan-Lanczos),
+  (:func:`lanczos_norms`, symmetric Lanczos on the normal operator),
 * dense eigenvalues (:func:`eigenvalues`),
 * seeded random instances (:func:`make_rng`, :func:`random_matrix`).
 
@@ -324,77 +324,92 @@ _GKL_CHUNK = 8
 
 
 def lanczos_norms(forward, adjoint, sizes) -> np.ndarray:
-    """2-norms of the leading sections ``A[:s, :s]``, ``s`` in ``sizes``, of
-    a square operator ``A`` given only by its products.
+    """2-norms of the leading sections ``A_s = A[:s, :s]``, ``s`` in
+    ``sizes``, of a square operator ``A`` given only by its products.
 
     ``forward(X)`` and ``adjoint(X)`` return ``A X`` and ``A^H X`` for a
     block ``X`` of ``max(sizes)`` rows, one column per section; a column is
     zero below its section, and the rows below it are dropped from the
-    product, so each column sees ``A[:s, :s]``.  Golub-Kahan-Lanczos
-    bidiagonalization (Golub & Van Loan, ch. 10) runs on every section in
-    lockstep from one fixed start vector (seeded here, so the result is a
-    pure function of ``A``), with full reorthogonalization of both Lanczos
-    bases, applied twice.
+    product, so each column sees ``A_s``.  Symmetric Lanczos runs on the
+    normal operator ``A_s^H A_s`` of every section in lockstep (Golub & Van
+    Loan, ch. 10), one step being ``adjoint(forward(v))``, from one fixed
+    start vector (seeded here, so the result is a pure function of ``A``),
+    with full reorthogonalization of its one basis, applied twice.  The
+    Krylov space is the right one of Golub-Kahan-Lanczos bidiagonalization
+    from the same start, so the steps and products match that method's.
+    Each section's products are divided by ``c = max |A_s v_1|``, the
+    largest entry of its first product, so ``||A_s||^2`` may lie outside
+    double range as long as the products do not.
 
-    A section stops when the top Ritz triplet ``(theta, u, v)`` of its
-    bidiagonal has residual ``||A^H u - theta v|| = beta_k |y_k|`` at most
-    ``_GKL_TOL * theta`` (``y`` the Ritz vector in the left basis), or when
-    its Krylov space is exhausted (``beta = 0``, or ``s`` steps), where the
-    residual is 0.  Guarantee: ``theta <= ||A[:s, :s]||``, because the
-    bidiagonal is a compression of the section, and the section has a
-    singular value within the residual of ``theta``.  A section that has
-    not stopped after ``_GKL_MAX_STEPS`` steps raises
-    :class:`ConvergenceError`.
+    Step ``k`` has the ``k x k`` tridiagonal ``T_k``, the compression of
+    ``A_s^H A_s / c^2`` to the basis.  Its top eigenpair ``(theta^2 / c^2,
+    y)`` is a Ritz pair with residual ``r = beta_k |y_k|``, so ``A_s^H A_s``
+    has an eigenvalue ``sigma^2`` within ``c^2 r`` of ``theta^2``, and
+    ``|sigma - theta| = |sigma^2 - theta^2| / (sigma + theta) <= c^2 r /
+    theta``.  A section stops when ``c^2 r <= _GKL_TOL * theta^2``, or when
+    its Krylov space is exhausted (``beta = 0``, or ``s`` steps), where ``r``
+    is 0.  Guarantee: ``theta`` is within ``_GKL_TOL * theta`` of a singular
+    value of ``A_s``, and ``theta <= ||A_s||``, because ``T_k`` is a
+    compression of ``A_s^H A_s / c^2``.  A section that has not stopped after
+    ``_GKL_MAX_STEPS`` steps raises :class:`ConvergenceError`; a product
+    that is not finite (it overflowed) raises :class:`NumericalRangeError`.
     """
     sizes = np.asarray(sizes, dtype=int).reshape(-1)
     if not sizes.size or sizes.min() < 1:
         raise ShapeError(f"section sizes must be positive, got {sizes}")
-    inside = np.arange(sizes.max()) < sizes[:, None]     # (sections, n)
+    weight = (np.arange(sizes.max()) < sizes[:, None]).astype(float)
 
     def apply(product, w):
-        return product(w.T).T * inside
+        return product(w.T).T * weight
 
-    v = make_rng(_GKL_SEED).standard_normal(inside.shape[1]) * inside
+    v = make_rng(_GKL_SEED).standard_normal(weight.shape[1]) * weight
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    u = apply(forward, v)
-    alpha = np.linalg.norm(u, axis=1)
-    u /= np.where(alpha > 0.0, alpha, 1.0)[:, None]
-    V = _Basis(v, np.result_type(u, v))
-    U = _Basis(u, V.dtype)
-    alphas, betas = [alpha], []
+    # the tridiagonals, one row per section: alphas[:, k-1] and betas[:, k-1]
+    alphas = np.zeros((sizes.size, _GKL_MAX_STEPS))
+    betas = np.zeros((sizes.size, _GKL_MAX_STEPS))
     theta = np.zeros(sizes.size)
     done = np.zeros(sizes.size, dtype=bool)
-    for k in range(1, _GKL_MAX_STEPS + 1):
-        r = V.project_out(apply(adjoint, u) - alpha[:, None] * v)
-        beta = np.linalg.norm(r, axis=1)
-        # top Ritz pairs of the open sections' k x k bidiagonals, from the
-        # eigensolve of B B^T (its top eigenvector is the left Ritz vector)
-        active = np.flatnonzero(~done)
-        steps = np.arange(k)
-        bidiagonal = np.zeros((active.size, k, k))
-        bidiagonal[:, steps, steps] = np.transpose(alphas)[active]
-        bidiagonal[:, steps[:-1], steps[1:]] = np.transpose(betas).reshape(
-            sizes.size, k - 1)[active]
-        lam, left = np.linalg.eigh(bidiagonal @ bidiagonal.transpose(0, 2, 1))
-        top = np.sqrt(np.maximum(lam[:, -1], 0.0))
-        residual = beta[active] * np.abs(left[:, -1, -1])
-        stop = (residual <= _GKL_TOL * top) | (k >= sizes[active])
-        theta[active[stop]] = top[stop]
-        done[active[stop]] = True
-        if done.all():
-            return theta
-        # a stopped section's Krylov space may be exhausted: its rows stay
-        # 0 from here on instead of growing until alpha and beta overflow
-        beta[done] = 0.0
-        v = r / np.where(beta > 0.0, beta, 1.0)[:, None]
-        v[done] = 0.0
-        p = U.project_out(apply(forward, v) - beta[:, None] * u)
-        alpha = np.linalg.norm(p, axis=1)
-        u = p / np.where(alpha > 0.0, alpha, 1.0)[:, None]
-        V.append(v)
-        U.append(u)
-        alphas.append(alpha)
-        betas.append(beta)
+    active = np.arange(sizes.size)
+    # an overflow shows as a non-finite alpha or beta, checked every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = apply(forward, v)
+        c = np.abs(u).max(axis=1)       # every later product is over c
+        c[c == 0.0] = 1.0
+        weight /= c[:, None]
+        u /= c[:, None]
+        V = _Basis(v, np.result_type(u, v))
+        for k in range(1, _GKL_MAX_STEPS + 1):
+            alpha = np.linalg.norm(u, axis=1) ** 2
+            w = V.project_out(apply(adjoint, u))
+            beta = np.linalg.norm(w, axis=1)
+            if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+                raise NumericalRangeError(
+                    "Lanczos norm: an operator product left double range")
+            alphas[:, k - 1] = alpha
+            # top eigenpairs of the open sections' tridiagonals, filled by
+            # flat strides (eigh reads the lower triangle only)
+            tridiagonal = np.zeros((active.size, k * k))
+            tridiagonal[:, ::k + 1] = alphas[active, :k]
+            tridiagonal[:, k::k + 1] = betas[active, :k - 1]
+            lam, vectors = np.linalg.eigh(tridiagonal.reshape(-1, k, k))
+            top = lam[:, -1]
+            residual = beta[active] * np.abs(vectors[:, -1, -1])
+            stop = (residual <= _GKL_TOL * top) | (k >= sizes[active])
+            if stop.any():
+                theta[active[stop]] = c[active[stop]] * np.sqrt(
+                    np.maximum(top[stop], 0.0))
+                done[active[stop]] = True
+                if done.all():
+                    return theta
+                active = active[~stop]
+            # a stopped section's Krylov space may be exhausted: its rows
+            # stay 0 from here on instead of growing until they overflow
+            beta[done] = 0.0
+            v = w / np.where(beta > 0.0, beta, 1.0)[:, None]
+            v[done] = 0.0
+            betas[:, k - 1] = beta
+            V.append(v)
+            u = apply(forward, v)
     raise ConvergenceError(
         f"Lanczos norm of sections {sizes[~done].tolist()} not converged "
         f"in {_GKL_MAX_STEPS} steps")

@@ -166,11 +166,11 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
     the inverse feedback block matrix next to its closed-form bound (the
     bound must dominate).  ``s`` and every block entry come from one
     :func:`~sgperturb.toeplitz.feedback_norm_chain` run on the first block
-    column of ``G = (I - F)^{-1}``, the impulse responses of
-    ``solve_feedback``; F is never formed.  Each block entry is a Lanczos
-    2-norm: never above the exact norm, and within the Lanczos residual
-    (at most 1e-13 relative) of a singular value of its section (see
-    :func:`~sgperturb.numkit.lanczos_norms`).  Precondition: the feedback
+    column of ``G = (I - F)^{-1}`` (``impulse_column``, the impulse
+    responses of ``solve_feedback``); F is never formed.  Each block entry
+    is a Lanczos 2-norm: never above the exact norm, and within the Lanczos
+    residual (at most 1e-13 relative) of a singular value of its section
+    (see :func:`~sgperturb.numkit.lanczos_norms`).  Precondition: the feedback
     margin at ``t0``, read off the diagonal of F's lag-0 block
     (``feedback_column``), is positive.
     """
@@ -181,12 +181,8 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
         raise ValueError(
             f"feedback margin {margin:.3e} at t0 = {grid.t0} is below "
             f"{FEEDBACK_MARGIN}; the growth surrogate needs 1 in rho(F)")
-    g = np.empty_like(column)
-    for i in range(triple.control_dim):
-        impulse = np.zeros(column.shape[:2], dtype=np.complex128)
-        impulse[0, i] = 1.0
-        g[:, :, i] = disc.solve_feedback(impulse)
-    chain = toeplitz.feedback_norm_chain(g, *disc.euclidean_frames(), n_max)
+    chain = toeplitz.feedback_norm_chain(disc.impulse_column(),
+                                         *disc.euclidean_frames(), n_max)
     s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),
@@ -231,7 +227,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
         t = t / 2.0
         if steps > 1 and steps % 2 == 0:
             steps //= 2
-    fitted = float("nan")
+    fitted = None            # no rate: fewer than two positive norms
     positive = [(tt, nn) for tt, nn in zip(horizons, norms) if nn > 1e-14]
     if len(positive) >= 2:
         lt = np.log([tt for tt, _ in positive])

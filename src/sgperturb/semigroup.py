@@ -246,6 +246,30 @@ class MatrixDiscretization:
             z = self.E @ (z + hB @ y[k])
         return y
 
+    def impulse_column(self) -> np.ndarray:
+        """G's first block column, ``(steps, m, m)``, G = ``(I - F)^{-1}``:
+        the :meth:`solve_feedback` responses to unit impulses at t = 0.  The
+        state loop gives ``g_0 = I`` and ``g_k = C M^{k-1} E hB`` with ``M =
+        E (I + h B C)``, here by a doubling power walk: the powers
+        ``M^{2^i}`` and one batched product per doubling of the walk."""
+        t, steps = self.triple, self.grid.steps
+        EhB = self.E @ (self.grid.h * t.B)
+        states = np.empty((steps - 1,) + EhB.shape, dtype=np.complex128)
+        M = self.E + EhB @ t.C
+        filled = min(1, steps - 1)
+        states[:filled] = EhB            # states[k] = M^k E hB
+        while filled < steps - 1:
+            take = min(filled, steps - 1 - filled)
+            states[filled:filled + take] = M @ states[:take]
+            filled += take
+            if filled < steps - 1:
+                M = M @ M
+        g = np.empty((steps, t.control_dim, t.control_dim),
+                     dtype=np.complex128)
+        g[0] = np.eye(t.control_dim)
+        g[1:] = t.C @ states
+        return g
+
     def control(self, samples) -> np.ndarray:
         return self._W @ samples.reshape(-1)
 

@@ -244,10 +244,11 @@ def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
     ``w_0 = 0``, and ``K^H`` runs backward:
     ``y_j = G^H x_j + (B G)^H z_j``,
     ``z_{j-1} = closed^H z_j + (G C)^H x_j`` from ``z_{n_max-1} = 0``.
-    Each product is one FFT product with G on all ``n_max`` blocks at once.
-    A block ``x_i`` reaches only ``y_{i'}`` with ``i' >= i`` (and the
-    adjoint the other way), so a column that is zero below a leading
-    section sees that section alone.
+    Each product is one FFT product with G on all ``n_max`` blocks at once,
+    skipping the blocks that are all zero.  A block ``x_i`` reaches only
+    ``y_{i'}`` with ``i' >= i`` (and the adjoint the other way), so a column
+    that is zero below a leading section sees that section alone, and its
+    blocks below the section are the zero blocks skipped.
     """
     q, d = GC.shape
     GC_h, BG_h, closed_h = GC.conj().T, BG.conj().T, closed.conj().T
@@ -259,8 +260,15 @@ def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
         return Y.reshape(q, n_max, -1).transpose(1, 0, 2).reshape(
             n_max * q, -1)
 
+    def nonzero_blocks(product, Xb):   # each column's FFTs are its own
+        live = Xb.any(axis=0)
+        Y = product(Xb[:, live])
+        out = np.zeros(Xb.shape, dtype=Y.dtype)
+        out[:, live] = Y
+        return out
+
     def forward(X):
-        Gx = G.forward(by_block(X))
+        Gx = nonzero_blocks(G.forward, by_block(X))
         BGx = (B @ Gx).reshape(d, n_max, -1)
         W = np.zeros_like(BGx, dtype=np.result_type(BGx, closed))
         for i in range(1, n_max):
@@ -273,7 +281,8 @@ def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
         Z = np.zeros_like(GCx, dtype=np.result_type(GCx, closed))
         for j in range(n_max - 1, 0, -1):
             Z[:, j - 1] = closed_h @ Z[:, j] + GCx[:, j]
-        return stacked(G.adjoint(Xb) + BG_h @ Z.reshape(d, -1))
+        return stacked(nonzero_blocks(G.adjoint, Xb)
+                       + BG_h @ Z.reshape(d, -1))
 
     return forward, adjoint
 

@@ -929,6 +929,13 @@ class TransportDiscretization:
             y[pad + j:pad + end] = (v[j:end] + gathered @ weights) / denom
         return y[pad:, None]
 
+    def impulse_column(self) -> np.ndarray:
+        """G's first column, ``(steps, 1, 1)``, G = ``(I - F)^{-1}``: the
+        :meth:`solve_feedback` response to the unit impulse at t = 0."""
+        impulse = np.zeros(self.grid.steps)
+        impulse[0] = 1.0
+        return self.solve_feedback(impulse)[:, :, None]
+
     def control(self, samples) -> GridFunction:
         N, q = self.triple.N, self.q
         j0 = q * self.grid.steps

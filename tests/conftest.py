@@ -7,7 +7,9 @@ and its dense inverse are built from their closed forms, and the closed-loop
 reference states come from scipy/closed forms.  A replaced code path is
 kept here verbatim as the oracle of its replacement: ``block_solve_pde`` is
 ``transport.solve_pde`` as it checked each block's boundary relation inside
-the recursion.  ``io_map`` is the reference application of F, and
+the recursion.  ``unskipped_inverse_products`` is
+``toeplitz._inverse_products`` with G's FFT products run on every block,
+the all-zero ones included.  ``io_map`` is the reference application of F, and
 ``dissipative_matrix`` draws test generators.
 """
 
@@ -88,6 +90,38 @@ def shipped_feedback_inverse(F, B, C, T, n):
         toeplitz.BlockToeplitz(G[None]), G @ C, B @ G, B, T + B @ G @ C, n)
     eye = np.eye(n * G.shape[0], dtype=np.complex128)
     return forward(eye), adjoint(eye)
+
+
+def unskipped_inverse_products(G, GC, BG, B, closed, n_max):
+    """``toeplitz._inverse_products`` with G's FFT products on every block,
+    the all-zero ones included; otherwise verbatim."""
+    q, d = GC.shape
+    GC_h, BG_h, closed_h = GC.conj().T, BG.conj().T, closed.conj().T
+
+    def by_block(X):         # (n_max q, R) -> (q, n_max R), block i first
+        return X.reshape(n_max, q, -1).transpose(1, 0, 2).reshape(q, -1)
+
+    def stacked(Y):          # (q, n_max R) -> (n_max q, R)
+        return Y.reshape(q, n_max, -1).transpose(1, 0, 2).reshape(
+            n_max * q, -1)
+
+    def forward(X):
+        Gx = G.forward(by_block(X))
+        BGx = (B @ Gx).reshape(d, n_max, -1)
+        W = np.zeros_like(BGx, dtype=np.result_type(BGx, closed))
+        for i in range(1, n_max):
+            W[:, i] = closed @ W[:, i - 1] + BGx[:, i - 1]
+        return stacked(Gx + GC @ W.reshape(d, -1))
+
+    def adjoint(X):
+        Xb = by_block(X)
+        GCx = (GC_h @ Xb).reshape(d, n_max, -1)
+        Z = np.zeros_like(GCx, dtype=np.result_type(GCx, closed))
+        for j in range(n_max - 1, 0, -1):
+            Z[:, j - 1] = closed_h @ Z[:, j] + GCx[:, j]
+        return stacked(G.adjoint(Xb) + BG_h @ Z.reshape(d, -1))
+
+    return forward, adjoint
 
 
 def chain_entry(F, B, C, T, n):

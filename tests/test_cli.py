@@ -58,12 +58,12 @@ def read_report(out_dir):
 
 
 def test_schema_version_function():
-    assert report_schema_version() == "2.0.0"
+    assert report_schema_version() == "3.0.0"
 
 
 def test_schema_version_subcommand(capsys):
     assert main(["schema-version"]) == 0
-    assert capsys.readouterr().out.strip() == "2.0.0"
+    assert capsys.readouterr().out.strip() == "3.0.0"
 
 
 def run_python(*args):
@@ -79,7 +79,7 @@ def test_module_entry_point_runs_once_without_warning():
     # (runpy warns on stderr when it does)
     proc = run_python("-m", "sgperturb.cli", "schema-version")
     assert proc.returncode == 0
-    assert proc.stdout.decode().strip() == "2.0.0"
+    assert proc.stdout.decode().strip() == "3.0.0"
     assert proc.stderr == b""
 
 
@@ -211,6 +211,37 @@ def test_validate_report_flags_problems(tmp_path):
     assert any("schema_version" in p for p in validate_report(broken))
     broken = dict(report, extra_field=1)
     assert any("unknown" in p for p in validate_report(broken))
+    broken = dict(report, grid=dict(report["grid"], t0=float("inf")))
+    assert validate_report(broken) == [
+        "report.grid.t0 is not a finite number"]
+
+
+def read_strict(path):
+    """A report read as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("world", ["matrix", "transport"])
+def test_readme_reports_are_strict_json(tmp_path, world):
+    # the bypass search of either README config finds ||F|| < 1 at t0, so
+    # it has one horizon and no rate to fit: null, not NaN
+    cfg = matrix_config() if world == "matrix" else transport_config(
+        [[0.5, 0.3], [0.875, 0.2]], "generated")
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out",
+               verify=True) == 0
+    report = read_strict(tmp_path / "out" / "report.json")
+    assert validate_report(report) == []
+    bypass = report["suites"]["certificate"]["conditions"]["feedback"][
+        "bypass"]
+    assert bypass["fitted_rate"] is None
+
+
+def test_serialization_refuses_nonfinite_floats():
+    with pytest.raises(ValueError):
+        cli._canonical_json({"rate": float("nan")})
+    assert cli._canonical_json({"rate": None}) == '{\n  "rate": null\n}\n'
 
 
 def test_degenerate_boundary_weight_expected_not_generated(tmp_path):

@@ -447,7 +447,7 @@ TRIPLE_METHODS = {"step", "resolvent", "rescale", "spectral_abscissa",
 #: the maps a discretization owns on its grid
 GRID_METHODS = {"control", "observe", "controllability_matrix",
                 "observability_matrix", "feedback_column", "solve_feedback",
-                "euclidean_frames", "vop_outputs"}
+                "impulse_column", "euclidean_frames", "vop_outputs"}
 
 
 def test_world_classes_expose_the_same_methods():

@@ -324,6 +324,41 @@ def test_lanczos_norms_one_by_one_and_zero():
                                 (2, 4)).tolist() == [0.0, 0.0]
 
 
+def _mixed_sections(rng):
+    # complex, with a rank-2 leading 12 x 12 section (its 1 x 1 section
+    # too) inside a full-rank 40 x 40 operator
+    A = random_matrix(rng, 40, 40)
+    A[:12, :12] = random_matrix(rng, 12, 2) @ random_matrix(rng, 2, 12)
+    return A
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_lanczos_norms_of_complex_rank_deficient_and_1x1_sections(scale):
+    # ||A||^2 leaves double range at 1e+-200; the products do not, and the
+    # first product's scale keeps the normal operator near 1
+    A = scale * _mixed_sections(make_rng(45))
+    assert np.linalg.matrix_rank(A[:12, :12] / scale) == 2
+    sizes = (1, 12, 40)
+    got = numkit.lanczos_norms(*dense_products(A), sizes)
+    oracle = section_svd(A, sizes)
+    assert oracle[0] == pytest.approx(abs(A[0, 0]), rel=1e-15)
+    assert np.all(np.abs(got - oracle) <= 1e-12 * oracle)
+    assert np.all(got <= oracle * (1.0 + 1e-14))
+
+
+def test_lanczos_norms_raise_when_a_product_leaves_double_range():
+    # each entry of A v sums four terms near 1e308: the product overflows,
+    # and the norm is a typed error, never inf or nan
+    A = np.full((4, 4), 1e308)
+    with pytest.raises(NumericalRangeError, match="double range"):
+        numkit.lanczos_norms(*dense_products(A), (2, 4))
+
+    def nan_adjoint(Y):
+        return np.full(Y.shape, np.nan)
+    with pytest.raises(NumericalRangeError, match="double range"):
+        numkit.lanczos_norms(dense_products(np.eye(3))[0], nan_adjoint, (3,))
+
+
 def test_lanczos_norms_exact_at_krylov_exhaustion(monkeypatch):
     # the top two singular values are 1e-9 apart, so the residual test
     # cannot stop before the space is exhausted: with the cap at the

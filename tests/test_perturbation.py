@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (compatible_state, feedback_toeplitz_inverse,
-                      stable_triple, taylor_expm, transport_triple)
+                      stable_triple, taylor_expm, transport_triple,
+                      unskipped_inverse_products)
 from sgperturb import admissibility, numkit, perturbation, toeplitz, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
@@ -443,6 +444,11 @@ def dense_frames(triple, grid):
 
 
 def impulse_column(triple, grid):
+    """G's first block column as the growth check reads it."""
+    return triple.discretize(grid).impulse_column()
+
+
+def solved_impulse_column(triple, grid):
     """G's first block column, one solve_feedback per unit impulse."""
     m = triple.control_dim
     disc = triple.discretize(grid)
@@ -452,6 +458,42 @@ def impulse_column(triple, grid):
         impulse[0, i] = 1.0
         g[:, :, i] = disc.solve_feedback(impulse)
     return g
+
+
+README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+
+
+#: F strictly lower, but the loop grows like (1 + 30 h)^k, so ||G|| > 1e8
+#: on TimeGrid(1.0, 32)
+GROWING_LOOP = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
+                            np.array([[30.0]]))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (stable_triple(52, n=3, m=2), TimeGrid(0.5, 16)),
+    (stable_triple(57, n=4, m=3), TimeGrid(1.0, 37)),
+    (README_TRIPLE, TimeGrid(0.5, 128)),
+    (MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))),
+     TimeGrid(0.5, 1)),
+    (GROWING_LOOP, TimeGrid(1.0, 32)),
+    (transport_triple(N=32, atoms=LITTLE_MASS_ATOMS), TimeGrid(1.0, 32)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (1.0, 0.4 - 0.3j)),
+                      density=tuple(0.1 * np.sin(np.arange(64)))),
+     TimeGrid(0.5, 32)),
+], ids=["stable-m2", "stable-m3-odd-steps", "readme-128", "one-step",
+        "growing-loop", "transport-atoms", "transport-density-atom-at-1"])
+def test_impulse_column_is_solve_feedback_on_unit_impulses(triple, grid):
+    # the matrix world's doubling power walk against the state loop, and
+    # the transport world's recursion against itself
+    g = impulse_column(triple, grid)
+    want = solved_impulse_column(triple, grid)
+    assert g.shape == want.shape
+    assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+    if triple is GROWING_LOOP:
+        G = numkit.induced_norm(toeplitz.materialize(
+            toeplitz.BlockToeplitz(g)), 2)
+        assert G > 1e8
 
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])
@@ -490,8 +532,89 @@ def test_growth_entries_equal_one_chain_of_the_impulse_column(world):
             assert abs(got - want) <= 1e-12 * want
 
 
-README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
-                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+def chain_inputs(triple, grid):
+    """``_inverse_products``' operands as ``feedback_norm_chain`` forms
+    them from the growth check's column and frames."""
+    disc = triple.discretize(grid)
+    G = toeplitz.BlockToeplitz(disc.impulse_column())
+    B, C, T = toeplitz._frames(*disc.euclidean_frames(), G.n * G.block_dim)
+    GC = G.forward(C)
+    return G, GC, G.adjoint(B.conj().T).conj().T, B, T + B @ GC
+
+
+#: a real triple with 2 x 2 blocks
+REAL_M2 = MatrixTriple(np.array([[-1.0, 0.2, 0.1], [0.0, -2.0, 0.3],
+                                 [0.1, 0.0, -0.5]]),
+                       np.array([[1.0, 0.3], [0.5, -0.2], [0.0, 0.7]]),
+                       np.array([[0.3, -0.4, 0.1], [0.2, 0.0, -0.6]]))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (README_TRIPLE, TimeGrid(0.5, 128)),
+    (REAL_M2, TimeGrid(0.5, 16)),
+    (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 32)),
+    (stable_triple(56, n=3, m=2), TimeGrid(0.5, 16)),
+    (transport_triple(N=32, atoms=((0.5, 0.7), (1.0, 0.4 - 0.3j))),
+     TimeGrid(1.0, 32)),
+], ids=["readme-128", "real-m2", "transport-atoms", "complex-m2",
+        "complex-atom-at-1"])
+def test_skipping_zero_blocks_leaves_the_products_bit_identical(triple,
+                                                                grid):
+    # Lanczos-shaped operands: one column per section, zero below it, and
+    # a stopped section's column all zero; real for a real operator (as
+    # the real start keeps them), complex for a complex one.  Complex
+    # blocks of size 2 and up match to roundoff only: the batched complex
+    # matmul with the symbol groups the columns into different kernels
+    n_max = 6
+    operands = chain_inputs(triple, grid)
+    q = operands[1].shape[0]
+    sizes = q * np.array([1, 2, 3, 4, 5, 6, 3])
+    inside = np.arange(n_max * q)[:, None] < sizes
+    rng = numkit.make_rng(58)
+    X = rng.standard_normal(inside.shape) * inside
+    X[:, -1] = 0.0
+    real = operands[0]._real
+    if not real:
+        X = X + 1j * rng.standard_normal(X.shape) * inside
+    shipped = toeplitz._inverse_products(*operands, n_max)
+    reference = unskipped_inverse_products(*operands, n_max)
+    for got, want in zip(shipped, reference):
+        got, want = got(X), want(X)
+        if real or operands[0].block_dim == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def count_chain_products(monkeypatch):
+    """Names of the products the growth chain's Lanczos run takes."""
+    calls = []
+    build = toeplitz._inverse_products
+
+    def counting(*args):
+        def counted(name, product):
+            def run(X):
+                calls.append(name)
+                return product(X)
+            return run
+        return tuple(counted(name, product) for name, product
+                     in zip(("forward", "adjoint"), build(*args)))
+    monkeypatch.setattr(toeplitz, "_inverse_products", counting)
+    return calls
+
+
+@pytest.mark.parametrize("triple, grid, products", [
+    (README_TRIPLE, TimeGrid(0.5, 128), 18),
+    (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 32), 34),
+], ids=["readme-128", "transport-64"])
+def test_growth_chain_takes_a_fixed_number_of_products(monkeypatch, triple,
+                                                       grid, products):
+    # one Lanczos step is one forward and one adjoint product, so a change
+    # in the step count shows here without any timing
+    calls = count_chain_products(monkeypatch)
+    long_horizon_growth_check(triple, grid, (0.5,))
+    assert len(calls) == products
+    assert calls == ["forward", "adjoint"] * (products // 2)
 
 
 def assert_entries_match_dense_svd(rep, triple, grid, n_max):
@@ -519,6 +642,31 @@ def assert_entries_match_dense_svd(rep, triple, grid, n_max):
 def test_growth_entries_match_dense_svd_sections(triple, grid):
     # each Lanczos lhs against an SVD of its section of the dense inverse
     rep = long_horizon_growth_check(triple, grid, (0.5, 1.0), n_max=6)
+    assert rep.all_dominated
+    assert_entries_match_dense_svd(rep, triple, grid, 6)
+
+
+@pytest.mark.parametrize("gain, grid, span", [
+    (5.0, TimeGrid(1.0, 16), 1e9),
+    (25.0, TimeGrid(1.0, 32), 1e39),
+], ids=["growing-loop", "near-feedback-margin"])
+def test_growth_sections_hold_at_high_dynamic_range(gain, grid, span):
+    # an unstable loop: K's blocks G C closed^(k-1) B G grow away from its
+    # diagonal G, so a section-1 lhs sits far below the full one.  The
+    # masked block recursion keeps every section to its own blocks; one FFT
+    # over K's whole first column would bury the small sections in the
+    # roundoff of the large tail blocks.  At gain 25, ||G|| = 3.8e7 is just
+    # under 1 / FEEDBACK_MARGIN
+    triple = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
+                          np.array([[gain]]))
+    rep = long_horizon_growth_check(triple, grid, (0.5,), n_max=6)
+    frames = dense_frames(triple, grid)
+    q = frames[0].shape[0]
+    _, inverse = feedback_toeplitz_inverse(*frames, 6)
+    blocks = [np.linalg.svd(inverse[k * q:(k + 1) * q, :q],
+                            compute_uv=False)[0] for k in range(6)]
+    assert max(blocks) >= span * min(blocks)
+    assert rep.block_entries[0][1] * toeplitz.FEEDBACK_MARGIN < 1.0
     assert rep.all_dominated
     assert_entries_match_dense_svd(rep, triple, grid, 6)
 
@@ -562,9 +710,7 @@ def test_growth_singular_feedback_raises_through_the_inverse_norm():
     # F is strictly lower, so its diagonal margin is 1, but the loop grows
     # like (1 + 30 h)^k: ||(I - F)^{-1}|| > 1e8, sigma_min(I - F) < 1e-8.
     # The chain refuses through 1 / ||G||, with the dense SVD's message
-    triple = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
-                          np.array([[30.0]]))
-    grid = TimeGrid(1.0, 32)
+    triple, grid = GROWING_LOOP, TimeGrid(1.0, 32)
     F, B, C, T = dense_frames(triple, grid)
     smallest = np.linalg.svd(np.eye(32) - F, compute_uv=False)[-1]
     assert smallest < 1e-8
@@ -800,6 +946,7 @@ def test_certificate_builds_one_io_matrix(monkeypatch):
     assert cert.verdict == "generated"
     fb = cert.conditions["feedback"]
     assert fb["bypass"]["io_norms"] == (fb["io_norm"],)
+    assert fb["bypass"]["fitted_rate"] is None   # one horizon: no rate
     assert len(builds) == len(dense) == 1
 
 
