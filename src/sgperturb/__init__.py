@@ -27,7 +27,7 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      make_rng, random_matrix, random_vector, solve,
                      spectral_radius_distance, vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, column_norm,
-                       feedback_norm_chain, materialize)
+                       feedback_norm_chain)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
                         MatrixDiscretization, MatrixTriple, SpectralAbscissa,
                         apply_semigroup, as_grid_function, rescale,
@@ -41,7 +41,7 @@ from .transport import (BorelMeasure, LittleMassReport, Trajectory,
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             FeedbackReport, RescalingResiduals, SampledSignal,
                             TimeGrid, controllability_map, estimate_constants,
-                            feedback_admissible, io_matrix, observability_map,
+                            feedback_admissible, observability_map,
                             rescaled_map_identities, smooth_trial_signals)
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
                            GrowthCheckReport, generation_certificate,
@@ -62,7 +62,7 @@ __all__ = [
     "spectral_radius_distance", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
-    "BlockToeplitz", "column_norm", "materialize", "NormChain",
+    "BlockToeplitz", "column_norm", "NormChain",
     "feedback_norm_chain",
     # semigroup
     "MatrixTriple", "MatrixDiscretization", "GridFunction",
@@ -79,7 +79,7 @@ __all__ = [
     # admissibility
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
     "RescalingResiduals", "FEEDBACK_MARGIN",
-    "controllability_map", "observability_map", "io_matrix",
+    "controllability_map", "observability_map",
     "estimate_constants", "feedback_admissible", "rescaled_map_identities",
     "smooth_trial_signals",
     # perturbation

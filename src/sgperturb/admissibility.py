@@ -10,14 +10,16 @@ the three maps of admissibility theory are discretized as
 each by its world's closed form, a method of ``triple.discretize(grid)``,
 which the map functions take.  F is causal and shift-invariant: block
 lower-triangular Toeplitz, given by its first block column
-(``feedback_column``).  Every product with F is an FFT product with that
-column (:class:`~sgperturb.toeplitz.BlockToeplitz`), all trial signals of a
-map in one call; :func:`io_matrix`, the one dense builder, serves only the
-p = 2 norm of F.
+(``feedback_column``), and that column is its one representation: one
+:class:`~sgperturb.toeplitz.BlockToeplitz` per discretization applies F to
+all trial signals of a map in one FFT product and gives its norms, the
+p = 2 norm by Lanczos on those products
+(:func:`~sgperturb.numkit.lanczos_norms`), every other p off the column
+(:func:`~sgperturb.toeplitz.column_norm`).  No dense F is formed.
 
 Signals are sampled at left endpoints ``t_k = k h`` and normed with weight
 ``h``; since the weights are uniform they cancel in induced operator norms,
-so ``io_matrix`` can be fed to :func:`sgperturb.numkit.induced_norm` directly.
+so the norms of F's sample operator are the discrete ``L^p -> L^p`` norms.
 
 A non-negative spectral shift ``mu`` on the triple enters the maps through
 the exact discrete conjugation
@@ -49,18 +51,11 @@ __all__ = [
     "RescalingResiduals",
     "controllability_map",
     "observability_map",
-    "io_matrix",
     "estimate_constants",
     "feedback_admissible",
     "rescaled_map_identities",
     "smooth_trial_signals",
 ]
-
-#: io_matrix refuses to materialize anything wider than this: a bound on the
-#: p = 2 norm of F alone, the one use of a dense F (the trial products, the
-#: other exponents' norms and the feedback semigroup never form it)
-IO_SIZE_CAP = 4096
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -192,34 +187,12 @@ def observability_map(disc, x, *, require_domain: bool = True
                          p=disc.triple.p)
 
 
-def io_matrix(disc) -> np.ndarray:
-    """Dense sample matrix of the input-output map on ``disc``'s grid.
-
-    Because signal quadrature weights are uniform they cancel in induced
-    norms, so this matrix *is* the discrete ``L^p -> L^p`` operator: the
-    discretization's ``feedback_column`` materialized (float64 when F is
-    real).  Matrix world: blocks ``h C e^{d h A} B`` on lags ``d >= 1``.
-    Transport world: each node coefficient of ``Phi`` on its lag; node
-    ``s = 1`` (an atom there plus the last density half-cell) lands on the
-    diagonal.
-
-    More than :data:`IO_SIZE_CAP` columns raise :class:`ValueError`; the
-    cap bounds the p = 2 norm of F and nothing else.
-    """
-    n_cols = disc.grid.steps * disc.triple.control_dim
-    if n_cols > IO_SIZE_CAP:
-        raise ValueError(
-            f"io_matrix would have {n_cols} > {IO_SIZE_CAP} columns")
-    return toeplitz.materialize(
-        toeplitz.BlockToeplitz(disc.feedback_column()))
-
-
-def _io_products(column: np.ndarray, signals) -> np.ndarray:
-    """F, given by its first block ``column``, applied to every signal in
-    one FFT product: ``out[..., j]`` holds the samples of ``F u_j``."""
+def _io_products(F: toeplitz.BlockToeplitz, signals) -> np.ndarray:
+    """F applied to every signal in one FFT product: ``out[..., j]`` holds
+    the samples of ``F u_j``."""
     samples = np.stack([u.values for u in signals], axis=-1)
-    return toeplitz.BlockToeplitz(column).forward(
-        samples.reshape(-1, len(signals))).reshape(samples.shape)
+    return F.forward(samples.reshape(-1, len(signals))).reshape(
+        samples.shape)
 
 
 def _frame_column(disc) -> np.ndarray:
@@ -308,7 +281,7 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
     in the observation domain), ``M_io`` as the ``alpha -> beta`` ratio of
     the input-output map, applied to all trials in one FFT product with
     F's first block column.  Feedback admissibility and margin ride along
-    (see :func:`feedback_admissible`: only p = 2 forms the dense F).
+    (see :func:`feedback_admissible`).
     """
     return _constants_and_feedback(triple.discretize(grid), p, alpha, beta,
                                    trials, rng)[0]
@@ -317,16 +290,16 @@ def estimate_constants(triple, grid: TimeGrid, p: float, alpha: float,
 def _constants_and_feedback(disc, p: float, alpha: float, beta: float,
                             trials: int, rng: np.random.Generator):
     """:func:`estimate_constants` and :func:`feedback_admissible` at ``p``
-    on one discretization, from one ``feedback_column``."""
+    on one discretization, from one F built off its ``feedback_column``."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (alpha <= p <= beta):
         raise ValueError(f"need alpha <= p <= beta, got {alpha}, {p}, {beta}")
     triple, grid = disc.triple, disc.grid
     signals = smooth_trial_signals(grid, triple.control_dim, trials, rng, p=p)
-    column = disc.feedback_column()
-    fb = _feedback_report(disc, column, p)
-    outputs = _io_products(column, signals)
+    F = toeplitz.BlockToeplitz(disc.feedback_column())
+    fb = _feedback_report(F, p)
+    outputs = _io_products(F, signals)
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -360,13 +333,12 @@ def feedback_admissible(triple, grid: TimeGrid, p: float) -> FeedbackReport:
     Toeplitz, so its spectrum is that of its lag-0 block, whose diagonal
     gives the margin with no eigensolve.  The report also carries the
     induced p-norm of F and whether ``||F|| < 1`` certifies admissibility
-    alone — the sufficient condition that survives to the continuum.  At
-    p = 2 the norm is exact, from the dense :func:`io_matrix` (the one use
-    of a dense F, bounded by :data:`IO_SIZE_CAP`); any other p reads it off
-    the first block column (:func:`~sgperturb.toeplitz.column_norm`).
+    alone — the sufficient condition that survives to the continuum.  Both
+    come from F's first block column at any grid size; see
+    :func:`_feedback_report`.
     """
-    disc = triple.discretize(grid)
-    return _feedback_report(disc, disc.feedback_column(), p)
+    return _feedback_report(
+        toeplitz.BlockToeplitz(triple.discretize(grid).feedback_column()), p)
 
 
 def _feedback_margin(column: np.ndarray) -> float:
@@ -378,15 +350,28 @@ def _feedback_margin(column: np.ndarray) -> float:
     return float(np.min(np.abs(np.diag(column[0]) - 1.0)))
 
 
-def _feedback_report(disc, column: np.ndarray, p: float) -> FeedbackReport:
-    """Margin off ``disc``'s first block ``column``; p-norm by the Gram
-    eigensolve on ``disc``'s :func:`io_matrix` at p = 2, else
-    :func:`~sgperturb.toeplitz.column_norm`."""
-    margin = _feedback_margin(column)
-    nrm = (float(numkit.induced_norm(io_matrix(disc), 2)) if p == 2
-           else toeplitz.column_norm(column, p))
+def _feedback_report(F: toeplitz.BlockToeplitz, p: float) -> FeedbackReport:
+    """Margin off F's lag-0 block, the p-norm of F, and the one decision
+    whether ``||F|| < 1``.
+
+    At p = 2 the norm is the Lanczos value ``theta`` on F's FFT products
+    (:func:`~sgperturb.numkit.lanczos_norms`): never above ``||F||``, and
+    within ``_GKL_TOL * theta`` of a singular value, so ``||F|| < 1`` is
+    decided only when ``theta (1 + 2 _GKL_TOL) < 1``; without that margin
+    an F of norm exactly 1, read one ulp low, would count as contractive.
+    Any other p is :func:`~sgperturb.toeplitz.column_norm` of the column,
+    exact at p = 1 and p = inf and an upper bound between them.
+    """
+    margin = _feedback_margin(F.blocks)
+    if p == 2:
+        nrm = float(numkit.lanczos_norms(F.forward, F.adjoint,
+                                         [F.n * F.block_dim])[0])
+        certifies = nrm * (1.0 + 2.0 * numkit._GKL_TOL) < 1.0
+    else:
+        nrm = toeplitz.column_norm(F.blocks, p)
+        certifies = nrm < 1.0
     return FeedbackReport(bool(margin >= FEEDBACK_MARGIN), margin, nrm,
-                          bool(nrm < 1.0))
+                          bool(certifies))
 
 
 def _modulated(u: SampledSignal, factors: np.ndarray) -> SampledSignal:
@@ -436,8 +421,11 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         rhs_B = disc.control(_modulated(u, grow).values)
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
-    lhs_F = _io_products(disc_shifted.feedback_column(), signals)
-    rhs_F = _io_products(decay[:, None, None] * _frame_column(disc), signals)
+    lhs_F = _io_products(
+        toeplitz.BlockToeplitz(disc_shifted.feedback_column()), signals)
+    rhs_F = _io_products(
+        toeplitz.BlockToeplitz(decay[:, None, None] * _frame_column(disc)),
+        signals)
     res_io = float(np.abs(lhs_F - rhs_F).max())
 
     res_observe = 0.0

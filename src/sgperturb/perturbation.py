@@ -10,11 +10,7 @@ The module realizes
 
 * the perturbed semigroup through the discrete feedback construction
 
-      S(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x,
-
-  with an optional spectral shift: compute with the shifted triple, multiply
-  by ``e^{mu t}`` at the end (the two routes agree exactly at the discrete
-  level — a tested invariant);
+      S(t) x = T(t) x + B_t (I - F_t)^{-1} C_t x;
 
 * the variation-of-parameters residual against an *independent* reference
   propagator (the discretization's ``vop_outputs``);
@@ -37,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit, toeplitz
-from .semigroup import (FeedbackSingularError, apply_semigroup, rescale,
+from .semigroup import (FeedbackSingularError, apply_semigroup,
                         spectral_abscissa)
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
                             observability_map, FEEDBACK_MARGIN,
@@ -86,22 +82,16 @@ def perturbed_resolvent(triple, lam: complex):
     return triple.perturbed_resolvent(complex(lam))
 
 
-def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x,
-                             mu_shift: float = 0.0):
+def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x):
     """Perturbed semigroup state ``S(t) x`` from the feedback construction.
 
     ``t`` must equal the grid horizon (causality: only ``[0, t]`` enters).
-    With ``mu_shift > 0`` the construction runs on the shifted triple and the
-    result is multiplied by ``e^{mu t}`` — useful when the raw maps violate
-    the growth hypotheses but the shifted ones do not.
     """
     if abs(t - grid.t0) > 1e-12:
         raise ValueError(
             f"t = {t} must equal the grid horizon t0 = {grid.t0}")
-    work = rescale(triple, mu_shift) if mu_shift else triple
-    comp = float(np.exp(mu_shift * t)) if mu_shift else 1.0
-    return comp * _feedback_state(work.discretize(grid), x,
-                                  apply_semigroup(work, t, x))
+    return _feedback_state(triple.discretize(grid), x,
+                           apply_semigroup(triple, t, x))
 
 
 def _feedback_state(disc, x, free):
@@ -201,11 +191,12 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
 # ---------------------------------------------------------------------------
 
 def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
-                   beta: float, io_norm: float):
+                   beta: float, fb):
     """Shrink-the-horizon search for ``||F_t|| < 1`` with the fitted rate.
 
-    ``io_norm`` is the norm of F at ``grid`` (the feedback report's), so
-    F is read only at the shorter horizons, as the feedback report reads it.
+    ``fb`` is the feedback report at ``grid``, so F is read only at the
+    shorter horizons, each by its own feedback report, whose
+    ``io_norm_certifies`` decides ``||F_t|| < 1``.
     """
     horizons = []
     norms = []
@@ -215,14 +206,13 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     for _ in range(21):
         try:
             g = TimeGrid(t, steps)
-            nrm = io_norm if g == grid else feedback_admissible(
-                triple, g, p).io_norm
+            report = fb if g == grid else feedback_admissible(triple, g, p)
         except ValueError:
             break  # horizon fell below the space grid
         horizons.append(t)
-        norms.append(nrm)
-        if nrm < 1.0:
-            found = (t, g, nrm)
+        norms.append(report.io_norm)
+        if report.io_norm_certifies:
+            found = (t, g, report.io_norm)
             break
         t = t / 2.0
         if steps > 1 and steps % 2 == 0:
@@ -313,8 +303,7 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
                           "io_norm_certifies": fb.io_norm_certifies}
         bypass_ok = False
         if alpha < beta:
-            bypass, _ = _bypass_search(triple, grid, p, alpha, beta,
-                                       fb.io_norm)
+            bypass, _ = _bypass_search(triple, grid, p, alpha, beta, fb)
             feedback_entry["bypass"] = bypass
             bypass_ok = bypass["found"]
         conditions["feedback"] = feedback_entry

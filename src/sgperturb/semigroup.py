@@ -1,6 +1,6 @@
 """System triples and their semigroups in two closed worlds.
 
-The package never materializes an extrapolation space.  Instead every
+The package never builds an extrapolation space.  Instead every
 computation runs in one of two concrete instantiations — the matrix world
 (:class:`MatrixTriple`) and the transport world
 (:class:`~sgperturb.transport.TransportTriple`) — and each class holds all of

@@ -4,8 +4,9 @@ An ``n``-block operator matrix ``(T_{i-j})_{i,j=1..n}`` (zero above the
 diagonal) is stored by its first block column ``T_0 .. T_{n-1}``.  The module
 provides its products by FFT (a lower-triangular Toeplitz operator is a
 compression of a block circulant of twice its order; Boettcher & Silbermann,
-*Introduction to Large Truncated Toeplitz Matrices*), the dense
-materialization, its p-norms read off the first column, and the norm chain
+*Introduction to Large Truncated Toeplitz Matrices*), its p-norms without a
+matrix (:func:`column_norm` off the first column; the 2-norm is
+:func:`~sgperturb.numkit.lanczos_norms` on the products), and the norm chain
 of the inverse of the feedback block matrix ``I - F_n`` whose sub-diagonal
 blocks are ``C T^{k-1} B``.  That inverse is again block lower-triangular Toeplitz with
 diagonal ``G = (I - F)^{-1}`` and sub-diagonals ``G C (T + B G C)^{k-1} B G``,
@@ -16,7 +17,7 @@ so
 :func:`feedback_norm_chain` evaluates the chain for every ``n = 1 .. n_max``
 from G's first block column ``g`` alone (G is block lower-triangular Toeplitz
 when F is, as for a time-invariant system's input-output map).  No inverse
-is materialized: the ``n_max``-block inverse is applied as its block
+is formed: the ``n_max``-block inverse is applied as its block
 recursion (:func:`_inverse_products`, the one feedback-inverse code path),
 whose only large product is G's, by FFT; the n-block inverse is its leading
 section, and every lhs is a Lanczos 2-norm of such a section
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
 from .numkit import (induced_norm, NumericalRangeError, ShapeError,
@@ -42,7 +42,6 @@ from .numkit import (induced_norm, NumericalRangeError, ShapeError,
 __all__ = [
     "BlockToeplitz",
     "column_norm",
-    "materialize",
     "NormChain",
     "feedback_norm_chain",
 ]
@@ -141,21 +140,6 @@ def column_norm(column, p: float) -> float:
     n1 = float(mags.sum(axis=(0, 1)).max())
     ninf = float(mags.sum(axis=(0, 2)).max())
     return n1 ** (1.0 / p) * ninf ** (1.0 - 1.0 / p)   # exact at p = 1, inf
-
-
-def materialize(T: BlockToeplitz) -> np.ndarray:
-    """Dense ``n*d x n*d`` matrix of the operator, one strided copy: entry
-    ``(i, a, j, b)`` is ``blocks[i - j, a, b]``, read backwards off the
-    windows of the column zero-padded by ``n - 1`` blocks in front.
-
-    float64 when every block has a zero imaginary part, else complex128.
-    """
-    n, d = T.n, T.block_dim
-    col = T.blocks.real if T._real else T.blocks
-    padded = np.concatenate([np.zeros((n - 1, d, d), col.dtype), col])
-    windows = sliding_window_view(padded, n, axis=0)[..., ::-1]
-    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-        n * d, n * d)
 
 
 def _frames(Bt0, Ct0, Tt0, q: int):

@@ -9,8 +9,11 @@ kept here verbatim as the oracle of its replacement: ``block_solve_pde`` is
 ``transport.solve_pde`` as it checked each block's boundary relation inside
 the recursion.  ``unskipped_inverse_products`` is
 ``toeplitz._inverse_products`` with G's FFT products run on every block,
-the all-zero ones included.  ``io_map`` is the reference application of F, and
-``dissipative_matrix`` draws test generators.
+the all-zero ones included.  ``materialize`` is the dense build that
+``toeplitz`` once shipped, and ``io_matrix`` the dense F the package once
+took its p = 2 norm from: both are oracles now, as ``io_map``, the
+reference application of F, is.  ``dissipative_matrix`` draws test
+generators.
 """
 
 import numpy as np
@@ -187,10 +190,52 @@ def power_iteration_2norm(A, iters=500, seed=7):
     return float(np.sqrt(lam))
 
 
+def materialize(T):
+    """Dense ``n*d x n*d`` matrix of the operator, one strided copy: entry
+    ``(i, a, j, b)`` is ``blocks[i - j, a, b]``, read backwards off the
+    windows of the column zero-padded by ``n - 1`` blocks in front.
+
+    float64 when every block has a zero imaginary part, else complex128.
+    """
+    n, d = T.n, T.block_dim
+    col = T.blocks.real if T._real else T.blocks
+    padded = np.concatenate([np.zeros((n - 1, d, d), col.dtype), col])
+    windows = sliding_window_view(padded, n, axis=0)[..., ::-1]
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
+        n * d, n * d)
+
+
+def io_matrix(disc):
+    """Dense sample matrix of the input-output map on ``disc``'s grid: the
+    discretization's ``feedback_column`` materialized (float64 when F is
+    real).  Uniform signal weights cancel in induced norms, so this matrix
+    *is* the discrete ``L^p -> L^p`` operator.  Matrix world: blocks
+    ``h C e^{d h A} B`` on lags ``d >= 1``.  Transport world: each node
+    coefficient of ``Phi`` on its lag; node ``s = 1`` (an atom there plus
+    the last density half-cell) lands on the diagonal."""
+    return materialize(toeplitz.BlockToeplitz(disc.feedback_column()))
+
+
+def refuse_dense_f(monkeypatch, *columns):
+    """Make every norm of a square operand with one of these ``columns``
+    (the sizes of a dense F under test) raise: the package takes F's norms
+    off its first block column, so a dense F reaching ``induced_norm``, as
+    the p = 2 Gram eigensolve once did, is a regression."""
+    norm = numkit.induced_norm
+
+    def guarded(A, p):
+        shape = np.shape(A)
+        if len(shape) == 2 and shape[0] == shape[1] and shape[0] in columns:
+            raise AssertionError(f"dense {shape} operator normed at p = {p}")
+        return norm(A, p)
+    for module in (numkit, toeplitz):
+        monkeypatch.setattr(module, "induced_norm", guarded)
+
+
 def io_map(triple, grid, u):
     """Input-output map ``u -> F_t0 u`` by the assembled sample matrix
     applied to the stacked samples: the dense oracle of F's FFT products."""
-    F = admissibility.io_matrix(triple.discretize(grid))
+    F = io_matrix(triple.discretize(grid))
     out = (F @ u.values.reshape(-1)).reshape(u.values.shape)
     return admissibility.SampledSignal(grid, out, p=u.p)
 

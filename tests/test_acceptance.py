@@ -13,13 +13,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (chain_entry, dissipative_matrix, feedback_forward_matrix,
-                      shipped_feedback_inverse, stable_triple, taylor_expm)
+                      io_matrix, materialize, shipped_feedback_inverse,
+                      stable_triple, taylor_expm)
 from test_cli import matrix_config, transport_config
 from sgperturb import numkit
 from sgperturb.admissibility import (
     TimeGrid,
     estimate_constants,
-    io_matrix,
     rescaled_map_identities,
 )
 from sgperturb.classical import ds_suite, mv_suite
@@ -31,7 +31,7 @@ from sgperturb.perturbation import (
     weiss_staffans_semigroup,
 )
 from sgperturb.semigroup import GridFunction, MatrixTriple
-from sgperturb.toeplitz import BlockToeplitz, column_norm, materialize
+from sgperturb.toeplitz import BlockToeplitz, column_norm
 from sgperturb.transport import (
     BorelMeasure,
     TransportTriple,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
-from conftest import io_map, stable_triple, transport_triple
-from sgperturb import admissibility, numkit
+from conftest import (io_map, io_matrix, refuse_dense_f, stable_triple,
+                      transport_triple)
+from sgperturb import admissibility, numkit, perturbation
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
     SampledSignal,
@@ -17,12 +18,12 @@ from sgperturb.admissibility import (
     controllability_map,
     estimate_constants,
     feedback_admissible,
-    io_matrix,
     observability_map,
     rescaled_map_identities,
     smooth_trial_signals,
 )
 from sgperturb.numkit import ShapeError
+from sgperturb.toeplitz import BlockToeplitz
 from sgperturb.semigroup import GridFunction, MatrixTriple
 from sgperturb.transport import (BorelMeasure, TransportDiscretization,
                                  phi_coefficients)
@@ -503,10 +504,78 @@ def test_feedback_margin_rejects_entry_above_diagonal():
     with pytest.raises(ShapeError, match="lower-triangular"):
         admissibility._feedback_margin(column)
     with pytest.raises(ShapeError, match="lower-triangular"):
-        admissibility._feedback_report(None, column, 3.0)
+        admissibility._feedback_report(BlockToeplitz(column), 3.0)
     column[0, 1, 2] = 0.0
     column[1, 1, 2] = 1e-3      # other lags are unconstrained
     assert admissibility._feedback_margin(column) == 0.75
+
+
+README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
+
+
+def heat_ds_triple(n):
+    """Heat equation on n cells in the L^2 frame: ``n^2`` times the
+    cell-centred Neumann Laplacian, controlled through the flux at s = 1 by
+    the spatial mean of an n-dimensional input, ``B = (sqrt(n) e_n)
+    (1 / sqrt(n))^T``, and observed everywhere, ``C = I``."""
+    L = (np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
+         - 2.0 * np.eye(n))
+    L[0, 0] = L[-1, -1] = -1.0
+    B = np.zeros((n, n))
+    B[-1] = 1.0
+    return MatrixTriple(n * n * L, B, np.eye(n))
+
+
+@pytest.mark.parametrize("triple, grid", [
+    (README_TRIPLE, TimeGrid(0.5, 32)),
+    (README_TRIPLE, TimeGrid(0.5, 256)),
+    (README_TRIPLE, TimeGrid(0.5, 2048)),
+    (stable_triple(19, n=3, m=2), TimeGrid(0.8, 64)),
+    (heat_ds_triple(16), TimeGrid(0.5, 32)),
+    (transport_triple(N=64, density=(0.2 + 0.1j,) * 64, mu_shift=0.9),
+     TimeGrid(1.0, 64)),
+    (transport_triple(N=64, atoms=((0.5, 0.3), (0.875, 0.2))),
+     TimeGrid(0.5, 32)),
+    (transport_triple(N=64, atoms=((0.25, 0.4), (1.0, 0.6 + 0.3j))),
+     TimeGrid(1.0, 32)),
+], ids=["readme-32", "readme-256", "readme-2048", "complex-m2", "heat-ds-16",
+        "density-shift", "atoms", "atoms-atom-at-1-stride-2"])
+def test_two_norm_equals_the_dense_oracle(triple, grid):
+    # Lanczos on F's FFT products against the Gram eigensolve of the dense
+    # F, the p = 2 path the package once shipped
+    oracle = numkit.induced_norm(io_matrix(triple.discretize(grid)), 2)
+    fb = feedback_admissible(triple, grid, 2.0)
+    assert oracle > 0.01
+    assert fb.io_norm == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert fb.io_norm_certifies == (oracle < 1.0)
+
+
+@pytest.mark.parametrize("triple", [
+    transport_triple(N=16, atoms=((1.0, 1.0),)),
+    transport_triple(N=16, atoms=((1.0, np.exp(0.7j)),)),
+    transport_triple(N=16, atoms=((0.75, 1.0),)),
+], ids=["unit-atom-at-1", "unimodular-atom-at-1", "unit-atom-at-0.75"])
+def test_unit_norm_f_never_certifies(triple):
+    # F = I, F = e^{0.7i} I and a pure shift have norm exactly 1 on every
+    # horizon where they are not 0; Lanczos may read that one ulp low, so
+    # only the margin on theta keeps ||F|| < 1 from being decided there
+    grid = TimeGrid(1.0, 16)
+    fb = feedback_admissible(triple, grid, 2.0)
+    entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
+                                               fb)
+    unit = [t for t, nrm in zip(entry["horizons"], entry["io_norms"])
+            if nrm > 0.5]
+    assert unit and unit == list(entry["horizons"][:len(unit)])
+    for t in unit:
+        g = TimeGrid(t, round(16 * t))
+        report = feedback_admissible(triple, g, 2.0)
+        assert abs(report.io_norm - 1.0) <= 1e-13
+        assert not report.io_norm_certifies
+    if found is None:
+        assert len(unit) == len(entry["horizons"])
+    else:
+        assert entry["io_norm_at_t1"] == 0.0 and found.t0 < unit[-1]
 
 
 _COLUMN_NORM_CASES = [
@@ -526,10 +595,7 @@ def test_io_norm_off_two_comes_from_the_column(triple, grid, monkeypatch):
     n1, ninf = numkit.induced_norm(F, 1), numkit.induced_norm(F, np.inf)
     assert n1 > 0.0 and ninf > 0.0
     margin = feedback_admissible(triple, grid, 2.0).margin
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense F built")
-    monkeypatch.setattr(admissibility, "io_matrix", refuse)
+    refuse_dense_f(monkeypatch, F.shape[0])
     for p, want in ((1.0, n1), (np.inf, ninf),
                     (3.0, n1 ** (1.0 / 3.0) * ninf ** (2.0 / 3.0))):
         fb = feedback_admissible(triple, grid, p)
@@ -592,17 +658,6 @@ def test_estimate_constants_transport_bounds():
     assert rep.feedback_ok
 
 
-def counted_io_matrix(monkeypatch):
-    calls = []
-    build = admissibility.io_matrix
-
-    def counted(disc):
-        calls.append(disc.grid)
-        return build(disc)
-    monkeypatch.setattr(admissibility, "io_matrix", counted)
-    return calls
-
-
 @pytest.mark.parametrize("p, alpha, beta", [(2.0, 1.0, 3.0),
                                              (3.0, 1.0, 4.0)])
 @pytest.mark.parametrize("triple, grid", [
@@ -623,24 +678,43 @@ def test_m_io_matches_the_dense_products(triple, grid, p, alpha, beta):
     assert rep.M_io == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+def count_columns(monkeypatch, discretization):
+    """The grid of each ``feedback_column`` a ``discretization`` builds."""
+    grids = []
+    build = discretization.feedback_column
+
+    def counted(disc):
+        grids.append(disc.grid)
+        return build(disc)
+    monkeypatch.setattr(discretization, "feedback_column", counted)
+    return grids
+
+
 @pytest.mark.parametrize("world", ["matrix", "transport"])
-def test_one_io_matrix_per_estimate(world, monkeypatch):
+def test_one_feedback_column_per_estimate(world, monkeypatch):
+    # one F per estimate, its first block column: the trial products and
+    # the norm at every p come off it, and no dense F reaches a norm
     if world == "matrix":
         triple, grid = stable_triple(26, n=3, m=2), TimeGrid(0.8, 16)
     else:
         triple, grid = transport_triple(N=32, atoms=((0.5, 0.3),)), \
             TimeGrid(0.5, 16)
-    expected = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=6,
-                                  rng=numkit.make_rng(30))
-    calls = counted_io_matrix(monkeypatch)
-    report = estimate_constants(triple, grid, 2.0, 1.0, 3.0, trials=6,
-                                rng=numkit.make_rng(30))
-    assert report == expected
-    assert len(calls) == 1  # the p = 2 norm of F; the products use none
-    calls.clear()
+    expected = {p: estimate_constants(triple, grid, p, 1.0, 3.0, trials=6,
+                                      rng=numkit.make_rng(30))
+                for p in (2.0, 3.0)}
+    refuse_dense_f(monkeypatch, grid.steps * triple.control_dim)
+    columns = count_columns(monkeypatch, type(triple.discretize(grid)))
+    for p in (2.0, 3.0):
+        report = estimate_constants(triple, grid, p, 1.0, 3.0, trials=6,
+                                    rng=numkit.make_rng(30))
+        assert report == expected[p]
+    assert columns == [grid, grid]
+    columns.clear()
     rescaled_map_identities(triple, grid, 1.0, trials=4,
                             rng=numkit.make_rng(31))
-    assert calls == []
+    # the shifted triple's column, and the unshifted one's lag-0 block
+    # next to the frames
+    assert columns == [grid, grid]
 
 
 @pytest.mark.parametrize("world", ["matrix", "transport"])

@@ -66,10 +66,10 @@ def test_schema_version_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "3.0.0"
 
 
-def run_python(*args):
+def run_python(*args, **env_vars):
     src = str(Path(sgperturb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+        [src, os.environ.get("PYTHONPATH", "")]), **env_vars)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, timeout=120)
 
@@ -500,6 +500,23 @@ def test_reports_byte_identical_across_runs_and_jobs(tmp_path):
         assert (tmp_path / sub / "report.json").read_bytes() == first
         assert (tmp_path / sub
                 / "trajectory_matrix_orbit.csv").read_bytes() == first_csv
+
+
+def test_matrix_report_bytes_independent_of_blas_threads(tmp_path):
+    # the README matrix config at 1024 steps, --verify, in one process at
+    # one BLAS thread and one at two: every norm of F is Lanczos on its FFT
+    # products, so no field depends on how BLAS splits its work
+    cfg = matrix_config()
+    cfg["grid"]["steps"] = 1024
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = run_python("-m", "sgperturb.cli", "run", str(path), "--verify",
+                          "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_seed_override_via_flag(tmp_path):

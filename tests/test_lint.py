@@ -13,11 +13,11 @@ one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
 ``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
 calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
 and ``perturbation.py`` materializes no Toeplitz operator: it does not name
-``materialize``.  F has one dense builder, ``admissibility.io_matrix``,
-the one caller of ``materialize``, and no triple class defines
-``io_matrix``; its one caller is the p = 2 norm in
-``admissibility._feedback_report``, since every product with F is an FFT
-product with its first block column.  Every name in a module's ``__all__`` resolves.  The
+``materialize``.  F has no dense form at all: every product with F is an FFT
+product with its first block column and every norm of F comes off that
+column, so no module names ``io_matrix``, ``materialize`` or
+``IO_SIZE_CAP`` (the dense builders and their cap are test oracles now).
+Every name in a module's ``__all__`` resolves.  The
 feedback inverse has one code path, the block recursion of
 ``toeplitz.py``; its dense form is a test oracle, so no module defines,
 imports, exports or names ``feedback_toeplitz_inverse`` or
@@ -301,27 +301,29 @@ DENSE_FEEDBACK_INVERSE = {"feedback_toeplitz_inverse",
                           "feedback_inverse_norm_bound"}
 
 
+def _spelled(node):
+    """The words a node spells: a definition's name, an import's names, a
+    string (an ``__all__`` entry), a name or an attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name.split(".")[-1] for alias in node.names]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
 def dense_feedback_inverse_names(source: str, name: str = "<source>"):
     """Each definition, import, name, attribute or string (an ``__all__``
     entry) that spells a dense feedback-inverse function."""
-    found = []
-    for node in ast.walk(ast.parse(source, name)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            spelled = [node.name]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            spelled = [alias.name.split(".")[-1] for alias in node.names]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            spelled = [node.value]
-        elif isinstance(node, ast.Name):
-            spelled = [node.id]
-        elif isinstance(node, ast.Attribute):
-            spelled = [node.attr]
-        else:
-            continue
-        for word in DENSE_FEEDBACK_INVERSE & set(spelled):
-            found.append(f"{name}:{getattr(node, 'lineno', 0)}: {word}")
-    return found
+    return [f"{name}:{getattr(node, 'lineno', 0)}: {word}"
+            for node in ast.walk(ast.parse(source, name))
+            for word in DENSE_FEEDBACK_INVERSE & set(_spelled(node))]
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -482,22 +484,72 @@ def call_sites(source: str, name: str, matches):
     return found
 
 
-def materialize_callers(source: str, name: str = "<source>"):
-    """Each call of ``materialize``, by name or attribute."""
-    return call_sites(source, name, lambda call: "materialize" in (
-        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+#: the names of the dense F the package no longer has: F is stored by its
+#: first block column, and its products and norms all come off that column
+DENSE_F = {"io_matrix", "materialize", "IO_SIZE_CAP"}
+
+
+def dense_f_sites(source: str, name: str = "<source>"):
+    """``(module, function, word)`` for each definition, import, name,
+    attribute or string (an ``__all__`` entry) that spells a ``DENSE_F``
+    name, with ``None`` for one at module level."""
+    module = Path(name).name
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            for word in sorted(DENSE_F & set(_spelled(child))):
+                found.append((module, function, word))
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, inner)
+    visit(ast.parse(source, name), None)
+    return found
+
+
+def test_no_module_names_a_dense_f():
+    sites = [site for path in MODULES
+             for site in dense_f_sites(path.read_text(),
+                                       str(path.relative_to(SRC)))]
+    assert sites == []
+
+
+def _callers_of(word):
+    """``call_sites`` matcher for each call of ``word``, by name or
+    attribute."""
+    return lambda call: word in (getattr(call.func, "id", None),
+                                 getattr(call.func, "attr", None))
 
 
 def test_io_matrix_is_the_one_dense_builder_of_f():
-    # F is stored by its first block column; admissibility.io_matrix is the
-    # only code that materializes it, and no triple class builds its own
+    # F is stored by its first block column; the one code that materializes
+    # it is the test oracle conftest.io_matrix, no package module calls
+    # materialize, and no triple or discretization class builds its own
+    oracles = Path(__file__).with_name("conftest.py")
+    callers = [call for path in MODULES + [oracles]
+               for call in call_sites(path.read_text(), path.name,
+                                      _callers_of("materialize"))]
+    assert callers == [("conftest.py", "io_matrix")]
+    for module, cls in (("semigroup.py", "MatrixTriple"),
+                        ("semigroup.py", "MatrixDiscretization"),
+                        ("transport.py", "TransportTriple"),
+                        ("transport.py", "TransportDiscretization")):
+        assert "io_matrix" not in _public_methods(module, cls)
+
+
+def test_dense_f_serves_only_the_two_norm():
+    # the p = 2 norm of the feedback report was the dense F's one use; it
+    # now runs Lanczos on F's FFT products, so no package module calls
+    # io_matrix, and admissibility takes F's 2-norm in _feedback_report alone
     callers = [call for path in MODULES
-               for call in materialize_callers(path.read_text(),
-                                               str(path.relative_to(SRC)))]
-    assert callers == [("admissibility.py", "io_matrix")]
-    assert "io_matrix" not in _public_methods("semigroup.py", "MatrixTriple")
-    assert "io_matrix" not in _public_methods("transport.py",
-                                              "TransportTriple")
+               for call in call_sites(path.read_text(), path.name,
+                                      _callers_of("io_matrix"))]
+    assert callers == []
+    source = (SRC / "admissibility.py").read_text()
+    assert call_sites(source, "admissibility.py",
+                      _callers_of("lanczos_norms")) == [
+        ("admissibility.py", "_feedback_report")]
 
 
 @pytest.mark.parametrize("snippet, caller", [
@@ -507,27 +559,13 @@ def test_io_matrix_is_the_one_dense_builder_of_f():
      "        return toeplitz.materialize(self.col(g))\n", "io_matrix"),
 ])
 def test_materialize_rule_catches_each_form(snippet, caller):
-    assert materialize_callers(snippet, "x.py") == [("x.py", caller)]
+    assert [site[:2] for site in dense_f_sites(snippet, "x.py")
+            if site[2] == "materialize"] == [("x.py", caller)]
 
 
 def test_materialize_rule_passes_other_names():
-    assert materialize_callers("T = BlockToeplitz(c)\ny = T.forward(x)\n"
-                               "from .toeplitz import materialize\n") == []
-
-
-def io_matrix_callers(source: str, name: str = "<source>"):
-    """Each call of ``io_matrix``, by name or attribute."""
-    return call_sites(source, name, lambda call: "io_matrix" in (
-        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
-
-
-def test_dense_f_serves_only_the_two_norm():
-    # every product with F is an FFT product with its first block column;
-    # the dense F is built for the p = 2 norm of the feedback report alone
-    callers = [call for path in MODULES
-               for call in io_matrix_callers(path.read_text(),
-                                             str(path.relative_to(SRC)))]
-    assert callers == [("admissibility.py", "_feedback_report")]
+    assert dense_f_sites("T = BlockToeplitz(c)\ny = T.forward(x)\n"
+                         "materialized = dense = None\n") == []
 
 
 @pytest.mark.parametrize("snippet, caller", [
@@ -537,15 +575,24 @@ def test_dense_f_serves_only_the_two_norm():
      "        return io_matrix(self.disc) @ u\n", "apply"),
 ])
 def test_io_matrix_rule_catches_each_form(snippet, caller):
-    assert io_matrix_callers(snippet, "x.py") == [("x.py", caller)]
+    assert dense_f_sites(snippet, "x.py") == [("x.py", caller, "io_matrix")]
 
 
 def test_io_matrix_rule_passes_other_calls():
-    assert io_matrix_callers(
-        "from .admissibility import io_matrix\n"
-        "y = BlockToeplitz(disc.feedback_column()).forward(u)\n"
-        "cap = IO_SIZE_CAP\nbuild = io_matrix\n"
-        "def io_matrix(disc):\n    return materialize(T)\n") == []
+    assert dense_f_sites(
+        "F = BlockToeplitz(disc.feedback_column())\ny = F.forward(u)\n"
+        "n = numkit.lanczos_norms(F.forward, F.adjoint, [F.n])\n"
+        "io_matrices = io_size = None\n") == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from .admissibility import IO_SIZE_CAP\n",
+    "__all__ = ['io_matrix']\n",
+    "def io_matrix(disc):\n    pass\n",
+    "cap = admissibility.IO_SIZE_CAP\n",
+])
+def test_dense_f_rule_catches_imports_exports_and_definitions(snippet):
+    assert len(dense_f_sites(snippet)) == 1
 
 
 DISCRETIZATIONS = {"MatrixDiscretization", "TransportDiscretization"}

@@ -6,13 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (compatible_state, feedback_toeplitz_inverse,
-                      stable_triple, taylor_expm, transport_triple,
+                      io_matrix, materialize, refuse_dense_f, stable_triple,
+                      taylor_expm, transport_triple,
                       unskipped_inverse_products)
 from sgperturb import admissibility, numkit, perturbation, toeplitz, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
-                                     feedback_admissible, io_matrix,
-                                     observability_map)
+                                     feedback_admissible, observability_map)
 from sgperturb.classical import mv_suite
 from sgperturb.perturbation import (
     FeedbackSingularError,
@@ -24,6 +24,7 @@ from sgperturb.perturbation import (
 )
 from sgperturb.semigroup import (
     GridFunction,
+    MatrixDiscretization,
     MatrixTriple,
     apply_semigroup,
     rescale,
@@ -336,7 +337,8 @@ def test_ws_rescaling_compensation_identity():
     grid = TimeGrid(0.8, 32)
     x = numkit.random_vector(numkit.make_rng(50), 4)
     plain = weiss_staffans_semigroup(triple, grid, 0.8, x)
-    comp = weiss_staffans_semigroup(triple, grid, 0.8, x, mu_shift=1.5)
+    comp = np.exp(1.5 * 0.8) * weiss_staffans_semigroup(
+        rescale(triple, 1.5), grid, 0.8, x)
     assert np.abs(plain - comp).max() <= 1e-9 * np.abs(plain).max()
 
 
@@ -491,7 +493,7 @@ def test_impulse_column_is_solve_feedback_on_unit_impulses(triple, grid):
     assert g.shape == want.shape
     assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
     if triple is GROWING_LOOP:
-        G = numkit.induced_norm(toeplitz.materialize(
+        G = numkit.induced_norm(materialize(
             toeplitz.BlockToeplitz(g)), 2)
         assert G > 1e8
 
@@ -729,14 +731,11 @@ def test_growth_singular_feedback_raises_through_the_inverse_norm():
 
 def test_growth_check_at_4096_steps_is_linear_in_memory(monkeypatch):
     # 4096 signal columns: the dense path built a 24576^2 inverse (4.8 GB);
-    # now neither F nor any inverse is materialized, and the traced peak
-    # stays below a bound linear in steps that one steps x steps float64
-    # matrix (8 steps^2 bytes, 134 MB) would already exceed
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense F or inverse built")
-    monkeypatch.setattr(admissibility, "io_matrix", refuse)
-    monkeypatch.setattr(toeplitz, "materialize", refuse)
+    # now neither F nor any inverse is formed, and the traced peak stays
+    # below a bound linear in steps that one steps x steps float64 matrix
+    # (8 steps^2 bytes, 134 MB) would already exceed
     steps = 4096
+    refuse_dense_f(monkeypatch, steps)
     tracemalloc.start()
     try:
         rep = long_horizon_growth_check(README_TRIPLE, TimeGrid(0.5, steps),
@@ -841,15 +840,13 @@ def test_growth_check_builds_no_io_matrix(world, monkeypatch):
         triple, grid = (transport_triple(N=64, atoms=LITTLE_MASS_ATOMS),
                         TimeGrid(0.5, 32))
     expected = long_horizon_growth_check(triple, grid, (0.5, 1.0))
-    builds = (count_calls(monkeypatch, "io_matrix", admissibility)
-              + count_calls(monkeypatch, "materialize", toeplitz))
+    refuse_dense_f(monkeypatch, grid.steps * triple.control_dim)
     eigs = count_calls(monkeypatch, "eigenvalues", numkit)
     maps = (count_calls(monkeypatch, "controllability_map", admissibility,
                         perturbation)
             + count_calls(monkeypatch, "observability_map", admissibility,
                           perturbation))
     assert long_horizon_growth_check(triple, grid, (0.5, 1.0)) == expected
-    assert builds == []
     assert eigs == []
     assert maps == []
 
@@ -865,11 +862,7 @@ def test_feedback_semigroup_and_vop_build_no_io_matrix(world, monkeypatch):
         x = compatible_state(triple.mu, triple.N, triple.p)
     expected = (weiss_staffans_semigroup(triple, grid, grid.t0, x),
                 variation_of_parameters_residual(triple, grid, grid.t0, x))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("io_matrix built")
-    monkeypatch.setattr(admissibility, "io_matrix", refuse)
-    monkeypatch.setattr(toeplitz, "materialize", refuse)
+    refuse_dense_f(monkeypatch, grid.steps * triple.control_dim)
     ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
     vop = variation_of_parameters_residual(triple, grid, grid.t0, x)
     assert triple.state_norm(ws - expected[0]) == 0.0
@@ -877,13 +870,11 @@ def test_feedback_semigroup_and_vop_build_no_io_matrix(world, monkeypatch):
 
 
 def test_transport_feedback_semigroup_beyond_io_size_cap():
-    # 8192 steps: io_matrix refuses F, the feedback semigroup never forms
-    # it; both atoms sit whole strides below s = 1, so VoP is exact
+    # 8192 steps, twice the 4096 columns a dense F was once capped at: the
+    # feedback semigroup never forms F; both atoms sit whole strides below
+    # s = 1, so VoP is exact
     triple = transport_triple(N=8192, atoms=LITTLE_MASS_ATOMS)
     grid = TimeGrid(1.0, 8192)
-    assert grid.steps > admissibility.IO_SIZE_CAP
-    with pytest.raises(ValueError, match="io_matrix would have"):
-        io_matrix(triple.discretize(grid))
     x = compatible_state(triple.mu, triple.N, triple.p)
     ws = weiss_staffans_semigroup(triple, grid, grid.t0, x)
     assert np.isfinite(ws.values).all()
@@ -893,10 +884,9 @@ def test_transport_feedback_semigroup_beyond_io_size_cap():
 
 
 def test_p3_certificate_and_rescaling_beyond_io_size_cap():
-    # 8192 columns: only the p = 2 norm needs the dense F, so the p = 3
-    # certificate and the rescaling identities run past the cap
+    # 8192 columns, twice the 4096 a dense F was once capped at: the p = 3
+    # certificate and the rescaling identities apply F by FFT products
     grid = TimeGrid(0.5, 8192)
-    assert grid.steps > admissibility.IO_SIZE_CAP
     cert = generation_certificate(README_TRIPLE, grid, 3.0, 1.0, 4.0,
                                   numkit.make_rng(42))
     assert cert.verdict == "generated", cert.notes
@@ -905,63 +895,103 @@ def test_p3_certificate_and_rescaling_beyond_io_size_cap():
     assert res.max_residual() <= 1e-9
 
 
+@pytest.mark.parametrize("steps", [8192, 16384])
+def test_p2_certificate_beyond_io_size_cap(steps):
+    # two and four times the 4096 columns a dense F was once capped at
+    # (the cap made the verdict inconclusive): the p = 2 norm is Lanczos on
+    # F's FFT products, and the traced peak stays below a bound linear in
+    # steps that one dense F (8 steps^2 bytes) would exceed many times over
+    grid = TimeGrid(0.5, steps)
+    tracemalloc.start()
+    try:
+        cert = generation_certificate(README_TRIPLE, grid, 2.0, 1.0, 3.0,
+                                      numkit.make_rng(42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == "generated", cert.notes
+    fb = cert.conditions["feedback"]
+    assert fb["io_norm_certifies"] and 0.0 < fb["io_norm"] < 1.0
+    assert peak < 24_000 * steps
+
+
+#: (F's column count, call): each call applies F or takes its norm
 NO_DENSE_F_CALLS = {
-    "estimate_constants-p3": lambda: estimate_constants(
+    "estimate_constants-p2": (32, lambda: estimate_constants(
+        README_TRIPLE, TimeGrid(0.5, 32), 2.0, 1.0, 3.0, trials=4,
+        rng=numkit.make_rng(1))),
+    "estimate_constants-p3": (32, lambda: estimate_constants(
         README_TRIPLE, TimeGrid(0.5, 32), 3.0, 1.0, 4.0, trials=4,
-        rng=numkit.make_rng(1)),
-    "certificate-p3": lambda: generation_certificate(
-        README_TRIPLE, TimeGrid(0.5, 32), 3.0, 1.0, 4.0, numkit.make_rng(2)),
-    "certificate-transport-p3": lambda: generation_certificate(
+        rng=numkit.make_rng(1))),
+    "certificate-p2": (32, lambda: generation_certificate(
+        README_TRIPLE, TimeGrid(0.5, 32), 2.0, 1.0, 3.0, numkit.make_rng(2))),
+    "certificate-p3": (32, lambda: generation_certificate(
+        README_TRIPLE, TimeGrid(0.5, 32), 3.0, 1.0, 4.0, numkit.make_rng(2))),
+    "certificate-transport-p2": (16, lambda: generation_certificate(
         transport_triple(N=32, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 16),
-        3.0, 1.0, 4.0, numkit.make_rng(3)),
-    "rescaled_map_identities": lambda: admissibility.rescaled_map_identities(
-        README_TRIPLE, TimeGrid(0.5, 32), 1.0),
-    "mv_suite": lambda: mv_suite(
+        2.0, 1.0, 3.0, numkit.make_rng(3))),
+    "certificate-transport-p3": (16, lambda: generation_certificate(
+        transport_triple(N=32, atoms=LITTLE_MASS_ATOMS), TimeGrid(0.5, 16),
+        3.0, 1.0, 4.0, numkit.make_rng(3))),
+    "feedback_admissible-p2": (24, lambda: feedback_admissible(
+        stable_triple(26, n=3, m=2), TimeGrid(0.8, 12), 2.0)),
+    "rescaled_map_identities": (32, lambda:
+                                admissibility.rescaled_map_identities(
+                                    README_TRIPLE, TimeGrid(0.5, 32), 1.0)),
+    "mv_suite": (32, lambda: mv_suite(
         MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]), np.eye(2),
                      np.array([[0.3, -0.4], [0.1, 0.2]])),
-        TimeGrid(0.5, 16), 3.0, numkit.make_rng(4)),
+        TimeGrid(0.5, 16), 3.0, numkit.make_rng(4))),
+    "mv_suite-p2": (32, lambda: mv_suite(
+        MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]), np.eye(2),
+                     np.array([[0.3, -0.4], [0.1, 0.2]])),
+        TimeGrid(0.5, 16), 2.0, numkit.make_rng(4))),
 }
 
 
 @pytest.mark.parametrize("call", sorted(NO_DENSE_F_CALLS))
 def test_products_with_f_build_no_dense_f(call, monkeypatch):
-    # every product with F is an FFT product with its first block column;
-    # the dense F serves the p = 2 norm alone
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense F built")
-    monkeypatch.setattr(admissibility, "io_matrix", refuse)
-    monkeypatch.setattr(toeplitz, "materialize", refuse)
-    NO_DENSE_F_CALLS[call]()
+    # every product with F is an FFT product with its first block column,
+    # and every norm of F comes off that column: at p = 2 by Lanczos on
+    # the products, so no dense F reaches a norm at any p
+    columns, run = NO_DENSE_F_CALLS[call]
+    refuse_dense_f(monkeypatch, columns)
+    run()
 
 
-def test_certificate_builds_one_io_matrix(monkeypatch):
+def test_certificate_builds_no_dense_f(monkeypatch):
     # README triple: ||F|| < 1 at t0, so the bypass search reuses the
-    # feedback report's norm and builds nothing
+    # feedback report and builds nothing; the report's F is one first
+    # block column, and its p = 2 norm one Lanczos run on its products
     triple = README_TRIPLE
     grid = TimeGrid(0.5, 32)
-    builds = count_calls(monkeypatch, "io_matrix", admissibility)
-    dense = count_calls(monkeypatch, "materialize", toeplitz)
+    refuse_dense_f(monkeypatch, 32)
+    columns = count_calls(monkeypatch, "feedback_column",
+                          MatrixDiscretization)
+    norms = count_calls(monkeypatch, "lanczos_norms", numkit)
     cert = generation_certificate(triple, grid, 2.0, 1.0, 3.0,
                                   numkit.make_rng(42))
     assert cert.verdict == "generated"
     fb = cert.conditions["feedback"]
     assert fb["bypass"]["io_norms"] == (fb["io_norm"],)
     assert fb["bypass"]["fitted_rate"] is None   # one horizon: no rate
-    assert len(builds) == len(dense) == 1
+    assert [d.grid for d, in columns] == [grid]
+    assert [list(sizes) for _, _, sizes in norms] == [[32]]
 
 
 def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
-    # ||F|| >= 1 at t0: the first entry is the given norm, the next ones
-    # come from one build per halved horizon
+    # ||F|| >= 1 at t0: the first entry is the given report's norm, the
+    # next ones come from one feedback_column per halved horizon
     triple = transport_triple(N=32, atoms=((0.25, 1.5),))
     grid = TimeGrid(1.0, 32)
     fb = feedback_admissible(triple, grid, 2.0)
-    assert fb.io_norm >= 1.0
-    builds = count_calls(monkeypatch, "io_matrix", admissibility)
+    assert fb.io_norm >= 1.0 and not fb.io_norm_certifies
+    columns = count_calls(monkeypatch, "feedback_column",
+                          transport.TransportDiscretization)
     entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
-                                               fb.io_norm)
+                                               fb)
     assert entry["io_norms"][0] == fb.io_norm
-    assert [d.grid.t0 for d, in builds] == list(entry["horizons"][1:])
+    assert [d.grid.t0 for d, in columns] == list(entry["horizons"][1:])
     assert entry["found"] and found.t0 == entry["t1"] < grid.t0
     assert entry["io_norms"][-1] < 1.0
 
@@ -981,7 +1011,7 @@ def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     want = [riesz_thorin(TimeGrid(t, n)) for t, n in
             ((2.0, 64), (1.0, 32), (0.5, 16))]
     assert want[0] == pytest.approx(1.5) and want[2] == 0.0
-    builds = count_calls(monkeypatch, "io_matrix", admissibility)
+    refuse_dense_f(monkeypatch, 64, 32, 16)
     columns = count_calls(monkeypatch, "feedback_column",
                           transport.TransportDiscretization)
     cert = generation_certificate(triple, grid, 3.0, 1.0, 3.0,
@@ -994,7 +1024,6 @@ def test_certificate_at_p3_reads_the_bypass_norms_off_columns(monkeypatch):
     assert bypass["io_norms"][0] == fb["io_norm"]
     for got, exact in zip(bypass["io_norms"], want):
         assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
-    assert builds == []
     assert [d.grid.t0 for d, in columns] == [2.0, 1.0, 0.5]
 
 

@@ -3,14 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (chain_entry, dense_lower_toeplitz,
-                      feedback_forward_matrix, shipped_feedback_inverse)
+                      feedback_forward_matrix, materialize,
+                      shipped_feedback_inverse)
 from sgperturb import numkit
 from sgperturb.numkit import ShapeError, SingularMatrixError, induced_norm
 from sgperturb.toeplitz import (
     BlockToeplitz,
     column_norm,
     feedback_norm_chain,
-    materialize,
 )
 
 
@@ -20,7 +20,7 @@ def random_toeplitz(seed, n, d):
 
 
 # ---------------------------------------------------------------------------
-# materialize
+# the dense oracle (conftest.materialize)
 # ---------------------------------------------------------------------------
 
 def test_apply_identity_diagonal():

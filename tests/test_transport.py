@@ -1288,8 +1288,8 @@ OFF_GRID_CALLS = {
         lambda g: OFF_GRID_TRIPLE.discretize(g).controllability_matrix(),
     "observability_matrix":
         lambda g: OFF_GRID_TRIPLE.discretize(g).observability_matrix(),
-    "io_matrix":
-        lambda g: admissibility.io_matrix(OFF_GRID_TRIPLE.discretize(g)),
+    "feedback_admissible": lambda g: admissibility.feedback_admissible(
+        OFF_GRID_TRIPLE, g, 2.0),
     "estimate_constants": lambda g: admissibility.estimate_constants(
         OFF_GRID_TRIPLE, g, 2.0, 1.0, 3.0, trials=2, rng=numkit.make_rng(1)),
     "rescaled_map_identities": lambda g: admissibility.rescaled_map_identities(
