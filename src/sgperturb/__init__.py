@@ -25,7 +25,7 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      UnsupportedExponentError, as_matrix, as_vector,
                      eigenvalues, expm, induced_norm, lanczos_norms,
                      make_rng, random_matrix, random_vector, solve,
-                     spectral_radius_distance, vector_norm)
+                     vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, column_norm,
                        feedback_norm_chain)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
@@ -58,8 +58,7 @@ __all__ = [
     "NumkitError", "ShapeError", "SingularMatrixError",
     "NumericalRangeError", "UnsupportedExponentError", "ConvergenceError",
     "as_matrix", "as_vector", "expm", "solve", "vector_norm", "induced_norm",
-    "lanczos_norms", "eigenvalues",
-    "spectral_radius_distance", "make_rng",
+    "lanczos_norms", "eigenvalues", "make_rng",
     "random_matrix", "random_vector",
     # toeplitz
     "BlockToeplitz", "column_norm", "NormChain",

@@ -499,7 +499,7 @@ def _suite_spectral(spec: RunSpec, rng, csv_dir):
     N = spec.triple.N
     if N <= 800:
         A = upwind_generator(mu, N)
-        eigs = np.linalg.eigvals(A)
+        eigs = numkit.eigenvalues(A)
         dists = []
         for lam in roots:
             dist = float(np.abs(eigs - lam).min())

@@ -44,7 +44,6 @@ __all__ = [
     "induced_norm",
     "lanczos_norms",
     "eigenvalues",
-    "spectral_radius_distance",
     "make_rng",
     "random_matrix",
     "random_vector",
@@ -459,14 +458,6 @@ def eigenvalues(A) -> np.ndarray:
         return np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def spectral_radius_distance(A, point: complex) -> float:
-    """Distance from ``point`` to the spectrum of ``A`` (min over eigenvalues)."""
-    lam = eigenvalues(A)
-    if lam.size == 0:
-        return float("inf")
-    return float(np.min(np.abs(lam - point)))
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,9 @@ class MatrixTriple:
         return numkit.expm(self.A, t) @ as_vector(x)
 
     def _shifted(self, lam: complex) -> np.ndarray:
-        """``lam I - A``, refused within 1e-8 of the spectrum of ``A``."""
-        dist = numkit.spectral_radius_distance(self.A, lam)
-        if dist < 1e-8:
-            raise numkit.SingularMatrixError(
-                f"lambda = {lam} is within {dist:.2e} of the spectrum of A")
+        """``lam I - A``.  No eigensolve guards it: the ``numkit.solve`` that
+        applies it refuses it ("pivot ratio") where it is singular to
+        working precision, so a resolvent refuses on application."""
         return lam * np.eye(self.state_dim, dtype=np.complex128) - self.A
 
     def resolvent(self, lam: complex):
@@ -186,10 +184,30 @@ class MatrixTriple:
         return lam, worst, threshold
 
 
+def _powers(M: np.ndarray, X: np.ndarray, count: int) -> np.ndarray:
+    """``M^k X`` for k = 0 .. count - 1, ``(count,) + X.shape``, for a
+    vector or block ``X``: a doubling walk, which keeps the powers
+    ``M^{2^i}`` and takes one batched product per doubling of the stack."""
+    out = np.empty((count, X.shape[0], X.shape[1] if X.ndim > 1 else 1),
+                   dtype=np.complex128)
+    filled = min(1, count)
+    out[:filled] = X.reshape(out.shape[1:])
+    while filled < count:
+        take = min(filled, count - filled)
+        out[filled:filled + take] = M @ out[:take]
+        filled += take
+        if filled < count:
+            M = M @ M
+    return out.reshape((count,) + X.shape)
+
+
 @dataclass(frozen=True)
 class MatrixDiscretization:
     """A :class:`MatrixTriple` on a time grid: ``E = e^{hA}``, computed once,
-    and the maps it fixes; the walk ``E^k B``, W and O on first use."""
+    and the maps it fixes.  Every stack of powers of E (the walk ``E^k B``,
+    the rows ``C E^k`` of O, G's impulse column) comes from one doubling
+    walk, :func:`_powers`; the state loop of :meth:`solve_feedback` is the
+    one loop left.  The walk, W and O are built on first use."""
 
     triple: MatrixTriple
     grid: object
@@ -200,25 +218,16 @@ class MatrixDiscretization:
     @cached_property
     def _walk(self) -> np.ndarray:
         """``E^k B`` for k = 1 .. steps, ``(steps, n, m)``: W and F's lags."""
-        B = self.triple.B
-        walk = np.empty((self.grid.steps,) + B.shape, dtype=np.complex128)
-        P = B
-        for k in range(self.grid.steps):
-            P = self.E @ P
-            walk[k] = P
-        return walk
+        return _powers(self.E, self.E @ self.triple.B, self.grid.steps)
 
     def controllability_matrix(self) -> np.ndarray:
         walk = self.grid.h * self._walk[::-1]
         return walk.transpose(1, 0, 2).reshape(self.triple.state_dim, -1)
 
     def observability_matrix(self) -> np.ndarray:
+        """``C E^k`` for k = 0 .. steps - 1, stacked: ``(steps m, n)``."""
         C = self.triple.C
-        rows = np.empty((self.grid.steps,) + C.shape, dtype=np.complex128)
-        P = C
-        for k in range(self.grid.steps):
-            rows[k] = P
-            P = P @ self.E
+        rows = _powers(self.E.T, C.T, self.grid.steps).transpose(0, 2, 1)
         return rows.reshape(-1, self.triple.state_dim)
 
     _W = cached_property(controllability_matrix)
@@ -250,24 +259,13 @@ class MatrixDiscretization:
         """G's first block column, ``(steps, m, m)``, G = ``(I - F)^{-1}``:
         the :meth:`solve_feedback` responses to unit impulses at t = 0.  The
         state loop gives ``g_0 = I`` and ``g_k = C M^{k-1} E hB`` with ``M =
-        E (I + h B C)``, here by a doubling power walk: the powers
-        ``M^{2^i}`` and one batched product per doubling of the walk."""
+        E (I + h B C)``, the powers taken by :func:`_powers`."""
         t, steps = self.triple, self.grid.steps
         EhB = self.E @ (self.grid.h * t.B)
-        states = np.empty((steps - 1,) + EhB.shape, dtype=np.complex128)
-        M = self.E + EhB @ t.C
-        filled = min(1, steps - 1)
-        states[:filled] = EhB            # states[k] = M^k E hB
-        while filled < steps - 1:
-            take = min(filled, steps - 1 - filled)
-            states[filled:filled + take] = M @ states[:take]
-            filled += take
-            if filled < steps - 1:
-                M = M @ M
         g = np.empty((steps, t.control_dim, t.control_dim),
                      dtype=np.complex128)
         g[0] = np.eye(t.control_dim)
-        g[1:] = t.C @ states
+        g[1:] = t.C @ _powers(self.E + EhB @ t.C, EhB, steps - 1)
         return g
 
     def control(self, samples) -> np.ndarray:

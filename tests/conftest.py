@@ -12,8 +12,10 @@ the recursion.  ``unskipped_inverse_products`` is
 the all-zero ones included.  ``materialize`` is the dense build that
 ``toeplitz`` once shipped, and ``io_matrix`` the dense F the package once
 took its p = 2 norm from: both are oracles now, as ``io_map``, the
-reference application of F, is.  ``dissipative_matrix`` draws test
-generators.
+reference application of F, is.  ``loop_walk``,
+``loop_observability_matrix`` and ``loop_orbit_sum`` are the sequential
+power loops the matrix world once ran, the oracles of its doubling walk
+``semigroup._powers``.  ``dissipative_matrix`` draws test generators.
 """
 
 import numpy as np
@@ -214,6 +216,40 @@ def io_matrix(disc):
     coefficient of ``Phi`` on its lag; node ``s = 1`` (an atom there plus
     the last density half-cell) lands on the diagonal."""
     return materialize(toeplitz.BlockToeplitz(disc.feedback_column()))
+
+
+def loop_walk(disc):
+    """``E^k B`` for k = 1 .. steps, ``(steps, n, m)``, one product per
+    step (``MatrixDiscretization._walk`` as a sequential loop)."""
+    B = disc.triple.B
+    walk = np.empty((disc.grid.steps,) + B.shape, dtype=np.complex128)
+    P = B
+    for k in range(disc.grid.steps):
+        P = disc.E @ P
+        walk[k] = P
+    return walk
+
+
+def loop_observability_matrix(disc):
+    """The rows ``C E^k`` for k = 0 .. steps - 1, one product per step
+    (``MatrixDiscretization.observability_matrix`` as a sequential loop)."""
+    C = disc.triple.C
+    rows = np.empty((disc.grid.steps,) + C.shape, dtype=np.complex128)
+    P = C
+    for k in range(disc.grid.steps):
+        rows[k] = P
+        P = P @ disc.E
+    return rows.reshape(-1, disc.triple.state_dim)
+
+
+def loop_orbit_sum(E, x, count):
+    """``sum_{k < count} E^k x`` by one walk in ``E``: with ``E = e^{hA}``
+    the samples ``e^{khA} x`` of the free orbit on ``count`` grid steps."""
+    total = np.zeros_like(x)
+    for _ in range(count):
+        total += x
+        x = E @ x
+    return total
 
 
 def refuse_dense_f(monkeypatch, *columns):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
-from conftest import (io_map, io_matrix, refuse_dense_f, stable_triple,
-                      transport_triple)
+from conftest import (io_map, io_matrix, loop_observability_matrix,
+                      loop_orbit_sum, loop_walk, refuse_dense_f,
+                      stable_triple, transport_triple)
 from sgperturb import admissibility, numkit, perturbation
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
@@ -24,12 +25,14 @@ from sgperturb.admissibility import (
 )
 from sgperturb.numkit import ShapeError
 from sgperturb.toeplitz import BlockToeplitz
-from sgperturb.semigroup import GridFunction, MatrixTriple
+from sgperturb.semigroup import GridFunction, MatrixTriple, _powers
 from sgperturb.transport import (BorelMeasure, TransportDiscretization,
                                  phi_coefficients)
 
 SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                       np.array([[1.0]]))
+README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
 
 
 def constant_signal(grid, value=1.0, m=1):
@@ -219,29 +222,64 @@ def test_io_matrix_matches_io_map_exactly():
     assert np.array_equal(stacked, direct.values)
 
 
-def loop_io_matrix(triple, grid):
-    """Block-by-block assembly of the matrix-world io_matrix (oracle)."""
-    m, steps = triple.control_dim, grid.steps
+def loop_io_matrix(column):
+    """Block-by-block placement of F's first block column: lag ``d`` on
+    every block of the d-th subdiagonal (oracle of the strided fill)."""
+    steps, m = column.shape[:2]
     F = np.zeros((steps * m, steps * m), dtype=np.complex128)
-    E = numkit.expm(triple.A, grid.h)
-    P = triple.B
-    for d in range(1, steps):
-        P = E @ P
-        block = grid.h * (triple.C @ P)
+    for d in range(steps):
         for j in range(d, steps):
             k = j - d
-            F[j * m:(j + 1) * m, k * m:(k + 1) * m] = block
+            F[j * m:(j + 1) * m, k * m:(k + 1) * m] = column[d]
     return F
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 32])
 def test_io_matrix_equals_loop_assembly(steps):
-    # the lag-indexed fill places the same blocks: equal bit for bit
-    triple = stable_triple(23, n=3, m=2)
-    grid = TimeGrid(0.7, steps)
-    F = io_matrix(triple.discretize(grid))
+    # the lag-indexed fill places the column's own blocks: equal bit for bit
+    disc = stable_triple(23, n=3, m=2).discretize(TimeGrid(0.7, steps))
+    F = io_matrix(disc)
     assert F.shape == (2 * steps, 2 * steps)
-    assert np.array_equal(F, loop_io_matrix(triple, grid))
+    assert np.array_equal(F, loop_io_matrix(disc.feedback_column()))
+
+
+STABLE = stable_triple(23, n=3, m=2)
+WALKED_TRIPLES = {
+    "stable": STABLE,
+    "readme": README_TRIPLE,
+    # Re(lambda) about 20: the powers grow like e^{14} over the horizon
+    "unstable": MatrixTriple(STABLE.A + 21.0 * np.eye(3), STABLE.B, STABLE.C),
+}
+
+
+def within_walk_roundoff(got, want):
+    """Block k of ``got`` within ``4 (k + 1) eps`` of ``want``'s, relative:
+    each of the k products of a walk to ``M^k`` adds one rounding."""
+    k = np.arange(1, len(want) + 1)
+    axes = tuple(range(1, np.ndim(want)))
+    err = np.linalg.norm(got - want, axis=axes)
+    return np.all(err <= 4.0 * k * np.finfo(float).eps
+                  * np.linalg.norm(want, axis=axes))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 32, 1025])
+@pytest.mark.parametrize("name", list(WALKED_TRIPLES))
+def test_power_walks_match_sequential_loops(name, steps):
+    # the doubling walk takes E^k by other products than one step at a
+    # time: each block agrees with the sequential loop to roundoff
+    triple = WALKED_TRIPLES[name]
+    disc = triple.discretize(TimeGrid(0.7, steps))
+    assert within_walk_roundoff(disc._walk, loop_walk(disc))
+    n = triple.state_dim
+    assert within_walk_roundoff(
+        disc.observability_matrix().reshape(steps, -1, n),
+        loop_observability_matrix(disc).reshape(steps, -1, n))
+    # the observation-side suite's orbit sums, one per count
+    x = numkit.random_vector(numkit.make_rng(steps), n)
+    counts = range(1, min(steps, 40) + 1)
+    assert within_walk_roundoff(
+        np.array([_powers(disc.E, x, c).sum(axis=0) for c in counts]),
+        np.array([loop_orbit_sum(disc.E, x, c) for c in counts]))
 
 
 def loop_transport_io_matrix(triple, grid):
@@ -490,8 +528,8 @@ ATOM_ONE = ((0.5, 0.3), (1.0, 0.4 - 0.3j))
 def test_feedback_margin_equals_eigensolve(triple, grid):
     # F is lower triangular, so its diagonal is its spectrum: the diagonal
     # read equals the dense eigensolve bit for bit
-    oracle = numkit.spectral_radius_distance(
-        io_matrix(triple.discretize(grid)), 1.0)
+    eigs = np.linalg.eigvals(io_matrix(triple.discretize(grid)))
+    oracle = float(np.min(np.abs(eigs - 1.0)))
     assert feedback_admissible(triple, grid, 2.0).margin == oracle
 
 
@@ -508,10 +546,6 @@ def test_feedback_margin_rejects_entry_above_diagonal():
     column[0, 1, 2] = 0.0
     column[1, 1, 2] = 1e-3      # other lags are unconstrained
     assert admissibility._feedback_margin(column) == 0.75
-
-
-README_TRIPLE = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
-                            np.array([[1.0], [0.5]]), np.array([[0.3, -0.4]]))
 
 
 def heat_ds_triple(n):

@@ -8,9 +8,12 @@ the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
 second thread pool and its import time to every run.  No module names
 ``numpy.polynomial``, which numpy loads lazily at a cost of milliseconds on
 its first use: the quadrature table of the root count is literal
-constants.  Singular values have
-one home, ``numkit.py``: no other module calls ``linalg.svd`` or takes a
-``linalg.norm`` of order 2, so every 2-norm runs on the one kernel.  FFT
+constants.  Singular values and
+eigenvalues have one home, ``numkit.py``: no other module calls
+``linalg.svd``, ``linalg.eigvals`` or ``linalg.eig``, or takes a
+``linalg.norm`` of order 2, so every 2-norm and every spectrum runs on the
+one kernel.  No module spells ``spectral_radius_distance``: a shifted
+generator has one singularity test, the pivot test of ``numkit.solve``.  FFT
 calls have one home too, ``toeplitz.py``, where the Toeplitz products live,
 and ``perturbation.py`` materializes no Toeplitz operator: it does not name
 ``materialize``.  F has no dense form at all: every product with F is an FFT
@@ -34,7 +37,9 @@ takes a grid but ``discretize``.  What a time grid fixes lives on the two
 discretization classes, which expose the same grid maps: only they compute
 ``expm(<triple>.A, <grid>.h)`` or ``_grid_nodes(<grid>.h, ...)``, and
 ``phi_coefficients(<triple>.mu, ...)`` runs there or in
-``TransportTriple.__post_init__``, which keeps the coefficients.
+``TransportTriple.__post_init__``, which keeps the coefficients.  Every
+stack of powers of ``E = e^{hA}`` comes from one doubling walk, so no
+method of ``MatrixDiscretization`` but ``solve_feedback`` holds a loop.
 """
 
 import ast
@@ -213,6 +218,8 @@ def singular_value_calls(source: str, name: str = "<source>"):
                 or any(k.arg == "ord" and _is_two(k.value)
                        for k in node.keywords)):
             found.append(f"{where}: linalg.norm of order 2")
+        elif node.func.attr in ("eigvals", "eig"):
+            found.append(f"{where}: linalg.{node.func.attr}")
     return found
 
 
@@ -233,6 +240,8 @@ def test_singular_values_only_in_numkit(path):
     "n = np.linalg.norm(A, 2)\n",
     "n = np.linalg.norm(A, 2.0)\n",
     "n = np.linalg.norm(A, ord=2)\n",
+    "e = np.linalg.eigvals(A)\n",
+    "w, v = numpy.linalg.eig(A)\n",
 ])
 def test_singular_value_rule_catches_each_form(snippet):
     assert len(singular_value_calls(snippet)) == 1
@@ -242,7 +251,7 @@ def test_singular_value_rule_passes_other_norms():
     assert singular_value_calls(
         "a = np.linalg.norm(x)\nb = np.linalg.norm(A, 1)\n"
         "c = np.linalg.norm(A, ord=np.inf)\nd = numkit.induced_norm(A, 2)\n"
-        "e = np.linalg.eigvalsh(G)\n") == []
+        "e = np.linalg.eigvalsh(G)\nf = numkit.eigenvalues(A)\n") == []
 
 
 def fft_uses(source: str, name: str = "<source>"):
@@ -349,6 +358,32 @@ def test_dense_feedback_inverse_rule_passes_the_chain():
         "from .toeplitz import feedback_norm_chain\n"
         "chain = toeplitz.feedback_norm_chain(g, B, C, T, n)\n"
         "f, a = _inverse_products(G, GC, BG, B, closed, n)\n") == []
+
+
+def spectral_distance_names(source: str, name: str = "<source>"):
+    """Each definition, import, name, attribute or string that spells
+    ``spectral_radius_distance``, the per-lambda eigensolve that once
+    guarded every matrix resolvent."""
+    return [f"{name}:{getattr(node, 'lineno', 0)}"
+            for node in ast.walk(ast.parse(source, name))
+            if "spectral_radius_distance" in _spelled(node)]
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_module_spells_spectral_radius_distance(path):
+    assert spectral_distance_names(
+        path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def spectral_radius_distance(A, point):\n    pass\n",
+    "from .numkit import spectral_radius_distance\n",
+    "__all__ = ['spectral_radius_distance']\n",
+    "d = numkit.spectral_radius_distance(A, lam)\n",
+])
+def test_spectral_distance_rule_catches_each_form(snippet):
+    assert len(spectral_distance_names(snippet)) == 1
 
 
 WORLD_CLASSES = {"MatrixTriple", "TransportTriple"}
@@ -464,6 +499,45 @@ def test_world_classes_expose_the_same_methods():
         # no method takes a grid but the triples' discretize
         assert {name for name, params in matrix.items()
                 if "grid" in params} == names & {"discretize"}
+
+
+def looping_methods(source: str, cls: str) -> list:
+    """The methods of class ``cls`` whose body holds a ``for`` or ``while``
+    statement (a comprehension is not one)."""
+    body = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ClassDef) and node.name == cls).body
+    return [node.name for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(inner, (ast.For, ast.AsyncFor, ast.While))
+                    for inner in ast.walk(node))]
+
+
+def test_matrix_discretization_loops_only_in_solve_feedback():
+    # every stack of powers of E comes from the doubling walk
+    # semigroup._powers; the state loop of solve_feedback is the product
+    # recursion, kept as the oracle of the impulse column
+    source = (SRC / "semigroup.py").read_text()
+    assert looping_methods(source, "MatrixDiscretization") == [
+        "solve_feedback"]
+
+
+@pytest.mark.parametrize("snippet", [
+    "class K:\n    def f(self):\n        for k in range(3):\n"
+    "            pass\n",
+    "class K:\n    def f(self):\n        while self.x:\n"
+    "            self.x -= 1\n",
+    "class K:\n    def f(self):\n        if self.x:\n"
+    "            for k in self.y:\n                pass\n",
+])
+def test_loop_rule_catches_each_form(snippet):
+    assert looping_methods(snippet, "K") == ["f"]
+
+
+def test_loop_rule_passes_comprehensions_and_other_classes():
+    assert looping_methods(
+        "class K:\n    def f(self):\n        return [k for k in self.y]\n"
+        "class L:\n    def f(self):\n        for k in self.y:\n"
+        "            pass\n", "K") == []
 
 
 def call_sites(source: str, name: str, matches):

@@ -19,7 +19,6 @@ from sgperturb.numkit import (
     random_matrix,
     random_vector,
     solve,
-    spectral_radius_distance,
     vector_norm,
 )
 
@@ -443,12 +442,6 @@ def test_eigenvalues_trace_identity():
     rng = make_rng(8)
     A = random_matrix(rng, 8, 8)
     assert np.sum(eigenvalues(A)) == pytest.approx(np.trace(A), abs=1e-8)
-
-
-def test_spectral_radius_distance():
-    A = np.diag([0.0, 2.0])
-    assert spectral_radius_distance(A, 1.0) == pytest.approx(1.0)
-    assert spectral_radius_distance(A, 2.0) == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

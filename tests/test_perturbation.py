@@ -915,6 +915,23 @@ def test_p2_certificate_beyond_io_size_cap(steps):
     assert peak < 24_000 * steps
 
 
+def test_matrix_certificate_takes_one_eigensolve(monkeypatch):
+    # the spectral abscissa is the certificate's one eigensolve: its ten
+    # transfers and ten perturbed resolvents rely on numkit.solve's pivot
+    # test to refuse a lambda on the spectrum
+    calls = []
+    eigenvalues = numkit.eigenvalues
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return eigenvalues(A)
+    monkeypatch.setattr(numkit, "eigenvalues", counted)
+    cert = generation_certificate(README_TRIPLE, TimeGrid(0.5, 32), 2.0, 1.0,
+                                  3.0, numkit.make_rng(42))
+    assert cert.verdict == "generated", cert.notes
+    assert calls == [(2, 2)]
+
+
 #: (F's column count, call): each call applies F or takes its norm
 NO_DENSE_F_CALLS = {
     "estimate_constants-p2": (32, lambda: estimate_constants(

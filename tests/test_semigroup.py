@@ -179,10 +179,25 @@ def test_resolvent_equation_transport():
 
 
 def test_resolvent_guards_spectrum():
+    # the resolvent refuses when it is applied: its solve's pivot test
+    # finds lam I - A singular, with no eigensolve beforehand
     triple = MatrixTriple(np.diag([-1.0, -2.0]), np.zeros((2, 1)),
                           np.zeros((1, 2)))
     with pytest.raises(numkit.SingularMatrixError):
-        triple.resolvent(-1.0)
+        triple.resolvent(-1.0)(np.ones(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, lam: t.transfer(lam),
+    lambda t, lam: t.resolvent(lam)(np.ones(t.state_dim)),
+    lambda t, lam: t.perturbed_resolvent(lam),
+], ids=["transfer", "resolvent", "perturbed_resolvent"])
+@pytest.mark.parametrize("lam", [-1.0, -2.0, 0.5j])
+def test_matrix_resolvents_refuse_an_exact_eigenvalue(call, lam):
+    A = np.array([[-1.0, 3.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, 0.5j]])
+    triple = MatrixTriple(A, np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(numkit.SingularMatrixError, match="pivot ratio"):
+        call(triple, complex(lam))
 
 
 def test_volterra_resolvent_overflow_guard():
