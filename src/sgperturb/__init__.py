@@ -30,11 +30,10 @@ from .toeplitz import (BlockToeplitz, NormChain, column_norm,
                        feedback_norm_chain)
 from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
                         MatrixDiscretization, MatrixTriple, SpectralAbscissa,
-                        apply_semigroup, as_grid_function, rescale,
-                        shift_open, spectral_abscissa,
+                        as_grid_function, rescale, shift_open,
                         volterra_resolvent_values)
 from .transport import (BorelMeasure, LittleMassReport, Trajectory,
-                        TransportDiscretization, TransportTriple, apply_phi,
+                        TransportDiscretization, TransportTriple,
                         characteristic_roots, dirichlet_operator,
                         greiner_compatibility, little_mass, phi_coefficients,
                         solve_pde, transfer_scalar, upwind_generator)
@@ -45,7 +44,7 @@ from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             rescaled_map_identities, smooth_trial_signals)
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
                            GrowthCheckReport, generation_certificate,
-                           long_horizon_growth_check, perturbed_resolvent,
+                           long_horizon_growth_check,
                            variation_of_parameters_residual,
                            weiss_staffans_semigroup)
 from .classical import SuiteReport, ds_suite, mv_suite, random_bounded_factor
@@ -66,13 +65,12 @@ __all__ = [
     # semigroup
     "MatrixTriple", "MatrixDiscretization", "GridFunction",
     "SpectralAbscissa",
-    "NILPOTENT_SENTINEL", "shift_open", "apply_semigroup",
+    "NILPOTENT_SENTINEL", "shift_open",
     "volterra_resolvent_values", "as_grid_function", "rescale",
-    "spectral_abscissa",
     # transport
     "TransportTriple", "TransportDiscretization", "BorelMeasure",
     "LittleMassReport", "Trajectory",
-    "phi_coefficients", "apply_phi", "dirichlet_operator", "little_mass",
+    "phi_coefficients", "dirichlet_operator", "little_mass",
     "solve_pde", "upwind_generator", "transfer_scalar",
     "characteristic_roots", "greiner_compatibility",
     # admissibility
@@ -83,8 +81,7 @@ __all__ = [
     "smooth_trial_signals",
     # perturbation
     "FeedbackSingularError", "GrowthCheckReport",
-    "GenerationCertificate", "perturbed_resolvent",
-    "weiss_staffans_semigroup",
+    "GenerationCertificate", "weiss_staffans_semigroup",
     "variation_of_parameters_residual", "long_horizon_growth_check",
     "generation_certificate",
     # classical

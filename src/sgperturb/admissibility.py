@@ -187,11 +187,10 @@ def observability_map(disc, x, *, require_domain: bool = True
                          p=disc.triple.p)
 
 
-def _io_products(F: toeplitz.BlockToeplitz, signals) -> np.ndarray:
-    """F applied to every signal in one FFT product: ``out[..., j]`` holds
-    the samples of ``F u_j``."""
-    samples = np.stack([u.values for u in signals], axis=-1)
-    return F.forward(samples.reshape(-1, len(signals))).reshape(
+def _io_products(F: toeplitz.BlockToeplitz, samples) -> np.ndarray:
+    """F applied to every signal ``samples[..., j]`` (``steps x m``) in one
+    FFT product: ``out[..., j]`` holds the samples of ``F u_j``."""
+    return F.forward(samples.reshape(-1, samples.shape[-1])).reshape(
         samples.shape)
 
 
@@ -299,7 +298,7 @@ def _constants_and_feedback(disc, p: float, alpha: float, beta: float,
     signals = smooth_trial_signals(grid, triple.control_dim, trials, rng, p=p)
     F = toeplitz.BlockToeplitz(disc.feedback_column())
     fb = _feedback_report(F, p)
-    outputs = _io_products(F, signals)
+    outputs = _io_products(F, np.stack([u.values for u in signals], axis=-1))
     M_control = 0.0
     M_io = 0.0
     used = 0
@@ -421,11 +420,12 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
         rhs_B = disc.control(_modulated(u, grow).values)
         gap = abs(lhs_B - np.exp(-mu_shift * grid.t0) * rhs_B)
         res_control = max(res_control, float(gap.max()))
+    samples = np.stack([u.values for u in signals], axis=-1)
     lhs_F = _io_products(
-        toeplitz.BlockToeplitz(disc_shifted.feedback_column()), signals)
+        toeplitz.BlockToeplitz(disc_shifted.feedback_column()), samples)
     rhs_F = _io_products(
         toeplitz.BlockToeplitz(decay[:, None, None] * _frame_column(disc)),
-        signals)
+        samples)
     res_io = float(np.abs(lhs_F - rhs_F).max())
 
     res_observe = 0.0

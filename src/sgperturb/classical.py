@@ -34,7 +34,8 @@ import numpy as np
 from . import numkit
 from .semigroup import MatrixTriple, _powers
 from .toeplitz import BlockToeplitz
-from .admissibility import TimeGrid, SampledSignal, smooth_trial_signals
+from .admissibility import (TimeGrid, SampledSignal, _io_products,
+                            smooth_trial_signals)
 from .perturbation import generation_certificate, weiss_staffans_semigroup
 
 __all__ = [
@@ -48,6 +49,9 @@ _HEADER = ("all operators are bounded at this scale; this suite validates "
            "the inequalities and the reduction to the feedback "
            "construction, not unboundedness itself")
 
+#: 2-norm bound of the random factors of the bounded-factor stability checks
+_FACTOR_BOUND = 2.0
+
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -57,13 +61,12 @@ class SuiteReport:
     ok: bool
 
 
-def random_bounded_factor(rng: np.random.Generator, n: int,
-                          bound: float = 2.0) -> np.ndarray:
-    """Random n x n factor rescaled to 2-norm <= ``bound``."""
+def random_bounded_factor(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random n x n factor rescaled to 2-norm <= :data:`_FACTOR_BOUND`."""
     F = numkit.random_matrix(rng, n, n)
     nrm = numkit.induced_norm(F, 2)
-    if nrm > bound:
-        F = F * (bound / nrm)
+    if nrm > _FACTOR_BOUND:
+        F = F * (_FACTOR_BOUND / nrm)
     return F
 
 
@@ -226,16 +229,6 @@ def _observation_constant(O: np.ndarray, grid: TimeGrid, p: float,
     return M
 
 
-def _io_norms(F: BlockToeplitz, samples: np.ndarray, grid: TimeGrid,
-              p: float) -> list:
-    """p-norms of ``F`` applied to each signal ``samples[..., j]``
-    (``steps x n``), all in one FFT product."""
-    out = F.forward(samples.reshape(-1, samples.shape[-1])).reshape(
-        samples.shape)
-    return [SampledSignal(grid, out[..., j], p=p).norm(p)
-            for j in range(samples.shape[-1])]
-
-
 def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
              rng: np.random.Generator, _nested: bool = True) -> SuiteReport:
     """Bounded-observation suite: admissibility constant, the indicator
@@ -272,10 +265,11 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
     vals = np.zeros((steps, n, len(draws)), dtype=np.complex128)
     for j, (i0, i1, x) in enumerate(draws):
         vals[i0:i1, :, j] = x
-    for (i0, i1, x), norm in zip(draws, _io_norms(F_io, vals, grid, p)):
+    outputs = _io_products(F_io, vals)
+    for j, (i0, i1, x) in enumerate(draws):
         gamma, delta = i0 * h, i1 * h
         L = delta - gamma
-        lhs = norm ** p
+        lhs = SampledSignal(grid, outputs[..., j], p=p).norm(p) ** p
         # the proof also observes the completed inner integral; fold both
         # vectors into the constant sweep so M covers them
         inner = h * _powers(disc.E, x, i1 - i0).sum(axis=0)
@@ -311,7 +305,9 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
             inner = h * _powers(disc.E, xj, count).sum(axis=0)
             sweep.extend([xj, inner])
         pieces.append((l1, env, sweep))
-    for (l1, env, sweep), lhs in zip(pieces, _io_norms(F_io, vals, grid, p)):
+    outputs = _io_products(F_io, vals)
+    for j, (l1, env, sweep) in enumerate(pieces):
+        lhs = SampledSignal(grid, outputs[..., j], p=p).norm(p)
         M = max(M, _observation_constant(O, grid, p, sweep))
         K = (M * (1.0 + 1.0 / p)) ** (1.0 / p)
         rhs = K * (l1 + env)

@@ -100,20 +100,16 @@ def _finite_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _unwidened(a) -> np.ndarray:
-    """:func:`as_matrix` that leaves real input as float64 instead of
-    widening it to a complex copy."""
-    m = np.asarray(a)
-    if np.iscomplexobj(m):
-        return as_matrix(m)
-    return _finite_matrix(m.astype(np.float64, copy=False))
-
-
 def _narrowed(a) -> np.ndarray:
-    """:func:`_unwidened`, and a complex input whose imaginary part is all
-    zero is narrowed to its real part, so LAPACK runs in real arithmetic."""
-    m = _unwidened(a)
-    if np.iscomplexobj(m) and not m.imag.any():
+    """:func:`as_matrix` that leaves real input as float64 instead of
+    widening it to a complex copy, and narrows a complex input whose
+    imaginary part is all zero to its real part, so LAPACK runs in real
+    arithmetic."""
+    m = np.asarray(a)
+    if not np.iscomplexobj(m):
+        return _finite_matrix(m.astype(np.float64, copy=False))
+    m = as_matrix(m)
+    if not m.imag.any():
         return np.ascontiguousarray(m.real)
     return m
 

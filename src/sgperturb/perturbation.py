@@ -2,11 +2,15 @@
 
 Given a system triple, the closed-loop state operator is the restriction of
 ``A + B C`` back to the state space (the triple's ``closed_loop`` matrix).
-The module realizes
+The perturbed resolvent is the triple's own method,
+``triple.perturbed_resolvent(lam)``, the feedback formula
 
-* the perturbed resolvent through the feedback formula
+      Q(lam) = R(lam, A) + R(lam, A) B (I - C R(lam, A) B)^{-1} C R(lam, A)
 
-      Q(lam) = R(lam, A) + R(lam, A) B (I - C R(lam, A) B)^{-1} C R(lam, A);
+(matrix world: the dense ``Q(lam)``; transport world: a callable on grid
+functions from the Volterra resolvent, the boundary lift and the scalar
+transfer function; a feedback loop within ``FEEDBACK_MARGIN`` of singular
+raises :class:`FeedbackSingularError`).  The module realizes
 
 * the perturbed semigroup through the discrete feedback construction
 
@@ -33,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit, toeplitz
-from .semigroup import (FeedbackSingularError, apply_semigroup,
-                        spectral_abscissa)
+from .semigroup import FeedbackSingularError
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
                             observability_map, FEEDBACK_MARGIN,
                             feedback_admissible, _constants_and_feedback,
@@ -44,12 +47,17 @@ __all__ = [
     "FeedbackSingularError",
     "GrowthCheckReport",
     "GenerationCertificate",
-    "perturbed_resolvent",
     "weiss_staffans_semigroup",
     "variation_of_parameters_residual",
     "long_horizon_growth_check",
     "generation_certificate",
 ]
+
+#: block counts n = 1 .. _GROWTH_BLOCKS of the growth check's norm chain
+_GROWTH_BLOCKS = 6
+#: vertical lines the certificate tries, the offset doubled after each one
+#: a feedback singularity or a range failure breaks
+_LINE_ATTEMPTS = 10
 
 
 @dataclass(frozen=True)
@@ -70,18 +78,6 @@ class GenerationCertificate:
     notes: tuple = field(default_factory=tuple)
 
 
-def perturbed_resolvent(triple, lam: complex):
-    """Resolvent of the closed-loop operator via the feedback formula.
-
-    matrix world: returns the dense matrix ``Q(lam)``; transport world:
-    returns a callable on grid functions using the explicit Volterra
-    resolvent, the boundary lift and the scalar transfer function.  A
-    transfer-function value within 1e-8 of 1 raises
-    :class:`FeedbackSingularError` ("feedback singular at lambda").
-    """
-    return triple.perturbed_resolvent(complex(lam))
-
-
 def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x):
     """Perturbed semigroup state ``S(t) x`` from the feedback construction.
 
@@ -90,8 +86,7 @@ def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x):
     if abs(t - grid.t0) > 1e-12:
         raise ValueError(
             f"t = {t} must equal the grid horizon t0 = {grid.t0}")
-    return _feedback_state(triple.discretize(grid), x,
-                           apply_semigroup(triple, t, x))
+    return _feedback_state(triple.discretize(grid), x, triple.step(t, x))
 
 
 def _feedback_state(disc, x, free):
@@ -134,7 +129,7 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
     if abs(t - grid.t0) > 1e-12:
         raise ValueError("t must equal the grid horizon")
     disc = triple.discretize(grid)
-    free = apply_semigroup(triple, t, x)
+    free = triple.step(t, x)
     lhs = _feedback_state(disc, x, free)
     csig = SampledSignal(grid, disc.vop_outputs(x), p=triple.p)
     rhs = free + controllability_map(disc, csig)
@@ -145,16 +140,17 @@ def variation_of_parameters_residual(triple, grid: TimeGrid, t: float,
 # long-horizon growth (p = 2, euclidean frames)
 # ---------------------------------------------------------------------------
 
-def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
-                              n_max: int = 6) -> GrowthCheckReport:
+def long_horizon_growth_check(triple, grid: TimeGrid,
+                              mu_candidates) -> GrowthCheckReport:
     """Contraction surrogate versus ``e^{mu t0}`` plus the block norm chain.
 
     Computes ``s = ||T(t0) + B (I - F)^{-1} C||_2`` in euclidean frames
     (``euclidean_frames``, whose 2-norms are the discrete
     signal and state norms) and compares it against ``e^{mu t0}`` for every
-    candidate shift; then for each block count ``n`` reports the 2-norm of
-    the inverse feedback block matrix next to its closed-form bound (the
-    bound must dominate).  ``s`` and every block entry come from one
+    candidate shift; then for each block count ``n`` up to
+    :data:`_GROWTH_BLOCKS` (6) reports the 2-norm of the inverse feedback
+    block matrix next to its closed-form bound (the bound must dominate).
+    ``s`` and every block entry come from one
     :func:`~sgperturb.toeplitz.feedback_norm_chain` run on the first block
     column of ``G = (I - F)^{-1}`` (``impulse_column``, the impulse
     responses of ``solve_feedback``); F is never formed.  Each block entry
@@ -172,7 +168,8 @@ def long_horizon_growth_check(triple, grid: TimeGrid, mu_candidates,
             f"feedback margin {margin:.3e} at t0 = {grid.t0} is below "
             f"{FEEDBACK_MARGIN}; the growth surrogate needs 1 in rho(F)")
     chain = toeplitz.feedback_norm_chain(disc.impulse_column(),
-                                         *disc.euclidean_frames(), n_max)
+                                         *disc.euclidean_frames(),
+                                         _GROWTH_BLOCKS)
     s = chain.closed_norm
     mu_entries = tuple(
         (float(mu), float(np.exp(mu * grid.t0)),
@@ -237,36 +234,43 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     return entry, (found[1] if found is not None else None)
 
 
-def _residual_lambda_line(triple, abscissa: float, margin: float,
-                          rng: np.random.Generator, attempts: int = 10):
+def _vertical_line(abscissa: float, offset: float) -> list:
+    """The 10 sampled ``lam = max(abscissa + offset, 1) + i y``, ``y``
+    log-spaced on [0.1, 100]."""
+    re0 = max(abscissa + offset, 1.0)
+    return [complex(re0, im) for im in np.logspace(-1.0, 2.0, 10)]
+
+
+def _residual_lambda_line(triple, abscissa: float, offset: float,
+                          rng: np.random.Generator):
     """Perturbed-resolvent residuals on a vertical line, bumped upward on
-    feedback singularities.  Returns (entries, all_ok, transfer_track);
-    the transfer track is sampled on the nominal line regardless of
-    whether the resolvent attempts succeed."""
-    offset = 1.0 + min(max(margin, 0.0), 1.0)
-    imag = np.logspace(-1.0, 2.0, 10)
-    transfers = []
-    for im in imag:
-        try:
-            H = triple.transfer(complex(max(abscissa + offset, 1.0), im))
-            transfers.append(complex(H[0, 0]) if H.shape == (1, 1) else None)
-        except (numkit.SingularMatrixError, numkit.NumericalRangeError):
-            transfers.append(None)
-    for attempt in range(attempts):
-        re0 = max(abscissa + offset, 1.0)
+    feedback singularities.  Returns (entries, all_ok)."""
+    for _ in range(_LINE_ATTEMPTS):
         entries = []
         try:
-            for im in imag:
-                lam = complex(re0, im)
+            for lam in _vertical_line(abscissa, offset):
                 entries.append(triple.resolvent_residual(
-                    lam, perturbed_resolvent(triple, lam), rng))
+                    lam, triple.perturbed_resolvent(lam), rng))
         except (FeedbackSingularError, numkit.SingularMatrixError,
                 numkit.NumericalRangeError):
             offset *= 2.0
             continue
-        ok = all(res <= thr for _, res, thr in entries)
-        return tuple(entries), ok, transfers
-    return tuple(), False, transfers
+        return tuple(entries), all(res <= thr for _, res, thr in entries)
+    return tuple(), False
+
+
+def _transfer_is_one(triple, line) -> bool:
+    """Whether a scalar transfer function is within 1e-10 of 1 at every
+    point of ``line`` where it evaluates, and evaluates at one at least."""
+    values = []
+    for lam in line:
+        try:
+            H = triple.transfer(lam)
+        except (numkit.SingularMatrixError, numkit.NumericalRangeError):
+            continue
+        if H.shape == (1, 1):
+            values.append(complex(H[0, 0]))
+    return bool(values) and max(abs(h - 1.0) for h in values) < 1e-10
 
 
 def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
@@ -309,14 +313,14 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         conditions["feedback"] = feedback_entry
         feedback_route = fb.ok or bypass_ok
 
-        a = spectral_abscissa(triple)
+        a = triple.spectral_abscissa()
         abscissa = a.value if not a.nilpotent else 0.0
-        entries, res_ok, transfers = _residual_lambda_line(
-            triple, abscissa, fb.margin, rng)
+        offset = 1.0 + min(max(fb.margin, 0.0), 1.0)
+        entries, res_ok = _residual_lambda_line(triple, abscissa, offset, rng)
 
         if not feedback_route:
-            flat = [h for h in transfers if h is not None]
-            if flat and max(abs(h - 1.0) for h in flat) < 1e-10:
+            # the transfer track on the first line decides this branch only
+            if _transfer_is_one(triple, _vertical_line(abscissa, offset)):
                 notes.append("transfer function is identically 1: "
                              "the feedback loop is singular at every lambda")
                 return GenerationCertificate(

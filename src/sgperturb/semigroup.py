@@ -5,8 +5,9 @@ computation runs in one of two concrete instantiations — the matrix world
 (:class:`MatrixTriple`) and the transport world
 (:class:`~sgperturb.transport.TransportTriple`) — and each class holds all of
 its world's facts behind the same methods, those a time grid fixes on its
-``discretize(grid)``.  The module functions validate what both worlds share
-and make one method call, so no algorithm tests which world it is in.
+``discretize(grid)``.  Callers call those methods directly, so no algorithm
+tests which world it is in; :func:`rescale` alone adds what both worlds
+share (the ``mu_shift >= 0`` check and the identity at ``mu_shift = 0``).
 
 Transport states are :class:`GridFunction` samples.  Discretization
 conventions (load-bearing; the admissibility identities are exact *because*
@@ -40,19 +41,18 @@ __all__ = [
     "GridFunction",
     "SpectralAbscissa",
     "shift_open",
-    "apply_semigroup",
     "volterra_resolvent_values",
     "as_grid_function",
     "rescale",
-    "spectral_abscissa",
     "NILPOTENT_SENTINEL",
 ]
 
 #: JSON-safe stand-in for "-infinity" growth bound of a nilpotent semigroup.
 NILPOTENT_SENTINEL = -1e300
 
-#: guard for exp() arguments inside transport closed forms
-_EXP_RANGE = 500.0
+#: the transport world's exponent range: a lambda with ``|Re lambda|`` above
+#: it is refused by every closed form in ``e^{lam s}``, s in [-1, 1]
+_RE_LIMIT = 500.0
 
 
 class FeedbackSingularError(ArithmeticError):
@@ -60,6 +60,12 @@ class FeedbackSingularError(ArithmeticError):
 
 
 class SpectralAbscissa(NamedTuple):
+    """Growth-bound surrogate, a triple's ``spectral_abscissa()``: the max
+    real part of the spectrum.  A transport generator is nilpotent (the
+    spectrum of the true operator is empty), so its value is the large
+    negative sentinel :data:`NILPOTENT_SENTINEL` with ``nilpotent=True``
+    rather than a number that pretends to be data."""
+
     value: float
     nilpotent: bool
 
@@ -117,6 +123,8 @@ class MatrixTriple:
         return 0.0
 
     def step(self, t: float, x):
+        if t < 0:
+            raise ValueError("semigroup is defined for t >= 0 only")
         return numkit.expm(self.A, t) @ as_vector(x)
 
     def _shifted(self, lam: complex) -> np.ndarray:
@@ -352,17 +360,6 @@ def shift_open(values: np.ndarray, j: int) -> np.ndarray:
     return out
 
 
-def apply_semigroup(triple, t: float, x):
-    """Unperturbed semigroup action ``T(t) x``.
-
-    matrix world: ``expm(A, t) @ x``; transport world: the exact open left
-    shift by ``t N`` nodes (``t`` must be on-grid), times ``e^{-mu_shift t}``.
-    """
-    if t < 0:
-        raise ValueError("semigroup is defined for t >= 0 only")
-    return triple.step(t, x)
-
-
 def as_grid_function(triple, x) -> GridFunction:
     if isinstance(x, GridFunction):
         if x.N != triple.N:
@@ -383,14 +380,19 @@ def volterra_resolvent_values(lam: complex, values: np.ndarray) -> np.ndarray:
         I_N = 0,   I_k = (h/2) (f_k + E f_{k+1}) + E I_{k+1}.
 
     Exact for constant ``f`` up to O(h^2); used by both the unperturbed
-    transport resolvent and the perturbed one.
+    transport resolvent and the perturbed one.  The values grow like
+    ``e^{|Re lam|}`` across the interval, so a non-finite ``lam`` or one with
+    ``|Re lam| > 500`` raises :class:`numkit.NumericalRangeError`, as
+    :func:`~sgperturb.transport.transfer_scalar` does.
     """
+    if not np.isfinite(lam):
+        raise numkit.NumericalRangeError(f"lambda = {lam} is not finite")
+    if abs(lam.real) > _RE_LIMIT:
+        raise numkit.NumericalRangeError(
+            f"|Re lambda| = {abs(lam.real):g} overflows e^(lam (s-r))")
     f = np.asarray(values, dtype=np.complex128)
     N = f.shape[0] - 1
     h = 1.0 / N
-    if abs(lam.real) * h > _EXP_RANGE:
-        raise numkit.NumericalRangeError(
-            f"Re(lambda) = {lam.real:g} overflows the cell factor e^(-lam/N)")
     E = np.exp(-lam * h)
     out = np.zeros_like(f)
     acc = 0.0 + 0.0j
@@ -407,14 +409,3 @@ def rescale(triple, mu_shift: float):
     if mu_shift == 0:
         return triple
     return triple.rescale(mu_shift)
-
-
-def spectral_abscissa(triple) -> SpectralAbscissa:
-    """Growth-bound surrogate: max real part of the spectrum.
-
-    transport world: the (shifted) generator is nilpotent — the spectrum of
-    the true operator is empty — so the result is the large negative sentinel
-    ``NILPOTENT_SENTINEL`` with ``nilpotent=True`` rather than a number that
-    pretends to be data.
-    """
-    return triple.spectral_abscissa()

@@ -8,7 +8,8 @@ piecewise-constant density).  The module provides
 
 * the system triple :class:`TransportTriple` and its time-grid maps
   (:class:`TransportDiscretization`), this world's side of every algorithm,
-* the functional itself (:func:`apply_phi`, :func:`phi_coefficients`),
+* the functional itself, read through its node coefficients
+  (:func:`phi_coefficients`, kept on the triple),
 * boundary Dirichlet lifts ``D_lam`` (:func:`dirichlet_operator`),
 * the tail-variation test ``|mu|[1-delta, 1] < 1`` (:func:`little_mass`),
 * the closed-loop PDE solved by the method of steps (:func:`solve_pde`),
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
-from .semigroup import (NILPOTENT_SENTINEL, FeedbackSingularError,
+from .semigroup import (_RE_LIMIT, NILPOTENT_SENTINEL, FeedbackSingularError,
                         GridFunction, SpectralAbscissa, as_grid_function,
                         shift_open, volterra_resolvent_values)
 from .toeplitz import FEEDBACK_MARGIN
@@ -47,7 +48,6 @@ __all__ = [
     "BorelMeasure",
     "LittleMassReport",
     "Trajectory",
-    "apply_phi",
     "phi_coefficients",
     "dirichlet_operator",
     "little_mass",
@@ -58,9 +58,10 @@ __all__ = [
     "greiner_compatibility",
 ]
 
-_RE_LIMIT = 500.0          # |Re lambda| beyond which e^{lam (r - 1)} is refused
 _CELL_BLOCK = 1 << 16      # entries of one start-by-cell exponential block
 _BOX_PAD = 1e-9            # the root search's box, widened on every side
+_ROOT_TOL = 1e-10          # |H - 1| at which a converged root is kept
+_NEWTON_STEPS = 60         # Newton steps of the root search, at most
 
 # Gauss-Kronrod 7/15 on [-1, 1], the QUADPACK qk15 table: the Kronrod nodes
 # from the end inwards to 0 with their weights, and the Gauss weights of the
@@ -93,7 +94,7 @@ class BorelMeasure:
 
     ``atoms`` is a sequence of ``(location, weight)`` with distinct locations
     in [0, 1]; ``density`` holds one complex value per uniform grid cell (or
-    is empty).  Total variation is ``sum |w_k| + integral of |density|``.
+    is empty).
     """
 
     atoms: tuple = ()
@@ -114,12 +115,6 @@ class BorelMeasure:
             raise ValueError("density values must be finite")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "density", dens)
-
-    def total_variation(self) -> float:
-        tv = sum(abs(w) for _, w in self.atoms)
-        if self.density:
-            tv += sum(abs(d) for d in self.density) / len(self.density)
-        return float(tv)
 
     def tail_mass(self, delta: float) -> float:
         """Total variation of the restriction to ``[1 - delta, 1]``."""
@@ -217,27 +212,20 @@ def _cell_masses(density, scale) -> np.ndarray:
             / scale).view(np.complex128)
 
 
-def apply_phi(mu: BorelMeasure, f) -> complex:
-    """``Phi f = int_0^1 f dmu`` for a grid function ``f``."""
-    values = f.values if isinstance(f, GridFunction) else numkit.as_vector(f)
-    c = phi_coefficients(mu, values.shape[0] - 1)
-    return complex(c @ values)
-
-
-def dirichlet_operator(lam: complex, alpha: complex, N: int,
-                       p: float = 2.0) -> GridFunction:
-    """Boundary lift ``(D_lam alpha)(s) = alpha e^{lam (s - 1)}``.
+def dirichlet_operator(lam: complex, N: int, p: float = 2.0) -> GridFunction:
+    """Boundary lift ``(D_lam 1)(s) = e^{lam (s - 1)}`` of the unit boundary
+    value.
 
     Solves the stationary kernel problem ``(lam - d/ds) f = 0`` with boundary
-    value ``f(1) = alpha``; at ``lam = 0`` this is exactly the constant
-    function ``alpha``.
+    value ``f(1) = 1``; at ``lam = 0`` this is exactly the constant
+    function 1.
     """
     lam = complex(lam)
     if abs(lam.real) > _RE_LIMIT:
         raise numkit.NumericalRangeError(
             f"|Re lambda| = {abs(lam.real):g} overflows e^(lam (s-1))")
     s = np.arange(N + 1, dtype=float) / N
-    return GridFunction(alpha * np.exp(lam * (s - 1.0)), p=p)
+    return GridFunction(np.exp(lam * (s - 1.0)), p=p)
 
 
 def little_mass(mu: BorelMeasure, delta_grid) -> LittleMassReport:
@@ -576,8 +564,7 @@ def _clip_and_dedup(points, seen: np.ndarray, box, mirrored: bool):
     return seen, seen.size + pairs
 
 
-def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
-                         max_iter: int = 60) -> np.ndarray:
+def characteristic_roots(mu: BorelMeasure, search_box) -> np.ndarray:
     """Roots of ``H(lam) = 1`` inside a rectangular box: counted by the
     argument principle, found by seeded Newton.
 
@@ -591,8 +578,9 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     roots do not change.  A start is dropped when its iterate leaves the
     evaluable strip ``|Re lam| <= 500``, when the derivative vanishes or
     the step is not finite, when ``|lam| > 1e6``, or when it has not
-    reached ``|H - 1| <= min(tol, 1e-12)`` after ``max_iter`` steps.  Converged
-    points are kept iff ``|1 - H(lam)| <= tol``, clipped to the box (pad
+    reached ``|H - 1| <= 1e-12`` after :data:`_NEWTON_STEPS` (60) steps.
+    Converged points are kept iff ``|1 - H(lam)| <= 1e-10``
+    (:data:`_ROOT_TOL`), clipped to the box (pad
     1e-9) and deduplicated to 1e-6 in start order; the result is sorted by
     imaginary, then real part.  An empty result is a valid answer (e.g. a
     constant transfer function that never equals 1).  Roots that no start
@@ -602,7 +590,7 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     zeros of ``H - 1`` inside (:func:`_root_count`; the upper half
     boundary when the grid is mirrored).  The count is used only when it is
     certified: the box lies in the strip, the boundary has no more nodes
-    than the ``(max_iter - 1)`` Newton steps it can save evaluate at most,
+    than the ``_NEWTON_STEPS - 1`` Newton steps it can save evaluate at most,
     the Kronrod and Gauss sums agree on an integer to 1e-3 and the phase of
     ``H - 1`` turns by less than ``pi / 2`` between neighbouring nodes, which
     a zero on or near the boundary breaks.  Newton then stops once the
@@ -613,18 +601,13 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     full run's, to the Newton stop: each root is the point of the first
     start, in start order, among those converged by the stop step, within
     about ``2e-12 / |H'|`` of the full run's.  A box edge or extent that is
-    not finite, a ``tol`` that is not positive and finite, or a
-    ``max_iter < 1`` raises :class:`ValueError`.
+    not finite, or an empty box, raises :class:`ValueError`.
     """
     re_min, re_max, im_min, im_max = (float(v) for v in search_box)
     if not np.all(np.isfinite((re_max - re_min, im_max - im_min))):
         raise ValueError("search box edges and extent must be finite")
     if not (re_min < re_max and im_min < im_max):
         raise ValueError("search box must have positive extent")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     n_re = min(40, max(3, int(np.ceil((re_max - re_min) / 1.0)) + 1))
     n_im = min(80, max(3, int(np.ceil((im_max - im_min) / 2.0)) + 1))
     im = np.linspace(im_min, im_max, n_im)
@@ -637,18 +620,18 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     z = upper.ravel()
     live = np.arange(z.size)
     box, mirrored = (re_min, re_max, im_min, im_max), lower > 0
-    count = _root_count(mu, box, mirrored, (max_iter - 1) * z.size)
+    count = _root_count(mu, box, mirrored, (_NEWTON_STEPS - 1) * z.size)
     # converged points wait until they could meet the count, then are tallied
     seen, tally, waiting = np.empty(0, dtype=np.complex128), 0, []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             if count is not None and tally >= count:
                 break
             keep = np.abs(z.real) <= _RE_LIMIT
             live, z = live[keep], z[keep]
             H, dg = _transfer_and_slope(mu, z)
             g = H - 1.0
-            done = np.abs(g) <= min(tol, 1e-12)
+            done = np.abs(g) <= 1e-12
             fresh = z[done]
             upper.flat[live[done]] = fresh
             converged.flat[live[done]] = True
@@ -667,11 +650,11 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
             live, z = live[keep], z[keep]
             if not live.size:
                 break
-    # keep iff |1 - H| <= tol, tested on the upper columns; |H - 1| at a
+    # keep iff |1 - H| <= _ROOT_TOL, tested on the upper columns; |H - 1| at a
     # mirrored point is its mirror's, so the lower flags are mirrored too
     kept = np.zeros(lam.shape, dtype=bool)
     H = _transfer_and_slope(mu, upper[converged])[0]
-    kept[:, lower:][converged] = np.abs(H - 1.0) <= tol
+    kept[:, lower:][converged] = np.abs(H - 1.0) <= _ROOT_TOL
     lam[:, :lower] = lam[:, ::-1][:, :lower].conj()
     kept[:, :lower] = kept[:, ::-1][:, :lower]
     # dedup in start order: each kept root removes the points within 1e-6
@@ -681,17 +664,17 @@ def characteristic_roots(mu: BorelMeasure, search_box, tol: float = 1e-10,
     return roots[np.lexsort((roots.real, roots.imag))]
 
 
-def greiner_compatibility(lam: complex, N: int, alpha: complex = 1.0) -> float:
-    """Sup-norm residual of ``(Id - lam R(lam, A)) D_0 alpha = D_lam alpha``.
+def greiner_compatibility(lam: complex, N: int) -> float:
+    """Sup-norm residual of ``(Id - lam R(lam, A)) D_0 1 = D_lam 1``.
 
     Both sides are grid functions; the left side uses the discrete Volterra
     resolvent, so the residual is the quadrature error — O(1/N), exactly 0
     at ``lam = 0`` where both sides are the constant lift.
     """
     lam = complex(lam)
-    d0 = dirichlet_operator(0.0, alpha, N)
+    d0 = dirichlet_operator(0.0, N)
     lhs = d0.values - lam * volterra_resolvent_values(lam, d0.values)
-    rhs = dirichlet_operator(lam, alpha, N).values
+    rhs = dirichlet_operator(lam, N).values
     return float(np.abs(lhs - rhs).max())
 
 
@@ -783,7 +766,7 @@ class TransportTriple:
         if abs(1.0 - H) < FEEDBACK_MARGIN:
             raise FeedbackSingularError(
                 f"feedback singular at lambda = {lam} (transfer {H:.6g})")
-        lift = dirichlet_operator(lam_eff, 1.0, self.N, p=self.p).values
+        lift = dirichlet_operator(lam_eff, self.N, p=self.p).values
         gain = 1.0 / (1.0 - H)
 
         def _apply(f):

@@ -12,7 +12,9 @@ the recursion.  ``unskipped_inverse_products`` is
 the all-zero ones included.  ``materialize`` is the dense build that
 ``toeplitz`` once shipped, and ``io_matrix`` the dense F the package once
 took its p = 2 norm from: both are oracles now, as ``io_map``, the
-reference application of F, is.  ``loop_walk``,
+reference application of F, is.  ``apply_phi`` and ``total_variation``
+are the functional ``Phi f`` and the measure's total variation, which the
+package once exported and only tests called.  ``loop_walk``,
 ``loop_observability_matrix`` and ``loop_orbit_sum`` are the sequential
 power loops the matrix world once ran, the oracles of its doubling walk
 ``semigroup._powers``.  ``dissipative_matrix`` draws test generators.
@@ -274,6 +276,21 @@ def io_map(triple, grid, u):
     F = io_matrix(triple.discretize(grid))
     out = (F @ u.values.reshape(-1)).reshape(u.values.shape)
     return admissibility.SampledSignal(grid, out, p=u.p)
+
+
+def apply_phi(mu, f):
+    """``Phi f = int_0^1 f dmu`` for a grid function or a sample vector
+    ``f``: its node coefficients applied to its samples."""
+    values = f.values if isinstance(f, GridFunction) else numkit.as_vector(f)
+    return complex(phi_coefficients(mu, values.shape[0] - 1) @ values)
+
+
+def total_variation(mu):
+    """``sum |w_k| + integral of |density|`` of a :class:`BorelMeasure`."""
+    tv = sum(abs(w) for _, w in mu.atoms)
+    if mu.density:
+        tv += sum(abs(d) for d in mu.density) / len(mu.density)
+    return float(tv)
 
 
 def dissipative_matrix(rng, n):

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import (chain_entry, dissipative_matrix, feedback_forward_matrix,
                       io_matrix, materialize, shipped_feedback_inverse,
-                      stable_triple, taylor_expm)
+                      stable_triple, taylor_expm, total_variation)
 from test_cli import matrix_config, transport_config
 from sgperturb import numkit
 from sgperturb.admissibility import (
@@ -26,7 +26,6 @@ from sgperturb.classical import ds_suite, mv_suite
 from sgperturb.cli import run as cli_run
 from sgperturb.perturbation import (
     generation_certificate,
-    perturbed_resolvent,
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
@@ -73,7 +72,7 @@ def test_criterion_01_closed_loop_resolvent_formula():
                  np.max(numkit.eigenvalues(closed).real))
         for _ in range(20):
             lam = complex(ab + rng.uniform(0.3, 2.5), rng.uniform(-6.0, 6.0))
-            Q = perturbed_resolvent(triple, lam)
+            Q = triple.perturbed_resolvent(lam)
             direct = np.linalg.inv(lam * np.eye(5) - closed)
             rel = (numkit.induced_norm(Q - direct, 2)
                    / numkit.induced_norm(direct, 2))
@@ -190,7 +189,7 @@ def test_criterion_07_transport_map_norm_bounds():
     grid = TimeGrid(0.25, 64)
     rep = estimate_constants(triple, grid, 2.0, 2.0, 2.0, trials=8,
                              rng=numkit.make_rng(7))
-    tv = mu.total_variation()
+    tv = total_variation(mu)
     tail = mu.tail_mass(grid.t0)
     print(f"criterion 07: M_control {rep.M_control:.9f} (<= 1), M_observe "
           f"{rep.M_observe:.9f} (<= {tv:.2f}), M_io {rep.M_io:.9f} "

@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from conftest import (io_map, io_matrix, loop_observability_matrix,
                       loop_orbit_sum, loop_walk, refuse_dense_f,
-                      stable_triple, transport_triple)
+                      stable_triple, total_variation, transport_triple)
 from sgperturb import admissibility, numkit, perturbation
 from sgperturb.admissibility import (
     FEEDBACK_MARGIN,
@@ -684,7 +684,7 @@ def test_estimate_constants_transport_bounds():
     grid = TimeGrid(0.25, 16)
     rng = numkit.make_rng(2)
     rep = estimate_constants(triple, grid, 2.0, 2.0, 2.0, trials=8, rng=rng)
-    tv = BorelMeasure(mu_atoms).total_variation()
+    tv = total_variation(BorelMeasure(mu_atoms))
     tail = BorelMeasure(mu_atoms).tail_mass(0.25)
     assert rep.M_control <= 1.0 + 1e-12
     assert rep.M_observe <= tv + 1e-9

@@ -36,7 +36,7 @@ def test_dissipative_matrix_is_stable():
 
 
 def test_random_bounded_factor_respects_bound():
-    F = random_bounded_factor(numkit.make_rng(2), 6, bound=2.0)
+    F = random_bounded_factor(numkit.make_rng(2), 6)
     assert numkit.induced_norm(F, 2) <= 2.0 + 1e-12
 
 

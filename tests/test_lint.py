@@ -40,10 +40,16 @@ discretization classes, which expose the same grid maps: only they compute
 ``TransportTriple.__post_init__``, which keeps the coefficients.  Every
 stack of powers of ``E = e^{hA}`` comes from one doubling walk, so no
 method of ``MatrixDiscretization`` but ``solve_feedback`` holds a loop.
+Each construction is called one way: no public module-level function only
+returns a method call on one of its parameters (``rescale``, which checks
+its shift first, is not such a forwarder).  The benchmark's workloads stay
+callable: every ``sg.<name>`` in ``perfbench/workloads.py`` resolves on
+the package, and each of its calls binds to the current signature.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -902,3 +908,134 @@ def test_every_export_resolves(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+#: the benchmark's workloads, read only: they call the package as ``sg``
+WORKLOADS = SRC.parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_api_faults(source: str, name: str = "<source>"):
+    """Each ``sg.<name>`` that does not resolve on :mod:`sgperturb`, and
+    each call of one whose arguments do not bind to its current signature.
+    A call with a ``*`` or ``**`` splat is checked for resolution only."""
+    sg = importlib.import_module("sgperturb")
+    found = []
+    calls = {}
+    tree = ast.parse(source, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            calls[id(node.func)] = node
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sg"):
+            continue
+        where = f"{name}:{node.lineno}: sg.{node.attr}"
+        if not hasattr(sg, node.attr):
+            found.append(f"{where} does not resolve")
+            continue
+        call = calls.get(id(node))
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            continue
+        try:
+            inspect.signature(getattr(sg, node.attr)).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            found.append(f"{where} does not bind: {exc}")
+    return found
+
+
+def test_benchmark_calls_resolve_and_bind():
+    # the benchmark runs the workloads unchanged against every version of
+    # the package, so what they call must stay callable as they call it
+    source = WORKLOADS.read_text()
+    assert "sg.long_horizon_growth_check(" in source
+    assert benchmark_api_faults(source, WORKLOADS.name) == []
+
+
+@pytest.mark.parametrize("snippet, fault", [
+    ("x = sg.not_a_name(t, 0.5, x)\n", "does not resolve"),
+    ("f = sg.not_a_name\n", "does not resolve"),
+    ("r = sg.characteristic_roots(mu, box, tol=1e-10)\n", "does not bind"),
+    ("r = sg.long_horizon_growth_check(t, g, mus, 6)\n", "does not bind"),
+    ("g = sg.TimeGrid()\n", "does not bind"),
+])
+def test_benchmark_rule_catches_each_form(snippet, fault):
+    found = benchmark_api_faults(snippet)
+    assert len(found) == 1 and fault in found[0]
+
+
+def test_benchmark_rule_passes_other_calls():
+    assert benchmark_api_faults(
+        "r = sg.characteristic_roots(mu, (-5.0, 3.0, -20.0, 20.0))\n"
+        "t = sg.MatrixTriple(**{k: v for k, v in M.items()})\n"
+        "g = sg.TimeGrid(0.5, 128)\nc = sg.generation_certificate(\n"
+        "    t, g, P, ALPHA, BETA, rng)\nx = other.missing(1, 2, 3)\n"
+        "s = sg.GridFunction(v, p=P)\n") == []
+
+
+def forwarders(source: str, name: str = "<source>"):
+    """Each public module-level function whose body, after its docstring,
+    is one ``return`` of a method call on one of its own parameters: a
+    second name for a method, which callers should call directly."""
+    found = []
+    for node in ast.parse(source, name).body:
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            body = body[1:]
+        args = node.args
+        params = {a.arg for a in (args.posonlyargs + args.args
+                                  + args.kwonlyargs)}
+        params |= {a.arg for a in (args.vararg, args.kwarg) if a}
+        if len(body) == 1 and isinstance(body[0], ast.Return) \
+                and isinstance(body[0].value, ast.Call):
+            func = body[0].value.func
+            if isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name) \
+                    and func.value.id in params:
+                found.append(f"{name}:{node.lineno}: {node.name} forwards "
+                             f"to {func.value.id}.{func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_module_function_forwards_to_a_method(path):
+    assert forwarders(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    'def spectral_abscissa(triple):\n    """Doc."""\n'
+    "    return triple.spectral_abscissa()\n",
+    "def perturbed_resolvent(triple, lam):\n"
+    "    return triple.perturbed_resolvent(complex(lam))\n",
+    "def step(*, triple, t, x):\n    return triple.step(t, x)\n",
+    "def apply(*args):\n    return args.count(1)\n",
+    "async def fetch(client):\n    return client.get()\n",
+])
+def test_forwarder_rule_catches_each_form(snippet):
+    assert len(forwarders(snippet)) == 1
+
+
+def test_forwarder_rule_passes_other_code():
+    rescale = (
+        "def rescale(triple, mu_shift):\n"
+        '    """Triple with state operator A - mu_shift Id."""\n'
+        "    if mu_shift < 0:\n        raise ValueError(mu_shift)\n"
+        "    if mu_shift == 0:\n        return triple\n"
+        "    return triple.rescale(mu_shift)\n")
+    assert forwarders(rescale) == []
+    assert forwarders(
+        "def _private(t):\n    return t.step(0.5)\n"
+        "def norm(x):\n    return np.linalg.norm(x)\n"
+        "def world(t):\n    return t.world\n"
+        "def chained(t):\n    return t.discretize(g).observe(x)\n"
+        "def stored(t):\n    s = t.step(1.0)\n    return s\n"
+        "class Triple:\n    def step(self, t):\n"
+        "        return self.expm(t)\n") == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (compatible_state, feedback_toeplitz_inverse,
+from conftest import (apply_phi, compatible_state, feedback_toeplitz_inverse,
                       io_matrix, materialize, refuse_dense_f, stable_triple,
                       taylor_expm, transport_triple,
                       unskipped_inverse_products)
@@ -18,7 +18,6 @@ from sgperturb.perturbation import (
     FeedbackSingularError,
     generation_certificate,
     long_horizon_growth_check,
-    perturbed_resolvent,
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
@@ -26,7 +25,6 @@ from sgperturb.semigroup import (
     GridFunction,
     MatrixDiscretization,
     MatrixTriple,
-    apply_semigroup,
     rescale,
     volterra_resolvent_values,
 )
@@ -34,7 +32,6 @@ from sgperturb.toeplitz import feedback_norm_chain
 from sgperturb.transport import (
     BorelMeasure,
     TransportTriple,
-    apply_phi,
     dirichlet_operator,
     phi_coefficients,
     solve_pde,
@@ -132,13 +129,13 @@ def test_transfer_guards_spectrum():
 def test_resolvent_zero_observation_reduces_to_plain():
     triple = zero_observation(3)
     lam = 1.5 + 0.5j
-    Q = perturbed_resolvent(triple, lam)
+    Q = triple.perturbed_resolvent(lam)
     R = np.linalg.inv(lam * np.eye(4) - triple.A)
     assert np.abs(Q - R).max() <= 1e-12 * np.abs(R).max()
 
 
 def test_resolvent_scalar_closed_form():
-    Q = perturbed_resolvent(SCALAR, 0.0)
+    Q = SCALAR.perturbed_resolvent(0.0)
     assert_allclose(Q, [[2.0]], rtol=1e-12)
 
 
@@ -150,7 +147,7 @@ def test_resolvent_matches_direct_inverse_20_lambdas():
     while count < 20:
         lam = complex(rng.uniform(1.0, 4.0), rng.uniform(-4.0, 4.0))
         try:
-            Q = perturbed_resolvent(triple, lam)
+            Q = triple.perturbed_resolvent(lam)
         except (FeedbackSingularError, numkit.SingularMatrixError):
             continue
         direct = np.linalg.inv(lam * np.eye(5) - Apert)
@@ -161,8 +158,8 @@ def test_resolvent_matches_direct_inverse_20_lambdas():
 def test_resolvent_equation_for_Q():
     triple = stable_triple(44, n=4, m=2)
     lam, nu = 2.0 + 1.0j, 3.0 - 0.5j
-    Ql = perturbed_resolvent(triple, lam)
-    Qn = perturbed_resolvent(triple, nu)
+    Ql = triple.perturbed_resolvent(lam)
+    Qn = triple.perturbed_resolvent(nu)
     assert np.abs((Ql - Qn) - (nu - lam) * (Ql @ Qn)).max() <= 1e-8
 
 
@@ -171,7 +168,7 @@ def test_resolvent_transport_atom_identity():
     triple = transport_triple(N=64, atoms=((1.0, 0.5),))
     f = GridFunction(np.sin(np.pi * np.arange(65) / 64))
     lam = 1.0
-    Q = perturbed_resolvent(triple, lam)
+    Q = triple.perturbed_resolvent(lam)
     out = Q(f)
     plain = volterra_resolvent_values(lam, f.values)
     assert np.abs(out.values - plain).max() <= 1e-12
@@ -180,7 +177,7 @@ def test_resolvent_transport_atom_identity():
 def test_resolvent_feedback_singularity_raises():
     triple = transport_triple(N=32, atoms=((1.0, 1.0),))
     with pytest.raises(FeedbackSingularError):
-        perturbed_resolvent(triple, 2.0)
+        triple.perturbed_resolvent(2.0)
 
 
 def test_resolvent_transport_residual_small():
@@ -190,7 +187,7 @@ def test_resolvent_transport_residual_small():
     rngv = numkit.make_rng(45)
     f = numkit.random_vector(rngv, 257)
     f[-1] = 0.0
-    g = perturbed_resolvent(triple, lam)(GridFunction(f)).values
+    g = triple.perturbed_resolvent(lam)(GridFunction(f)).values
     N = triple.N
     interior = lam * g[:N] - N * (g[1:] - g[:N]) - f[:N]
     coef = phi_coefficients(triple.mu, N)
@@ -206,11 +203,11 @@ def test_resolvent_transport_builds_phi_once(monkeypatch):
     triple = transport_triple(N=64, atoms=LITTLE_MASS_ATOMS)
     lam = 2.0 + 3.0j
     fs = [np.ones(65), np.arange(65.0), np.cos(np.arange(65.0))]
-    Q = perturbed_resolvent(triple, lam)
+    Q = triple.perturbed_resolvent(lam)
     outs = [Q(f).values for f in fs]
     assert len(builds) == 1
     gain = 1.0 / (1.0 - transfer_scalar(triple.mu, lam))
-    lift = dirichlet_operator(lam, 1.0, 64).values
+    lift = dirichlet_operator(lam, 64).values
     for f, out in zip(fs, outs):
         Rf = volterra_resolvent_values(lam, f)
         assert np.array_equal(out, Rf + gain * apply_phi(triple.mu, Rf) * lift)
@@ -225,7 +222,7 @@ def test_ws_zero_observation_is_unperturbed_matrix():
     grid = TimeGrid(0.8, 32)
     x = numkit.random_vector(numkit.make_rng(6), 4)
     out = weiss_staffans_semigroup(triple, grid, 0.8, x)
-    assert np.abs(out - apply_semigroup(triple, 0.8, x)).max() <= 1e-12
+    assert np.abs(out - triple.step(0.8, x)).max() <= 1e-12
 
 
 def test_ws_zero_measure_is_unperturbed_transport():
@@ -233,7 +230,7 @@ def test_ws_zero_measure_is_unperturbed_transport():
     grid = TimeGrid(1.0, 32)
     x = GridFunction(np.r_[np.sin(np.pi * np.arange(32) / 32), 0.0])
     out = weiss_staffans_semigroup(triple, grid, 1.0, x)
-    free = apply_semigroup(triple, 1.0, x)
+    free = triple.step(1.0, x)
     assert np.abs(out.values - free.values).max() == 0.0
 
 
@@ -425,7 +422,7 @@ def test_growth_scalar_contraction_at_mu_zero():
 def test_growth_random_stable_block_chain_dominates():
     triple = stable_triple(51, n=3, m=2)
     rep = long_horizon_growth_check(triple, TimeGrid(0.5, 16),
-                                    (0.5, 1.0, 2.0), n_max=6)
+                                    (0.5, 1.0, 2.0))
     assert rep.all_dominated
     assert len(rep.block_entries) == 6
     for _, lhs, rhs in rep.block_entries:
@@ -508,10 +505,10 @@ def test_growth_entries_equal_one_chain_of_the_impulse_column(world):
     else:
         triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
         grid = TimeGrid(1.0, 32)
-    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0), n_max=5)
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0))
     g = impulse_column(triple, grid)
     F, B, C, T = dense_frames(triple, grid)
-    chain = feedback_norm_chain(g, B, C, T, 5)
+    chain = feedback_norm_chain(g, B, C, T, 6)
     s = chain.closed_norm
     assert rep.surrogate_norm == s
     assert rep.block_entries == chain.entries
@@ -643,7 +640,7 @@ def assert_entries_match_dense_svd(rep, triple, grid, n_max):
         "atom-at-0", "complex-atom-at-1"])
 def test_growth_entries_match_dense_svd_sections(triple, grid):
     # each Lanczos lhs against an SVD of its section of the dense inverse
-    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0), n_max=6)
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0))
     assert rep.all_dominated
     assert_entries_match_dense_svd(rep, triple, grid, 6)
 
@@ -661,7 +658,7 @@ def test_growth_sections_hold_at_high_dynamic_range(gain, grid, span):
     # under 1 / FEEDBACK_MARGIN
     triple = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
                           np.array([[gain]]))
-    rep = long_horizon_growth_check(triple, grid, (0.5,), n_max=6)
+    rep = long_horizon_growth_check(triple, grid, (0.5,))
     frames = dense_frames(triple, grid)
     q = frames[0].shape[0]
     _, inverse = feedback_toeplitz_inverse(*frames, 6)
@@ -682,8 +679,7 @@ def test_growth_sections_are_the_feedback_inverse_at_n_horizons(measure):
     # the n-block feedback matrix is I - F at horizon n t0 once F and the
     # frames read Phi alike, so each lhs is ||(I - F_{n t0})^{-1}||
     triple = transport_triple(N=64, **measure)
-    rep = long_horizon_growth_check(triple, TimeGrid(0.5, 32), (0.5,),
-                                    n_max=4)
+    rep = long_horizon_growth_check(triple, TimeGrid(0.5, 32), (0.5,))
     for n, lhs, _ in rep.block_entries:
         F = io_matrix(triple.discretize(TimeGrid(0.5 * n, 32 * n)))
         inverse = np.linalg.inv(np.eye(32 * n) - F)
@@ -702,8 +698,7 @@ def test_growth_chain_matches_dense_svd_at_workload_size(world):
         triple = transport_triple(N=256, atoms=LITTLE_MASS_ATOMS)
     grid = TimeGrid(0.5, 128)
     assert grid.steps * triple.control_dim == 128
-    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0, 4.0),
-                                    n_max=6)
+    rep = long_horizon_growth_check(triple, grid, (0.5, 1.0, 2.0, 4.0))
     assert rep.all_dominated
     assert_entries_match_dense_svd(rep, triple, grid, 6)
 
@@ -750,7 +745,7 @@ def test_growth_check_at_4096_steps_is_linear_in_memory(monkeypatch):
 def test_growth_transport_two_atoms():
     triple = transport_triple(N=32, atoms=LITTLE_MASS_ATOMS)
     rep = long_horizon_growth_check(triple, TimeGrid(1.0, 32),
-                                    (0.5, 1.0, 2.0), n_max=4)
+                                    (0.5, 1.0, 2.0))
     assert rep.all_dominated
     assert any(ok for _, _, ok in rep.mu_entries)
 
@@ -917,8 +912,8 @@ def test_p2_certificate_beyond_io_size_cap(steps):
 
 def test_matrix_certificate_takes_one_eigensolve(monkeypatch):
     # the spectral abscissa is the certificate's one eigensolve: its ten
-    # transfers and ten perturbed resolvents rely on numkit.solve's pivot
-    # test to refuse a lambda on the spectrum
+    # perturbed resolvents rely on numkit.solve's pivot test to refuse a
+    # lambda on the spectrum
     calls = []
     eigenvalues = numkit.eigenvalues
 
@@ -930,6 +925,38 @@ def test_matrix_certificate_takes_one_eigensolve(monkeypatch):
                                   3.0, numkit.make_rng(42))
     assert cert.verdict == "generated", cert.notes
     assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("triple, grid, beta, verdict, transfers", [
+    (README_TRIPLE, TimeGrid(0.5, 32), 3.0, "generated", 0),
+    (transport_triple(N=64, atoms=((1.0, 1.0),)), TimeGrid(1.0, 64), 2.0,
+     "not_generated", 10),
+], ids=["matrix-route", "transport-unit-atom"])
+def test_certificate_reads_the_transfer_track_only_without_a_route(
+        monkeypatch, triple, grid, beta, verdict, transfers):
+    # the transfer track on the nominal line decides only whether a
+    # certificate without a feedback route is not_generated, so a
+    # certificate with a route evaluates no transfer; the matrix one then
+    # makes two solves per perturbed resolvent (R(lam, A), then the
+    # feedback), 20 in all
+    counts = {"transfer": 0, "solve": 0}
+    transfer, solve = type(triple).transfer, numkit.solve
+
+    def counted_transfer(self, lam):
+        counts["transfer"] += 1
+        return transfer(self, lam)
+
+    def counted_solve(A, b):
+        counts["solve"] += 1
+        return solve(A, b)
+    monkeypatch.setattr(type(triple), "transfer", counted_transfer)
+    monkeypatch.setattr(numkit, "solve", counted_solve)
+    cert = generation_certificate(triple, grid, 2.0, 1.0, beta,
+                                  numkit.make_rng(14))
+    assert cert.verdict == verdict, cert.notes
+    assert counts["transfer"] == transfers
+    if triple.world == "matrix":
+        assert counts["solve"] == 20
 
 
 #: (F's column count, call): each call applies F or takes its norm

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,11 +9,9 @@ from sgperturb import numkit
 from sgperturb.semigroup import (
     GridFunction,
     MatrixTriple,
-    apply_semigroup,
     as_grid_function,
     rescale,
     shift_open,
-    spectral_abscissa,
     volterra_resolvent_values,
 )
 from sgperturb.transport import BorelMeasure, TransportTriple
@@ -65,13 +65,13 @@ def test_grid_function_norm_uses_left_endpoint_weight():
 def test_apply_semigroup_t0_is_identity_matrix_world():
     triple = stable_triple(1)
     x = numkit.random_vector(numkit.make_rng(2), 4)
-    assert_allclose(apply_semigroup(triple, 0.0, x), x, atol=1e-14)
+    assert_allclose(triple.step(0.0, x), x, atol=1e-14)
 
 
 def test_apply_semigroup_t0_is_identity_transport_world():
     triple = transport_triple(N=16)
     f = smooth_gridfun(16)
-    out = apply_semigroup(triple, 0.0, f)
+    out = triple.step(0.0, f)
     # same L^p class: interior nodes intact, node N zeroed
     assert np.array_equal(out.values[:16], f.values[:16])
     assert out.values[16] == 0.0
@@ -80,37 +80,46 @@ def test_apply_semigroup_t0_is_identity_transport_world():
 def test_transport_nilpotent_at_time_one():
     triple = transport_triple(N=4)
     f = GridFunction(np.arange(5, dtype=float))
-    out = apply_semigroup(triple, 1.0, f)
+    out = triple.step(1.0, f)
     assert np.array_equal(out.values, np.zeros(5))
 
 
 def test_matrix_scalar_decay():
     triple = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                           np.array([[1.0]]))
-    assert_allclose(apply_semigroup(triple, 2.0, np.array([1.0])),
+    assert_allclose(triple.step(2.0, np.array([1.0])),
                     [np.exp(-2.0)], rtol=1e-12)
 
 
 def test_semigroup_law_matrix():
     triple = stable_triple(3)
     x = numkit.random_vector(numkit.make_rng(4), 4)
-    lhs = apply_semigroup(triple, 0.3, apply_semigroup(triple, 0.5, x))
-    rhs = apply_semigroup(triple, 0.8, x)
+    lhs = triple.step(0.3, triple.step(0.5, x))
+    rhs = triple.step(0.8, x)
     assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def test_semigroup_law_transport_exact_on_grid():
     triple = transport_triple(N=32)
     f = smooth_gridfun(32)
-    lhs = apply_semigroup(triple, 0.25, apply_semigroup(triple, 0.5, f))
-    rhs = apply_semigroup(triple, 0.75, f)
+    lhs = triple.step(0.25, triple.step(0.5, f))
+    rhs = triple.step(0.75, f)
     assert np.array_equal(lhs.values, rhs.values)
 
 
 def test_transport_rejects_off_grid_time():
     triple = transport_triple(N=8)
     with pytest.raises(ValueError):
-        apply_semigroup(triple, 0.3, smooth_gridfun(8))
+        triple.step(0.3, smooth_gridfun(8))
+
+
+@pytest.mark.parametrize("triple, x", [
+    (stable_triple(1), np.ones(4)),
+    (transport_triple(N=8), smooth_gridfun(8)),
+], ids=["matrix", "transport"])
+def test_step_refuses_negative_time(triple, x):
+    with pytest.raises(ValueError):
+        triple.step(-0.25, x)
 
 
 def test_transport_shift_is_a_contraction_exactly():
@@ -118,7 +127,7 @@ def test_transport_shift_is_a_contraction_exactly():
     rng = numkit.make_rng(6)
     f = GridFunction(numkit.random_vector(rng, 33), p=3.0)
     for t in (0.0, 0.25, 0.5, 31 / 32):
-        assert apply_semigroup(triple, t, f).norm() <= f.norm()
+        assert triple.step(t, f).norm() <= f.norm()
 
 
 def test_shift_open_zero_fills():
@@ -205,6 +214,26 @@ def test_volterra_resolvent_overflow_guard():
         volterra_resolvent_values(1e6, np.ones(9))
 
 
+@pytest.mark.parametrize("lam", [-1000.0, 1000.0 + 1.0j, complex("nan"),
+                                 complex(0.0, np.inf)],
+                         ids=["re-1000", "re+1000", "nan", "inf"])
+def test_volterra_resolvent_refuses_lambda_out_of_range(lam):
+    # the values grow like e^{|Re lam|} across [0, 1], so the range is
+    # |Re lam| <= 500 for the whole interval, as transfer_scalar's, not per
+    # cell: at N = 64, lam = -1000 overflowed (a RuntimeWarning, inf with
+    # warnings off) and a NaN lam returned NaN
+    triple = transport_triple(N=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(numkit.NumericalRangeError):
+            volterra_resolvent_values(lam, np.ones(65))
+        with pytest.raises(numkit.NumericalRangeError):
+            triple.resolvent(lam)(smooth_gridfun(64))
+        for edge in (-500.0, 500.0):
+            assert np.isfinite(triple.resolvent(edge)(
+                smooth_gridfun(64)).values).all()
+
+
 # ---------------------------------------------------------------------------
 # rescale
 # ---------------------------------------------------------------------------
@@ -230,8 +259,8 @@ def test_rescale_transport_decays_semigroup_pointwise():
     shifted = rescale(triple, 1.0)
     f = smooth_gridfun(32)
     t = 0.5
-    plain = apply_semigroup(triple, t, f).values
-    decayed = apply_semigroup(shifted, t, f).values
+    plain = triple.step(t, f).values
+    decayed = shifted.step(t, f).values
     assert_allclose(decayed, np.exp(-1.0 * t) * plain, rtol=0, atol=1e-15)
 
 
@@ -247,20 +276,20 @@ def test_rescale_rejects_negative_shift():
 def test_spectral_abscissa_diagonal():
     triple = MatrixTriple(np.diag([-1.0, -3.0]), np.zeros((2, 1)),
                           np.zeros((1, 2)))
-    a = spectral_abscissa(triple)
+    a = triple.spectral_abscissa()
     assert a.value == pytest.approx(-1.0)
     assert not a.nilpotent
 
 
 def test_spectral_abscissa_transport_flags_nilpotency():
-    a = spectral_abscissa(transport_triple(N=8))
+    a = transport_triple(N=8).spectral_abscissa()
     assert a.nilpotent
     assert a.value < -100.0
 
 
 def test_spectral_abscissa_matches_eigenvalues():
     triple = stable_triple(13, n=6)
-    a = spectral_abscissa(triple)
+    a = triple.spectral_abscissa()
     assert a.value == pytest.approx(
         np.max(numkit.eigenvalues(triple.A).real), abs=1e-12)
 
