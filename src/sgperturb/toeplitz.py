@@ -4,7 +4,9 @@ An ``n``-block operator matrix ``(T_{i-j})_{i,j=1..n}`` (zero above the
 diagonal) is stored by its first block column ``T_0 .. T_{n-1}``.  The module
 provides its products by FFT (a lower-triangular Toeplitz operator is a
 compression of a block circulant of twice its order; Boettcher & Silbermann,
-*Introduction to Large Truncated Toeplitz Matrices*), its p-norms without a
+*Introduction to Large Truncated Toeplitz Matrices*), one operand per column
+of the right-hand side, so each column of a product is the same bit for bit
+however many columns share the call; its p-norms without a
 matrix (:func:`column_norm` off the first column; the 2-norm is
 :func:`~sgperturb.numkit.lanczos_norms` on the products), and the norm chain
 of the inverse of the feedback block matrix ``I - F_n`` whose sub-diagonal
@@ -63,6 +65,10 @@ class BlockToeplitz:
     :meth:`forward` and :meth:`adjoint` apply the operator and its adjoint
     by FFT on the block circulant of order ``2n`` that contains it, from a
     symbol computed once here (in real arithmetic when every block is real).
+    The ``R`` columns of an operand are ``R`` rows ``(n, d)`` here (a view
+    when the operand is a transposed row-major block), with the FFT along
+    the block axis and a per-row symbol product, so a column of the result
+    does not depend on the other columns.
     """
 
     blocks: np.ndarray
@@ -118,13 +124,12 @@ class BlockToeplitz:
         if self._real and np.iscomplexobj(X):
             return self._apply(symbol, X.real) \
                 + 1j * self._apply(symbol, X.imag)
-        Z = X.reshape(n, d, -1)
-        if self._real:
-            Y = np.fft.irfft(symbol @ np.fft.rfft(Z, 2 * n, axis=0), 2 * n,
-                             axis=0)
-        else:
-            Y = np.fft.ifft(symbol @ np.fft.fft(Z, 2 * n, axis=0), axis=0)
-        return Y[:n].reshape(X.shape)
+        fft, ifft = ((np.fft.rfft, np.fft.irfft) if self._real
+                     else (np.fft.fft, np.fft.ifft))
+        Z = fft(X.reshape(n * d, -1).T.reshape(-1, n, d), 2 * n, axis=1)
+        Z = symbol[:, 0] * Z if d == 1 else (symbol @ Z[..., None])[..., 0]
+        Y = ifft(Z, 2 * n, axis=1)[:, :n]
+        return Y.reshape(-1, n * d).T.reshape(X.shape)
 
 
 def column_norm(column, p: float) -> float:
@@ -228,45 +233,43 @@ def _inverse_products(G: BlockToeplitz, GC, BG, B, closed, n_max: int):
     ``w_0 = 0``, and ``K^H`` runs backward:
     ``y_j = G^H x_j + (B G)^H z_j``,
     ``z_{j-1} = closed^H z_j + (G C)^H x_j`` from ``z_{n_max-1} = 0``.
-    Each product is one FFT product with G on all ``n_max`` blocks at once,
-    skipping the blocks that are all zero.  A block ``x_i`` reaches only
-    ``y_{i'}`` with ``i' >= i`` (and the adjoint the other way), so a column
-    that is zero below a leading section sees that section alone, and its
-    blocks below the section are the zero blocks skipped.
+    Columns are rows here: ``X^T`` as ``(R, n_max, q)``, a view of the
+    transposed row-major blocks Lanczos passes.  G's product is one
+    :class:`BlockToeplitz` call on the blocks that are not all zero, each
+    its own operand, so skipping the zero ones changes no bit.  A block
+    ``x_i`` reaches only ``y_{i'}``, ``i' >= i`` (the adjoint the other
+    way), so a column that is zero below a leading section sees that
+    section alone, and its blocks below it are the zero blocks skipped.
     """
-    q, d = GC.shape
-    GC_h, BG_h, closed_h = GC.conj().T, BG.conj().T, closed.conj().T
+    q = GC.shape[0]
 
-    def by_block(X):         # (n_max q, R) -> (q, n_max R), block i first
-        return X.reshape(n_max, q, -1).transpose(1, 0, 2).reshape(q, -1)
+    def blocks(X):           # (n_max q, R) -> (R, n_max, q), a view of X.T
+        return X.T.reshape(-1, n_max, q)
 
-    def stacked(Y):          # (q, n_max R) -> (n_max q, R)
-        return Y.reshape(q, n_max, -1).transpose(1, 0, 2).reshape(
-            n_max * q, -1)
+    def columns(Y):          # (R, n_max, q) -> (n_max q, R)
+        return Y.reshape(-1, n_max * q).T
 
-    def nonzero_blocks(product, Xb):   # each column's FFTs are its own
-        live = Xb.any(axis=0)
-        Y = product(Xb[:, live])
+    def nonzero_blocks(product, Xb):
+        live = Xb.any(axis=2)
+        Y = product(Xb[live].T).T
         out = np.zeros(Xb.shape, dtype=Y.dtype)
-        out[:, live] = Y
+        out[live] = Y
         return out
 
     def forward(X):
-        Gx = nonzero_blocks(G.forward, by_block(X))
-        BGx = (B @ Gx).reshape(d, n_max, -1)
+        Gx = nonzero_blocks(G.forward, blocks(X))
+        BGx = Gx @ B.T
         W = np.zeros_like(BGx, dtype=np.result_type(BGx, closed))
         for i in range(1, n_max):
-            W[:, i] = closed @ W[:, i - 1] + BGx[:, i - 1]
-        return stacked(Gx + GC @ W.reshape(d, -1))
+            W[:, i] = W[:, i - 1] @ closed.T + BGx[:, i - 1]
+        return columns(Gx + W @ GC.T)
 
     def adjoint(X):
-        Xb = by_block(X)
-        GCx = (GC_h @ Xb).reshape(d, n_max, -1)
+        Xb = blocks(X)
+        GCx = Xb @ GC.conj()
         Z = np.zeros_like(GCx, dtype=np.result_type(GCx, closed))
         for j in range(n_max - 1, 0, -1):
-            Z[:, j - 1] = closed_h @ Z[:, j] + GCx[:, j]
-        return stacked(nonzero_blocks(G.adjoint, Xb)
-                       + BG_h @ Z.reshape(d, -1))
+            Z[:, j - 1] = Z[:, j] @ closed.conj() + GCx[:, j]
+        return columns(nonzero_blocks(G.adjoint, Xb) + Z @ BG.conj())
 
     return forward, adjoint
-

@@ -58,7 +58,8 @@ __all__ = [
     "greiner_compatibility",
 ]
 
-_CELL_BLOCK = 1 << 16      # entries of one start-by-cell exponential block
+_CELL_BLOCK = 1 << 16      # entries of one block of the cell power table
+_CELL_RUN = 64             # cells per exp of the power table, at most
 _BOX_PAD = 1e-9            # the root search's box, widened on every side
 _ROOT_TOL = 1e-10          # |H - 1| at which a converged root is kept
 _NEWTON_STEPS = 60         # Newton steps of the root search, at most
@@ -408,12 +409,14 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     """``(H, H')`` at each entry of the complex array ``lam`` (no range check).
 
     Atoms contribute ``w e^{lam (r - 1)}`` to ``H`` and
-    ``(r - 1) w e^{lam (r - 1)}`` to ``H'``.  The density cells are summed
-    per entry along the cell axis, so each value does not depend on which
-    other points share the array; the cell exponentials are formed once, in
-    blocks of at most :data:`_CELL_BLOCK` entries, and weighted twice: by
-    ``c_k h`` for ``S`` and by ``c_k h (kh - 1)`` for ``S_1``.  Then ``H``
-    gains ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
+    ``(r - 1) w e^{lam (r - 1)}`` to ``H'``.  The cell exponentials
+    ``e^{lam (kh - 1)}`` are a power table: one ``exp`` per run of
+    :data:`_CELL_RUN` cells, times powers of ``e^{lam h}`` accumulated
+    along the run (within ``128 eps sum |terms|`` of one ``exp`` per cell),
+    in blocks of at most :data:`_CELL_BLOCK` entries, weighted by ``c_k h``
+    for ``S`` and ``c_k h (kh - 1)`` for ``S_1`` and summed per entry, so
+    no value depends on the other points in the array.  Then ``H`` gains
+    ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
     ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`).
     ``H'`` is the exact derivative of the ``H`` computed here (the same cell
     primitives, differentiated in closed form), up to the rounding of
@@ -429,11 +432,19 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
         dH += offset * atom
     if left.size:
         flat = lam.reshape(-1)
-        cells = np.empty_like(flat)
-        cell_moments = np.empty_like(flat)
-        rows = max(1, _CELL_BLOCK // left.size)
+        cells, cell_moments = np.empty_like(flat), np.empty_like(flat)
+        n, run = left.size, min(left.size, _CELL_RUN)
+        starts = left[::run]
+        step = np.exp(flat * h)
+        rows = max(1, _CELL_BLOCK // (starts.size * run))
         for i in range(0, flat.size, rows):
-            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            chunk = flat[i:i + rows]
+            table = np.empty((chunk.size, starts.size, run), complex)
+            table[..., 0] = np.exp(np.multiply.outer(chunk, starts))
+            table[..., 1:] = step[i:i + rows, None, None]
+            table.reshape(chunk.size, -1)[:, n:] = 1.0   # past the last cell
+            block = np.multiply.accumulate(table, axis=2).reshape(
+                chunk.size, -1)[:, :n]
             cells[i:i + rows] = (block * weights).sum(axis=-1)
             cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)

@@ -102,31 +102,32 @@ def shipped_feedback_inverse(F, B, C, T, n):
 def unskipped_inverse_products(G, GC, BG, B, closed, n_max):
     """``toeplitz._inverse_products`` with G's FFT products on every block,
     the all-zero ones included; otherwise verbatim."""
-    q, d = GC.shape
-    GC_h, BG_h, closed_h = GC.conj().T, BG.conj().T, closed.conj().T
+    q = GC.shape[0]
 
-    def by_block(X):         # (n_max q, R) -> (q, n_max R), block i first
-        return X.reshape(n_max, q, -1).transpose(1, 0, 2).reshape(q, -1)
+    def blocks(X):           # (n_max q, R) -> (R, n_max, q), a view of X.T
+        return X.T.reshape(-1, n_max, q)
 
-    def stacked(Y):          # (q, n_max R) -> (n_max q, R)
-        return Y.reshape(q, n_max, -1).transpose(1, 0, 2).reshape(
-            n_max * q, -1)
+    def columns(Y):          # (R, n_max, q) -> (n_max q, R)
+        return Y.reshape(-1, n_max * q).T
+
+    def every_block(product, Xb):
+        return product(Xb.reshape(-1, q).T).T.reshape(Xb.shape)
 
     def forward(X):
-        Gx = G.forward(by_block(X))
-        BGx = (B @ Gx).reshape(d, n_max, -1)
+        Gx = every_block(G.forward, blocks(X))
+        BGx = Gx @ B.T
         W = np.zeros_like(BGx, dtype=np.result_type(BGx, closed))
         for i in range(1, n_max):
-            W[:, i] = closed @ W[:, i - 1] + BGx[:, i - 1]
-        return stacked(Gx + GC @ W.reshape(d, -1))
+            W[:, i] = W[:, i - 1] @ closed.T + BGx[:, i - 1]
+        return columns(Gx + W @ GC.T)
 
     def adjoint(X):
-        Xb = by_block(X)
-        GCx = (GC_h @ Xb).reshape(d, n_max, -1)
+        Xb = blocks(X)
+        GCx = Xb @ GC.conj()
         Z = np.zeros_like(GCx, dtype=np.result_type(GCx, closed))
         for j in range(n_max - 1, 0, -1):
-            Z[:, j - 1] = closed_h @ Z[:, j] + GCx[:, j]
-        return stacked(G.adjoint(Xb) + BG_h @ Z.reshape(d, -1))
+            Z[:, j - 1] = Z[:, j] @ closed.conj() + GCx[:, j]
+        return columns(every_block(G.adjoint, Xb) + Z @ BG.conj())
 
     return forward, adjoint
 

@@ -137,6 +137,27 @@ def test_fft_products_reject_wrong_rows():
         T.adjoint(np.ones((6, 2, 1)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("build", [real_toeplitz, random_toeplitz],
+                         ids=["real", "complex"])
+def test_fft_products_of_a_column_do_not_depend_on_its_batch(build, d):
+    # each column of a product is the one computed alone and in a
+    # sub-batch, bit for bit, whatever the operand's memory order: a
+    # report does not depend on how its products were batched
+    T = build(64, 16, d)
+    rng = numkit.make_rng(65)
+    X = rng.standard_normal((16 * d, 9))
+    if build is random_toeplitz:
+        X = X + 1j * rng.standard_normal(X.shape)
+    for product in (T.forward, T.adjoint):
+        full = product(X)
+        assert np.array_equal(product(np.asfortranarray(X)), full)
+        assert np.array_equal(product(X[:, 2:7]), full[:, 2:7])
+        for j in range(X.shape[1]):
+            assert np.array_equal(product(X[:, j]), full[:, j])
+            assert np.array_equal(product(X[:, j:j + 1]), full[:, j:j + 1])
+
+
 def test_block_shape_validation():
     with pytest.raises(ShapeError):
         BlockToeplitz([np.eye(2), np.eye(3)])

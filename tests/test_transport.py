@@ -712,9 +712,30 @@ def exp_ratio_oracle(z):
                     (np.exp(safe) - 1.0) / safe)
 
 
+def power_table_oracle(flat, left, h):
+    """The cell exponentials ``e^{lam (kh - 1)}`` of transport's power
+    table, one row per entry of ``flat``, in the blocks of
+    ``transport._transfer_and_slope``, verbatim: one ``exp`` per run of
+    ``_CELL_RUN`` cells, then the powers of ``e^{lam h}`` along the run."""
+    n, run = left.size, min(left.size, transport._CELL_RUN)
+    starts = left[::run]
+    step = np.exp(flat * h)
+    rows = max(1, transport._CELL_BLOCK // (starts.size * run))
+    for i in range(0, flat.size, rows):
+        chunk = flat[i:i + rows]
+        table = np.empty((chunk.size, starts.size, run), complex)
+        table[..., 0] = np.exp(np.multiply.outer(chunk, starts))
+        table[..., 1:] = step[i:i + rows, None, None]
+        table.reshape(chunk.size, -1)[:, n:] = 1.0   # past the last cell
+        block = np.multiply.accumulate(table, axis=2).reshape(
+            chunk.size, -1)[:, :n]
+        yield i, rows, block
+
+
 def transfer_values_oracle(mu, lam):
-    """The H evaluator before the slope was added, verbatim, with
-    :func:`exp_ratio_oracle` for the ratio."""
+    """The H part of transport's evaluator, verbatim, with
+    :func:`exp_ratio_oracle` for the ratio and
+    :func:`power_table_oracle` for the cell exponentials."""
     H = np.zeros(lam.shape, dtype=np.complex128)
     for loc, w in mu.atoms:
         H += w * np.exp(lam * (loc - 1.0))
@@ -725,9 +746,7 @@ def transfer_values_oracle(mu, lam):
         left = np.arange(n) * h - 1.0
         flat = lam.reshape(-1)
         cells = np.empty_like(flat)
-        rows = max(1, transport._CELL_BLOCK // n)
-        for i in range(0, flat.size, rows):
-            block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+        for i, rows, block in power_table_oracle(flat, left, h):
             cells[i:i + rows] = (block * weights).sum(axis=-1)
         H += cells.reshape(lam.shape) * exp_ratio_oracle(lam * h)
     return H
@@ -737,7 +756,7 @@ def transfer_values_oracle(mu, lam):
     TWO_ATOMS,
     BorelMeasure(atoms=((0.5, 0.3),), density=DENSITY_64),
     BorelMeasure(density=SMOOTH_64),
-    # 1000 cells: 65 rows per exponential block, so the points span blocks
+    # 1000 cells: 64 rows per power-table block, so the points span blocks
     BorelMeasure(atoms=((0.0, 0.5j),), density=tuple(
         np.random.default_rng(2).uniform(-1.0, 1.0, 1000) * (1.0 + 0.5j))),
 ], ids=["atoms", "atoms+density64", "density64", "density1000"])
@@ -815,11 +834,12 @@ def exp_ratio_slope_oracle(z):
         (np.exp(safe) - np.expm1(safe) / safe) / safe)
 
 
-def transfer_and_slope_oracle(mu, lam):
+def exp_transfer_and_slope(mu, lam):
     """``transport._transfer_and_slope`` before the measure's arrays were
-    built once per measure and R, R' shared one exponential, verbatim, with
-    :func:`exp_ratio_oracle` and :func:`exp_ratio_slope_oracle` for R and
-    R'."""
+    built once per measure, R, R' shared one exponential and the cell
+    exponentials came from a power table, verbatim (one ``exp`` per point
+    and cell), with :func:`exp_ratio_oracle` and
+    :func:`exp_ratio_slope_oracle` for R and R'."""
     H = np.zeros(lam.shape, dtype=np.complex128)
     dH = np.zeros(lam.shape, dtype=np.complex128)
     for loc, w in mu.atoms:
@@ -838,6 +858,37 @@ def transfer_and_slope_oracle(mu, lam):
         rows = max(1, transport._CELL_BLOCK // n)
         for i in range(0, flat.size, rows):
             block = np.exp(np.multiply.outer(flat[i:i + rows], left))
+            cells[i:i + rows] = (block * weights).sum(axis=-1)
+            cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
+        cells = cells.reshape(lam.shape)
+        ratio = exp_ratio_oracle(lam * h)
+        H += cells * ratio
+        dH += (cell_moments.reshape(lam.shape) * ratio
+               + cells * h * exp_ratio_slope_oracle(lam * h))
+    return H, dH
+
+
+def transfer_and_slope_oracle(mu, lam):
+    """``transport._transfer_and_slope``, verbatim but for the measure's
+    arrays, built here from the measure, with :func:`exp_ratio_oracle` and
+    :func:`exp_ratio_slope_oracle` for R and R' and
+    :func:`power_table_oracle` for the cell exponentials."""
+    H = np.zeros(lam.shape, dtype=np.complex128)
+    dH = np.zeros(lam.shape, dtype=np.complex128)
+    for loc, w in mu.atoms:
+        atom = w * np.exp(lam * (loc - 1.0))
+        H += atom
+        dH += (loc - 1.0) * atom
+    if mu.density:
+        n = len(mu.density)
+        h = 1.0 / n
+        weights = np.asarray(mu.density, dtype=np.complex128) * h
+        left = np.arange(n) * h - 1.0
+        moments = weights * left
+        flat = lam.reshape(-1)
+        cells = np.empty_like(flat)
+        cell_moments = np.empty_like(flat)
+        for i, rows, block in power_table_oracle(flat, left, h):
             cells[i:i + rows] = (block * weights).sum(axis=-1)
             cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)
@@ -879,10 +930,12 @@ REAL_MEASURES = [
 REAL_IDS = ["atoms", "atoms+density64", "density64", "density1000"]
 
 
-@pytest.mark.parametrize("mu", REAL_MEASURES + [BorelMeasure(
-    atoms=((0.0, 0.5j),), density=tuple(
-        np.random.default_rng(2).uniform(-1.0, 1.0, 1000) * (1.0 + 0.5j)))],
-    ids=REAL_IDS + ["complex1000"])
+COMPLEX_1000 = BorelMeasure(atoms=((0.0, 0.5j),), density=tuple(
+    np.random.default_rng(2).uniform(-1.0, 1.0, 1000) * (1.0 + 0.5j)))
+
+
+@pytest.mark.parametrize("mu", REAL_MEASURES + [COMPLEX_1000],
+                         ids=REAL_IDS + ["complex1000"])
 def test_transfer_and_slope_bit_identical_to_oracle(mu):
     lam = bit_test_points()
     # lam[:6] holds points with |lam h| < 1e-2 (the Taylor branches of R
@@ -892,6 +945,52 @@ def test_transfer_and_slope_bit_identical_to_oracle(mu):
         H, dH = transport._transfer_and_slope(mu, points)
         H_ref, dH_ref = transfer_and_slope_oracle(mu, points)
         assert np.array_equal(H, H_ref) and np.array_equal(dH, dH_ref)
+
+
+@pytest.mark.parametrize("mu", REAL_MEASURES[1:] + [COMPLEX_1000],
+                         ids=REAL_IDS[1:] + ["complex1000"])
+def test_power_table_within_128_eps_of_the_cell_exponentials(mu):
+    # the power table against one exp per point and cell, relative to the
+    # sum of the magnitudes of the terms of H and of H' (46 and 75 eps are
+    # the largest errors at 64 and 1000 cells)
+    lam = bit_test_points()
+    H, dH = transport._transfer_and_slope(mu, lam)
+    H_exp, dH_exp = exp_transfer_and_slope(mu, lam)
+    n = len(mu.density)
+    h = 1.0 / n
+    left = np.arange(n) * h - 1.0
+    cells = np.abs(np.exp(np.multiply.outer(lam, left))) * h * np.abs(
+        np.asarray(mu.density))
+    ratio, slope = transport._exp_ratio_and_slope(lam * h)
+    terms = cells.sum(axis=-1) * np.abs(ratio)
+    slope_terms = (cells @ np.abs(left) * np.abs(ratio)
+                   + cells.sum(axis=-1) * h * np.abs(slope))
+    for loc, w in mu.atoms:
+        atom = np.abs(w * np.exp(lam * (loc - 1.0)))
+        terms += atom
+        slope_terms += (1.0 - loc) * atom
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(H - H_exp) <= 128 * eps * terms)
+    assert np.all(np.abs(dH - dH_exp) <= 128 * eps * slope_terms)
+
+
+@pytest.mark.parametrize("mu", [closed_loop_measure(7), COMPLEX_1000],
+                         ids=["closed-loop", "complex1000"])
+def test_transfer_takes_one_exp_per_run_of_cells(monkeypatch, mu):
+    # the work, not the time: one exp per point for each atom, for the
+    # first cell of each run of 64 cells, for e^{lam h} and for R(lam h);
+    # one exp per point and cell would be 64 per point at 64 cells
+    exp = np.exp
+    sizes = []
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+    monkeypatch.setattr(np, "exp", counted)
+    lam = bit_test_points()
+    transport._transfer_and_slope(mu, lam)
+    runs = -(-len(mu.density) // 64)
+    assert sum(sizes) <= lam.size * (len(mu.atoms) + runs + 2)
 
 
 @pytest.mark.parametrize("mu", REAL_MEASURES, ids=REAL_IDS)
