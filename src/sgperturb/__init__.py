@@ -12,8 +12,9 @@ Two concrete worlds carry every construction:
 The module layout follows the pipeline: :mod:`~sgperturb.numkit`
 (validated arrays, matrix exponential, norms), :mod:`~sgperturb.toeplitz`
 (block lower-triangular Toeplitz algebra), :mod:`~sgperturb.semigroup`
-(system triples and free dynamics), :mod:`~sgperturb.transport` (boundary
-measures, PDE solver, spectra), :mod:`~sgperturb.admissibility` (the three
+(the matrix world's triples and free dynamics), :mod:`~sgperturb.transport`
+(its sibling, the transport world: grid functions, boundary measures, PDE
+solver, spectra), :mod:`~sgperturb.admissibility` (the three
 maps on a time grid), :mod:`~sgperturb.perturbation` (perturbed resolvents,
 semigroups, growth checks, certificates), :mod:`~sgperturb.classical`
 (bounded-control / bounded-observation verification suites) and
@@ -28,15 +29,14 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, column_norm,
                        feedback_norm_chain)
-from .semigroup import (NILPOTENT_SENTINEL, GridFunction,
-                        MatrixDiscretization, MatrixTriple, SpectralAbscissa,
-                        as_grid_function, rescale, shift_open,
+from .semigroup import MatrixDiscretization, MatrixTriple, rescale
+from .transport import (BorelMeasure, GridFunction, LittleMassReport,
+                        Trajectory, TransportDiscretization, TransportTriple,
+                        as_grid_function, characteristic_roots,
+                        dirichlet_operator, greiner_compatibility,
+                        little_mass, phi_coefficients, shift_open, solve_pde,
+                        transfer_scalar, upwind_generator,
                         volterra_resolvent_values)
-from .transport import (BorelMeasure, LittleMassReport, Trajectory,
-                        TransportDiscretization, TransportTriple,
-                        characteristic_roots, dirichlet_operator,
-                        greiner_compatibility, little_mass, phi_coefficients,
-                        solve_pde, transfer_scalar, upwind_generator)
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             FeedbackReport, RescalingResiduals, SampledSignal,
                             TimeGrid, controllability_map, estimate_constants,
@@ -63,12 +63,11 @@ __all__ = [
     "BlockToeplitz", "column_norm", "NormChain",
     "feedback_norm_chain",
     # semigroup
-    "MatrixTriple", "MatrixDiscretization", "GridFunction",
-    "SpectralAbscissa",
-    "NILPOTENT_SENTINEL", "shift_open",
-    "volterra_resolvent_values", "as_grid_function", "rescale",
+    "MatrixTriple", "MatrixDiscretization", "rescale",
     # transport
-    "TransportTriple", "TransportDiscretization", "BorelMeasure",
+    "TransportTriple", "TransportDiscretization", "GridFunction",
+    "shift_open", "volterra_resolvent_values", "as_grid_function",
+    "BorelMeasure",
     "LittleMassReport", "Trajectory",
     "phi_coefficients", "dirichlet_operator", "little_mass",
     "solve_pde", "upwind_generator", "transfer_scalar",

@@ -31,10 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .. import numkit, toeplitz
-from ..semigroup import GridFunction, MatrixTriple
-from ..transport import (BorelMeasure, TransportTriple, characteristic_roots,
-                         solve_pde, transfer_scalar, upwind_generator,
-                         _boundary_coefficients)
+from ..semigroup import MatrixTriple
+from ..transport import (BorelMeasure, GridFunction, TransportTriple,
+                         characteristic_roots, solve_pde, transfer_scalar,
+                         upwind_generator, _boundary_coefficients)
 from ..admissibility import (TimeGrid, estimate_constants,
                              rescaled_map_identities, smooth_trial_signals)
 from ..perturbation import (generation_certificate, long_horizon_growth_check,

@@ -261,7 +261,7 @@ def vector_norm(x, p: float, weight: float = 1.0) -> float:
     v = np.abs(np.asarray(x, dtype=np.complex128).reshape(-1))
     if np.isinf(p):
         return float(v.max()) if v.size else 0.0
-    if p <= 0:
+    if not p > 0:
         raise UnsupportedExponentError(f"p = {p} is not a norm exponent")
     return float((weight * np.sum(v ** p)) ** (1.0 / p))
 

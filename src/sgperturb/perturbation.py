@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit, toeplitz
-from .semigroup import FeedbackSingularError
+from .toeplitz import FeedbackSingularError
 from .admissibility import (TimeGrid, SampledSignal, controllability_map,
                             observability_map, FEEDBACK_MARGIN,
                             feedback_admissible, _constants_and_feedback,
@@ -260,17 +260,16 @@ def _residual_lambda_line(triple, abscissa: float, offset: float,
 
 
 def _transfer_is_one(triple, line) -> bool:
-    """Whether a scalar transfer function is within 1e-10 of 1 at every
+    """Whether the transfer matrix is within 1e-10 of the identity at every
     point of ``line`` where it evaluates, and evaluates at one at least."""
-    values = []
+    gaps = []
     for lam in line:
         try:
             H = triple.transfer(lam)
         except (numkit.SingularMatrixError, numkit.NumericalRangeError):
             continue
-        if H.shape == (1, 1):
-            values.append(complex(H[0, 0]))
-    return bool(values) and max(abs(h - 1.0) for h in values) < 1e-10
+        gaps.append(np.abs(H - np.eye(H.shape[0])).max())
+    return bool(gaps) and max(gaps) < 1e-10
 
 
 def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
@@ -314,7 +313,7 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         feedback_route = fb.ok or bypass_ok
 
         a = triple.spectral_abscissa()
-        abscissa = a.value if not a.nilpotent else 0.0
+        abscissa = a if np.isfinite(a) else 0.0
         offset = 1.0 + min(max(fb.margin, 0.0), 1.0)
         entries, res_ok = _residual_lambda_line(triple, abscissa, offset, rng)
 

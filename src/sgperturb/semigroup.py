@@ -1,73 +1,28 @@
-"""System triples and their semigroups in two closed worlds.
+"""The matrix world: finite-dimensional triples and their time grids.
 
 The package never builds an extrapolation space.  Instead every
-computation runs in one of two concrete instantiations — the matrix world
-(:class:`MatrixTriple`) and the transport world
-(:class:`~sgperturb.transport.TransportTriple`) — and each class holds all of
-its world's facts behind the same methods, those a time grid fixes on its
-``discretize(grid)``.  Callers call those methods directly, so no algorithm
-tests which world it is in; :func:`rescale` alone adds what both worlds
-share (the ``mu_shift >= 0`` check and the identity at ``mu_shift = 0``).
-
-Transport states are :class:`GridFunction` samples.  Discretization
-conventions (load-bearing; the admissibility identities are exact *because*
-of them):
-
-* grid values live on all ``N + 1`` nodes, but the p-norm uses the
-  left-endpoint rule over nodes ``0 .. N-1`` with weight ``1/N`` — node ``N``
-  carries no measure, so the open shift below is an exact isometry on
-  surviving samples;
-* the shift is *open*: a sample dies as soon as it reaches or passes node
-  ``N`` (``(shift_j f)[i] = f[i+j]`` iff ``i + j < N``, node ``N`` maps to 0);
-* times and measure atoms must sit on the grid; off-grid inputs are rejected
-  rather than interpolated.
+computation runs in one of two concrete worlds, sibling modules that import
+nothing from each other: the matrix world here (:class:`MatrixTriple`) and
+the transport world (:mod:`sgperturb.transport`).  Each triple class holds
+all of its world's facts behind the same methods, those a time grid fixes on
+its ``discretize(grid)``.  Callers call those methods directly, so no
+algorithm tests which world it is in; :func:`rescale` alone adds what both
+worlds share (the ``mu_shift >= 0`` check and the identity at
+``mu_shift = 0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import numkit
 from .numkit import ShapeError, as_matrix, as_vector
-from .toeplitz import FEEDBACK_MARGIN
+from .toeplitz import FEEDBACK_MARGIN, FeedbackSingularError
 
-__all__ = [
-    "MatrixTriple",
-    "MatrixDiscretization",
-    "GridFunction",
-    "SpectralAbscissa",
-    "shift_open",
-    "volterra_resolvent_values",
-    "as_grid_function",
-    "rescale",
-    "NILPOTENT_SENTINEL",
-]
-
-#: JSON-safe stand-in for "-infinity" growth bound of a nilpotent semigroup.
-NILPOTENT_SENTINEL = -1e300
-
-#: the transport world's exponent range: a lambda with ``|Re lambda|`` above
-#: it is refused by every closed form in ``e^{lam s}``, s in [-1, 1]
-_RE_LIMIT = 500.0
-
-
-class FeedbackSingularError(ArithmeticError):
-    """``I - C R(lam) B`` is singular (within margin) at the requested lambda."""
-
-
-class SpectralAbscissa(NamedTuple):
-    """Growth-bound surrogate, a triple's ``spectral_abscissa()``: the max
-    real part of the spectrum.  A transport generator is nilpotent (the
-    spectrum of the true operator is empty), so its value is the large
-    negative sentinel :data:`NILPOTENT_SENTINEL` with ``nilpotent=True``
-    rather than a number that pretends to be data."""
-
-    value: float
-    nilpotent: bool
+__all__ = ["MatrixTriple", "MatrixDiscretization", "rescale"]
 
 
 @dataclass(frozen=True)
@@ -142,9 +97,8 @@ class MatrixTriple:
             self.A - mu_shift * np.eye(self.state_dim, dtype=np.complex128),
             self.B, self.C)
 
-    def spectral_abscissa(self) -> SpectralAbscissa:
-        lam = numkit.eigenvalues(self.A)
-        return SpectralAbscissa(float(np.max(lam.real)), False)
+    def spectral_abscissa(self) -> float:
+        return float(np.max(numkit.eigenvalues(self.A).real))
 
     def closed_loop(self) -> np.ndarray:
         return self.A + self.B @ self.C
@@ -298,108 +252,6 @@ class MatrixDiscretization:
         t = self.triple
         closed = MatrixTriple(t.closed_loop(), t.B, t.C)
         return closed.discretize(self.grid).observe(x)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """``N + 1`` complex samples on the nodes ``k / N`` with a norm exponent.
-
-    The p-norm is the left-endpoint quadrature over nodes ``0 .. N-1`` with
-    weight ``1/N``; node ``N`` carries no weight (see module docstring).
-    Sums, differences, scalar multiples and the pointwise modulus act on the
-    samples, as they do on the vector states of the matrix world.
-    """
-
-    values: np.ndarray
-    p: float = 2.0
-
-    def __post_init__(self):
-        v = as_vector(self.values)
-        if v.shape[0] < 2:
-            raise ShapeError("a grid function needs at least 2 nodes")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0] - 1
-
-    def norm(self) -> float:
-        return numkit.vector_norm(self.values[:-1], self.p, weight=1.0 / self.N)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.values + other.values, p=self.p)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.values - other.values, p=self.p)
-
-    def __rmul__(self, scale: float) -> "GridFunction":
-        return GridFunction(scale * self.values, p=self.p)
-
-    def __abs__(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
-def shift_open(values: np.ndarray, j: int) -> np.ndarray:
-    """Left shift by ``j`` nodes with open right boundary.
-
-    ``out[i] = values[i + j]`` while ``i + j < N``; every other node —
-    including node ``N`` itself — is set to zero.  For ``j = 0`` this returns
-    a copy with node ``N`` zeroed, which is the stored representative of the
-    same L^p class that every semigroup orbit uses.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    N = v.shape[0] - 1
-    out = np.zeros_like(v)
-    if j < 0:
-        raise ValueError("shift amount must be >= 0")
-    if j < N:
-        out[: N - j] = v[j:N]
-    return out
-
-
-def as_grid_function(triple, x) -> GridFunction:
-    if isinstance(x, GridFunction):
-        if x.N != triple.N:
-            raise ShapeError(f"grid function has N = {x.N}, triple N = {triple.N}")
-        return x
-    v = as_vector(x)
-    if v.shape[0] != triple.N + 1:
-        raise ShapeError(
-            f"expected {triple.N + 1} samples, got {v.shape[0]}")
-    return GridFunction(v, p=triple.p)
-
-
-def volterra_resolvent_values(lam: complex, values: np.ndarray) -> np.ndarray:
-    """Trapezoid discretization of ``(R f)(s) = int_s^1 e^{lam (s-r)} f(r) dr``.
-
-    Backward per-cell recursion: with ``h = 1/N`` and ``E = e^{-lam h}``,
-
-        I_N = 0,   I_k = (h/2) (f_k + E f_{k+1}) + E I_{k+1}.
-
-    Exact for constant ``f`` up to O(h^2); used by both the unperturbed
-    transport resolvent and the perturbed one.  The values grow like
-    ``e^{|Re lam|}`` across the interval, so a non-finite ``lam`` or one with
-    ``|Re lam| > 500`` raises :class:`numkit.NumericalRangeError`, as
-    :func:`~sgperturb.transport.transfer_scalar` does.
-    """
-    if not np.isfinite(lam):
-        raise numkit.NumericalRangeError(f"lambda = {lam} is not finite")
-    if abs(lam.real) > _RE_LIMIT:
-        raise numkit.NumericalRangeError(
-            f"|Re lambda| = {abs(lam.real):g} overflows e^(lam (s-r))")
-    f = np.asarray(values, dtype=np.complex128)
-    N = f.shape[0] - 1
-    h = 1.0 / N
-    E = np.exp(-lam * h)
-    out = np.zeros_like(f)
-    acc = 0.0 + 0.0j
-    for k in range(N - 1, -1, -1):
-        acc = (h / 2.0) * (f[k] + E * f[k + 1]) + E * acc
-        out[k] = acc
-    return out
 
 
 def rescale(triple, mu_shift: float):

@@ -53,6 +53,11 @@ __all__ = [
 FEEDBACK_MARGIN = 1e-8
 
 
+class FeedbackSingularError(ArithmeticError):
+    """``I - C R(lam) B`` is singular (within :data:`FEEDBACK_MARGIN`) at the
+    requested lambda."""
+
+
 @dataclass(frozen=True, eq=False)
 class BlockToeplitz:
     """Block lower-triangular Toeplitz operator given by its first column.
@@ -139,8 +144,8 @@ def column_norm(column, p: float) -> float:
     row, so both are block sums of the column, exact at p = 1 and p = inf;
     any other p gets the Riesz-Thorin upper bound
     ``||T||_1^{1/p} ||T||_inf^{1-1/p}``."""
-    if p < 1:
-        raise UnsupportedExponentError(f"p = {p} < 1 is not a norm exponent")
+    if not p >= 1:
+        raise UnsupportedExponentError(f"p = {p} is not a norm exponent >= 1")
     mags = np.abs(np.asarray(column))
     n1 = float(mags.sum(axis=(0, 1)).max())
     ninf = float(mags.sum(axis=(0, 2)).max())

@@ -23,12 +23,22 @@ piecewise-constant density).  The module provides
 * the range-compatibility identity ``(Id - lam R(lam, A)) D_0 = D_lam``
   (:func:`greiner_compatibility`).
 
-Grid conventions are inherited from :mod:`sgperturb.semigroup` (open shift,
-left-endpoint norms, atoms snapped to nodes).
+States are :class:`GridFunction` samples.  Discretization conventions
+(load-bearing; the admissibility identities are exact *because* of them):
+
+* grid values live on all ``N + 1`` nodes, but the p-norm uses the
+  left-endpoint rule over nodes ``0 .. N-1`` with weight ``1/N`` — node ``N``
+  carries no measure, so the open shift below is an exact isometry on
+  surviving samples;
+* the shift is *open*: a sample dies as soon as it reaches or passes node
+  ``N`` (``(shift_j f)[i] = f[i+j]`` iff ``i + j < N``, node ``N`` maps to 0);
+* times and measure atoms must sit on the grid; off-grid inputs are rejected
+  rather than interpolated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -37,14 +47,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numkit
-from .semigroup import (_RE_LIMIT, NILPOTENT_SENTINEL, FeedbackSingularError,
-                        GridFunction, SpectralAbscissa, as_grid_function,
-                        shift_open, volterra_resolvent_values)
-from .toeplitz import FEEDBACK_MARGIN
+from .toeplitz import FEEDBACK_MARGIN, FeedbackSingularError
 
 __all__ = [
     "TransportTriple",
     "TransportDiscretization",
+    "GridFunction",
     "BorelMeasure",
     "LittleMassReport",
     "Trajectory",
@@ -56,7 +64,14 @@ __all__ = [
     "transfer_scalar",
     "characteristic_roots",
     "greiner_compatibility",
+    "shift_open",
+    "as_grid_function",
+    "volterra_resolvent_values",
 ]
+
+#: the transport world's exponent range: a lambda with ``|Re lambda|`` above
+#: it is refused by every closed form in ``e^{lam s}``, s in [-1, 1]
+_RE_LIMIT = 500.0
 
 _CELL_BLOCK = 1 << 16      # entries of one block of the cell power table
 _CELL_RUN = 64             # cells per exp of the power table, at most
@@ -87,6 +102,109 @@ _GAUSS_WEIGHTS = (0.129484966168869693270611432679082,
                   0.279705391489276667901467771423780,
                   0.381830050505118944950369775488975,
                   0.417959183673469387755102040816327)
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """``N + 1`` complex samples on the nodes ``k / N`` with a norm exponent.
+
+    The p-norm is the left-endpoint quadrature over nodes ``0 .. N-1`` with
+    weight ``1/N``; node ``N`` carries no weight (see module docstring).
+    Sums, differences, scalar multiples and the pointwise modulus act on the
+    samples, as they do on the vector states of the matrix world.
+    """
+
+    values: np.ndarray
+    p: float = 2.0
+
+    def __post_init__(self):
+        v = numkit.as_vector(self.values)
+        if v.shape[0] < 2:
+            raise numkit.ShapeError("a grid function needs at least 2 nodes")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def N(self) -> int:
+        return self.values.shape[0] - 1
+
+    def norm(self) -> float:
+        return numkit.vector_norm(self.values[:-1], self.p, weight=1.0 / self.N)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __add__(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.values + other.values, p=self.p)
+
+    def __sub__(self, other: "GridFunction") -> "GridFunction":
+        return GridFunction(self.values - other.values, p=self.p)
+
+    def __rmul__(self, scale: float) -> "GridFunction":
+        return GridFunction(scale * self.values, p=self.p)
+
+    def __abs__(self) -> np.ndarray:
+        return np.abs(self.values)
+
+
+def shift_open(values: np.ndarray, j: int) -> np.ndarray:
+    """Left shift by ``j`` nodes with open right boundary.
+
+    ``out[i] = values[i + j]`` while ``i + j < N``; every other node —
+    including node ``N`` itself — is set to zero.  For ``j = 0`` this returns
+    a copy with node ``N`` zeroed, which is the stored representative of the
+    same L^p class that every semigroup orbit uses.
+    """
+    v = np.asarray(values, dtype=np.complex128)
+    N = v.shape[0] - 1
+    out = np.zeros_like(v)
+    if j < 0:
+        raise ValueError("shift amount must be >= 0")
+    if j < N:
+        out[: N - j] = v[j:N]
+    return out
+
+
+def as_grid_function(triple, x) -> GridFunction:
+    if isinstance(x, GridFunction):
+        if x.N != triple.N:
+            raise numkit.ShapeError(
+                f"grid function has N = {x.N}, triple N = {triple.N}")
+        return x
+    v = numkit.as_vector(x)
+    if v.shape[0] != triple.N + 1:
+        raise numkit.ShapeError(
+            f"expected {triple.N + 1} samples, got {v.shape[0]}")
+    return GridFunction(v, p=triple.p)
+
+
+def volterra_resolvent_values(lam: complex, values: np.ndarray) -> np.ndarray:
+    """Trapezoid discretization of ``(R f)(s) = int_s^1 e^{lam (s-r)} f(r) dr``.
+
+    Backward per-cell recursion: with ``h = 1/N`` and ``E = e^{-lam h}``,
+
+        I_N = 0,   I_k = (h/2) (f_k + E f_{k+1}) + E I_{k+1}.
+
+    Exact for constant ``f`` up to O(h^2); used by both the unperturbed
+    transport resolvent and the perturbed one.  The values grow like
+    ``e^{|Re lam|}`` across the interval, so a non-finite ``lam`` or one with
+    ``|Re lam| > 500`` raises :class:`numkit.NumericalRangeError`, as
+    :func:`transfer_scalar` does.
+    """
+    if not np.isfinite(lam):
+        raise numkit.NumericalRangeError(f"lambda = {lam} is not finite")
+    if abs(lam.real) > _RE_LIMIT:
+        raise numkit.NumericalRangeError(
+            f"|Re lambda| = {abs(lam.real):g} overflows e^(lam (s-r))")
+    f = np.asarray(values, dtype=np.complex128)
+    N = f.shape[0] - 1
+    h = 1.0 / N
+    E = np.exp(-lam * h)
+    out = np.zeros_like(f)
+    acc = 0.0 + 0.0j
+    for k in range(N - 1, -1, -1):
+        acc = (h / 2.0) * (f[k] + E * f[k + 1]) + E * acc
+        out[k] = acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -375,9 +493,9 @@ def upwind_generator(mu: BorelMeasure, N: int) -> np.ndarray:
     return A
 
 
-def _exp_ratio_and_slope(z: np.ndarray):
+def _exp_ratio_and_slope(z: np.ndarray, e: np.ndarray):
     """Elementwise stable ``R(z) = (e^z - 1) / z`` and
-    ``R'(z) = (z e^z - expm1(z)) / z^2``, from one ``e^z``.
+    ``R'(z) = (z e^z - expm1(z)) / z^2``, from the caller's ``e = e^z``.
 
     ``R`` takes its Taylor series through ``z^3`` below ``|z| = 1e-5``,
     ``R'`` its series through ``z^5`` below ``|z| = 1e-2``, where the
@@ -393,7 +511,6 @@ def _exp_ratio_and_slope(z: np.ndarray):
     series = small.any()
     tiny = size < 1e-5
     safe = np.where(tiny, 1.0, z) if series else z
-    e = np.exp(safe)
     ratio = (e - 1.0) / safe
     slope = (e - np.expm1(safe) / safe) / safe
     if series:
@@ -417,7 +534,8 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
     for ``S`` and ``c_k h (kh - 1)`` for ``S_1`` and summed per entry, so
     no value depends on the other points in the array.  Then ``H`` gains
     ``S R(lam h)`` with ``R(z) = (e^z - 1) / z`` and ``H'`` gains
-    ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`).
+    ``S_1 R(lam h) + S h R'(lam h)`` (:func:`_exp_ratio_and_slope`, from
+    the table's step ``e^{lam h}``: one ``exp`` per point serves both).
     ``H'`` is the exact derivative of the ``H`` computed here (the same cell
     primitives, differentiated in closed form), up to the rounding of
     ``R'``, so Newton on it converges to the zeros that a ``|H - 1|`` test
@@ -448,7 +566,8 @@ def _transfer_and_slope(mu: BorelMeasure, lam: np.ndarray):
             cells[i:i + rows] = (block * weights).sum(axis=-1)
             cell_moments[i:i + rows] = (block * moments).sum(axis=-1)
         cells = cells.reshape(lam.shape)
-        ratio, slope = _exp_ratio_and_slope(lam * h)
+        ratio, slope = _exp_ratio_and_slope(lam * h,
+                                            step.reshape(lam.shape))
         H += cells * ratio
         dH += cell_moments.reshape(lam.shape) * ratio + cells * h * slope
     return H, dH
@@ -694,7 +813,7 @@ class TransportTriple:
     """Grid transport system on ``[0, 1]`` with boundary inflow and a
     measure-functional observation.
 
-    States are :class:`~sgperturb.semigroup.GridFunction` samples; the
+    States are :class:`GridFunction` samples; the
     state operator generates the nilpotent open left shift
     (``(T(t) f)(s) = f(s+t)`` for ``s+t <= 1``, else 0), the control
     channel is the boundary inflow at ``s = 1`` and the observation is
@@ -706,7 +825,8 @@ class TransportTriple:
 
     Parameters
     ----------
-    N : grid size (``N >= 4``); nodes ``s_k = k / N``.
+    N : grid size, an integer ``N >= 4`` (not a bool or a float); nodes
+        ``s_k = k / N``.
     p : norm exponent in ``[1, inf)`` for the state space.
     mu : the observation functional, a measure on ``[0, 1]`` whose atoms
         must sit on grid nodes (validated here).
@@ -720,8 +840,11 @@ class TransportTriple:
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"need N >= 4, got {self.N}")
+        N = self.N
+        if (isinstance(N, bool) or not hasattr(N, "__index__")
+                or operator.index(N) < 4):
+            raise ValueError(f"need an integer N >= 4, got {N!r}")
+        object.__setattr__(self, "N", operator.index(N))
         if not (1.0 <= self.p < np.inf):
             raise ValueError(f"need p in [1, inf), got {self.p}")
         if self.mu_shift < 0:
@@ -756,8 +879,9 @@ class TransportTriple:
     def rescale(self, mu_shift: float) -> "TransportTriple":
         return replace(self, mu_shift=self.mu_shift + mu_shift)
 
-    def spectral_abscissa(self) -> SpectralAbscissa:
-        return SpectralAbscissa(NILPOTENT_SENTINEL, True)
+    def spectral_abscissa(self) -> float:
+        """``-inf``: the generator is nilpotent, its spectrum empty."""
+        return -np.inf
 
     def closed_loop(self) -> np.ndarray:
         """The boundary-folded upwind matrix, minus ``mu_shift``;

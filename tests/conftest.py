@@ -25,8 +25,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sgperturb import admissibility, numkit, toeplitz, transport
-from sgperturb.semigroup import GridFunction, MatrixTriple
-from sgperturb.transport import BorelMeasure, TransportTriple, phi_coefficients
+from sgperturb.semigroup import MatrixTriple
+from sgperturb.transport import (BorelMeasure, GridFunction, TransportTriple,
+                                 phi_coefficients)
 
 
 def taylor_expm(A, t=1.0, terms=60):

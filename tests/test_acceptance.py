@@ -29,10 +29,11 @@ from sgperturb.perturbation import (
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
-from sgperturb.semigroup import GridFunction, MatrixTriple
+from sgperturb.semigroup import MatrixTriple
 from sgperturb.toeplitz import BlockToeplitz, column_norm
 from sgperturb.transport import (
     BorelMeasure,
+    GridFunction,
     TransportTriple,
     characteristic_roots,
     phi_coefficients,

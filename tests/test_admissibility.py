@@ -25,9 +25,9 @@ from sgperturb.admissibility import (
 )
 from sgperturb.numkit import ShapeError
 from sgperturb.toeplitz import BlockToeplitz
-from sgperturb.semigroup import GridFunction, MatrixTriple, _powers
-from sgperturb.transport import (BorelMeasure, TransportDiscretization,
-                                 phi_coefficients)
+from sgperturb.semigroup import MatrixTriple, _powers
+from sgperturb.transport import (BorelMeasure, GridFunction,
+                                 TransportDiscretization, phi_coefficients)
 
 SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
                       np.array([[1.0]]))
@@ -73,6 +73,14 @@ def test_sampled_signal_norm_uses_step_weight():
     assert u.norm(1) == pytest.approx(1.0)
     with pytest.raises(numkit.ShapeError):
         SampledSignal(grid, np.ones(5))
+
+
+def test_sampled_signal_norm_refuses_a_nan_exponent():
+    u = constant_signal(TimeGrid(1.0, 8))
+    with pytest.raises(numkit.UnsupportedExponentError):
+        u.norm(np.nan)
+    with pytest.raises(numkit.UnsupportedExponentError):
+        SampledSignal(u.grid, u.values, p=np.nan).norm()
 
 
 # ---------------------------------------------------------------------------

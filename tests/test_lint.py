@@ -33,7 +33,9 @@ does.  Each world's facts live on its triple
 class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods, none of which
-takes a grid but ``discretize``.  What a time grid fixes lives on the two
+takes a grid but ``discretize``.  The two world modules, ``semigroup.py``
+and ``transport.py``, are siblings: neither imports from the other or
+names it.  What a time grid fixes lives on the two
 discretization classes, which expose the same grid maps: only they compute
 ``expm(<triple>.A, <grid>.h)`` or ``_grid_nodes(<grid>.h, ...)``, and
 ``phi_coefficients(<triple>.mu, ...)`` runs there or in
@@ -466,6 +468,73 @@ def test_world_rule_passes_the_guard_and_other_types():
     assert world_tests(guard, "classical.py") == []
     assert world_tests("ok = isinstance(x, GridFunction)\n"
                        "ok = type(x) is dict\nok = triple.world\n") == []
+
+
+WORLD_MODULES = {"semigroup", "transport"}
+
+
+def cross_world_imports(source: str, name: str):
+    """Every place where world module ``name`` (``semigroup.py`` or
+    ``transport.py``) reaches the other one: a relative or absolute import
+    of it or from it, or the attribute ``sgperturb.<other>``."""
+    other = (WORLD_MODULES - {Path(name).stem}).pop()
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        targets = []
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") if node.module else []
+            if node.level == 0:
+                if parts[:1] != ["sgperturb"]:
+                    continue
+                parts = parts[1:]
+            targets = [(parts or [alias.name])[0] for alias in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("sgperturb.")]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "sgperturb":
+            targets = [node.attr]
+        if other in targets:
+            found.append(f"{name}:{node.lineno}: reaches {other}")
+    return found
+
+
+WORLD_PATHS = [SRC / f"{module}.py" for module in sorted(WORLD_MODULES)]
+
+
+@pytest.mark.parametrize("path", WORLD_PATHS,
+                         ids=[p.name for p in WORLD_PATHS])
+def test_the_worlds_import_nothing_from_each_other(path):
+    assert cross_world_imports(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("snippet, module", [
+    ("from .semigroup import MatrixTriple\n", "transport.py"),
+    ("from . import numkit, semigroup\n", "transport.py"),
+    ("from sgperturb.semigroup import rescale\n", "transport.py"),
+    ("from sgperturb import semigroup as sg\n", "transport.py"),
+    ("import numpy, sgperturb.semigroup\n", "transport.py"),
+    ("def f():\n    return sgperturb.semigroup.rescale\n", "transport.py"),
+    ("from .transport import GridFunction\n", "semigroup.py"),
+    ("from .transport.grid import shift_open\n", "semigroup.py"),
+    ("def f():\n    from . import transport\n    return transport\n",
+     "semigroup.py"),
+    ("import sgperturb.transport as tr\n", "semigroup.py"),
+])
+def test_sibling_rule_catches_each_form(snippet, module):
+    assert len(cross_world_imports(snippet, module)) == 1
+
+
+def test_sibling_rule_passes_other_imports():
+    assert cross_world_imports(
+        "from . import numkit, toeplitz\n"
+        "from .toeplitz import FEEDBACK_MARGIN, FeedbackSingularError\n"
+        "from .transport import GridFunction\n"
+        "from .semigroupish import x\nimport sgperturb\n"
+        "import sgperturb.numkit\nfrom sgperturb import numkit\n"
+        "y = triple.semigroup\nz = sgperturb.numkit\n",
+        "transport.py") == []
 
 
 def _public_methods(module: str, cls: str) -> dict:

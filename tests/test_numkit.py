@@ -410,6 +410,11 @@ def test_vector_norm_weight_and_inf():
         vector_norm(x, 0.0)
 
 
+def test_vector_norm_refuses_a_nan_exponent():
+    with pytest.raises(UnsupportedExponentError):
+        vector_norm(np.array([3.0, -4.0]), np.nan)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=1.0, max_value=8.0),
        st.floats(min_value=1.0, max_value=8.0),

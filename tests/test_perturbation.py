@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -21,22 +22,18 @@ from sgperturb.perturbation import (
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
-from sgperturb.semigroup import (
-    GridFunction,
-    MatrixDiscretization,
-    MatrixTriple,
-    rescale,
-    volterra_resolvent_values,
-)
+from sgperturb.semigroup import MatrixDiscretization, MatrixTriple, rescale
 from sgperturb.toeplitz import feedback_norm_chain
 from sgperturb.transport import (
     BorelMeasure,
+    GridFunction,
     TransportTriple,
     dirichlet_operator,
     phi_coefficients,
     solve_pde,
     transfer_scalar,
     upwind_generator,
+    volterra_resolvent_values,
 )
 
 SCALAR = MatrixTriple(np.array([[-1.0]]), np.array([[1.0]]),
@@ -1156,6 +1153,19 @@ def test_certificate_unit_atom_not_generated():
     assert cert.verdict == "not_generated"
     assert not cert.conditions["feedback"]["ok"]
     assert any("identically 1" in note for note in cert.notes)
+
+
+def test_transfer_is_one_compares_with_the_identity_at_any_dimension():
+    # stub triples whose transfer is one constant matrix at every lambda
+    def constant(H):
+        return types.SimpleNamespace(transfer=lambda lam: H)
+    line = perturbation._vertical_line(0.0, 1.0)
+    assert perturbation._transfer_is_one(constant(np.eye(2)), line)
+    assert perturbation._transfer_is_one(constant(np.ones((1, 1))), line)
+    assert not perturbation._transfer_is_one(constant(np.full((1, 1), 0.5)),
+                                             line)
+    assert not perturbation._transfer_is_one(constant(0.5 * np.eye(2)),
+                                             line)
 
 
 def test_certificate_half_atom_generated():

@@ -195,6 +195,11 @@ def test_column_norm_rejects_p_below_one():
         column_norm(np.ones((2, 1, 1)), 0.5)
 
 
+def test_column_norm_refuses_a_nan_exponent():
+    with pytest.raises(numkit.UnsupportedExponentError):
+        column_norm(np.ones((2, 1, 1)), np.nan)
+
+
 def test_norm_bound_two_identities_golden_ratio():
     T = BlockToeplitz([np.eye(1), np.eye(1)])
     exact = induced_norm(materialize(T), 2)
