@@ -9,11 +9,11 @@ invalid configuration.  A suite that fails numerically (``NumkitError``,
 "error": ...}``; any other exception is a bug and propagates.
 
 Determinism contract: identical config + seed produce byte-identical
-reports, independent of ``--jobs``.  This rests on three rules — per-suite
-RNG streams are spawned from one root seed against the *sorted* suite list,
-report assembly re-orders results by suite name, and serialization is
-canonical (sorted keys, fixed indent, shortest round-trip float repr,
-complex numbers as ``[re, im]`` pairs, no timestamps).
+reports.  This rests on three rules — the suites run one after another in
+sorted order, per-suite RNG streams are spawned from one root seed against
+that *sorted* list, and serialization is canonical (sorted keys, fixed
+indent, shortest round-trip float repr, complex numbers as ``[re, im]``
+pairs, no timestamps).
 """
 
 from __future__ import annotations
@@ -565,8 +565,39 @@ def _write_matrix_orbit_csv(path: Path, spec: RunSpec, rng) -> None:
 # orchestration
 # ---------------------------------------------------------------------------
 
+def _report(spec: RunSpec, digest: str, suites: dict) -> dict:
+    """The report of ``suites``; ``expect_ok`` and ``ok`` follow from them."""
+    expect_ok = None
+    if spec.expect is not None:
+        verdict = suites.get("certificate", {}).get("verdict")
+        expect_ok = bool(verdict == spec.expect)
+    return {
+        "schema_version": _SCHEMA_VERSION,
+        "world": spec.world,
+        "seed": spec.seed,
+        "config_digest": digest,
+        "grid": {"t0": spec.grid.t0, "steps": spec.grid.steps},
+        "exponents": {"p": spec.p, "alpha": spec.alpha, "beta": spec.beta},
+        "suites": suites,
+        "expect": spec.expect,
+        "expect_ok": expect_ok,
+        "ok": (all(entry["ok"] for entry in suites.values())
+               and expect_ok is not False),
+    }
+
+
+def _fail_nonfinite_suites(suites: dict) -> None:
+    """A NaN or an infinity in a suite's result costs that suite, not the
+    report: its entry becomes a ``NumericalRangeError`` failure."""
+    for name, entry in suites.items():
+        bad = _nonfinite_paths(_jsonable(entry), f"report.suites.{name}")
+        if bad:
+            suites[name] = {"ok": False, "error": "NumericalRangeError: "
+                            f"{bad[0]} is not a finite number"}
+
+
 def run(config_path, out_dir=None, seed=None, verify: bool = False,
-        write_csv: bool = False, jobs: int = 1) -> int:
+        write_csv: bool = False) -> int:
     """Programmatic entry point; returns the process exit code."""
     config_path = Path(config_path)
     try:
@@ -613,44 +644,21 @@ def run(config_path, out_dir=None, seed=None, verify: bool = False,
             return {"ok": False,
                     "error": f"{type(exc).__name__}: {exc}"}
 
-    if jobs > 1:
-        # imported here: it pulls in logging, which a --jobs 1 run never needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, suite_names))
-        suites = dict(zip(suite_names, results))
-    else:
-        suites = {name: _run_one(name) for name in suite_names}
+    suites = {name: _run_one(name) for name in suite_names}
 
     if write_csv and spec.world == "matrix":
         orbit_rng = np.random.Generator(np.random.PCG64(streams[-1]))
         _write_matrix_orbit_csv(out / "trajectory_matrix_orbit.csv", spec,
                                 orbit_rng)
 
-    expect_ok = None
-    if spec.expect is not None:
-        verdict = suites.get("certificate", {}).get("verdict")
-        expect_ok = bool(verdict == spec.expect)
-
-    ok = all(entry["ok"] for entry in suites.values())
-    if expect_ok is not None:
-        ok = ok and expect_ok
-
     digest = hashlib.sha256(
         _canonical_json(cfg).encode("utf-8")).hexdigest()
-    report = {
-        "schema_version": _SCHEMA_VERSION,
-        "world": spec.world,
-        "seed": spec.seed,
-        "config_digest": digest,
-        "grid": {"t0": spec.grid.t0, "steps": spec.grid.steps},
-        "exponents": {"p": spec.p, "alpha": spec.alpha, "beta": spec.beta},
-        "suites": suites,
-        "expect": spec.expect,
-        "expect_ok": expect_ok,
-        "ok": ok,
-    }
+    report = _report(spec, digest, suites)
     problems = validate_report(_jsonable(report))
+    if problems:
+        _fail_nonfinite_suites(suites)
+        report = _report(spec, digest, suites)
+        problems = validate_report(_jsonable(report))
     if problems:
         print(f"report: schema violation: {problems[0]}", file=sys.stderr)
         return 1
@@ -658,8 +666,8 @@ def run(config_path, out_dir=None, seed=None, verify: bool = False,
     report_path.write_text(_canonical_json(report))
     print(f"report written to {report_path}")
 
-    if not ok:
-        if expect_ok is False:
+    if not report["ok"]:
+        if report["expect_ok"] is False:
             verdict = suites.get("certificate", {}).get("verdict")
             print(f"FAIL certificate: verdict {verdict!r} != expected "
                   f"{spec.expect!r}", file=sys.stderr)
@@ -686,8 +694,6 @@ def main(argv=None) -> int:
                       help="append the full invariant battery")
     runp.add_argument("--csv", action="store_true",
                       help="write trajectory CSV side files")
-    runp.add_argument("--jobs", type=int, default=1,
-                      help="run independent suites in this many threads")
     sub.add_parser("schema-version", help="print the report schema version")
     args = parser.parse_args(argv)
     if args.command == "schema-version":
@@ -697,11 +703,8 @@ def main(argv=None) -> int:
         if args.seed is not None and not (0 <= args.seed < 2 ** 64):
             print("--seed: must be in [0, 2^64)", file=sys.stderr)
             return 2
-        if args.jobs < 1:
-            print("--jobs: must be >= 1", file=sys.stderr)
-            return 2
         return run(args.config, out_dir=args.out, seed=args.seed,
-                   verify=args.verify, write_csv=args.csv, jobs=args.jobs)
+                   verify=args.verify, write_csv=args.csv)
     return 2
 
 

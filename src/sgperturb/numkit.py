@@ -201,8 +201,9 @@ def expm(A, t: float = 1.0) -> np.ndarray:
         E = np.linalg.solve(V - U, V + U)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
         raise SingularMatrixError(f"Pade denominator singular: {exc}") from exc
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(s):
+            E = E @ E
     if not np.isfinite(E).all():
         raise NumericalRangeError("matrix exponential overflowed")
     return E
@@ -257,13 +258,21 @@ def solve(A, b) -> np.ndarray:
 
 
 def vector_norm(x, p: float, weight: float = 1.0) -> float:
-    """Weighted vector p-norm ``(sum_i w |x_i|^p)^{1/p}``; max-norm for inf."""
+    """Weighted vector p-norm ``(sum_i w |x_i|^p)^{1/p}``; max-norm for inf.
+
+    Only when the plain sum overflows are the entries rescaled by the
+    largest one, so an in-range norm keeps the bytes of the plain formula.
+    """
     v = np.abs(np.asarray(x, dtype=np.complex128).reshape(-1))
     if np.isinf(p):
         return float(v.max()) if v.size else 0.0
     if not p > 0:
         raise UnsupportedExponentError(f"p = {p} is not a norm exponent")
-    return float((weight * np.sum(v ** p)) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = weight * np.sum(v ** p)
+    if not np.isfinite(total) and np.isfinite(scale := v.max()):
+        return float(scale * (weight * np.sum((v / scale) ** p)) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def induced_norm(A, p) -> float:

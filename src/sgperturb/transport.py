@@ -121,6 +121,9 @@ class GridFunction:
         v = numkit.as_vector(self.values)
         if v.shape[0] < 2:
             raise numkit.ShapeError("a grid function needs at least 2 nodes")
+        if not self.p >= 1:
+            raise numkit.UnsupportedExponentError(
+                f"a grid function needs p >= 1, got p = {self.p}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -169,6 +172,9 @@ def as_grid_function(triple, x) -> GridFunction:
         if x.N != triple.N:
             raise numkit.ShapeError(
                 f"grid function has N = {x.N}, triple N = {triple.N}")
+        if x.p != triple.p:
+            raise ValueError(
+                f"grid function has p = {x.p}, triple p = {triple.p}")
         return x
     v = numkit.as_vector(x)
     if v.shape[0] != triple.N + 1:

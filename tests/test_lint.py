@@ -8,7 +8,9 @@ the kernel runs on numpy's LAPACK, and scipy's bundled BLAS would add a
 second thread pool and its import time to every run.  No module names
 ``numpy.polynomial``, which numpy loads lazily at a cost of milliseconds on
 its first use: the quadrature table of the root count is literal
-constants.  Singular values and
+constants.  No module imports ``concurrent``, ``threading`` or
+``multiprocessing``: a run executes its suites one after another, which
+measured faster than a thread pool in both worlds.  Singular values and
 eigenvalues have one home, ``numkit.py``: no other module calls
 ``linalg.svd``, ``linalg.eigvals`` or ``linalg.eig``, or takes a
 ``linalg.norm`` of order 2, so every 2-norm and every spectrum runs on the
@@ -114,7 +116,9 @@ def test_typed_catch_passes():
     assert violations(snippet) == []
 
 
-def scipy_imports(source: str, name: str = "<source>"):
+def package_imports(packages, source: str, name: str = "<source>"):
+    """Every absolute import, at any depth, of a top-level package in
+    ``packages``."""
     found = []
     for node in ast.walk(ast.parse(source, name)):
         if isinstance(node, ast.Import):
@@ -123,15 +127,17 @@ def scipy_imports(source: str, name: str = "<source>"):
             modules = [node.module or ""]
         else:
             continue
-        if any(m.split(".")[0] == "scipy" for m in modules):
-            found.append(f"{name}:{node.lineno}: scipy import")
+        hits = sorted({m.split(".")[0] for m in modules} & set(packages))
+        if hits:
+            found.append(f"{name}:{node.lineno}: {hits[0]} import")
     return found
 
 
 @pytest.mark.parametrize("path", MODULES,
                          ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_no_scipy_import(path):
-    assert scipy_imports(path.read_text(), str(path.relative_to(SRC))) == []
+    assert package_imports({"scipy"}, path.read_text(),
+                           str(path.relative_to(SRC))) == []
 
 
 @pytest.mark.parametrize("snippet", [
@@ -142,12 +148,39 @@ def test_no_scipy_import(path):
     "def f():\n    import scipy.linalg\n    return scipy.linalg\n",
 ])
 def test_scipy_rule_catches_each_form(snippet):
-    assert len(scipy_imports(snippet)) == 1
+    assert len(package_imports({"scipy"}, snippet)) == 1
 
 
 def test_scipy_rule_passes_other_imports():
-    assert scipy_imports("import numpy as np\nfrom . import scipyish\n"
-                         "import scipyish\n") == []
+    assert package_imports({"scipy"}, "import numpy as np\n"
+                           "from . import scipyish\nimport scipyish\n") == []
+
+
+CONCURRENCY = {"concurrent", "threading", "multiprocessing"}
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_thread_or_process_pool_import(path):
+    assert package_imports(CONCURRENCY, path.read_text(),
+                           str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "import threading\n",
+    "import numpy, multiprocessing.pool as mp\n",
+    "from concurrent.futures import ThreadPoolExecutor\n",
+    "from multiprocessing import Pool\n",
+    "def f():\n    import concurrent.futures\n    return concurrent\n",
+])
+def test_concurrency_rule_catches_each_form(snippet):
+    assert len(package_imports(CONCURRENCY, snippet)) == 1
+
+
+def test_concurrency_rule_passes_other_imports():
+    assert package_imports(
+        CONCURRENCY, "import numpy as np\nfrom . import threading\n"
+        "import threadingish\nfrom .concurrent import x\n") == []
 
 
 def polynomial_uses(source: str, name: str = "<source>"):

@@ -66,6 +66,13 @@ def test_expm_rejects_nonsquare_and_overflow():
         expm(np.array([[1e300]]), 1e10)
 
 
+def test_expm_overflow_in_the_squarings_is_a_typed_error():
+    # ||tA|| = 1400 needs only 9 squarings, the last of which overflows; the
+    # overflow must reach NumericalRangeError, not stop on a RuntimeWarning
+    with pytest.raises(NumericalRangeError, match="overflowed"):
+        expm(np.array([[700.0]]), 2.0)
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -413,6 +420,19 @@ def test_vector_norm_weight_and_inf():
 def test_vector_norm_refuses_a_nan_exponent():
     with pytest.raises(UnsupportedExponentError):
         vector_norm(np.array([3.0, -4.0]), np.nan)
+
+
+def test_vector_norm_rescales_only_past_the_overflow():
+    assert vector_norm([1e200, 1e200], 2) == pytest.approx(
+        1.4142135623730951e200, rel=1e-15)
+    assert vector_norm([1e200, 1e100], 3, weight=0.5) == pytest.approx(
+        0.5 ** (1 / 3) * 1e200, rel=1e-15)
+    # in range, the plain formula's bytes; non-finite entries pass through
+    x = random_vector(make_rng(3), 7)
+    assert vector_norm(x, 3.5, weight=0.25) \
+        == float((0.25 * np.sum(np.abs(x) ** 3.5)) ** (1 / 3.5))
+    assert vector_norm([np.inf, 1.0], 2) == np.inf
+    assert np.isnan(vector_norm([np.nan, 1e200], 2))
 
 
 @settings(max_examples=30, deadline=None)

@@ -66,6 +66,24 @@ def test_grid_function_norm_refuses_a_nan_exponent():
         GridFunction(np.ones(9), p=np.nan).norm()
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -2.0, np.nan])
+def test_grid_function_refuses_a_non_norm_exponent(p):
+    # refused when built, not only when its norm is taken
+    with pytest.raises(numkit.UnsupportedExponentError):
+        GridFunction(np.ones(9), p=p)
+
+
+def test_transport_state_must_carry_the_triple_exponent():
+    # the norm of a state does not depend on how it is passed
+    triple = TransportTriple(8, 4.0, BorelMeasure())
+    v = np.r_[np.arange(8.0), 0.0]
+    assert triple.state_norm(GridFunction(v, p=4.0)) == triple.state_norm(v)
+    with pytest.raises(ValueError, match="p = 2.0, triple p = 4.0"):
+        triple.state_norm(GridFunction(v, p=2.0))
+    with pytest.raises(ValueError):
+        triple.step(0.25, GridFunction(v, p=2.0))
+
+
 def test_grid_function_norm_uses_left_endpoint_weight():
     N = 8
     f = GridFunction(np.ones(N + 1), p=2.0)
