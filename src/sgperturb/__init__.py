@@ -29,7 +29,7 @@ from .numkit import (ConvergenceError, NumericalRangeError, NumkitError,
                      vector_norm)
 from .toeplitz import (BlockToeplitz, NormChain, column_norm,
                        feedback_norm_chain)
-from .semigroup import MatrixDiscretization, MatrixTriple, rescale
+from .semigroup import MatrixDiscretization, MatrixTriple
 from .transport import (BorelMeasure, GridFunction, LittleMassReport,
                         Trajectory, TransportDiscretization, TransportTriple,
                         as_grid_function, characteristic_roots,
@@ -40,7 +40,7 @@ from .transport import (BorelMeasure, GridFunction, LittleMassReport,
 from .admissibility import (FEEDBACK_MARGIN, AdmissibilityReport,
                             FeedbackReport, RescalingResiduals, SampledSignal,
                             TimeGrid, controllability_map, estimate_constants,
-                            feedback_admissible, observability_map,
+                            feedback_admissible, observability_map, rescale,
                             rescaled_map_identities, smooth_trial_signals)
 from .perturbation import (FeedbackSingularError, GenerationCertificate,
                            GrowthCheckReport, generation_certificate,
@@ -63,7 +63,7 @@ __all__ = [
     "BlockToeplitz", "column_norm", "NormChain",
     "feedback_norm_chain",
     # semigroup
-    "MatrixTriple", "MatrixDiscretization", "rescale",
+    "MatrixTriple", "MatrixDiscretization",
     # transport
     "TransportTriple", "TransportDiscretization", "GridFunction",
     "shift_open", "volterra_resolvent_values", "as_grid_function",
@@ -76,7 +76,8 @@ __all__ = [
     "TimeGrid", "SampledSignal", "AdmissibilityReport", "FeedbackReport",
     "RescalingResiduals", "FEEDBACK_MARGIN",
     "controllability_map", "observability_map",
-    "estimate_constants", "feedback_admissible", "rescaled_map_identities",
+    "estimate_constants", "feedback_admissible", "rescale",
+    "rescaled_map_identities",
     "smooth_trial_signals",
     # perturbation
     "FeedbackSingularError", "GrowthCheckReport",

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import numkit, toeplitz
 from .numkit import ShapeError
-from .semigroup import rescale
 from .toeplitz import FEEDBACK_MARGIN
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "observability_map",
     "estimate_constants",
     "feedback_admissible",
+    "rescale",
     "rescaled_map_identities",
     "smooth_trial_signals",
 ]
@@ -377,6 +377,15 @@ def _modulated(u: SampledSignal, factors: np.ndarray) -> SampledSignal:
     return SampledSignal(u.grid, factors[:, None] * u.values, p=u.p)
 
 
+def rescale(triple, mu_shift: float):
+    """Triple with state operator ``A - mu_shift * Id``; B, C unchanged."""
+    if mu_shift < 0:
+        raise ValueError("mu_shift must be >= 0")
+    if mu_shift == 0:
+        return triple
+    return triple.rescale(mu_shift)
+
+
 def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
                             trials: int = 4,
                             rng: Optional[np.random.Generator] = None
@@ -399,8 +408,6 @@ def rescaled_map_identities(triple, grid: TimeGrid, mu_shift: float,
     ``F_l`` off the unshifted frames (:func:`_frame_column`), not off the
     column, so it does not repeat the shifted column's own product.
     """
-    if mu_shift < 0:
-        raise ValueError("mu_shift must be >= 0")
     rng = numkit.make_rng(20240) if rng is None else rng
     shifted = rescale(triple, mu_shift)
     tk = grid.times

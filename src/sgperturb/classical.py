@@ -163,7 +163,7 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         ident_res = max(ident_res,
                         float(np.abs(v[k0] - grid.h * direct).max()))
         for ki, kj in pairs:
-            lhs = float(np.linalg.norm(v[ki] - v[kj]))
+            lhs = numkit._euclidean_norm(v[ki] - v[kj])
             diff = SampledSignal(grid, (stacked[ki] - stacked[kj])
                                  .reshape(steps, -1), p=p)
             rhs = M_B * diff.norm(p)
@@ -184,7 +184,7 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
         nu = u.norm(p)
         for k in range(1, steps + 1):
             v = Bc @ _translate(u.values, steps - k).reshape(-1)
-            lhs = float(np.linalg.norm(v))
+            lhs = numkit._euclidean_norm(v)
             if lhs > M_B * nu + 1e-12:
                 ok_b = False
             worst = max(worst, lhs - M_B * nu)

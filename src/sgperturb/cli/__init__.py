@@ -364,9 +364,7 @@ def _suite_admissibility(spec: RunSpec, rng, csv_dir):
     report = estimate_constants(spec.triple, spec.grid, spec.p, spec.alpha,
                                 spec.beta, trials=8, rng=rng)
     entry = _jsonable(report)
-    finite = all(np.isfinite(v) for v in
-                 (report.M_control, report.M_observe, report.M_io))
-    entry["ok"] = bool(finite and report.feedback_ok)
+    entry["ok"] = bool(report.feedback_ok)
     entry["note"] = ("constants are maxima over seeded trials, hence lower "
                      "bounds of the true constants")
     return entry
@@ -471,8 +469,9 @@ def _suite_transport_pde(spec: RunSpec, rng, csv_dir):
                                   - traj.states[-1][:N]).max()))
         scales.append(max(1.0, float(np.abs(x.values).max())))
         if refine == 1 and csv_dir is not None:
-            _write_trajectory_csv(csv_dir / "trajectory_transport_pde.csv",
-                                  traj, N)
+            _write_csv(csv_dir / "trajectory_transport_pde.csv",
+                       traj.times, traj.states,
+                       [k / N for k in range(N + 1)])
     if spec.triple.discretize(spec.grid).q == 1:
         ok = all(d <= 1e-12 * scale for d, scale in zip(diffs, scales))
     else:
@@ -532,33 +531,29 @@ _VERIFY_EXTRAS = {
 }
 
 
-def _write_trajectory_csv(path: Path, traj, N: int) -> None:
+def _write_csv(path: Path, times, states, space) -> None:
+    """One row ``t, s, re_x, im_x`` per time and space point."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "s", "re_x", "im_x"])
-        for t, state in zip(traj.times, traj.states):
-            for k in range(N + 1):
-                writer.writerow([repr(float(t)), repr(k / N),
-                                 repr(float(state[k].real)),
-                                 repr(float(state[k].imag))])
+        for t, state in zip(times, states):
+            for s, x in zip(space, state):
+                writer.writerow([repr(float(t)), repr(float(s)),
+                                 repr(float(x.real)), repr(float(x.imag))])
 
 
-def _write_matrix_orbit_csv(path: Path, spec: RunSpec, rng) -> None:
-    """Closed-loop orbit samples; the space column holds the component index."""
-    t = spec.triple
-    x = numkit.random_vector(rng, t.state_dim)
-    x = x / np.linalg.norm(x)
-    E = numkit.expm(t.closed_loop(), spec.grid.h)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "s", "re_x", "im_x"])
-        v = x
-        for k in range(spec.grid.steps + 1):
-            for i in range(t.state_dim):
-                writer.writerow([repr(k * spec.grid.h), repr(float(i)),
-                                 repr(float(v[i].real)),
-                                 repr(float(v[i].imag))])
-            v = E @ v
+def _matrix_orbit(spec: RunSpec, rng):
+    """Closed-loop orbit samples at the grid nodes as ``(times, states,
+    space)``; the space column holds the component index."""
+    t, grid = spec.triple, spec.grid
+    v = t.random_domain_state(rng)
+    E = numkit.expm(t.closed_loop(), grid.h)
+    states = []
+    for _ in range(grid.steps + 1):
+        states.append(v)
+        v = E @ v
+    return ([k * grid.h for k in range(grid.steps + 1)], states,
+            range(t.state_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +643,14 @@ def run(config_path, out_dir=None, seed=None, verify: bool = False,
 
     if write_csv and spec.world == "matrix":
         orbit_rng = np.random.Generator(np.random.PCG64(streams[-1]))
-        _write_matrix_orbit_csv(out / "trajectory_matrix_orbit.csv", spec,
-                                orbit_rng)
+        _write_csv(out / "trajectory_matrix_orbit.csv",
+                   *_matrix_orbit(spec, orbit_rng))
 
     digest = hashlib.sha256(
         _canonical_json(cfg).encode("utf-8")).hexdigest()
+    _fail_nonfinite_suites(suites)
     report = _report(spec, digest, suites)
     problems = validate_report(_jsonable(report))
-    if problems:
-        _fail_nonfinite_suites(suites)
-        report = _report(spec, digest, suites)
-        problems = validate_report(_jsonable(report))
     if problems:
         print(f"report: schema violation: {problems[0]}", file=sys.stderr)
         return 1

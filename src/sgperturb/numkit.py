@@ -275,6 +275,18 @@ def vector_norm(x, p: float, weight: float = 1.0) -> float:
     return float(total ** (1.0 / p))
 
 
+def _euclidean_norm(x) -> float:
+    """``np.linalg.norm(x)``, rescaled (:func:`vector_norm`) only when that
+    overflows, so an in-range norm keeps its bytes; raises past the range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        norm = np.linalg.norm(x)
+        if not np.isfinite(norm):
+            norm = vector_norm(x, 2)
+    if not np.isfinite(norm):
+        raise NumericalRangeError("euclidean norm overflowed")
+    return float(norm)
+
+
 def induced_norm(A, p) -> float:
     """Exact induced operator p-norm for p in {1, 2, inf}.
 
@@ -302,9 +314,18 @@ def induced_norm(A, p) -> float:
 
 
 def _largest_singular_value(A: np.ndarray) -> float:
+    """Only when the Gram product overflows is ``A`` rescaled by its largest
+    entry modulus, so an in-range norm keeps the bytes of the plain one."""
     Ah = A.conj().T                      # a view when A is real
-    gram = Ah @ A if A.shape[0] >= A.shape[1] else A @ Ah
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        gram = Ah @ A if A.shape[0] >= A.shape[1] else A @ Ah
+    if np.isfinite(gram).all():
+        return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    scale = float(np.abs(A).max())
+    sigma = scale * _largest_singular_value(A / scale)
+    if not np.isfinite(sigma):
+        raise NumericalRangeError("largest singular value overflowed")
+    return sigma
 
 
 def _smallest_singular_value(A) -> float:

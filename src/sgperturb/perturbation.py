@@ -32,7 +32,7 @@ raises :class:`FeedbackSingularError`).  The module realizes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class GenerationCertificate:
     conditions: dict
     resolvent_residuals: tuple   # ((lambda, residual, threshold), ...)
     mu_shift: float
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple
 
 
 def weiss_staffans_semigroup(triple, grid: TimeGrid, t: float, x):
@@ -199,7 +199,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
     norms = []
     t = grid.t0
     steps = grid.steps
-    found = None
+    found = False
     for _ in range(21):
         try:
             g = TimeGrid(t, steps)
@@ -209,7 +209,7 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
         horizons.append(t)
         norms.append(report.io_norm)
         if report.io_norm_certifies:
-            found = (t, g, report.io_norm)
+            found = True
             break
         t = t / 2.0
         if steps > 1 and steps % 2 == 0:
@@ -220,18 +220,17 @@ def _bypass_search(triple, grid: TimeGrid, p: float, alpha: float,
         lt = np.log([tt for tt, _ in positive])
         ln = np.log([nn for _, nn in positive])
         fitted = float(np.polyfit(lt, ln, 1)[0])
-    predicted = 1.0 / alpha - 1.0 / beta
     entry = {
-        "found": found is not None,
+        "found": found,
         "horizons": tuple(horizons),
         "io_norms": tuple(float(nn) for nn in norms),
         "fitted_rate": fitted,
-        "predicted_rate": float(predicted),
+        "predicted_rate": float(1.0 / alpha - 1.0 / beta),
     }
-    if found is not None:
-        entry["t1"] = float(found[0])
-        entry["io_norm_at_t1"] = float(found[2])
-    return entry, (found[1] if found is not None else None)
+    if found:
+        entry["t1"] = float(horizons[-1])
+        entry["io_norm_at_t1"] = float(norms[-1])
+    return entry
 
 
 def _vertical_line(abscissa: float, offset: float) -> list:
@@ -291,6 +290,7 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
     notes = ["all conditions are discrete surrogates at stated tolerances; "
              "no continuum claim is made"]
     conditions: dict = {}
+    failure = None
     try:
         compat_ok, provenance = triple.compatibility()
         conditions["compatibility"] = {"ok": compat_ok,
@@ -304,49 +304,42 @@ def generation_certificate(triple, grid: TimeGrid, p: float, alpha: float,
         feedback_entry = {"margin": fb.margin, "ok": fb.ok,
                           "io_norm": fb.io_norm,
                           "io_norm_certifies": fb.io_norm_certifies}
-        bypass_ok = False
+        route = fb.ok
         if alpha < beta:
-            bypass, _ = _bypass_search(triple, grid, p, alpha, beta, fb)
+            bypass = _bypass_search(triple, grid, p, alpha, beta, fb)
             feedback_entry["bypass"] = bypass
-            bypass_ok = bypass["found"]
+            route = route or bypass["found"]
         conditions["feedback"] = feedback_entry
-        feedback_route = fb.ok or bypass_ok
 
         a = triple.spectral_abscissa()
         abscissa = a if np.isfinite(a) else 0.0
         offset = 1.0 + min(max(fb.margin, 0.0), 1.0)
         entries, res_ok = _residual_lambda_line(triple, abscissa, offset, rng)
-
-        if not feedback_route:
-            # the transfer track on the first line decides this branch only
-            if _transfer_is_one(triple, _vertical_line(abscissa, offset)):
-                notes.append("transfer function is identically 1: "
-                             "the feedback loop is singular at every lambda")
-                return GenerationCertificate(
-                    "not_generated", conditions, entries,
-                    float(triple.mu_shift), tuple(notes))
-            notes.append("no feedback route: margin below threshold and no "
-                         "short horizon with ||F|| < 1 found")
-            return GenerationCertificate(
-                "inconclusive", conditions, entries,
-                float(triple.mu_shift), tuple(notes))
-
-        if not entries:
-            notes.append("resolvent sampling failed at every attempted line")
-            verdict = "inconclusive"
-        elif compat_ok and res_ok:
-            verdict = "generated"
-        else:
-            if not compat_ok:
-                notes.append("compatibility surrogate failed")
-            if not res_ok:
-                notes.append("a resolvent residual exceeded its threshold")
-            verdict = "inconclusive"
-        return GenerationCertificate(
-            verdict, conditions, entries,
-            float(triple.mu_shift), tuple(notes))
+        # the transfer track on the first line decides only without a route
+        unit = not route and _transfer_is_one(
+            triple, _vertical_line(abscissa, offset))
     except (numkit.NumkitError, ArithmeticError, ValueError) as exc:
-        notes.append(f"surrogate failure: {type(exc).__name__}: {exc}")
-        return GenerationCertificate(
-            "inconclusive", conditions, tuple(),
-            float(triple.mu_shift), tuple(notes))
+        failure = f"surrogate failure: {type(exc).__name__}: {exc}"
+        entries = ()
+
+    verdict = "inconclusive"
+    if failure is not None:
+        notes.append(failure)
+    elif unit:
+        verdict = "not_generated"
+        notes.append("transfer function is identically 1: "
+                     "the feedback loop is singular at every lambda")
+    elif not route:
+        notes.append("no feedback route: margin below threshold and no "
+                     "short horizon with ||F|| < 1 found")
+    elif not entries:
+        notes.append("resolvent sampling failed at every attempted line")
+    elif compat_ok and res_ok:
+        verdict = "generated"
+    else:
+        if not compat_ok:
+            notes.append("compatibility surrogate failed")
+        if not res_ok:
+            notes.append("a resolvent residual exceeded its threshold")
+    return GenerationCertificate(verdict, conditions, entries,
+                                 float(triple.mu_shift), tuple(notes))

@@ -6,9 +6,7 @@ nothing from each other: the matrix world here (:class:`MatrixTriple`) and
 the transport world (:mod:`sgperturb.transport`).  Each triple class holds
 all of its world's facts behind the same methods, those a time grid fixes on
 its ``discretize(grid)``.  Callers call those methods directly, so no
-algorithm tests which world it is in; :func:`rescale` alone adds what both
-worlds share (the ``mu_shift >= 0`` check and the identity at
-``mu_shift = 0``).
+algorithm tests which world it is in.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from . import numkit
 from .numkit import ShapeError, as_matrix, as_vector
 from .toeplitz import FEEDBACK_MARGIN, FeedbackSingularError
 
-__all__ = ["MatrixTriple", "MatrixDiscretization", "rescale"]
+__all__ = ["MatrixTriple", "MatrixDiscretization"]
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,6 @@ class MatrixTriple:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
-
-    @property
-    def world(self) -> str:
-        return "matrix"
 
     @property
     def state_dim(self) -> int:
@@ -119,7 +113,7 @@ class MatrixTriple:
         return RA + RA @ B @ numkit.solve(W, C @ RA)
 
     def state_norm(self, x) -> float:
-        return float(np.linalg.norm(as_vector(x)))
+        return numkit._euclidean_norm(as_vector(x))
 
     def random_domain_state(self, rng: np.random.Generator) -> np.ndarray:
         x = numkit.random_vector(rng, self.state_dim)
@@ -140,8 +134,8 @@ class MatrixTriple:
         worst = 0.0
         for _ in range(3):
             x = numkit.random_vector(rng, n)
-            res = np.linalg.norm(shifted @ (Q @ x) - x) / np.linalg.norm(x)
-            worst = max(worst, float(res))
+            res = numkit._euclidean_norm(shifted @ (Q @ x) - x)
+            worst = max(worst, float(res / np.linalg.norm(x)))
         threshold = 1e-8 * max(1.0, numkit.induced_norm(Q, 2))
         return lam, worst, threshold
 
@@ -149,17 +143,21 @@ class MatrixTriple:
 def _powers(M: np.ndarray, X: np.ndarray, count: int) -> np.ndarray:
     """``M^k X`` for k = 0 .. count - 1, ``(count,) + X.shape``, for a
     vector or block ``X``: a doubling walk, which keeps the powers
-    ``M^{2^i}`` and takes one batched product per doubling of the stack."""
+    ``M^{2^i}`` and takes one batched product per doubling of the stack.
+    Powers that overflow raise :class:`NumericalRangeError`."""
     out = np.empty((count, X.shape[0], X.shape[1] if X.ndim > 1 else 1),
                    dtype=np.complex128)
     filled = min(1, count)
     out[:filled] = X.reshape(out.shape[1:])
-    while filled < count:
-        take = min(filled, count - filled)
-        out[filled:filled + take] = M @ out[:take]
-        filled += take
-        if filled < count:
-            M = M @ M
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        while filled < count:
+            take = min(filled, count - filled)
+            out[filled:filled + take] = M @ out[:take]
+            filled += take
+            if filled < count:
+                M = M @ M
+    if not np.isfinite(out).all():
+        raise numkit.NumericalRangeError("matrix powers overflowed")
     return out.reshape((count,) + X.shape)
 
 
@@ -252,12 +250,3 @@ class MatrixDiscretization:
         t = self.triple
         closed = MatrixTriple(t.closed_loop(), t.B, t.C)
         return closed.discretize(self.grid).observe(x)
-
-
-def rescale(triple, mu_shift: float):
-    """Triple with state operator ``A - mu_shift * Id``; B, C unchanged."""
-    if mu_shift < 0:
-        raise ValueError("mu_shift must be >= 0")
-    if mu_shift == 0:
-        return triple
-    return triple.rescale(mu_shift)

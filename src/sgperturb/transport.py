@@ -859,10 +859,6 @@ class TransportTriple:
         object.__setattr__(self, "coef", phi_coefficients(self.mu, self.N))
 
     @property
-    def world(self) -> str:
-        return "transport"
-
-    @property
     def control_dim(self) -> int:
         return 1
 

@@ -313,6 +313,25 @@ def test_nonfinite_suite_result_costs_that_suite(tmp_path, monkeypatch,
     assert f"FAIL growth: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, error", [
+    ("certificate", None),
+    ("growth", "NumericalRangeError: matrix powers overflowed"),
+    ("classical_ds", "NumericalRangeError: ||tA|| = 3.000e+300 needs 996 > "
+                     "60 squarings"),
+], ids=["certificate", "growth", "classical_ds"])
+def test_overflowing_loop_ends_typed_in_each_suite(tmp_path, suite, error):
+    # C = 1e300 overflows products and norms on the way; RuntimeWarning is
+    # an error here, so an unguarded one would end the run in a traceback
+    cfg = dict(matrix_config(), suites=[suite], expect=None,
+               matrix={"A": [[0]], "B": [[1]], "C": [[1e300]]},
+               grid={"t0": 3, "steps": 32})
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 1
+    entry = read_report(tmp_path / "out")["suites"][suite]
+    assert entry["ok"] is False and entry.get("error") == error
+    if suite == "certificate":
+        assert entry["verdict"] == "inconclusive"
+
+
 def test_suite_bug_propagates(tmp_path, monkeypatch):
     def fail(spec, rng, csv_dir):
         raise TypeError("a bug, not a numerical failure")

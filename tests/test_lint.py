@@ -37,7 +37,8 @@ class: no module tests whether a triple is a
 aside), and both classes expose the same public methods, none of which
 takes a grid but ``discretize``.  The two world modules, ``semigroup.py``
 and ``transport.py``, are siblings: neither imports from the other or
-names it.  What a time grid fixes lives on the two
+names it, and the world-blind modules (``numkit``, ``toeplitz``,
+``admissibility`` and ``perturbation``) reach neither.  What a time grid fixes lives on the two
 discretization classes, which expose the same grid maps: only they compute
 ``expm(<triple>.A, <grid>.h)`` or ``_grid_nodes(<grid>.h, ...)``, and
 ``phi_coefficients(<triple>.mu, ...)`` runs there or in
@@ -504,13 +505,19 @@ def test_world_rule_passes_the_guard_and_other_types():
 
 
 WORLD_MODULES = {"semigroup", "transport"}
+#: the layer under and above the worlds, which reaches neither of them
+WORLD_BLIND = {"numkit", "toeplitz", "admissibility", "perturbation"}
 
 
 def cross_world_imports(source: str, name: str):
-    """Every place where world module ``name`` (``semigroup.py`` or
-    ``transport.py``) reaches the other one: a relative or absolute import
-    of it or from it, or the attribute ``sgperturb.<other>``."""
-    other = (WORLD_MODULES - {Path(name).stem}).pop()
+    """Every place where module ``name`` reaches a world module it must
+    not: a world module (``semigroup.py`` or ``transport.py``) the other
+    one, a world-blind module either.  Reaching is a relative or absolute
+    import of the module or from it, or the attribute
+    ``sgperturb.<module>``."""
+    stem = Path(name).stem
+    banned = WORLD_MODULES - {stem} if stem in WORLD_MODULES \
+        else WORLD_MODULES
     found = []
     for node in ast.walk(ast.parse(source, name)):
         targets = []
@@ -528,17 +535,24 @@ def cross_world_imports(source: str, name: str):
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "sgperturb":
             targets = [node.attr]
-        if other in targets:
-            found.append(f"{name}:{node.lineno}: reaches {other}")
+        found.extend(f"{name}:{node.lineno}: reaches {module}"
+                     for module in sorted(banned & set(targets)))
     return found
 
 
 WORLD_PATHS = [SRC / f"{module}.py" for module in sorted(WORLD_MODULES)]
+BLIND_PATHS = [SRC / f"{module}.py" for module in sorted(WORLD_BLIND)]
 
 
 @pytest.mark.parametrize("path", WORLD_PATHS,
                          ids=[p.name for p in WORLD_PATHS])
 def test_the_worlds_import_nothing_from_each_other(path):
+    assert cross_world_imports(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("path", BLIND_PATHS,
+                         ids=[p.name for p in BLIND_PATHS])
+def test_the_world_blind_layer_imports_no_world_module(path):
     assert cross_world_imports(path.read_text(), path.name) == []
 
 
@@ -556,6 +570,18 @@ def test_the_worlds_import_nothing_from_each_other(path):
     ("import sgperturb.transport as tr\n", "semigroup.py"),
 ])
 def test_sibling_rule_catches_each_form(snippet, module):
+    assert len(cross_world_imports(snippet, module)) == 1
+
+
+@pytest.mark.parametrize("snippet, module", [
+    ("from .semigroup import rescale\n", "admissibility.py"),
+    ("from .transport import GridFunction\n", "perturbation.py"),
+    ("from . import numkit, semigroup\n", "toeplitz.py"),
+    ("import sgperturb.transport as tr\n", "numkit.py"),
+    ("def f():\n    return sgperturb.semigroup.MatrixTriple\n",
+     "admissibility.py"),
+])
+def test_world_blind_rule_catches_each_form(snippet, module):
     assert len(cross_world_imports(snippet, module)) == 1
 
 

@@ -435,6 +435,26 @@ def test_vector_norm_rescales_only_past_the_overflow():
     assert np.isnan(vector_norm([np.nan, 1e200], 2))
 
 
+def test_two_norms_rescale_only_past_the_overflow():
+    # the Gram product and the plain sum of squares overflow above about
+    # 1e154; there both 2-norms rescale by the largest entry, in range they
+    # keep the plain formula's bytes, and beyond double range they raise
+    rng = make_rng(4)
+    A = random_matrix(rng, 5, 3)
+    plain = induced_norm(A, 2)
+    assert plain == float(np.sqrt(np.linalg.eigvalsh(A.conj().T @ A)[-1]))
+    assert induced_norm(1e300 * A, 2) == pytest.approx(1e300 * plain,
+                                                       rel=1e-14)
+    x = random_vector(rng, 7)
+    assert numkit._euclidean_norm(x) == float(np.linalg.norm(x))
+    assert numkit._euclidean_norm(1e300 * x) == pytest.approx(
+        1e300 * np.linalg.norm(x), rel=1e-15)
+    with pytest.raises(NumericalRangeError):
+        induced_norm(np.full((2, 2), 1e308), 2)
+    with pytest.raises(NumericalRangeError):
+        numkit._euclidean_norm(np.array([1.5e308, 1.5e308]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=1.0, max_value=8.0),
        st.floats(min_value=1.0, max_value=8.0),

@@ -13,7 +13,8 @@ from conftest import (apply_phi, compatible_state, feedback_toeplitz_inverse,
 from sgperturb import admissibility, numkit, perturbation, toeplitz, transport
 from sgperturb.admissibility import (SampledSignal, TimeGrid,
                                      controllability_map, estimate_constants,
-                                     feedback_admissible, observability_map)
+                                     feedback_admissible, observability_map,
+                                     rescale)
 from sgperturb.classical import mv_suite
 from sgperturb.perturbation import (
     FeedbackSingularError,
@@ -22,7 +23,7 @@ from sgperturb.perturbation import (
     variation_of_parameters_residual,
     weiss_staffans_semigroup,
 )
-from sgperturb.semigroup import MatrixDiscretization, MatrixTriple, rescale
+from sgperturb.semigroup import MatrixDiscretization, MatrixTriple
 from sgperturb.toeplitz import feedback_norm_chain
 from sgperturb.transport import (
     BorelMeasure,
@@ -947,7 +948,7 @@ def test_certificate_reads_the_transfer_track_only_without_a_route(
                                   numkit.make_rng(14))
     assert cert.verdict == verdict, cert.notes
     assert counts["transfer"] == transfers
-    if triple.world == "matrix":
+    if isinstance(triple, MatrixTriple):
         assert counts["solve"] == 20
 
 
@@ -1024,11 +1025,10 @@ def test_bypass_search_builds_only_shorter_horizons(monkeypatch):
     assert fb.io_norm >= 1.0 and not fb.io_norm_certifies
     columns = count_calls(monkeypatch, "feedback_column",
                           transport.TransportDiscretization)
-    entry, found = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0,
-                                               fb)
+    entry = perturbation._bypass_search(triple, grid, 2.0, 1.0, 3.0, fb)
     assert entry["io_norms"][0] == fb.io_norm
     assert [d.grid.t0 for d, in columns] == list(entry["horizons"][1:])
-    assert entry["found"] and found.t0 == entry["t1"] < grid.t0
+    assert entry["found"] and entry["t1"] == entry["horizons"][-1] < grid.t0
     assert entry["io_norms"][-1] < 1.0
 
 
@@ -1153,6 +1153,63 @@ def test_certificate_unit_atom_not_generated():
     assert cert.verdict == "not_generated"
     assert not cert.conditions["feedback"]["ok"]
     assert any("identically 1" in note for note in cert.notes)
+
+
+def _refuse_resolvent(monkeypatch):
+    def singular(self, lam):
+        raise FeedbackSingularError("refused")
+    monkeypatch.setattr(MatrixTriple, "perturbed_resolvent", singular)
+
+
+def _fail_constants(monkeypatch):
+    def fail(*args, **kwargs):
+        raise numkit.ConvergenceError("no convergence")
+    monkeypatch.setattr(perturbation, "_constants_and_feedback", fail)
+
+
+#: (triple, grid, (p, alpha, beta), patch, verdict, notes after the
+#: disclaimer): one case per branch of the certificate's verdict table
+VERDICT_BRANCHES = {
+    "generated": (README_TRIPLE, TimeGrid(0.5, 32), (2.0, 1.0, 3.0), None,
+                  "generated", ()),
+    "residual": (transport_triple(N=512, atoms=LITTLE_MASS_ATOMS),
+                 TimeGrid(0.5, 256), (2.0, 2.0, 2.0), None, "inconclusive",
+                 ("a resolvent residual exceeded its threshold",)),
+    "transfer-one": (transport_triple(N=16, atoms=((1.0, 1.0),)),
+                     TimeGrid(1.0, 16), (2.0, 1.0, 3.0), None,
+                     "not_generated",
+                     ("transfer function is identically 1: the feedback "
+                      "loop is singular at every lambda",)),
+    "no-route": (transport_triple(N=16, atoms=((1.0, 1.0), (0.5, 0.3))),
+                 TimeGrid(1.0, 16), (2.0, 2.0, 2.0), None, "inconclusive",
+                 ("no feedback route: margin below threshold and no short "
+                  "horizon with ||F|| < 1 found",)),
+    "compatibility": (README_TRIPLE, TimeGrid(0.5, 32), (2.0, 1.0, 3.0),
+                      lambda mp: mp.setattr(MatrixTriple, "compatibility",
+                                            lambda self: (False, "forced")),
+                      "inconclusive", ("compatibility surrogate failed",)),
+    "every-line": (README_TRIPLE, TimeGrid(0.5, 32), (2.0, 1.0, 3.0),
+                   _refuse_resolvent, "inconclusive",
+                   ("resolvent sampling failed at every attempted line",)),
+    "surrogate-failure": (README_TRIPLE, TimeGrid(0.5, 32), (2.0, 1.0, 3.0),
+                          _fail_constants, "inconclusive",
+                          ("surrogate failure: ConvergenceError: no "
+                           "convergence",)),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_BRANCHES)
+def test_certificate_verdict_branches(monkeypatch, case):
+    triple, grid, (p, alpha, beta), patch, verdict, notes = \
+        VERDICT_BRANCHES[case]
+    if patch is not None:
+        patch(monkeypatch)
+    cert = generation_certificate(triple, grid, p, alpha, beta,
+                                  numkit.make_rng(7))
+    assert (cert.verdict, cert.notes[1:]) == (verdict, notes)
+    assert "no continuum claim" in cert.notes[0]
+    if case in ("every-line", "surrogate-failure"):
+        assert cert.resolvent_residuals == ()
 
 
 def test_transfer_is_one_compares_with_the_identity_at_any_dimension():

@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import stable_triple, transport_triple
 from sgperturb import numkit
-from sgperturb.semigroup import MatrixTriple, rescale
+from sgperturb.admissibility import rescale
+from sgperturb.semigroup import MatrixTriple
 from sgperturb.transport import (
     BorelMeasure,
     GridFunction,
