@@ -107,9 +107,12 @@ def _translate(values: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def _first_order_entry(triple: MatrixTriple, grid: TimeGrid,
-                       rng: np.random.Generator) -> dict:
-    """Feedback semigroup versus the closed-loop exponential, two grids."""
+def _closing_checks(checks: dict, triple: MatrixTriple, grid: TimeGrid,
+                    exponents: tuple, rng: np.random.Generator) -> dict:
+    """``checks`` plus the certificate and the first-order semigroup check."""
+    cert = generation_certificate(triple, grid, *exponents, rng)
+    checks["certificate"] = {"ok": cert.verdict == "generated",
+                             "verdict": cert.verdict}
     x = numkit.random_vector(rng, triple.state_dim)
     x = x / np.linalg.norm(x)
     oracle = numkit.expm(triple.closed_loop(), grid.t0) @ x
@@ -117,8 +120,19 @@ def _first_order_entry(triple: MatrixTriple, grid: TimeGrid,
     for g in (grid, TimeGrid(grid.t0, 2 * grid.steps)):
         s = weiss_staffans_semigroup(triple, g, grid.t0, x)
         errs.append(float(np.linalg.norm(s - oracle)))
-    ok = errs[1] <= max(0.75 * errs[0], 1e-12)
-    return {"ok": bool(ok), "error_coarse": errs[0], "error_fine": errs[1]}
+    checks["semigroup_first_order"] = {
+        "ok": errs[1] <= max(0.75 * errs[0], 1e-12),
+        "error_coarse": errs[0], "error_fine": errs[1]}
+    return checks
+
+
+def _report(name: str, checks: dict, sub: dict) -> SuiteReport:
+    """``checks`` plus the bounded-factor level ``sub`` as one check."""
+    checks["bounded_factor_stability"] = {
+        "ok": all(v["ok"] for v in sub.values()),
+        "sub_checks": {k: v["ok"] for k, v in sub.items()}}
+    ok = all(entry["ok"] for entry in checks.values())
+    return SuiteReport(name, _HEADER, checks, bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +140,20 @@ def _first_order_entry(triple: MatrixTriple, grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
-             rng: np.random.Generator, _nested: bool = True) -> SuiteReport:
+             rng: np.random.Generator) -> SuiteReport:
     """Bounded-control suite: translation continuity, sup bound, certificate
     with the strict-exponent route, and stability under a bounded factor on
     the control side."""
+    checks = _ds_checks(triple, grid, p, rng)
+    F = random_bounded_factor(rng, triple.state_dim)
+    sub = _ds_checks(MatrixTriple(triple.A, triple.B @ F, triple.C),
+                     grid, p, rng)
+    return _report("control_side", checks, sub)
+
+
+def _ds_checks(triple: MatrixTriple, grid: TimeGrid, p: float,
+               rng: np.random.Generator) -> dict:
+    """One level of :func:`ds_suite`: every check but the bounded factor."""
     _require_matrix_world(triple, "the control-side suite")
     n = triple.state_dim
     if not np.array_equal(triple.C, np.eye(n, dtype=np.complex128)):
@@ -191,24 +215,7 @@ def ds_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
     checks["sup_bound"] = {"ok": bool(ok_b), "worst_gap": float(worst)}
 
     # (c) certificate along the strict-exponent route (beta > p)
-    cert = generation_certificate(triple, grid, p, p, 2.0 * p, rng)
-    checks["certificate"] = {"ok": cert.verdict == "generated",
-                             "verdict": cert.verdict}
-
-    # first-order agreement with the closed-loop exponential
-    checks["semigroup_first_order"] = _first_order_entry(triple, grid, rng)
-
-    # (d) bounded factor on the control side preserves everything
-    if _nested:
-        F = random_bounded_factor(rng, n)
-        sub = ds_suite(MatrixTriple(triple.A, triple.B @ F, triple.C),
-                       grid, p, rng, _nested=False)
-        checks["bounded_factor_stability"] = {
-            "ok": sub.ok, "sub_checks": {k: v["ok"]
-                                         for k, v in sub.checks.items()}}
-
-    ok = all(entry["ok"] for entry in checks.values())
-    return SuiteReport("control_side", _HEADER, checks, bool(ok))
+    return _closing_checks(checks, triple, grid, (p, p, 2.0 * p), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def _observation_constant(O: np.ndarray, grid: TimeGrid, p: float,
 
 
 def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
-             rng: np.random.Generator, _nested: bool = True) -> SuiteReport:
+             rng: np.random.Generator) -> SuiteReport:
     """Bounded-observation suite: admissibility constant, the indicator
     inequality with explicit constant ``M (1 + 1/p)``, its step-function
     extension with an L^1 right-hand side, the certificate on the (1, p)
@@ -238,6 +245,16 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
     side.  The completed inner integrals ``h sum_k e^{khA} x`` are sums of
     the orbit that the one power walk ``semigroup._powers`` takes in
     ``E = e^{hA}``."""
+    checks = _mv_checks(triple, grid, p, rng)
+    F = random_bounded_factor(rng, triple.state_dim)
+    sub = _mv_checks(MatrixTriple(triple.A, triple.B, F @ triple.C),
+                     grid, p, rng)
+    return _report("observation_side", checks, sub)
+
+
+def _mv_checks(triple: MatrixTriple, grid: TimeGrid, p: float,
+               rng: np.random.Generator) -> dict:
+    """One level of :func:`mv_suite`: every check but the bounded factor."""
     _require_matrix_world(triple, "the observation-side suite")
     if not 1.0 < p < np.inf:
         raise ValueError("the observation-side suite needs 1 < p < inf")
@@ -318,21 +335,4 @@ def mv_suite(triple: MatrixTriple, grid: TimeGrid, p: float,
                                      "worst_gap": float(worst)}
 
     # (d) certificate on the (1, p) exponent pair
-    cert = generation_certificate(triple, grid, p, 1.0, p, rng)
-    checks["certificate"] = {"ok": cert.verdict == "generated",
-                             "verdict": cert.verdict}
-
-    # first-order agreement with the closed-loop exponential
-    checks["semigroup_first_order"] = _first_order_entry(triple, grid, rng)
-
-    # (e) bounded factor on the observation side preserves everything
-    if _nested:
-        F = random_bounded_factor(rng, n)
-        sub = mv_suite(MatrixTriple(triple.A, triple.B, F @ triple.C),
-                       grid, p, rng, _nested=False)
-        checks["bounded_factor_stability"] = {
-            "ok": sub.ok, "sub_checks": {k: v["ok"]
-                                         for k, v in sub.checks.items()}}
-
-    ok = all(entry["ok"] for entry in checks.values())
-    return SuiteReport("observation_side", _HEADER, checks, bool(ok))
+    return _closing_checks(checks, triple, grid, (p, 1.0, p), rng)

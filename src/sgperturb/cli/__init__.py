@@ -235,6 +235,9 @@ def _parse_config(cfg: dict) -> RunSpec:
                 f"config.suites: {name} needs the transport world")
     if "classical_mv" in suites and not 1.0 < p < float("inf"):
         raise ConfigError("config.suites: classical_mv needs 1 < p < inf")
+    if not np.isfinite([p, beta]).all():
+        raise ConfigError(f"config.exponents: need finite p and beta, got "
+                          f"({p}, {beta})")
 
     seed = _integer(cfg["seed"], "config.seed")
     if not (0 <= seed < 2 ** 64):

@@ -402,27 +402,6 @@ def _boundary_coefficients(mu: BorelMeasure, N: int):
     return c, denom
 
 
-def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
-    """``max(a[i : i + width])`` for every full window, in O(len(a)).
-
-    van Herk / Gil-Werman: cut ``a`` into tiles of ``width`` (the last one
-    padded with its final value, which every window reaching it holds); a
-    window starting at ``i`` spans the rest of ``i``'s tile, whose suffix
-    maximum is taken backwards, and the start of the next tile, whose prefix
-    maximum is taken forwards.  ``np.maximum`` propagates NaN, so a window
-    holding a NaN gives NaN, as ``max`` does.
-    """
-    n = a.shape[0]
-    tiles = -(-n // width)
-    padded = np.empty(tiles * width, dtype=a.dtype)
-    padded[:n] = a
-    padded[n:] = a[-1]
-    padded = padded.reshape(tiles, width)
-    prefix = np.maximum.accumulate(padded, axis=1).ravel()
-    suffix = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n - width + 1], prefix[width - 1:n])
-
-
 def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
               N: int) -> Trajectory:
     """Method-of-steps solution of the closed-loop transport equation.
@@ -443,12 +422,12 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
     measure without mass below ``s = 1`` is one block for the whole
     horizon, a density gives blocks of one level).  A block reads each
     atom's term off its level windows by index; a density keeps one window
-    product per block.  After the recursion one pass checks the relation to
-    1e-12 (relative to ``max(1, max |state|)``) at every constructed level,
-    in O(levels + N): the scales are one sliding maximum of ``|z|``.  Level
-    ``j``'s check reads ``z`` only up to ``N + j``, so
-    :class:`ArithmeticError` names the first level where it fails, whatever
-    the later levels hold.
+    product per block.  After the recursion one pass checks the relation at
+    every level, to 1e-12 of the largest term it sums (``|b_j|``, the
+    partial sum, ``|c_N b_j|``) plus the smallest normal float, which bounds
+    subnormal roundoff, so only a non-finite level or a wrong solvability
+    factor fails.  Level ``j``'s check reads ``z`` only up to ``N + j``, so
+    the error names the first level that fails, whatever later levels hold.
 
     ``states`` is a read-only window view of ``z``, not one array per level;
     copy it before writing.
@@ -475,9 +454,10 @@ def solve_pde(mu: BorelMeasure, x0: GridFunction, horizon: float,
         # c . state with the boundary read back from the stored windows;
         # c vanishes on (k_max, N), so the partial sum carries the rest
         b = z[N + 1:]
-        gap = np.abs(b - (partial + c[N] * b))
-        scale = np.maximum(1.0, _sliding_max(np.abs(z), N + 1)[1:])
-        bad = np.flatnonzero(~(gap <= 1e-12 * scale))
+        fed = c[N] * b
+        gap = np.abs(b - (partial + fed))
+        scale = np.abs([b, partial, fed]).max(axis=0)
+        bad = np.flatnonzero(~(gap <= 1e-12 * scale + np.finfo(float).tiny))
     if bad.size:
         raise ArithmeticError(
             f"boundary relation x(1) = Phi x broken by "
@@ -1112,6 +1092,7 @@ class TransportDiscretization:
         triple, grid = self.triple, self.grid
         gf = as_grid_function(triple, x)
         scale = max(1.0, float(np.abs(gf.values).max()))
+        scale *= max(1.0, float(np.abs(triple.coef).sum()))
         if abs(gf.values[-1] - triple.coef @ gf.values) > 1e-9 * scale:
             raise ValueError(
                 "state is outside the discrete closed-loop domain: "

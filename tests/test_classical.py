@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import dissipative_matrix, taylor_expm
 from sgperturb import classical, numkit, toeplitz
-from sgperturb.admissibility import TimeGrid
+from sgperturb.admissibility import SampledSignal, TimeGrid
 from sgperturb.classical import ds_suite, mv_suite, random_bounded_factor
 from sgperturb.semigroup import MatrixDiscretization, MatrixTriple, _powers
 from sgperturb.transport import BorelMeasure, TransportTriple
@@ -85,6 +85,36 @@ def test_ds_bounded_factor_variant_passes():
     nested = report.checks["bounded_factor_stability"]
     assert nested["ok"]
     assert nested["sub_checks"]["certificate"]
+
+
+#: the README matrix system as the CLI hands it to the control-side suite
+README_DS = MatrixTriple(np.array([[-1.0, 0.2], [0.0, -2.0]]),
+                         np.array([[1.0], [0.5]]) @ np.array([[0.3, -0.4]]),
+                         np.eye(2))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_ds_operator_norm_below_two(p):
+    # p = 1 takes the largest column ratio, which a unit sample attains;
+    # 1 < p < 2 interpolates between the 1 -> 2 and 2 -> 2 norms, an upper
+    # bound of every ratio ||Bc u|| / ||u||_p
+    grid = TimeGrid(0.5, 32)
+    report = ds_suite(README_DS, grid, p, numkit.make_rng(5))
+    assert report.ok
+    norm = report.checks["translation_continuity"]["operator_norm"]
+    Bc = README_DS.discretize(grid).controllability_matrix()
+    m = README_DS.control_dim
+    units = [SampledSignal(grid, e.reshape(grid.steps, m), p=p)
+             for e in np.eye(Bc.shape[1])]
+    rng = numkit.make_rng(6)
+    units += [SampledSignal(grid, numkit.random_matrix(rng, grid.steps, m),
+                            p=p) for _ in range(200)]
+    ratios = [np.linalg.norm(Bc @ u.values.reshape(-1)) / u.norm(p)
+              for u in units]
+    if p == 1.0:
+        assert_allclose(norm, max(ratios), rtol=1e-15)
+    else:
+        assert 0.1 < max(ratios) <= norm
 
 
 def test_ds_requires_identity_observation():
@@ -270,6 +300,5 @@ def test_mv_suite_level_takes_one_exponential_for_its_sums(monkeypatch):
         calls.append(t)
         return expm(A, t)
     monkeypatch.setattr(numkit, "expm", counted)
-    classical.mv_suite(triple, TimeGrid(0.5, 32), 2.0, numkit.make_rng(48),
-                       _nested=False)
+    classical._mv_checks(triple, TimeGrid(0.5, 32), 2.0, numkit.make_rng(48))
     assert len(calls) <= 15

@@ -434,6 +434,24 @@ def test_infinite_horizon_exits_2(tmp_path, capsys):
         assert "config.grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [("beta",), ("p", "beta")])
+@pytest.mark.parametrize("spelling", ["1e400", "Infinity"])
+def test_nonfinite_exponents_exit_2(tmp_path, capsys, fields, spelling):
+    # both spellings parse to inf and pass the ordering checks; a config
+    # holding one has no strict JSON digest, so it is refused when parsed
+    cfg = matrix_config()
+    cfg["suites"] = ["admissibility"]
+    del cfg["expect"]
+    for name in fields:
+        cfg["exponents"][name] = "INF"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"INF"', spelling))
+    assert run(path, out_dir=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config.exponents: need finite p and beta" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_infinite_matrix_entry_exits_2(tmp_path, capsys):
     cfg = matrix_config()
     cfg["matrix"]["A"][0][0] = float("inf")  # json writes Infinity
@@ -560,6 +578,46 @@ def test_verify_appends_battery_transport(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,s,re_x,im_x"
     assert len(lines) > 1
+
+
+def test_verify_passes_a_large_weight_boundary(tmp_path):
+    # atoms (0.5, 1e5) and (1, 1e5 + 1/2) have loop gain about 1, but the
+    # terms of x(1) = Phi x are 1e5 times the state, and the reference's
+    # boundary check scales with them, not with the state alone
+    cfg = transport_config([[0.5, 1e5], [1.0, 1e5 + 0.5]], None)
+    del cfg["expect"]
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out",
+               verify=True) == 0
+    assert read_report(tmp_path / "out")["suites"]["transport_pde"]["ok"]
+
+
+UNIT_MASS_NOTE = ("boundary functional has unit weight at s = 1; the "
+                  "characteristic equation holds identically and there is "
+                  "no generator to eigensolve")
+
+
+@pytest.mark.parametrize("atoms, N, steps, roots, note", [
+    ([[1.0, 1.0]], 16, 8, None, UNIT_MASS_NOTE),
+    ([[0.5, 0.3], [0.875, 0.2]], 1024, 32, 3,
+     "dense eigensolve skipped for N > 800"),
+], ids=["unit-mass", "no-eigensolve"])
+def test_spectral_suite_entries_with_null_fields(tmp_path, atoms, N, steps,
+                                                 roots, note):
+    # the two shapes of schema 3.0.0 that carry nulls and a note
+    cfg = transport_config(atoms, None, suites=("spectral",))
+    del cfg["expect"]
+    cfg["transport"]["N"] = N
+    cfg["grid"]["steps"] = steps
+    assert run(write_config(tmp_path, cfg), out_dir=tmp_path / "out") == 0
+    entry = read_report(tmp_path / "out")["suites"]["spectral"]
+    assert set(entry) == {"ok", "roots", "transfer_residuals",
+                          "upwind_distances", "note"}
+    assert entry["ok"] is True and entry["note"] == note
+    assert entry["upwind_distances"] is None
+    if roots is None:
+        assert entry["roots"] is None and entry["transfer_residuals"] is None
+    else:
+        assert len(entry["roots"]) == len(entry["transfer_residuals"]) == roots
 
 
 def density_config():

@@ -30,8 +30,8 @@ imports, exports or names ``feedback_toeplitz_inverse`` or
 ``transport._transfer_and_slope`` forms the density cell exponentials
 ``np.exp(np.multiply.outer(...))``.  No module reduces a sliding window
 view (``.max``, ``.min``, ``.sum``) inside a loop, so no per-level
-O(levels * N) window scan stands where one O(levels + N) sliding maximum
-does.  Each world's facts live on its triple
+O(levels * N) window scan stands where one O(levels) pass over the terms
+of each level does.  Each world's facts live on its triple
 class: no module tests whether a triple is a
 ``MatrixTriple`` or a ``TransportTriple`` (the classical suites' input guard
 aside), and both classes expose the same public methods, none of which
@@ -47,7 +47,9 @@ stack of powers of ``E = e^{hA}`` comes from one doubling walk, so no
 method of ``MatrixDiscretization`` but ``solve_feedback`` holds a loop.
 Each construction is called one way: no public module-level function only
 returns a method call on one of its parameters (``rescale``, which checks
-its shift first, is not such a forwarder).  The benchmark's workloads stay
+its shift first, is not such a forwarder).  No function takes a
+parameter whose name starts with ``_``: an option that callers are told
+not to set is still an option.  The benchmark's workloads stay
 callable: every ``sg.<name>`` in ``perfbench/workloads.py`` resolves on
 the package, and each of its calls binds to the current signature.
 """
@@ -1006,7 +1008,7 @@ def test_window_reduction_rule_catches_each_form(snippet):
 
 
 def test_window_reduction_rule_catches_the_block_oracle():
-    # the per-block window maximum that the sliding maximum replaced
+    # the per-block window maximum that the per-level check replaced
     source = (SRC.parents[1] / "tests" / "conftest.py").read_text()
     assert len(window_reductions_in_loops(source)) == 1
 
@@ -1167,3 +1169,50 @@ def test_forwarder_rule_passes_other_code():
         "def stored(t):\n    s = t.step(1.0)\n    return s\n"
         "class Triple:\n    def step(self, t):\n"
         "        return self.expm(t)\n") == []
+
+
+def hidden_knobs(source: str, name: str = "<source>"):
+    """Each parameter of a function or lambda whose name starts with ``_``:
+    a settable option that only the function itself is meant to set."""
+    found = []
+    for node in ast.walk(ast.parse(source, name)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg):
+            if arg is not None and arg.arg.startswith("_"):
+                found.append(f"{name}:{arg.lineno}: "
+                             f"{getattr(node, 'name', 'lambda')} takes "
+                             f"{arg.arg}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_no_function_takes_a_hidden_parameter(path):
+    assert hidden_knobs(path.read_text(), str(path.relative_to(SRC))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def suite(triple, rng, _nested=True):\n    pass\n",
+    "def f(_x, /, y):\n    pass\n",
+    "def f(x, *, _fast=False):\n    pass\n",
+    "def f(*_args):\n    pass\n",
+    "def f(**_kw):\n    pass\n",
+    "async def f(_session):\n    pass\n",
+    "g = lambda _x: _x\n",
+    "class K:\n    def m(self, _cache=None):\n        pass\n",
+], ids=["default", "positional-only", "keyword-only", "vararg", "kwarg",
+        "async", "lambda", "method"])
+def test_hidden_parameter_rule_catches_each_form(snippet):
+    assert len(hidden_knobs(snippet)) == 1
+
+
+def test_hidden_parameter_rule_passes_other_names():
+    assert hidden_knobs(
+        "def _private(x, nested=True, *args, **kwargs):\n    _y = x\n"
+        "    return lambda v, w=_y: v + w\n"
+        "class K:\n    def __init__(self, x_):\n        self._x = x_\n"
+        "    def _m(self, a, *, b):\n        return self._x\n") == []

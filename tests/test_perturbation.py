@@ -178,6 +178,21 @@ def test_resolvent_feedback_singularity_raises():
         triple.perturbed_resolvent(2.0)
 
 
+def test_matrix_feedback_singularity_bumps_the_certificate_line():
+    # I - C R(lam, A) B vanishes at lam = 2 + 0.1i for A = 0, B = 1,
+    # C = 2 + 0.1i; that point lies on the certificate's first line
+    # (Re lam = 2), so the line moves once, to Re lam = 4
+    triple = MatrixTriple(np.zeros((1, 1)), np.ones((1, 1)),
+                          np.array([[2.0 + 0.1j]]))
+    with pytest.raises(FeedbackSingularError, match="feedback singular"):
+        triple.perturbed_resolvent(2.0 + 0.1j)
+    cert = generation_certificate(triple, TimeGrid(0.5, 32), 2.0, 2.0, 2.0,
+                                  numkit.make_rng(3))
+    assert cert.verdict == "generated"
+    assert len(cert.resolvent_residuals) == 10
+    assert all(lam.real == 4.0 for lam, _, _ in cert.resolvent_residuals)
+
+
 def test_resolvent_transport_residual_small():
     # (lam - A^Phi) Q f = f checked through the upwind discretization
     triple = transport_triple(N=256, atoms=LITTLE_MASS_ATOMS)
@@ -393,6 +408,18 @@ def test_vop_rejects_state_outside_closed_loop_domain():
     with pytest.raises(ValueError):
         variation_of_parameters_residual(triple, TimeGrid(1.0, 32), 1.0,
                                          bad)
+
+
+@pytest.mark.parametrize("weight", [1e5, 1e8])
+def test_vop_accepts_exact_states_of_large_weight_measures(weight):
+    # the terms of x(1) = Phi x are ``weight`` times the state, so the
+    # domain test and the reference's boundary check scale with them; at
+    # stride one the residual is roundoff magnified by the weight
+    triple = transport_triple(N=64, atoms=((0.5, weight),
+                                           (1.0, weight + 0.5)))
+    x = compatible_state(triple.mu, triple.N, triple.p)
+    res = variation_of_parameters_residual(triple, TimeGrid(0.5, 32), 0.5, x)
+    assert res <= 1e-15 * weight
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,32 @@ def test_solve_pde_broken_boundary_names_oracle_level(monkeypatch, support):
         solve_pde(TWO_ATOMS, x0, 1.0, N)
 
 
+def test_solve_pde_large_weights_pass_the_boundary_check():
+    # atoms (0.5, 1e5) and (1, w = 1e5 + 1/2): solved for x(1), the loop
+    # x(1) = Phi_0 x / (1 - w) has gain about 1 (Phi_0 the atom at 0.5), but
+    # the terms of x(1) = Phi x are 1e5 times the state, so a scale of
+    # max(1, max |state|) read their roundoff as a broken relation
+    mu, N = BorelMeasure(atoms=((0.5, 1e5), (1.0, 1e5 + 0.5))), 64
+    x0 = compatible_state(mu, N)
+    traj = solve_pde(mu, x0, 2.0, N)
+    c = phi_coefficients(mu, N)
+    z = list(x0.values)
+    for j in range(1, 2 * N + 1):
+        z.append((c[:N] @ np.array(z[j:j + N])) / (1.0 - c[N]))
+    assert np.abs(traj.states[-1]).max() > 0.1
+    assert_allclose(traj.states[-1], z[2 * N:], rtol=1e-14, atol=0)
+
+
+def test_solve_pde_subnormal_states_pass_the_boundary_check():
+    # subnormal terms round to a multiple of 2^-1074, far above 1e-12 of
+    # their size; the smallest normal float bounds that roundoff
+    mu, N = BorelMeasure(atoms=((0.25, 0.4), (1.0, 0.3 + 0.05j))), 64
+    rng = np.random.default_rng(0)
+    v = 1e-318 * (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+    traj = solve_pde(mu, GridFunction(v), 1.0, N)
+    assert np.all(np.isfinite(traj.states)) and np.abs(traj.states).max() > 0
+
+
 def test_solve_pde_states_are_one_read_only_sequence():
     # N = 4096 to t = 8 would be 2.1 GB as one row per level; the window
     # view spans only the N + 1 + levels values of the one sequence
@@ -360,27 +386,6 @@ def test_solve_pde_states_are_one_read_only_sequence():
     assert hi - lo == (N + 1 + levels) * 16
     with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0
-
-
-@pytest.mark.parametrize("width", [1, 4, 6, 7, 35])
-@pytest.mark.parametrize("specials", [
-    {}, {3: np.nan}, {0: np.nan, 20: np.nan}, {34: np.nan},
-    {5: np.inf, 30: -np.inf}, {10: -np.inf, 11: np.nan, 12: np.inf},
-    {k: -np.inf for k in range(35)},
-], ids=["finite", "nan", "nan-first", "nan-last", "inf", "mixed",
-        "all-minus-inf"])
-def test_sliding_max_equals_window_view_max(width, specials):
-    # 35 values: widths 1 and 35, widths 7 that divides and 4, 6 that do not
-    a = np.random.default_rng(width).standard_normal(35)
-    for k, value in specials.items():
-        a[k] = value
-    got = transport._sliding_max(a, width)
-    want = np.lib.stride_tricks.sliding_window_view(a, width).max(axis=1)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    # a window that holds a NaN gives NaN
-    holds_nan = [np.isnan(a[i:i + width]).any() for i in range(want.size)]
-    assert np.array_equal(np.isnan(got), holds_nan)
 
 
 def closed_loop_state(seed, N=2048):
@@ -494,6 +499,20 @@ def test_observe_matches_dense_window_read(triple, grid):
     assert got.shape == (grid.steps, 1)
     assert np.abs(ref).max() > 0.1
     assert np.abs(got[:, 0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_observe_refuses_a_state_off_the_domain():
+    # the observation map lives on D(A), where x(1) = 0; the relaxed read
+    # takes any state and never reads its boundary sample
+    triple, grid = PHI_READ_CASES[0]
+    disc = triple.discretize(grid)
+    values = np.r_[np.cos(np.arange(triple.N)) + 0.5j, 1e-6]
+    with pytest.raises(ValueError, match=r"outside D\(A\)"):
+        disc.observe(GridFunction(values))
+    inside = disc.observe(GridFunction(np.r_[values[:-1], 0.0]))
+    relaxed = disc.observe(GridFunction(values), require_domain=False)
+    assert np.abs(inside).max() > 0.1
+    assert np.array_equal(relaxed, inside)
 
 
 @pytest.mark.parametrize("triple, grid", PHI_READ_CASES, ids=PHI_READ_IDS)
